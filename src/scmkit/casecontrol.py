@@ -22,6 +22,7 @@ from .errors import ExhaustionError, InvalidArgumentError
 from .estimands import OddsRatioReport
 from .exogenous import DigitStream, uniforms_at
 from .graph import topological_order
+from .identify import _bind
 from .scm import Scm, _realize_column, joint_distribution, restrict
 
 __all__ = [
@@ -127,14 +128,8 @@ def simulate_case_control(
     whose x matches.  Raises an exhaustion error when the row budget
     runs out, including when no case can ever occur.
     """
-    roles = dict(roles or {n: n for n in _ROLE_NAMES})
-    for role in _ROLE_NAMES:
-        if role not in roles:
-            raise InvalidArgumentError(f"missing role binding {role!r}")
-    x_n, t_n, r_n = (roles[r] for r in _ROLE_NAMES)
-    for node in (x_n, t_n, r_n):
-        if node not in population.dag.nodes:
-            raise InvalidArgumentError(f"population lacks node {node!r}")
+    roles = roles or {n: n for n in _ROLE_NAMES}
+    x_n, t_n, r_n = _bind(roles, _ROLE_NAMES, population.dag.nodes, "population").values()
     for node in (t_n, r_n):
         if set(population.domains[node].values) != {0, 1}:
             raise InvalidArgumentError(f"{node!r} must take values in {{0, 1}}")

@@ -93,15 +93,28 @@ def _assignments(scm: Scm, text: str, flag: str) -> dict:
     }
 
 
-def _roles(args, defaults: tuple) -> dict:
-    roles = {name: name for name in defaults}
-    if getattr(args, "roles", None):
-        for role, node in _parse_pairs(args.roles, "--roles").items():
-            if role not in roles:
-                raise _UsageError(
-                    f"--roles accepts {', '.join(defaults)}; got {role!r}"
-                )
-            roles[role] = node
+# Role names of the subcommands that take --roles; by default each role
+# names its own node.
+_ROLE_NAMES = {
+    "frontdoor": ("Y", "Z", "W", "X"),
+    "eelworms": ("X", "U", "V", "W", "Y"),
+    "gformula": ("X", "T", "R", "X2", "T2", "R2"),
+    "direct-effect": ("Y1", "Y2", "Y3", "Y4"),
+    "policy": ("Y1", "Y2", "Y3", "Y4"),
+    "mediation": ("H", "B", "Q", "S"),
+    "iv": ("I", "T", "R"),
+    "oddsratio": ("X", "T", "R"),
+    "casecontrol": ("X", "T", "R"),
+}
+
+
+def _roles(args) -> dict:
+    names = _ROLE_NAMES[args.command]
+    roles = {name: name for name in names}
+    for role, node in _parse_pairs(args.roles or "", "--roles").items():
+        if role not in roles:
+            raise _UsageError(f"--roles accepts {', '.join(names)}; got {role!r}")
+        roles[role] = node
     return roles
 
 
@@ -272,7 +285,7 @@ def _cmd_effect(args, report):
 
 def _cmd_frontdoor(args, report):
     model = load_model(args.model)
-    roles = _roles(args, ("Y", "Z", "W", "X"))
+    roles = _roles(args)
     out = frontdoor(
         joint_distribution(model),
         roles["Y"],
@@ -293,7 +306,7 @@ def _cmd_frontdoor(args, report):
 
 def _cmd_eelworms(args, report):
     model = load_model(args.model)
-    roles = _roles(args, ("X", "U", "V", "W", "Y"))
+    roles = _roles(args)
     law = eelworms_effect(joint_distribution(model), roles, dag=model.dag)
     report["citations"] = [
         "mu_x(y) = sum_(v,w) P(y|x,v,w) sum_u P(v|x,u) "
@@ -305,7 +318,7 @@ def _cmd_eelworms(args, report):
 
 def _cmd_gformula(args, report):
     model = load_model(args.model)
-    roles = _roles(args, ("X", "T", "R", "X2", "T2", "R2"))
+    roles = _roles(args)
     joint = joint_distribution(model)
     t_val = _domain_value(model, roles["T"], args.t_value)
     t2_val = _domain_value(model, roles["T2"], args.t2_value)
@@ -319,7 +332,7 @@ def _cmd_gformula(args, report):
 
 def _cmd_direct_effect(args, report):
     model = load_model(args.model)
-    roles = _roles(args, ("Y1", "Y2", "Y3", "Y4"))
+    roles = _roles(args)
     joint = joint_distribution(model)
     y2_val = _domain_value(model, roles["Y2"], args.y2)
     t_val = _domain_value(model, roles["Y4"], args.t_value)
@@ -333,7 +346,7 @@ def _cmd_direct_effect(args, report):
 
 def _cmd_policy(args, report):
     model = load_model(args.model)
-    roles = _roles(args, ("Y1", "Y2", "Y3", "Y4"))
+    roles = _roles(args)
     out = antibiotic_policy(joint_distribution(model), roles, dag=model.dag)
     report["citations"] = [
         "P(Y1=y under withhold-unless-Y3) = P(y, Y3=0 | y4) "
@@ -349,7 +362,7 @@ def _cmd_policy(args, report):
 
 def _cmd_mediation(args, report):
     model = load_model(args.model)
-    roles = _roles(args, ("H", "B", "Q", "S"))
+    roles = _roles(args)
     joint = joint_distribution(model)
     indirect = natural_indirect(joint, roles, dag=model.dag)
     report["citations"] = [
@@ -368,7 +381,7 @@ def _cmd_mediation(args, report):
 
 
 def _cmd_iv(args, report):
-    roles = _roles(args, ("I", "T", "R"))
+    roles = _roles(args)
     if (args.model is None) == (args.data is None):
         raise _UsageError("iv needs exactly one of --model or --data")
     if args.method == "tsls":
@@ -412,7 +425,7 @@ def _cmd_iv(args, report):
 
 def _cmd_oddsratio(args, report):
     model = load_model(args.model)
-    roles = _roles(args, ("X", "T", "R"))
+    roles = _roles(args)
     out = odds_ratio(joint_distribution(model), roles)
     report["citations"] = [
         "p(1-q)/(q(1-p)) equals the response-side odds ratio in every stratum"
@@ -427,7 +440,7 @@ def _cmd_oddsratio(args, report):
 
 def _cmd_casecontrol(args, report):
     model = load_model(args.model)
-    roles = _roles(args, ("X", "T", "R"))
+    roles = _roles(args)
     pairs = simulate_case_control(
         model, args.n, DigitStream(args.seed), budget=args.budget, roles=roles
     )
@@ -563,16 +576,18 @@ _HANDLERS = {
 }
 
 
-def _add_model(p, required=True):
+def _subcommand(sub, name: str, help: str, required: bool = True):
+    """Subparser with the model option and, for a role-taking command,
+    its role bindings."""
+    p = sub.add_parser(name, help=help)
     p.add_argument("-m", "--model", required=required, help="model file (JSON)")
-
-
-def _add_roles(p, names):
-    p.add_argument(
-        "--roles",
-        help=f"role bindings as k=v pairs; roles: {', '.join(names)} "
-        "(default: each role names its own node)",
-    )
+    if name in _ROLE_NAMES:
+        p.add_argument(
+            "--roles",
+            help=f"role bindings as k=v pairs; roles: {', '.join(_ROLE_NAMES[name])} "
+            "(default: each role names its own node)",
+        )
+    return p
 
 
 def _add_io(p):
@@ -593,30 +608,25 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check a model file")
-    _add_model(p)
+    p = _subcommand(sub, "validate", "check a model file")
     _add_io(p)
 
-    p = sub.add_parser("joint", help="exact joint or conditional law")
-    _add_model(p)
+    p = _subcommand(sub, "joint", "exact joint or conditional law")
     p.add_argument("--targets", help="comma list of nodes (default: all)")
     p.add_argument("--given", help="conditioning assignments k=v,...")
     _add_io(p)
 
-    p = sub.add_parser("intervene", help="cut mechanisms and fix values")
-    _add_model(p)
+    p = _subcommand(sub, "intervene", "cut mechanisms and fix values")
     p.add_argument("--set", required=True, help="assignments k=v,...")
     p.add_argument("--model-out", help="write the cut model here")
     _add_io(p)
 
-    p = sub.add_parser("sample", help="draw rows from the model")
-    _add_model(p)
+    p = _subcommand(sub, "sample", "draw rows from the model")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     _add_io(p)
 
-    p = sub.add_parser("backdoor", help="check one adjustment set")
-    _add_model(p)
+    p = _subcommand(sub, "backdoor", "check one adjustment set")
     p.add_argument("-t", required=True, help="treatment node")
     p.add_argument("-r", required=True, help="response node")
     p.add_argument("-z", "--adjust", help="comma list of conditioning nodes")
@@ -626,15 +636,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_io(p)
 
-    p = sub.add_parser("adjust-sets", help="minimal valid adjustment sets")
-    _add_model(p)
+    p = _subcommand(sub, "adjust-sets", "minimal valid adjustment sets")
     p.add_argument("-t", required=True)
     p.add_argument("-r", required=True)
     p.add_argument("--candidates", help="comma list (default: all eligible)")
     _add_io(p)
 
-    p = sub.add_parser("effect", help="adjusted interventional law")
-    _add_model(p)
+    p = _subcommand(sub, "effect", "adjusted interventional law")
     p.add_argument("-t", required=True)
     p.add_argument("-r", required=True)
     p.add_argument("--adjust", help="comma list of adjustment nodes")
@@ -646,63 +654,44 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_io(p)
 
-    p = sub.add_parser("frontdoor", help="mediator identification")
-    _add_model(p)
-    _add_roles(p, ("Y", "Z", "W", "X"))
+    p = _subcommand(sub, "frontdoor", "mediator identification")
     _add_io(p)
 
-    p = sub.add_parser("eelworms", help="pest-count identification")
-    _add_model(p)
-    _add_roles(p, ("X", "U", "V", "W", "Y"))
+    p = _subcommand(sub, "eelworms", "pest-count identification")
     _add_io(p)
 
-    p = sub.add_parser("gformula", help="two-stage treatment plan")
-    _add_model(p)
-    _add_roles(p, ("X", "T", "R", "X2", "T2", "R2"))
+    p = _subcommand(sub, "gformula", "two-stage treatment plan")
     p.add_argument("--t", dest="t_value", required=True, help="first value")
     p.add_argument("--t2", dest="t2_value", required=True, help="second value")
     _add_io(p)
 
-    p = sub.add_parser("direct-effect", help="first treatment, second held")
-    _add_model(p)
-    _add_roles(p, ("Y1", "Y2", "Y3", "Y4"))
+    p = _subcommand(sub, "direct-effect", "first treatment, second held")
     p.add_argument("--y2", required=True, help="fixed second-treatment value")
     p.add_argument("--t", dest="t_value", required=True, help="first-treatment value")
     _add_io(p)
 
-    p = sub.add_parser("policy", help="withhold-unless-indicated response law")
-    _add_model(p)
-    _add_roles(p, ("Y1", "Y2", "Y3", "Y4"))
+    p = _subcommand(sub, "policy", "withhold-unless-indicated response law")
     _add_io(p)
 
-    p = sub.add_parser("mediation", help="indirect-channel decomposition")
-    _add_model(p)
-    _add_roles(p, ("H", "B", "Q", "S"))
+    p = _subcommand(sub, "mediation", "indirect-channel decomposition")
     p.add_argument("--sigma", help="assumed S-law k=v,... for the fixed variant")
     _add_io(p)
 
-    p = sub.add_parser("iv", help="instrumental-variable ratio")
-    _add_model(p, required=False)
+    p = _subcommand(sub, "iv", "instrumental-variable ratio", required=False)
     p.add_argument("--data", help="dataset CSV (alternative to --model)")
-    _add_roles(p, ("I", "T", "R"))
     p.add_argument("--method", choices=("theta", "multi", "tsls"), default="theta")
     _add_io(p)
 
-    p = sub.add_parser("oddsratio", help="per-stratum odds ratios")
-    _add_model(p)
-    _add_roles(p, ("X", "T", "R"))
+    p = _subcommand(sub, "oddsratio", "per-stratum odds ratios")
     _add_io(p)
 
-    p = sub.add_parser("casecontrol", help="paired sampling plus estimation")
-    _add_model(p)
-    _add_roles(p, ("X", "T", "R"))
+    p = _subcommand(sub, "casecontrol", "paired sampling plus estimation")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--n", type=int, required=True, help="number of pairs")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     _add_io(p)
 
-    p = sub.add_parser("docalc", help="verify rule 1 or 2 on a partition")
-    _add_model(p)
+    p = _subcommand(sub, "docalc", "verify rule 1 or 2 on a partition")
     p.add_argument("--rule", type=int, choices=(1, 2), required=True)
     p.add_argument("--w", help="conditioning nodes, comma list")
     p.add_argument("--x", default="", help="treatment assignments k=v,...")
@@ -783,3 +772,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return code
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -23,14 +23,8 @@ from typing import Mapping
 
 from .errors import InvalidArgumentError, PositivityError
 from .graph import Dag
-from .scm import (
-    Cpt,
-    JointTable,
-    Scm,
-    cond_independent,
-    joint_distribution,
-    restrict,
-)
+from .identify import _fmt_stratum
+from .scm import Cpt, Scm, cond_independent, conditional_laws, joint_distribution
 
 __all__ = [
     "NodePartition",
@@ -225,17 +219,9 @@ def check_c2(
     return cond_independent(joint, partition.y, partition.z, partition.w, tol)
 
 
-def _law(joint: JointTable, targets: tuple, given: dict) -> dict:
-    return restrict(joint, targets, given).probs
-
-
 def _worst_gap(a: Mapping, b: Mapping) -> float:
     keys = set(a) | set(b)
     return max(abs(float(a.get(k, 0)) - float(b.get(k, 0))) for k in keys)
-
-
-def _fmt(given: Mapping) -> str:
-    return ", ".join(f"{n}={v!r}" for n, v in sorted(given.items(), key=str))
 
 
 def verify_rule(
@@ -262,59 +248,38 @@ def verify_rule(
     z_nodes = tuple(sorted(partition.z, key=str))
 
     if rule == 1:
-        holds, cond_dev = check_c1(scm, partition, x, tol)
-        joint = joint_distribution(build_m_prime(scm, partition, x))
-        wz = restrict(joint, w_nodes + z_nodes)
-        worst = 0.0
-        usable = 0
-        for cfg, mass in wz.probs.items():
-            if float(mass) <= 0:
-                continue
-            w_given = dict(zip(w_nodes, cfg[: len(w_nodes)]))
-            full_given = dict(zip(w_nodes + z_nodes, cfg))
-            lhs = _law(joint, y_nodes, full_given)
-            rhs = _law(joint, y_nodes, w_given)
-            worst = max(worst, _worst_gap(lhs, rhs))
-            usable += 1
-        if not usable:
+        prime = joint_distribution(build_m_prime(scm, partition, x))
+        # check_c1's test, on the joint already built instead of a second one.
+        holds, cond_dev = cond_independent(prime, partition.y, partition.z, partition.w, tol)
+        marginal = conditional_laws(prime, y_nodes, w_nodes)
+        gaps = [
+            _worst_gap(law, marginal[cfg[: len(w_nodes)]])
+            for cfg, law in conditional_laws(prime, y_nodes, w_nodes + z_nodes).items()
+        ]
+        if not gaps:
             raise PositivityError("no (w, z) stratum has positive probability")
-        verdict = RuleVerdict(
-            rule=1,
-            condition="C1",
-            condition_holds=holds,
-            condition_deviation=cond_dev,
-            identity_deviation=worst,
-            tol=tol,
-            passed=holds and worst <= tol,
-        )
-        return verdict
-
-    z = dict(z or {})
-    holds, cond_dev = check_c2(scm, partition, x, z, tol)
-    prime = joint_distribution(build_m_prime(scm, partition, x))
-    double = joint_distribution(build_m_doubleprime(scm, partition, x, z))
-    z_given = {n: z[n] for n in z_nodes}
-    worst = 0.0
-    usable = 0
-    w_law = restrict(double, w_nodes) if w_nodes else JointTable((), {(): 1})
-    for cfg, mass in w_law.probs.items():
-        if float(mass) <= 0:
-            continue
-        w_given = dict(zip(w_nodes, cfg))
-        if float(prime.prob({**w_given, **z_given})) <= 0:
-            continue
-        lhs = _law(double, y_nodes, w_given)
-        rhs = _law(prime, y_nodes, {**w_given, **z_given})
-        worst = max(worst, _worst_gap(lhs, rhs))
-        usable += 1
-    if not usable:
-        raise PositivityError(
-            f"conditioning stratum {{{_fmt(z_given)}}} has no mass "
-            "jointly with any reachable w"
-        )
+    else:
+        z = dict(z or {})
+        double = joint_distribution(build_m_doubleprime(scm, partition, x, z))
+        # check_c2's test, on the joint already built instead of a second one.
+        holds, cond_dev = cond_independent(double, partition.y, partition.z, partition.w, tol)
+        prime = joint_distribution(build_m_prime(scm, partition, x))
+        z_cfg = tuple(z[n] for n in z_nodes)
+        given = conditional_laws(prime, y_nodes, w_nodes + z_nodes)
+        gaps = [
+            _worst_gap(law, given[cfg + z_cfg])
+            for cfg, law in conditional_laws(double, y_nodes, w_nodes).items()
+            if cfg + z_cfg in given
+        ]
+        if not gaps:
+            stratum = _fmt_stratum(dict(zip(z_nodes, z_cfg)))
+            raise PositivityError(
+                f"conditioning stratum {{{stratum}}} has no mass jointly with any reachable w"
+            )
+    worst = max([0.0] + gaps)
     return RuleVerdict(
-        rule=2,
-        condition="C2",
+        rule=rule,
+        condition=f"C{rule}",
         condition_holds=holds,
         condition_deviation=cond_dev,
         identity_deviation=worst,

@@ -5,6 +5,11 @@ mediation under an assumed covariate, the natural indirect effect, the
 instrumental-variable family (binary ratio, multi-level aggregate, and
 two-stage least squares), and stratified odds ratios computed by two
 algebraically equivalent routes.
+
+As in :mod:`scmkit.identify`, every factor over a joint table comes from
+:func:`scmkit.scm.conditional_laws`, the one primitive behind these
+formulas, built once per call; role bindings and figure shapes go through
+the same binder and shape check.
 """
 
 from __future__ import annotations
@@ -14,15 +19,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import (
-    InvalidArgumentError,
-    PositivityError,
-    WeakInstrumentError,
-    ZeroProbabilityError,
-)
+from .errors import InvalidArgumentError, PositivityError, WeakInstrumentError
 from .graph import Dag
-from .identify import _conditional, _require_nodes, support_values
-from .scm import POSITIVITY_CUTOFF, Dataset, JointTable, restrict
+from .identify import _bind, _laws, _require_shape, support_values
+from .scm import POSITIVITY_CUTOFF, Dataset, JointTable
 
 __all__ = [
     "IvResult",
@@ -93,15 +93,6 @@ class OddsRatioReport:
                 )
 
 
-def _bound_roles(joint: JointTable, roles: Mapping[str, str], names) -> tuple:
-    for role in names:
-        if role not in roles:
-            raise InvalidArgumentError(f"missing role binding {role!r}")
-    nodes = tuple(roles[r] for r in names)
-    _require_nodes(joint, nodes)
-    return nodes
-
-
 def _mean(dist: Mapping):
     """Mean of a value -> probability mapping; None for non-numeric values."""
     try:
@@ -115,30 +106,13 @@ def _require_binary(joint: JointTable, node: str) -> None:
         raise InvalidArgumentError(f"{node!r} must take values in {{0, 1}}")
 
 
-_TWO_STAGE_ROLE_NAMES = ("Y1", "Y2", "Y3", "Y4")
-
-
-def _check_two_stage_shape(
-    dag: Dag | None, nodes: tuple, second_treatment_edge: str
-) -> None:
-    """Fig-shape check shared by the two-stage ops.
-
-    `second_treatment_edge` is "optional" when the second treatment may or
-    may not see the first, "required" when it must.
-    """
-    if dag is None:
-        return
-    y1, y2, y3, y4 = nodes
-    latent = sorted(set(dag.nodes) - set(nodes))
-    if len(latent) != 1:
-        raise InvalidArgumentError("expected exactly one latent node")
-    u = latent[0]
-    base = {(y2, y1), (y4, y1), (u, y1), (y3, y2), (y4, y3), (u, y3)}
-    allowed = [base | {(y4, y2)}]
-    if second_treatment_edge == "optional":
-        allowed.append(base)
-    if set(dag.edges) not in allowed:
-        raise InvalidArgumentError("graph does not have the two-stage shape")
+_TWO_STAGE_ROLES = ("Y1", "Y2", "Y3", "Y4")
+# U is the latent node.  The policy needs the edge Y4 -> Y2, which the
+# direct effect allows but does not require.
+_TWO_STAGE_SHAPE = (
+    ("Y2", "Y1"), ("Y4", "Y1"), ("U", "Y1"), ("Y3", "Y2"), ("Y4", "Y3"), ("U", "Y3")
+)
+_TWO_STAGE_EDGE_SHAPE = _TWO_STAGE_SHAPE + (("Y4", "Y2"),)
 
 
 def two_stage_direct(
@@ -153,16 +127,17 @@ def two_stage_direct(
     p_t(y) = sum over y3 of P(Y1=y | Y2=y2, Y3=y3, Y4=t) P(Y3=y3 | Y4=t),
     returned with its mean (None when Y1 is not numeric).
     """
-    nodes = _bound_roles(joint, roles, _TWO_STAGE_ROLE_NAMES)
-    _check_two_stage_shape(dag, nodes, "optional")
-    y1_n, y2_n, y3_n, y4_n = nodes
-    y3_law = _conditional(joint, y3_n, {y4_n: t})
+    bound = _bind(roles, _TWO_STAGE_ROLES, joint.order)
+    _require_shape(
+        dag, bound, [_TWO_STAGE_EDGE_SHAPE, _TWO_STAGE_SHAPE], "two-stage", latent=("U",)
+    )
+    y1_n, y2_n, y3_n, y4_n = bound.values()
+    y1_law = _laws(joint, (y1_n,), (y2_n, y3_n, y4_n))
     law: dict = {}
-    for y3, w in y3_law.items():
+    for y3, w in _laws(joint, (y3_n,), (y4_n,))(t).items():
         if w <= POSITIVITY_CUTOFF:
             continue
-        y1_law = _conditional(joint, y1_n, {y2_n: y2_val, y3_n: y3, y4_n: t})
-        for y, p in y1_law.items():
+        for y, p in y1_law(y2_val, y3, t).items():
             law[y] = law.get(y, 0) + w * p
     return {"law": law, "mean": _mean(law)}
 
@@ -177,28 +152,25 @@ def antibiotic_policy(
     Also reports per-severity means and whether the mean at y4=1 is below
     the mean at y4=0.
     """
-    nodes = _bound_roles(joint, roles, _TWO_STAGE_ROLE_NAMES)
-    _check_two_stage_shape(dag, nodes, "required")
-    y1_n, y2_n, y3_n, y4_n = nodes
+    bound = _bind(roles, _TWO_STAGE_ROLES, joint.order)
+    _require_shape(dag, bound, [_TWO_STAGE_EDGE_SHAPE], "two-stage", latent=("U",))
+    y1_n, y2_n, y3_n, y4_n = bound.values()
     _require_binary(joint, y2_n)
     _require_binary(joint, y3_n)
     y1_values = support_values(joint, y1_n)
+    pair_law = _laws(joint, (y1_n, y3_n), (y4_n,))
+    treated_law = _laws(joint, (y1_n,), (y2_n, y3_n, y4_n))
     law: dict = {}
     means: dict = {}
     for y4 in support_values(joint, y4_n):
-        try:
-            pair = restrict(joint, (y1_n, y3_n), {y4_n: y4})
-        except ZeroProbabilityError:
-            raise PositivityError(
-                f"conditioning stratum {{{y4_n}={y4!r}}} has no mass"
-            ) from None
-        p3 = sum(p for (y1, y3), p in pair.probs.items() if y3 == 1)
+        pair = pair_law(y4)
+        p3 = sum(p for (y1, y3), p in pair.items() if y3 == 1)
         treated: dict = {}
         if p3 > POSITIVITY_CUTOFF:
-            treated = _conditional(joint, y1_n, {y2_n: 1, y3_n: 1, y4_n: y4})
+            treated = treated_law(1, 1, y4)
         per_y4 = {}
         for y1 in y1_values:
-            value = pair.probs.get((y1, 0), 0) + treated.get(y1, 0) * p3
+            value = pair.get((y1, 0), 0) + treated.get(y1, 0) * p3
             law[y1, y4] = value
             per_y4[y1] = value
         means[y4] = _mean(per_y4)
@@ -208,16 +180,8 @@ def antibiotic_policy(
     return {"law": law, "means": means, "mean_at_1_lower": comparison}
 
 
-_HIRING_ROLE_NAMES = ("H", "B", "Q", "S")
-
-
-def _check_hiring_shape(dag: Dag | None, nodes: tuple) -> None:
-    if dag is None:
-        return
-    h, b, q, s = nodes
-    want = {(s, b), (s, q), (s, h), (b, q), (b, h), (q, h)}
-    if set(dag.nodes) != set(nodes) or set(dag.edges) != want:
-        raise InvalidArgumentError("graph does not have the hiring shape")
+_HIRING_ROLES = ("H", "B", "Q", "S")
+_HIRING_SHAPE = (("S", "B"), ("S", "Q"), ("S", "H"), ("B", "Q"), ("B", "H"), ("Q", "H"))
 
 
 def mediation_fixed_sex(
@@ -229,24 +193,24 @@ def mediation_fixed_sex(
     """Hiring law when the decision sees an assumed covariate drawn from
     `sigma_dist` in place of the real one: mapping (h, b, q) ->
     sum over s' of P(H=h | B=b, Q=q, S=s') sigma_dist(s')."""
-    nodes = _bound_roles(joint, roles, _HIRING_ROLE_NAMES)
-    _check_hiring_shape(dag, nodes)
-    h_n, b_n, q_n, s_n = nodes
+    bound = _bind(roles, _HIRING_ROLES, joint.order)
+    _require_shape(dag, bound, [_HIRING_SHAPE], "hiring")
+    h_n, b_n, q_n, s_n = bound.values()
     total = sum(sigma_dist.values())
     if abs(total - 1) > 1e-12:
         raise InvalidArgumentError(f"assumed-covariate weights sum to {total!r}")
     support = [s for s, w in sigma_dist.items() if w > 0]
     if not support:
         raise InvalidArgumentError("assumed-covariate law has empty support")
+    h_law = _laws(joint, (h_n,), (b_n, q_n, s_n))
     out: dict = {}
-    bq = restrict(joint, (b_n, q_n))
-    for (b, q), mass in sorted(bq.probs.items(), key=lambda kv: str(kv[0])):
+    bq = _laws(joint, (b_n, q_n), ())()
+    for (b, q), mass in sorted(bq.items(), key=lambda kv: str(kv[0])):
         if mass <= POSITIVITY_CUTOFF:
             continue
         law: dict = {}
         for s in support:
-            h_law = _conditional(joint, h_n, {b_n: b, q_n: q, s_n: s})
-            for h, p in h_law.items():
+            for h, p in h_law(b, q, s).items():
                 law[h] = law.get(h, 0) + sigma_dist[s] * p
         for h, p in law.items():
             out[h, b, q] = p
@@ -260,41 +224,38 @@ def natural_indirect(
 
     sum over (b, q) of E(H | B=b, Q=q, S=1) (P(b, q | S=0) - P(b, q | S=1)).
     """
-    nodes = _bound_roles(joint, roles, _HIRING_ROLE_NAMES)
-    _check_hiring_shape(dag, nodes)
-    h_n, b_n, q_n, s_n = nodes
+    bound = _bind(roles, _HIRING_ROLES, joint.order)
+    _require_shape(dag, bound, [_HIRING_SHAPE], "hiring")
+    h_n, b_n, q_n, s_n = bound.values()
     if set(support_values(joint, s_n)) != {0, 1}:
         raise InvalidArgumentError(f"{s_n!r} must take both values 0 and 1")
-    w0 = restrict(joint, (b_n, q_n), {s_n: 0})
-    w1 = restrict(joint, (b_n, q_n), {s_n: 1})
+    bq_law = _laws(joint, (b_n, q_n), (s_n,))
+    h_law = _laws(joint, (h_n,), (b_n, q_n, s_n))
+    w0, w1 = bq_law(0), bq_law(1)
     total = 0
-    for key in sorted(set(w0.probs) | set(w1.probs), key=str):
-        p0 = w0.probs.get(key, 0)
-        p1 = w1.probs.get(key, 0)
+    for key in sorted(set(w0) | set(w1), key=str):
+        p0 = w0.get(key, 0)
+        p1 = w1.get(key, 0)
         if p0 <= POSITIVITY_CUTOFF and p1 <= POSITIVITY_CUTOFF:
             continue
         b, q = key
-        h_mean = _mean(_conditional(joint, h_n, {b_n: b, q_n: q, s_n: 1}))
+        h_mean = _mean(h_law(b, q, 1))
         if h_mean is None:
             raise InvalidArgumentError(f"{h_n!r} must be numeric")
         total += h_mean * (p0 - p1)
     return total
 
 
-_IV_ROLE_NAMES = ("I", "T", "R")
+_IV_ROLES = ("I", "T", "R")
 
 
-def _iv_means_from_joint(joint: JointTable, i_n: str, t_n: str, r_n: str):
-    values = support_values(joint, i_n)
-    p_i = _conditional(joint, i_n, {})
-    t_means = {}
-    r_means = {}
-    for i in values:
-        t_means[i] = _mean(_conditional(joint, t_n, {i_n: i}))
-        r_means[i] = _mean(_conditional(joint, r_n, {i_n: i}))
-        if t_means[i] is None or r_means[i] is None:
-            raise InvalidArgumentError("treatment and response must be numeric")
-    return values, p_i, t_means, r_means
+def _level_means(joint: JointTable, node: str, level_node: str) -> dict:
+    """E(node | level) at every support level of `level_node`."""
+    law = _laws(joint, (node,), (level_node,))
+    means = {i: _mean(law(i)) for i in support_values(joint, level_node)}
+    if None in means.values():
+        raise InvalidArgumentError("treatment and response must be numeric")
+    return means
 
 
 def iv_theta(source, roles: Mapping[str, str]) -> IvResult:
@@ -303,14 +264,9 @@ def iv_theta(source, roles: Mapping[str, str]) -> IvResult:
     Accepts an exact joint table (expectations computed exactly) or a
     dataset (sample averages).
     """
-    for role in _IV_ROLE_NAMES:
-        if role not in roles:
-            raise InvalidArgumentError(f"missing role binding {role!r}")
-    i_n, t_n, r_n = (roles[r] for r in _IV_ROLE_NAMES)
     if isinstance(source, Dataset):
-        i = np.asarray(source.column(i_n), dtype=float)
-        t = np.asarray(source.column(t_n), dtype=float)
-        r = np.asarray(source.column(r_n), dtype=float)
+        i_n, t_n, r_n = _bind(roles, _IV_ROLES, source.columns, "dataset").values()
+        i, t, r = (np.asarray(source.column(n), dtype=float) for n in (i_n, t_n, r_n))
         if not set(np.unique(i)) <= {0.0, 1.0}:
             raise InvalidArgumentError(f"{i_n!r} must take values in {{0, 1}}")
         if not ((i == 0).any() and (i == 1).any()):
@@ -318,11 +274,12 @@ def iv_theta(source, roles: Mapping[str, str]) -> IvResult:
         numerator = float(r[i == 1].mean() - r[i == 0].mean())
         denominator = float(t[i == 1].mean() - t[i == 0].mean())
     else:
-        _require_nodes(source, (i_n, t_n, r_n))
+        i_n, t_n, r_n = _bind(roles, _IV_ROLES, source.order).values()
         _require_binary(source, i_n)
         _require_binary(source, t_n)
-        values, _, t_means, r_means = _iv_means_from_joint(source, i_n, t_n, r_n)
-        if set(values) != {0, 1}:
+        t_means = _level_means(source, t_n, i_n)
+        r_means = _level_means(source, r_n, i_n)
+        if set(t_means) != {0, 1}:
             raise InvalidArgumentError("both instrument arms need positive mass")
         numerator = r_means[1] - r_means[0]
         denominator = t_means[1] - t_means[0]
@@ -345,17 +302,16 @@ def iv_multi(joint: JointTable, roles: Mapping[str, str], i0) -> IvResult:
     theta_k = {E(R|I=i_k)-E(R|I=i0)} / {E(T|I=i_k)-E(T|I=i0)}; the weights
     are p_k proportional to P(I=i_k) {E(T|I=i_k)-E(T|I=i0)} and sum to 1.
     """
-    for role in _IV_ROLE_NAMES:
-        if role not in roles:
-            raise InvalidArgumentError(f"missing role binding {role!r}")
-    i_n, t_n, r_n = (roles[r] for r in _IV_ROLE_NAMES)
-    _require_nodes(joint, (i_n, t_n, r_n))
-    values, p_i, t_means, r_means = _iv_means_from_joint(joint, i_n, t_n, r_n)
+    i_n, t_n, r_n = _bind(roles, _IV_ROLES, joint.order).values()
+    t_means = _level_means(joint, t_n, i_n)
+    r_means = _level_means(joint, r_n, i_n)
+    values = list(t_means)
     if i0 not in values:
         raise InvalidArgumentError(f"base level {i0!r} not in instrument support")
     if i0 != values[0]:
         raise InvalidArgumentError("base level must be the smallest instrument value")
     others = values[1:]
+    p_i = _laws(joint, (i_n,), ())()
     if not others:
         raise InvalidArgumentError("instrument needs at least two levels")
     thetas = []
@@ -394,13 +350,8 @@ def iv_tsls(dataset: Dataset, roles: Mapping[str, str]) -> IvResult:
     ratio reproduces theta by construction.  The instrument is centered
     internally.
     """
-    for role in _IV_ROLE_NAMES:
-        if role not in roles:
-            raise InvalidArgumentError(f"missing role binding {role!r}")
-    i_n, t_n, r_n = (roles[r] for r in _IV_ROLE_NAMES)
-    i = np.asarray(dataset.column(i_n), dtype=float)
-    t = np.asarray(dataset.column(t_n), dtype=float)
-    r = np.asarray(dataset.column(r_n), dtype=float)
+    i_n, t_n, r_n = _bind(roles, _IV_ROLES, dataset.columns, "dataset").values()
+    i, t, r = (np.asarray(dataset.column(n), dtype=float) for n in (i_n, t_n, r_n))
     if len(i) < 2:
         raise InvalidArgumentError("need at least two rows")
     i = i - i.mean()
@@ -426,27 +377,26 @@ def odds_ratio(joint: JointTable, roles: Mapping[str, str]) -> OddsRatioReport:
     Exposure route: with p = P(T=1|R=1,x) and q = P(T=1|R=0,x),
     e(x) = p(1-q) / (q(1-p)).  Overall measure: E[e(X) | R=1].
     """
-    for role in ("R", "T", "X"):
-        if role not in roles:
-            raise InvalidArgumentError(f"missing role binding {role!r}")
-    r_n, t_n, x_n = (roles[r] for r in ("R", "T", "X"))
-    _require_nodes(joint, (r_n, t_n, x_n))
+    r_n, t_n, x_n = _bind(roles, ("R", "T", "X"), joint.order).values()
     _require_binary(joint, r_n)
     _require_binary(joint, t_n)
+    cells_law = _laws(joint, (r_n, t_n), (x_n,))
+    r_law = _laws(joint, (r_n,), (t_n, x_n))
+    t_law = _laws(joint, (t_n,), (r_n, x_n))
     per_x: dict = {}
     for x in support_values(joint, x_n):
-        cells = restrict(joint, (r_n, t_n), {x_n: x})
+        cells = cells_law(x)
         for r in (0, 1):
             for t in (0, 1):
-                if cells.probs.get((r, t), 0) <= POSITIVITY_CUTOFF:
+                if cells.get((r, t), 0) <= POSITIVITY_CUTOFF:
                     raise PositivityError(
                         f"empty cell ({t_n}={t}, {r_n}={r}) in stratum {x_n}={x!r}"
                     )
-        r1 = _conditional(joint, r_n, {t_n: 1, x_n: x})[1]
-        r0 = _conditional(joint, r_n, {t_n: 0, x_n: x})[1]
+        r1 = r_law(1, x)[1]
+        r0 = r_law(0, x)[1]
         via_response = (r1 / (1 - r1)) / (r0 / (1 - r0))
-        p = _conditional(joint, t_n, {r_n: 1, x_n: x})[1]
-        q = _conditional(joint, t_n, {r_n: 0, x_n: x})[1]
+        p = t_law(1, x)[1]
+        q = t_law(0, x)[1]
         via_exposure = (p * (1 - q)) / (q * (1 - p))
         per_x[x] = {
             "p": p,
@@ -454,7 +404,7 @@ def odds_ratio(joint: JointTable, roles: Mapping[str, str]) -> OddsRatioReport:
             "ratio_response_odds": via_response,
             "ratio_exposure_odds": via_exposure,
         }
-    case_x = _conditional(joint, x_n, {r_n: 1})
+    case_x = _laws(joint, (x_n,), (r_n,))(1)
     overall = sum(
         per_x[x]["ratio_exposure_odds"] * case_x.get(x, 0) for x in per_x
     )

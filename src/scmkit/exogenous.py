@@ -22,12 +22,15 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, ResourceLimitError
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+
+# Largest diagonal index m with m(m+1) < 2**63, so positions fit in int64.
+_MAX_DIAGONAL = 3_037_000_499
 
 
 def triangular(m: int) -> int:
@@ -138,6 +141,10 @@ def uniforms_at(
     """
     if n == 0:
         return np.empty(0)
+    if row + (first_draw + n) * precision - 1 > _MAX_DIAGONAL:
+        raise ResourceLimitError(
+            f"draws up to {first_draw + n} of row {row} pass digit diagonal {_MAX_DIAGONAL}"
+        )
     cols = first_draw * precision + 1 + np.arange(n * precision, dtype=np.int64)
     m = row + cols - 1
     positions = m * (m + 1) // 2 - (row - 1)

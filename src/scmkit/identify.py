@@ -3,19 +3,28 @@
 Every operation here rewrites an interventional quantity as a functional of
 the observational law: covariate adjustment and its propensity-grouped
 variant, the mediator (front-door) identity, the crop-yield two-route
-identity, and the two-stage g-formula.  Each raises a stratum-named
-positivity error when a required conditioning event carries no mass, and
-each is validated elsewhere against the mutilated-model oracle.
+identity, and the two-stage g-formula.
+
+Every factor comes from :func:`scmkit.scm.conditional_laws`, the one
+primitive behind these formulas and those in :mod:`scmkit.estimands`: a
+single grouped pass over the joint yields a factor for every stratum, and
+each factor is built once per call.  Adjustment reads the unnormalized
+masses of the same pass, because its textbook arithmetic divides by them
+only at the end.  Role bindings and figure shapes go through one binder
+and one shape check.  Each formula raises a stratum-named positivity
+error when a required conditioning event carries no mass, and each is
+validated elsewhere against the mutilated-model oracle.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import InvalidArgumentError, PositivityError, ZeroProbabilityError
+from .errors import InvalidArgumentError, PositivityError
 from .graph import Dag
-from .scm import POSITIVITY_CUTOFF, JointTable, restrict
+from .scm import POSITIVITY_CUTOFF, JointTable, _marginals, conditional_laws
 
 __all__ = [
     "EffectReport",
@@ -91,15 +100,23 @@ def _fmt_stratum(given: Mapping) -> str:
     return ", ".join(f"{k}={given[k]!r}" for k in sorted(given))
 
 
-def _conditional(joint: JointTable, target: str, given: Mapping) -> dict:
-    """P(target = . | given) as a plain dict, or a stratum-named error."""
-    try:
-        law = restrict(joint, (target,), given)
-    except ZeroProbabilityError:
-        raise PositivityError(
-            f"conditioning stratum {{{_fmt_stratum(given)}}} has no mass"
-        ) from None
-    return {cfg[0]: p for cfg, p in law.probs.items()}
+def _laws(joint: JointTable, targets: tuple, given_nodes: tuple):
+    """Lookup given values -> P(targets | given), from one grouped pass.
+
+    A single target's law is keyed by plain values.  Looking up a stratum
+    without mass raises the stratum-named positivity error.
+    """
+    laws = conditional_laws(joint, targets, given_nodes)
+    if len(targets) == 1:
+        laws = {g: {k[0]: p for k, p in law.items()} for g, law in laws.items()}
+
+    def law(*given) -> dict:
+        if given not in laws:
+            stratum = _fmt_stratum(dict(zip(given_nodes, given)))
+            raise PositivityError(f"conditioning stratum {{{stratum}}} has no mass")
+        return laws[given]
+
+    return law
 
 
 def support_values(joint: JointTable, node: str) -> list:
@@ -112,64 +129,77 @@ def support_values(joint: JointTable, node: str) -> list:
         return sorted(seen, key=str)
 
 
-def _require_nodes(joint: JointTable, nodes) -> None:
-    missing = [n for n in nodes if n not in joint.order]
+def _require_nodes(known, nodes, where: str = "joint table") -> None:
+    missing = [n for n in nodes if n not in known]
     if missing:
-        raise InvalidArgumentError(f"joint table lacks nodes {missing}")
-    if len(set(nodes)) != len(list(nodes)):
+        raise InvalidArgumentError(f"{where} lacks nodes {missing}")
+    if len(set(nodes)) != len(nodes):
         raise InvalidArgumentError("role bindings must be distinct nodes")
 
 
-def _require_structure(dag: Dag | None, nodes, edges, label: str) -> None:
-    """Exact shape check used by the per-figure formulas."""
+def _bind(roles: Mapping, names: tuple, known, where: str = "joint table") -> dict:
+    """The binding {role: node} of the role `names`, in that order.
+
+    Every role must be bound, to a node in `known`, and no node twice.
+    """
+    for role in names:
+        if role not in roles:
+            raise InvalidArgumentError(f"missing role binding {role!r}")
+    bound = {r: roles[r] for r in names}
+    _require_nodes(known, tuple(bound.values()), where)
+    return bound
+
+
+def _require_shape(
+    dag: Dag | None, bound: Mapping, allowed, label: str, latent=()
+) -> None:
+    """Exact shape check of the per-figure formulas.
+
+    `allowed` lists edge sets written over role names, which `bound` maps
+    to nodes.  The graph, when given, must hold the bound nodes plus one
+    node per name in `latent`, and some assignment of those nodes to the
+    latent names must turn an allowed set into the graph's edge set.
+    """
     if dag is None:
         return
-    if set(dag.nodes) != set(nodes) or set(dag.edges) != set(edges):
-        raise InvalidArgumentError(f"graph does not have the {label} shape")
+    extra = sorted(set(dag.nodes) - set(bound.values()), key=str)
+    if latent and len(extra) != len(latent):
+        raise InvalidArgumentError(f"expected exactly {len(latent)} latent node(s)")
+    edges = set(dag.edges)
+    if len(extra) == len(latent):
+        for hidden in itertools.permutations(extra):
+            node = {**bound, **dict(zip(latent, hidden))}
+            if any(edges == {(node[a], node[b]) for a, b in shape} for shape in allowed):
+                return
+    raise InvalidArgumentError(f"graph does not have the {label} shape")
 
 
-def _stratum_tables(joint: JointTable, t_node: str, r_node: str, z_nodes: tuple):
-    """Mass tables P(z), P(t,z), P(r,t,z) keyed by covariate configuration."""
-    pos_t = joint.index(t_node)
-    pos_r = joint.index(r_node)
-    pos_z = [joint.index(z) for z in z_nodes]
-    p_z: dict = {}
-    p_tz: dict = {}
-    p_rtz: dict = {}
-    for cfg, mass in joint.probs.items():
-        z = tuple(cfg[i] for i in pos_z)
-        t = cfg[pos_t]
-        r = cfg[pos_r]
-        p_z[z] = p_z.get(z, 0) + mass
-        p_tz[t, z] = p_tz.get((t, z), 0) + mass
-        p_rtz[r, t, z] = p_rtz.get((r, t, z), 0) + mass
-    return p_z, p_tz, p_rtz
-
-
-def _adjust_over_strata(p_z, p_tz, p_rtz, t_val, z_nodes) -> dict:
+def _adjust_over_strata(p_z, p_tz, p_rtz, t_val, z_names) -> dict:
+    """sum over z of P(z) P(r, t, z) / P(t, z), from masses keyed by z,
+    (t,) + z and (r, t) + z."""
     out: dict = {}
     for z, mass in p_z.items():
         if mass <= POSITIVITY_CUTOFF:
             continue
-        denom = p_tz.get((t_val, z), 0)
+        tz = (t_val,) + z
+        denom = p_tz.get(tz, 0)
         if denom <= POSITIVITY_CUTOFF:
-            stratum = {n: v for n, v in zip(z_nodes, z)}
             raise PositivityError(
                 f"treatment value {t_val!r} never occurs in stratum "
-                f"{{{_fmt_stratum(stratum)}}}"
+                f"{{{_fmt_stratum(dict(zip(z_names, z)))}}}"
             )
-        for (r, t, zz), m in p_rtz.items():
-            if t == t_val and zz == z:
-                out[r] = out.get(r, 0) + mass * m / denom
+        for rtz, m in p_rtz.items():
+            if rtz[1:] == tz:
+                out[rtz[0]] = out.get(rtz[0], 0) + mass * m / denom
     return out
 
 
 def adjust(joint: JointTable, t_node: str, t_val, r_node: str, z_nodes) -> dict:
     """Covariate-adjusted response law: sum_z P(R | T=t, Z=z) P(Z=z)."""
     z_nodes = tuple(z_nodes)
-    _require_nodes(joint, (t_node, r_node) + z_nodes)
-    p_z, p_tz, p_rtz = _stratum_tables(joint, t_node, r_node, z_nodes)
-    return _adjust_over_strata(p_z, p_tz, p_rtz, t_val, z_nodes)
+    _require_nodes(joint.order, (t_node, r_node) + z_nodes)
+    strata = _marginals(joint, z_nodes, (t_node,) + z_nodes, (r_node, t_node) + z_nodes)
+    return _adjust_over_strata(*strata, t_val, z_nodes)
 
 
 def ate(joint: JointTable, t_node: str, t_val, t_alt, r_node: str, z_nodes) -> float:
@@ -185,21 +215,13 @@ def ate(joint: JointTable, t_node: str, t_val, t_alt, r_node: str, z_nodes) -> f
 def propensity_table(joint: JointTable, t_node: str, z_nodes) -> PropensityTable:
     """Treatment assignment vector per covariate configuration."""
     z_nodes = tuple(z_nodes)
-    _require_nodes(joint, (t_node,) + z_nodes)
+    _require_nodes(joint.order, (t_node,) + z_nodes)
     t_values = tuple(support_values(joint, t_node))
-    pos_t = joint.index(t_node)
-    pos_z = [joint.index(z) for z in z_nodes]
-    p_z: dict = {}
-    p_tz: dict = {}
-    for cfg, mass in joint.probs.items():
-        z = tuple(cfg[i] for i in pos_z)
-        p_z[z] = p_z.get(z, 0) + mass
-        p_tz[cfg[pos_t], z] = p_tz.get((cfg[pos_t], z), 0) + mass
     rows = {}
-    for z, mass in p_z.items():
-        if mass <= POSITIVITY_CUTOFF:
-            continue
-        rows[z] = tuple(p_tz.get((t, z), 0) / mass for t in t_values)
+    for z, law in conditional_laws(joint, (t_node,), z_nodes).items():
+        # An absent value gets a zero of the law's number type, as a division would.
+        zero = 0 * next(iter(law.values()))
+        rows[z] = tuple(law.get((t,), zero) for t in t_values)
     return PropensityTable(z_nodes, t_node, t_values, rows)
 
 
@@ -212,33 +234,24 @@ def propensity_adjust(
     are pooled into one stratum before adjusting.
     """
     z_nodes = tuple(z_nodes)
-    _require_nodes(joint, (t_node, r_node) + z_nodes)
+    _require_nodes(joint.order, (t_node, r_node) + z_nodes)
     table = propensity_table(joint, t_node, z_nodes)
     group_of = {
         z: tuple(round(v, _LAMBDA_DECIMALS) for v in row)
         for z, row in table.rows.items()
     }
-    p_z, p_tz, p_rtz = _stratum_tables(joint, t_node, r_node, z_nodes)
-    g_z: dict = {}
-    g_tz: dict = {}
-    g_rtz: dict = {}
-    for z, mass in p_z.items():
-        if z not in group_of:
-            continue
-        g = group_of[z]
-        g_z[g] = g_z.get(g, 0) + mass
-    for (t, z), mass in p_tz.items():
-        if z not in group_of:
-            continue
-        g = group_of[z]
-        g_tz[t, g] = g_tz.get((t, g), 0) + mass
-    for (r, t, z), mass in p_rtz.items():
-        if z not in group_of:
-            continue
-        g = group_of[z]
-        g_rtz[r, t, g] = g_rtz.get((r, t, g), 0) + mass
+    strata = _marginals(joint, z_nodes, (t_node,) + z_nodes, (r_node, t_node) + z_nodes)
+    pooled = []
+    # The keys of the three mass tables are z, (t,) + z and (r, t) + z.
+    for cut, masses in enumerate(strata):
+        sums: dict = {}
+        for key, mass in masses.items():
+            if key[cut:] in group_of:
+                g = key[:cut] + group_of[key[cut:]]
+                sums[g] = sums.get(g, 0) + mass
+        pooled.append(sums)
     grouped_names = (f"lambda({', '.join(z_nodes)})",)
-    return _adjust_over_strata(g_z, g_tz, g_rtz, t_val, grouped_names)
+    return _adjust_over_strata(*pooled, t_val, grouped_names)
 
 
 def backdoor_effect(
@@ -280,6 +293,9 @@ def backdoor_effect(
     )
 
 
+_FRONTDOOR_SHAPE = (("X", "Y"), ("X", "W"), ("Y", "Z"), ("Z", "W"))
+
+
 def frontdoor(
     joint: JointTable,
     y_node: str,
@@ -295,41 +311,59 @@ def frontdoor(
     P(W=w | Y=y', Z=z) P(Y=y').  The confounder never appears on the
     right-hand side.
     """
-    _require_nodes(joint, (y_node, z_node, w_node))
-    _require_structure(
+    _require_nodes(joint.order, (y_node, z_node, w_node))
+    _require_shape(
         dag,
-        (x_node, y_node, z_node, w_node),
-        ((x_node, y_node), (x_node, w_node), (y_node, z_node), (z_node, w_node)),
+        {"X": x_node, "Y": y_node, "Z": z_node, "W": w_node},
+        [_FRONTDOOR_SHAPE],
         "exposure/mediator/outcome",
     )
     y_values = support_values(joint, y_node)
     z_values = support_values(joint, z_node)
     w_values = support_values(joint, w_node)
-    p_y = _conditional(joint, y_node, {})
+    p_y = _laws(joint, (y_node,), ())()
+    w_law = _laws(joint, (w_node,), (y_node, z_node))
+    z_law = _laws(joint, (z_node,), (y_node,))
 
     intermediate: dict = {}
     for z in z_values:
         for w in w_values:
-            intermediate[z, w] = 0.0
+            intermediate[z, w] = 0
         for y_prime in y_values:
-            w_law = _conditional(joint, w_node, {y_node: y_prime, z_node: z})
+            law = w_law(y_prime, z)
             for w in w_values:
-                intermediate[z, w] += w_law.get(w, 0) * p_y[y_prime]
+                intermediate[z, w] += law.get(w, 0) * p_y[y_prime]
 
     effect: dict = {}
     for y in y_values:
-        z_law = _conditional(joint, z_node, {y_node: y})
+        weights = z_law(y)
         for w in w_values:
-            effect[y, w] = 0.0
+            effect[y, w] = 0
         for z in z_values:
-            weight = z_law.get(z, 0)
+            weight = weights.get(z, 0)
             if weight <= POSITIVITY_CUTOFF:
                 continue
             for y_prime in y_values:
-                w_law = _conditional(joint, w_node, {y_node: y_prime, z_node: z})
+                law = w_law(y_prime, z)
                 for w in w_values:
-                    effect[y, w] += w_law.get(w, 0) * p_y[y_prime] * weight
+                    effect[y, w] += law.get(w, 0) * p_y[y_prime] * weight
     return FrontdoorReport(effect=effect, intermediate=intermediate)
+
+
+_EELWORMS_ROLES = ("X", "U", "V", "W", "Y")
+# A and B are the two latent nodes, weather and bird pressure.
+_EELWORMS_SHAPE = (
+    ("A", "B"),
+    ("A", "U"),
+    ("A", "X"),
+    ("U", "V"),
+    ("X", "V"),
+    ("B", "W"),
+    ("V", "W"),
+    ("X", "Y"),
+    ("V", "Y"),
+    ("W", "Y"),
+)
 
 
 def eelworms_effect(
@@ -345,102 +379,87 @@ def eelworms_effect(
                   * sum over u of P(V=v | X=x, U=u)
                   * sum over x' of P(W=w | V=v, X=x', U=u) P(X=x', U=u)
     """
-    for role in ("X", "U", "V", "W", "Y"):
-        if role not in roles:
-            raise InvalidArgumentError(f"missing role binding {role!r}")
-    x_n, u_n, v_n, w_n, y_n = (roles[r] for r in ("X", "U", "V", "W", "Y"))
-    _require_nodes(joint, (x_n, u_n, v_n, w_n, y_n))
-    if dag is not None:
-        latent = sorted(set(dag.nodes) - {x_n, u_n, v_n, w_n, y_n})
-        if len(latent) != 2:
-            raise InvalidArgumentError("expected exactly two latent nodes")
-        first, second = latent
-        a_n, b_n = (first, second) if dag.has_edge(first, second) else (second, first)
-        _require_structure(
-            dag,
-            (a_n, b_n, u_n, x_n, v_n, w_n, y_n),
-            (
-                (a_n, b_n),
-                (a_n, u_n),
-                (a_n, x_n),
-                (u_n, v_n),
-                (x_n, v_n),
-                (b_n, w_n),
-                (v_n, w_n),
-                (x_n, y_n),
-                (v_n, y_n),
-                (w_n, y_n),
-            ),
-            "crop-yield",
-        )
-
+    bound = _bind(roles, _EELWORMS_ROLES, joint.order)
+    _require_shape(dag, bound, [_EELWORMS_SHAPE], "crop-yield", latent=("A", "B"))
+    x_n, u_n, v_n, w_n, y_n = bound.values()
     x_values = support_values(joint, x_n)
     u_values = support_values(joint, u_n)
     v_values = support_values(joint, v_n)
     w_values = support_values(joint, w_n)
     y_values = support_values(joint, y_n)
-    p_xu = restrict(joint, (x_n, u_n))
+    p_xu = _laws(joint, (x_n, u_n), ())()
+    v_law = _laws(joint, (v_n,), (x_n, u_n))
+    w_law = _laws(joint, (w_n,), (v_n, x_n, u_n))
+    y_law = _laws(joint, (y_n,), (x_n, v_n, w_n))
 
     out: dict = {}
     for x in x_values:
         for y in y_values:
-            out[x, y] = 0.0
+            out[x, y] = 0
         for v in v_values:
             # weight[w] = sum over u of P(v | x, u) * sum over x' of
             #             P(w | v, x', u) P(x', u)
-            weight = {w: 0.0 for w in w_values}
+            weight = {w: 0 for w in w_values}
             for u in u_values:
-                v_law = _conditional(joint, v_n, {x_n: x, u_n: u})
-                pv = v_law.get(v, 0)
+                pv = v_law(x, u).get(v, 0)
                 if pv <= POSITIVITY_CUTOFF:
                     continue
                 for x_prime in x_values:
-                    mass = p_xu.probs.get((x_prime, u), 0)
+                    mass = p_xu.get((x_prime, u), 0)
                     if mass <= POSITIVITY_CUTOFF:
                         continue
-                    w_law = _conditional(
-                        joint, w_n, {v_n: v, x_n: x_prime, u_n: u}
-                    )
+                    law = w_law(v, x_prime, u)
                     for w in w_values:
-                        weight[w] += pv * w_law.get(w, 0) * mass
+                        weight[w] += pv * law.get(w, 0) * mass
             for w in w_values:
                 if weight[w] <= POSITIVITY_CUTOFF:
                     continue
-                y_law = _conditional(joint, y_n, {x_n: x, v_n: v, w_n: w})
+                law = y_law(x, v, w)
                 for y in y_values:
-                    out[x, y] += y_law.get(y, 0) * weight[w]
+                    out[x, y] += law.get(y, 0) * weight[w]
     return out
 
 
 _GFORMULA_ROLES = ("X", "T", "R", "X2", "T2", "R2")
+_GFORMULA_SHAPE = (
+    ("X", "T"),
+    ("X", "R"),
+    ("T", "R"),
+    ("X", "X2"),
+    ("T", "X2"),
+    ("R", "X2"),
+    ("X2", "T2"),
+    ("T", "T2"),
+    ("R", "T2"),
+    ("X2", "R2"),
+    ("T2", "R2"),
+    ("T", "R2"),
+)
 
 
-def _gformula_nodes(joint: JointTable, roles: Mapping[str, str]) -> tuple:
-    for role in _GFORMULA_ROLES:
-        if role not in roles:
-            raise InvalidArgumentError(f"missing role binding {role!r}")
-    nodes = tuple(roles[r] for r in _GFORMULA_ROLES)
-    _require_nodes(joint, nodes)
-    return nodes
-
-
-def gformula_structure(roles: Mapping[str, str]) -> tuple:
-    """Edge list of the two-stage treatment graph under a role binding."""
-    x, t, r, x2, t2, r2 = (roles[k] for k in _GFORMULA_ROLES)
-    return (
-        (x, t),
-        (x, r),
-        (t, r),
-        (x, x2),
-        (t, x2),
-        (r, x2),
-        (x2, t2),
-        (t, t2),
-        (r, t2),
-        (x2, r2),
-        (t2, r2),
-        (t, r2),
-    )
+def _gformula(joint: JointTable, bound: Mapping, t_val, t2_val, p_x: Mapping) -> dict:
+    """sum over x of p_x(x) * sum over (r, x2) of P(r | x, t) P(x2 | x, t, r)
+    P(r2 | x, t, r, x2, t2)."""
+    x_n, t_n, r_n, x2_n, t2_n, r2_n = bound.values()
+    r_law = _laws(joint, (r_n,), (x_n, t_n))
+    x2_law = _laws(joint, (x2_n,), (x_n, t_n, r_n))
+    r2_law = _laws(joint, (r2_n,), (x_n, t_n, r_n, x2_n, t2_n))
+    out: dict = {}
+    for x, px in p_x.items():
+        if px <= POSITIVITY_CUTOFF:
+            continue
+        part: dict = {}
+        for r, pr in r_law(x, t_val).items():
+            if pr <= POSITIVITY_CUTOFF:
+                continue
+            for x2, px2 in x2_law(x, t_val, r).items():
+                if px2 <= POSITIVITY_CUTOFF:
+                    continue
+                for r2, p in r2_law(x, t_val, r, x2, t2_val).items():
+                    part[r2] = part.get(r2, 0) + pr * px2 * p
+        for r2, p in part.items():
+            out[r2] = out.get(r2, 0) + px * p
+    return out
 
 
 def gformula2(
@@ -451,22 +470,9 @@ def gformula2(
     dag: Dag | None = None,
 ) -> dict:
     """Two-stage g-formula: law of the second response under (t, t')."""
-    x_n, t_n, r_n, x2_n, t2_n, r2_n = _gformula_nodes(joint, roles)
-    _require_structure(
-        dag,
-        (x_n, t_n, r_n, x2_n, t2_n, r2_n),
-        gformula_structure(roles),
-        "two-stage treatment",
-    )
-    p_x = _conditional(joint, x_n, {})
-    out: dict = {}
-    for x, px in p_x.items():
-        if px <= POSITIVITY_CUTOFF:
-            continue
-        part = gformula2_given_x(joint, roles, t_val, t2_val, x)
-        for r2, p in part.items():
-            out[r2] = out.get(r2, 0) + px * p
-    return out
+    bound = _bind(roles, _GFORMULA_ROLES, joint.order)
+    _require_shape(dag, bound, [_GFORMULA_SHAPE], "two-stage treatment")
+    return _gformula(joint, bound, t_val, t2_val, _laws(joint, (bound["X"],), ())())
 
 
 def gformula2_given_x(
@@ -477,21 +483,5 @@ def gformula2_given_x(
     x_val,
 ) -> dict:
     """Covariate-conditional variant of the two-stage g-formula."""
-    x_n, t_n, r_n, x2_n, t2_n, r2_n = _gformula_nodes(joint, roles)
-    out: dict = {}
-    r_law = _conditional(joint, r_n, {x_n: x_val, t_n: t_val})
-    for r, pr in r_law.items():
-        if pr <= POSITIVITY_CUTOFF:
-            continue
-        x2_law = _conditional(joint, x2_n, {x_n: x_val, t_n: t_val, r_n: r})
-        for x2, px2 in x2_law.items():
-            if px2 <= POSITIVITY_CUTOFF:
-                continue
-            r2_law = _conditional(
-                joint,
-                r2_n,
-                {x_n: x_val, t_n: t_val, r_n: r, x2_n: x2, t2_n: t2_val},
-            )
-            for r2, p in r2_law.items():
-                out[r2] = out.get(r2, 0) + pr * px2 * p
-    return out
+    bound = _bind(roles, _GFORMULA_ROLES, joint.order)
+    return _gformula(joint, bound, t_val, t2_val, {x_val: 1})

@@ -19,6 +19,8 @@ whichever arithmetic the tables carry.
 from __future__ import annotations
 
 import json
+import math
+from operator import itemgetter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -229,6 +231,9 @@ def validate_scm(scm: Scm) -> list[str]:
                     f"{node!r}@{cfg!r}: row length {len(row)} != domain size {len(dom.values)}"
                 )
                 continue
+            if not all(math.isfinite(p) for p in row):
+                problems.append(f"{node!r}@{cfg!r}: non-finite probability")
+                continue
             if any(p < 0 for p in row):
                 problems.append(f"{node!r}@{cfg!r}: negative probability")
             if abs(float(sum(row)) - 1.0) > 1e-12:
@@ -286,6 +291,49 @@ def restrict(joint: JointTable, targets, given: dict | None = None) -> JointTabl
     if float(mass) <= POSITIVITY_CUTOFF:
         raise ZeroProbabilityError(f"conditioning event {given!r} has probability 0")
     return JointTable(targets, {k: v / mass for k, v in sums.items()})
+
+
+def _marginals(joint: JointTable, *node_tuples) -> list:
+    """Unnormalized masses {configuration: mass} of each node tuple, all
+    from one scan of the joint.
+
+    Masses accumulate in joint order and keys appear in the order of their
+    first configuration, exactly as `restrict` sums them.
+    """
+    keys = []
+    for nodes in node_tuples:
+        pos = [joint.index(n) for n in nodes]
+        # itemgetter(*pos) returns a bare value for one position and fails for
+        # none; a slice keeps those keys tuples.
+        short = slice(pos[0], pos[0] + 1) if pos else slice(0)
+        keys.append(itemgetter(*pos) if len(pos) > 1 else itemgetter(short))
+    tables: list = [{} for _ in node_tuples]
+    for cfg, p in joint.probs.items():
+        for key_of, table in zip(keys, tables):
+            key = key_of(cfg)
+            table[key] = table.get(key, 0) + p
+    return tables
+
+
+def conditional_laws(joint: JointTable, targets: tuple, given_nodes: tuple) -> dict:
+    """P(targets | given) for every configuration of the given nodes.
+
+    Returns {given_cfg: {target_cfg: probability}} from one scan of the
+    joint.  Each law equals, value for value and in the same key order,
+    what `restrict(joint, targets, dict(zip(given_nodes, given_cfg)))`
+    returns; strata with mass at or below POSITIVITY_CUTOFF are left out.
+    """
+    targets, given_nodes = tuple(targets), tuple(given_nodes)
+    if set(targets) & set(given_nodes):
+        raise InvalidArgumentError("targets and conditioning nodes must be disjoint")
+    masses, cells = _marginals(joint, given_nodes, given_nodes + targets)
+    k = len(given_nodes)
+    laws: dict = {g: {} for g, mass in masses.items() if float(mass) > POSITIVITY_CUTOFF}
+    for key, mass in cells.items():
+        law = laws.get(key[:k])
+        if law is not None:
+            law[key[k:]] = mass / masses[key[:k]]
+    return laws
 
 
 def expectation(joint: JointTable, node, given: dict | None = None):
@@ -370,19 +418,12 @@ def cond_independent(joint: JointTable, a, b, c, tol: float = 1e-12):
         raise InvalidArgumentError("node sets must be pairwise disjoint")
     if not a or not b:
         return True, 0.0
-    law_abc = restrict(joint, a + b + c)
+    ab, pa, pb = (conditional_laws(joint, nodes, c) for nodes in (a + b, a, b))
     worst = 0.0
-    c_laws = restrict(joint, c) if c else JointTable((), {(): 1})
-    for c_cfg, c_mass in c_laws.probs.items():
-        if float(c_mass) <= POSITIVITY_CUTOFF:
-            continue
-        given = dict(zip(c, c_cfg))
-        ab = restrict(joint, a + b, given)
-        pa = restrict(joint, a, given)
-        pb = restrict(joint, b, given)
-        for a_cfg, p_a in pa.probs.items():
-            for b_cfg, p_b in pb.probs.items():
-                p_ab = ab.probs.get(a_cfg + b_cfg, 0)
+    for c_cfg, law_ab in ab.items():
+        for a_cfg, p_a in pa[c_cfg].items():
+            for b_cfg, p_b in pb[c_cfg].items():
+                p_ab = law_ab.get(a_cfg + b_cfg, 0)
                 dev = abs(float(p_ab) - float(p_a) * float(p_b))
                 worst = max(worst, dev)
     return worst <= tol, worst
@@ -471,7 +512,10 @@ def scm_from_dict(doc: dict) -> Scm:
                         f"{node!r}: key value {part!r} not in domain of {parent!r}"
                     )
                 cfg.append(lookup[part])
-            table[tuple(cfg)] = tuple(float(p) for p in row)
+            probs = tuple(float(p) for p in row)
+            if not all(math.isfinite(p) for p in probs):
+                raise InvalidArgumentError(f"{node!r}: row {key!r} has a non-finite probability")
+            table[tuple(cfg)] = probs
         cpts[node] = Cpt(node, parents, table)
     if len(set(ids)) != len(ids):
         raise InvalidArgumentError("duplicate node ids in model document")

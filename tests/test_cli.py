@@ -1,6 +1,9 @@
 """End-to-end checks of the command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -249,6 +252,36 @@ class TestErrors:
         code, out, _ = run(capsys, "--help")
         assert code == 0
         assert "backdoor" in out
+
+    @pytest.mark.parametrize("command", ["validate", "joint"])
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_probability_is_a_domain_failure(
+        self, capsys, simpson_path, tmp_path, command, bad
+    ):
+        with open(simpson_path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["nodes"][0]["table"][next(iter(doc["nodes"][0]["table"]))][0] = float(bad)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, command, "-m", str(path))
+        assert code == 1
+        assert err == ""
+        rep = json.loads(out)
+        assert "non-finite" in rep["error"]
+        assert rep["result"] is None
+
+
+def test_module_entry_point_prints_the_in_process_report(capsys, simpson_path):
+    argv = ["effect", "-m", simpson_path, "-t", "T", "-r", "R", "--adjust", "X",
+            "--t-values", "0,1"]
+    want = run(capsys, *argv)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(main.__code__.co_filename)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "scmkit.cli", *argv], env=env, capture_output=True, check=False
+    )
+    assert (proc.returncode, proc.stdout.decode("utf-8")) == want[:2]
+    assert want[1].startswith("{")
 
 
 class TestIdentificationCommands:

@@ -44,7 +44,11 @@ def random_dag(seed: int, n: int = 6, p: float = 0.35) -> Dag:
 
 
 def random_partition(dag: Dag, seed: int) -> NodePartition:
-    """Seeded assignment of nodes to W/X/Y/Z (some nodes stay outside)."""
+    """Seeded assignment of nodes to W/X/Y/Z (some nodes stay outside).
+
+    Y, X and Z always get at least one node, so every seed exercises both
+    surgeries; the graph needs at least three nodes.
+    """
     stream = split_streams(DigitStream(seed), 1)[0]
     buckets = {"w": [], "x": [], "y": [], "z": [], "none": []}
     labels = ("w", "x", "y", "z", "none")
@@ -54,6 +58,12 @@ def random_partition(dag: Dag, seed: int) -> NodePartition:
     if not buckets["y"]:
         donor = max(("w", "z", "none", "x"), key=lambda k: len(buckets[k]))
         buckets["y"].append(buckets[donor].pop())
+    for needed in ("x", "z"):
+        if not buckets[needed]:
+            # Take from the largest bucket that can spare a node.
+            spare = [k for k in labels if len(buckets[k]) > (1 if k in ("x", "y", "z") else 0)]
+            donor = max(spare, key=lambda k: len(buckets[k]))
+            buckets[needed].append(buckets[donor].pop())
     return NodePartition(
         w=frozenset(buckets["w"]),
         x=frozenset(buckets["x"]),
@@ -96,8 +106,6 @@ class TestBuildMPrime:
     def test_matches_the_intervened_joint_off_x(self, seed):
         scm = fill(random_dag(seed), seed)
         part = random_partition(scm.dag, seed + 100)
-        if not part.x:
-            pytest.skip("partition left X empty")
         x = first_values(scm, part.x)
         m = build_m_prime(scm, part, x)
         others = set(scm.dag.nodes) - set(part.x)
@@ -162,12 +170,8 @@ class TestBuildMDoublePrime:
         part = random_partition(scm.dag, seed + 200)
         x = first_values(scm, part.x)
         z = first_values(scm, part.z)
-        if not part.z:
-            pytest.skip("partition left Z empty")
         m = build_m_doubleprime(scm, part, x, z)
         kept = part.w | part.y
-        if not kept:
-            pytest.skip("nothing to compare")
         got = shared_marginal(m, kept)
         want = restrict(
             joint_distribution(intervene(scm, Intervention({**x, **z}))),

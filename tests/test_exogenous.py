@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from scmkit.errors import InvalidArgumentError
+from scmkit.errors import InvalidArgumentError, ResourceLimitError
 from scmkit.exogenous import (
     DigitStream,
     UniformStream,
@@ -11,6 +11,7 @@ from scmkit.exogenous import (
     next_uniform,
     next_uniforms,
     split_streams,
+    uniforms_at,
 )
 
 # The first seven rows of the diagonal position array.
@@ -168,6 +169,31 @@ class TestNextUniform:
         vec = src.digits_at(positions)
         scalars = [src.digit_at(int(p)) for p in positions]
         assert list(vec) == scalars
+
+
+class TestDiagonalBound:
+    """Positions m(m+1)/2 are computed in int64, which holds them while the
+    diagonal index m = row + col - 1 stays at or below 3,037,000,499."""
+
+    LAST = 3_037_000_499
+
+    def test_last_representable_diagonal_reads_the_exact_positions(self):
+        src = DigitStream(7)
+        row, draw = 4, 189_812_530  # its 16th digit sits on diagonal LAST
+        assert row + (draw + 1) * 16 - 1 == self.LAST
+        digits = [src.digit_at(diagonal_position(row, draw * 16 + k)) for k in range(1, 17)]
+        want = np.array(digits, dtype=np.int64) @ (10.0 ** -(1.0 + np.arange(16)))
+        assert uniforms_at(src, row, draw, 1)[0] == want
+
+    def test_one_past_the_last_diagonal_raises(self):
+        src = DigitStream(7)
+        assert 5 + (189_812_530 + 1) * 16 - 1 == self.LAST + 1
+        with pytest.raises(ResourceLimitError):
+            uniforms_at(src, 5, 189_812_530, 1)
+
+    def test_far_draws_raise_instead_of_wrapping(self):
+        with pytest.raises(ResourceLimitError):
+            uniforms_at(DigitStream(7), 1, 200_000_000, 1)
 
 
 class TestInverseCdfSample:

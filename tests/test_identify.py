@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from scmkit.errors import InvalidArgumentError, PositivityError
@@ -46,6 +48,18 @@ def as_table(dist: dict, node: str) -> JointTable:
 def do_marginal(scm: Scm, assignments: dict, node: str) -> JointTable:
     forced = intervene(scm, Intervention(assignments))
     return restrict(joint_distribution(forced), (node,))
+
+
+def rational(scm: Scm) -> Scm:
+    """The same graph with every table row turned into exact fractions."""
+    cpts = {}
+    for node, cpt in scm.cpts.items():
+        table = {}
+        for cfg, row in cpt.table.items():
+            head = [Fraction(p).limit_denominator(100) for p in row[:-1]]
+            table[cfg] = (*head, 1 - sum(head))
+        cpts[node] = Cpt(node, cpt.parents, table)
+    return Scm(scm.dag, scm.domains, cpts)
 
 
 class TestAdjust:
@@ -239,6 +253,17 @@ class TestFrontdoor:
             got = as_table({w: report.effect[y, w] for w in (0, 1)}, "W")
             assert total_variation(got, want) <= 1e-12
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rational_tables_give_the_exact_oracle(self, seed):
+        scm = rational(frontdoor_model(seed, sizes={"Z": 3}))
+        observed = restrict(joint_distribution(scm), ("Y", "Z", "W"))
+        report = frontdoor(observed, "Y", "Z", "W", dag=scm.dag)
+        for y in (0, 1):
+            want = do_marginal(scm, {"Y": y}, "W").probs
+            got = {w: report.effect[y, w] for w in (0, 1)}
+            assert got == {w: want[(w,)] for w in (0, 1)}
+            assert all(isinstance(p, Fraction) for p in got.values())
+
     def test_intermediate_composes_to_effect(self):
         scm = frontdoor_model(21)
         observed = restrict(joint_distribution(scm), ("Y", "Z", "W"))
@@ -307,6 +332,17 @@ class TestEelworms:
             want = do_marginal(scm, {"X": x}, "Y")
             got = as_table({y: effect[x, y] for y in (0, 1)}, "Y")
             assert total_variation(got, want) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rational_tables_give_the_exact_oracle(self, seed):
+        scm = rational(eelworms_model(seed, sizes={"V": 3}))
+        observed = restrict(joint_distribution(scm), ("U", "X", "V", "W", "Y"))
+        effect = eelworms_effect(observed, EELWORMS_ROLES)
+        for x in (0, 1):
+            want = do_marginal(scm, {"X": x}, "Y").probs
+            got = {y: effect[x, y] for y in (0, 1)}
+            assert got == {y: want[(y,)] for y in (0, 1)}
+            assert all(isinstance(p, Fraction) for p in got.values())
 
     def test_inert_yield_is_flat(self):
         scm = eelworms_model(3)

@@ -19,6 +19,7 @@ from scmkit.scm import (
     JointTable,
     Scm,
     cond_independent,
+    conditional_laws,
     expectation,
     intervene,
     joint_distribution,
@@ -119,6 +120,13 @@ class TestValidate:
         )
         assert any("cycle" in p for p in validate_scm(scm))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_probability_is_named(self, bad):
+        scm = simpson_scm()
+        scm.cpts["T"] = Cpt("T", ("X",), {(0,): (bad, 0.8), (1,): (0.8, 0.2)})
+        problems = validate_scm(scm)
+        assert problems == ["'T'@(0,): non-finite probability"]
+
 
 class TestJointDistribution:
     def test_single_coin(self):
@@ -183,6 +191,41 @@ class TestRestrict:
     def test_expectation(self):
         joint = joint_distribution(simpson_scm())
         assert expectation(joint, "R", {"T": 1}) == pytest.approx(0.58, abs=1e-12)
+
+
+class TestConditionalLaws:
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize(
+        "targets, given_nodes",
+        [(("R",), ("T", "X")), (("R", "T"), ("X",)), (("X",), ()), (("T",), ("R",))],
+    )
+    def test_each_stratum_is_the_restricted_law(self, exact, targets, given_nodes):
+        joint = joint_distribution(simpson_scm(exact=exact))
+        laws = conditional_laws(joint, targets, given_nodes)
+        strata = list(dict.fromkeys(tuple(cfg[joint.index(n)] for n in given_nodes)
+                                    for cfg in joint.probs))
+        assert list(laws) == strata
+        for cfg, law in laws.items():
+            want = restrict(joint, targets, dict(zip(given_nodes, cfg))).probs
+            assert list(law.items()) == list(want.items())
+
+    def test_strata_without_mass_are_left_out(self):
+        dag = Dag(["A", "B"], [("A", "B")])
+        scm = Scm(
+            dag,
+            {n: Domain(n, (0, 1)) for n in "AB"},
+            {
+                "A": Cpt("A", (), {(): (1.0, 0.0)}),
+                "B": Cpt("B", ("A",), {(0,): (0.25, 0.75), (1,): (0.5, 0.5)}),
+            },
+        )
+        laws = conditional_laws(joint_distribution(scm), ("B",), ("A",))
+        assert laws == {(0,): {(0,): 0.25, (1,): 0.75}}
+
+    def test_overlap_rejected(self):
+        joint = joint_distribution(simpson_scm())
+        with pytest.raises(InvalidArgumentError):
+            conditional_laws(joint, ("R",), ("R", "T"))
 
 
 class TestIntervene:
@@ -354,6 +397,12 @@ class TestModelFormat:
     def test_garbage_rejected(self):
         with pytest.raises(InvalidArgumentError):
             scm_from_json("not json {")
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_probability_rejected(self, bad):
+        text = scm_to_json(simpson_scm()).replace("0.80000000000000004", bad, 1)
+        with pytest.raises(InvalidArgumentError, match="non-finite"):
+            scm_from_json(text)
 
 
 class TestDatasetCsv:
