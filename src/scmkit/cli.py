@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from typing import TYPE_CHECKING
 
 from .casecontrol import DEFAULT_BUDGET, estimate_cc_or, export_sample, simulate_case_control
 from .diagnostics import homogeneity_report
@@ -33,7 +35,6 @@ from .estimands import (
 )
 from .examples import ExampleSpec, build_example, list_examples
 from .exogenous import DigitStream
-from .gaussian import LinearGaussianScm
 from .graph import check_backdoor, check_backdoor_extended, descendants, enumerate_valid_adjustment_sets
 from .identify import adjust, ate, eelworms_effect, frontdoor, gformula2, support_values
 from .scm import (
@@ -50,6 +51,9 @@ from .scm import (
     scm_to_json,
     validate_scm,
 )
+
+if TYPE_CHECKING:
+    from .gaussian import LinearGaussianScm
 
 __all__ = ["main"]
 
@@ -75,6 +79,17 @@ def _parse_pairs(text: str, flag: str) -> dict:
             raise _UsageError(f"{flag} expects k=v pairs, got {part!r}")
         out[key] = value
     return out
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for float options; a report cannot carry nan or inf."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _domain_value(scm: Scm, node: str, token: str):
@@ -697,7 +712,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", default="", help="treatment assignments k=v,...")
     p.add_argument("--y", required=True, help="response nodes, comma list")
     p.add_argument("--z", help="second assignment set k=v,...")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_finite_float, default=1e-12)
     _add_io(p)
 
     p = sub.add_parser("diagnose", help="stratified homogeneity checks")
@@ -707,7 +722,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-col", required=True)
     p.add_argument("--k", type=int, default=2, help="blocks per stratum")
     p.add_argument("--secondary", help="secondary index column")
-    p.add_argument("--threshold", type=float, default=0.01)
+    p.add_argument("--threshold", type=_finite_float, default=0.01)
     _add_io(p)
 
     p = sub.add_parser("example", help="build a catalog model")
@@ -764,10 +779,14 @@ def main(argv=None) -> int:
     else:
         code = outcome
     try:
-        if args.format == "csv":
-            _write(table, args.out)
-        else:
-            _write(_canonical(report) + "\n", args.out)
+        text = table if args.format == "csv" else _canonical(report) + "\n"
+    except ScmError as exc:  # a result that JSON cannot carry, such as nan
+        report["result"] = None
+        report["error"] = str(exc)
+        _write(_canonical(report) + "\n", None)
+        return 1
+    try:
+        _write(text, args.out)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

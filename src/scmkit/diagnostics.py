@@ -22,9 +22,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from scipy.special import kolmogorov
-from scipy.stats import chi2
-
 from .errors import InvalidArgumentError
 from .scm import Dataset
 
@@ -178,6 +175,8 @@ def _chi_square(a: Mapping, b: Mapping) -> tuple:
     its predecessor.  With fewer than two pools the test is vacuous and
     reports statistic 0 with p-value 1.
     """
+    from scipy.special import chdtrc  # chi-square upper tail, as chi2.sf
+
     n_a = sum(a.values())
     n_b = sum(b.values())
     if n_a <= 0 or n_b <= 0:
@@ -209,7 +208,7 @@ def _chi_square(a: Mapping, b: Mapping) -> tuple:
         e_b = n_b * col / total
         stat += (ca - e_a) ** 2 / e_a + (cb - e_b) ** 2 / e_b
     dof = len(pools) - 1
-    return float(stat), dof, float(chi2.sf(stat, dof))
+    return float(stat), dof, float(chdtrc(dof, stat))
 
 
 def two_sample_pvalue(a, b) -> float:
@@ -225,6 +224,8 @@ def two_sample_pvalue(a, b) -> float:
 def uniformity_check(pvals: Sequence[float]) -> tuple:
     """Kolmogorov-Smirnov distance of the values from the uniform law,
     with the asymptotic tail probability.  Needs at least 5 values."""
+    from scipy.special import kolmogorov
+
     vals = [float(p) for p in pvals]
     if len(vals) < 5:
         raise InvalidArgumentError(

@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
 from .errors import InvalidArgumentError, PositivityError, WeakInstrumentError
 from .graph import Dag
 from .identify import _bind, _laws, _require_shape, support_values
@@ -265,6 +263,8 @@ def iv_theta(source, roles: Mapping[str, str]) -> IvResult:
     dataset (sample averages).
     """
     if isinstance(source, Dataset):
+        import numpy as np
+
         i_n, t_n, r_n = _bind(roles, _IV_ROLES, source.columns, "dataset").values()
         i, t, r = (np.asarray(source.column(n), dtype=float) for n in (i_n, t_n, r_n))
         if not set(np.unique(i)) <= {0.0, 1.0}:
@@ -350,6 +350,8 @@ def iv_tsls(dataset: Dataset, roles: Mapping[str, str]) -> IvResult:
     ratio reproduces theta by construction.  The instrument is centered
     internally.
     """
+    import numpy as np
+
     i_n, t_n, r_n = _bind(roles, _IV_ROLES, dataset.columns, "dataset").values()
     i, t, r = (np.asarray(dataset.column(n), dtype=float) for n in (i_n, t_n, r_n))
     if len(i) < 2:

@@ -17,18 +17,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from .errors import ConstraintError, InvalidArgumentError
 from .exogenous import DigitStream, next_uniform, split_streams
-from .gaussian import (
-    LinearGaussianScm,
-    lg_moments,
-    lord_component,
-    simpson_cont_model,
-)
 from .graph import Dag, topological_order
 from .scm import Cpt, Domain, Scm
+
+if TYPE_CHECKING:
+    from .gaussian import LinearGaussianScm
 
 __all__ = [
     "ExampleSpec",
@@ -180,6 +177,8 @@ def discretize_lg(model: LinearGaussianScm, bins: int = 16, span: float = 4.0) -
         raise InvalidArgumentError(f"need at least 2 bins, got {bins!r}")
     if not span > 0:
         raise InvalidArgumentError(f"span must be positive, got {span!r}")
+    from .gaussian import lg_moments
+
     bins = int(bins)
     law = lg_moments(model)
     edges = {}
@@ -293,6 +292,8 @@ def _continuous_or_binned(model: LinearGaussianScm, params: Mapping):
 
 
 def _simpson_continuous(seed: int, **params):
+    from .gaussian import simpson_cont_model
+
     model = simpson_cont_model(
         alpha=params.get("alpha", 1.0),
         beta=params.get("beta", 0.2),
@@ -306,6 +307,8 @@ def _simpson_continuous(seed: int, **params):
 
 
 def _lord(seed: int, **params):
+    from .gaussian import lord_component
+
     group = params.get("group", 1)
     if group not in (1, 2):
         raise InvalidArgumentError(f"group must be 1 or 2, got {group!r}")

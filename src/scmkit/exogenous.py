@@ -20,8 +20,6 @@ from __future__ import annotations
 import bisect
 from collections.abc import Sequence
 
-import numpy as np
-
 from .errors import InvalidArgumentError, ResourceLimitError
 
 _MASK64 = (1 << 64) - 1
@@ -78,6 +76,8 @@ class DigitStream:
 
     def digits_at(self, positions: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`digit_at` over an array of positions."""
+        import numpy as np
+
         pos = np.asarray(positions, dtype=np.uint64)
         z = np.uint64(self.seed) + pos * np.uint64(_GAMMA)
         z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
@@ -139,6 +139,8 @@ def uniforms_at(
     Pure in (source, row, draw index): any draw can be reproduced without
     replaying the ones before it.
     """
+    import numpy as np
+
     if n == 0:
         return np.empty(0)
     if row + (first_draw + n) * precision - 1 > _MAX_DIAGONAL:

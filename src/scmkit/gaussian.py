@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import InvalidArgumentError, SingularConditioningError
 from .exogenous import DigitStream, next_uniforms, split_streams
@@ -250,6 +249,8 @@ def norm_ppf(p):
     if high.any():
         q = np.sqrt(-2.0 * np.log(1.0 - arr[high]))
         x[high] = -_poly(_PPF_C, q) / (_poly(_PPF_D, q) * q + 1.0)
+
+    from scipy.special import erfc
 
     err = 0.5 * erfc(-x / _SQRT_TWO) - arr
     step = err * _SQRT_TWO_PI * np.exp(x * x / 2.0)

@@ -177,6 +177,9 @@ def _require_shape(
 def _adjust_over_strata(p_z, p_tz, p_rtz, t_val, z_names) -> dict:
     """sum over z of P(z) P(r, t, z) / P(t, z), from masses keyed by z,
     (t,) + z and (r, t) + z."""
+    cells_of: dict = {}  # (t,) + z -> [(r, mass), ...] in mass-table order
+    for rtz, m in p_rtz.items():
+        cells_of.setdefault(rtz[1:], []).append((rtz[0], m))
     out: dict = {}
     for z, mass in p_z.items():
         if mass <= POSITIVITY_CUTOFF:
@@ -188,9 +191,8 @@ def _adjust_over_strata(p_z, p_tz, p_rtz, t_val, z_names) -> dict:
                 f"treatment value {t_val!r} never occurs in stratum "
                 f"{{{_fmt_stratum(dict(zip(z_names, z)))}}}"
             )
-        for rtz, m in p_rtz.items():
-            if rtz[1:] == tz:
-                out[rtz[0]] = out.get(rtz[0], 0) + mass * m / denom
+        for r, m in cells_of.get(tz, ()):
+            out[r] = out.get(r, 0) + mass * m / denom
     return out
 
 
@@ -242,12 +244,13 @@ def propensity_adjust(
     }
     strata = _marginals(joint, z_nodes, (t_node,) + z_nodes, (r_node, t_node) + z_nodes)
     pooled = []
-    # The keys of the three mass tables are z, (t,) + z and (r, t) + z.
+    # The keys of the three mass tables are z, (t,) + z and (r, t) + z; the
+    # pooled ones put the whole assignment vector in z's place.
     for cut, masses in enumerate(strata):
         sums: dict = {}
         for key, mass in masses.items():
             if key[cut:] in group_of:
-                g = key[:cut] + group_of[key[cut:]]
+                g = key[:cut] + (group_of[key[cut:]],)
                 sums[g] = sums.get(g, 0) + mass
         pooled.append(sums)
     grouped_names = (f"lambda({', '.join(z_nodes)})",)

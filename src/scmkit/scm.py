@@ -24,8 +24,6 @@ from operator import itemgetter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import (
     CyclicGraphError,
     InvalidArgumentError,
@@ -389,6 +387,8 @@ def sample(scm: Scm, source: DigitStream, n: int) -> Dataset:
 
 def _realize_column(scm: Scm, node, uniforms, columns) -> list:
     """Inverse-CDF transform of the node's rows at the realized parents."""
+    import numpy as np
+
     cpt = scm.cpts[node]
     values = scm.domains[node].values
     top = len(values) - 1
@@ -442,6 +442,8 @@ def _canonical(obj) -> str:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
+    if isinstance(obj, float) and not math.isfinite(obj):
+        raise InvalidArgumentError(f"cannot serialize non-finite number {obj!r}")
     if isinstance(obj, (float, Fraction)):
         return _format_number(obj)
     if isinstance(obj, int):

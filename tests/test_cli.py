@@ -271,6 +271,50 @@ class TestErrors:
         assert rep["result"] is None
 
 
+def _strict_json(text: str):
+    """json.loads that refuses NaN and Infinity, which JSON does not have."""
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["example", "lord", "--params", "mu1=NaN"],
+        ["example", "fig1", "--params", "floor=NaN"],
+    ],
+)
+def test_non_finite_results_are_domain_failures(tmp_path, argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(main.__code__.co_filename)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    target = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "scmkit.cli", *argv, "--out", str(target)],
+        env=env, capture_output=True, check=False,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == b""
+    rep = _strict_json(proc.stdout.decode("utf-8"))
+    assert "non-finite" in rep["error"]
+    assert rep["result"] is None
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("flag", ["--tol", "--threshold"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "x"])
+def test_non_finite_float_options_are_usage_errors(capsys, fig1_path, flag, bad):
+    argv = {
+        "--tol": ["docalc", "-m", fig1_path, "--rule", "1", "--y", "R", "--z", "X3=0"],
+        "--threshold": ["diagnose", "--data", "rows.csv", "--t-col", "T", "--r-col", "R"],
+    }[flag]
+    code, out, err = run(capsys, *argv, f"{flag}={bad}")
+    assert code == 2
+    assert out == ""
+    assert "finite number" in err
+
+
 def test_module_entry_point_prints_the_in_process_report(capsys, simpson_path):
     argv = ["effect", "-m", simpson_path, "-t", "T", "-r", "R", "--adjust", "X",
             "--t-values", "0,1"]

@@ -107,6 +107,29 @@ class TestAdjust:
         with pytest.raises(InvalidArgumentError):
             adjust(joint, "T", 1, "R", ("Q",))
 
+    def test_six_ternary_covariates_equal_a_brute_force_sum(self):
+        zs = tuple(f"Z{i}" for i in range(6))
+        edges = [(z, "T") for z in zs] + [(z, "R") for z in zs] + [("T", "R")]
+        scm = fill(Dag(zs + ("T", "R"), edges), seed=12, sizes={z: 3 for z in zs})
+        joint = joint_distribution(scm)
+        t_i, r_i = joint.index("T"), joint.index("R")
+        z_i = [joint.index(z) for z in zs]
+        # Masses summed in joint order, then sum_z P(z) P(r, t, z) / P(t, z)
+        # over strata in order of first appearance and r in domain order:
+        # the same additions in the same order as the formula makes.
+        p_z, p_tz, p_rtz = {}, {}, {}
+        for cfg, p in joint.probs.items():
+            z = tuple(cfg[i] for i in z_i)
+            for table, key in ((p_z, z), (p_tz, (cfg[t_i],) + z),
+                               (p_rtz, (cfg[r_i], cfg[t_i]) + z)):
+                table[key] = table.get(key, 0) + p
+        for t in (0, 1):
+            want = {r: 0 for r in (0, 1)}
+            for z, mass in p_z.items():
+                for r in (0, 1):
+                    want[r] = want[r] + mass * p_rtz[(r, t) + z] / p_tz[(t,) + z]
+            assert list(adjust(joint, "T", t, "R", zs).items()) == list(want.items())
+
 
 class TestAte:
     def test_simpson_fixture(self):
@@ -179,6 +202,16 @@ class TestPropensity:
             got = propensity_adjust(joint, "T", t, "R", ("X",))
             want = do_marginal(scm, {"T": t}, "R")
             assert total_variation(as_table(got, "R"), want) <= 1e-12
+
+    def test_positivity_violation_names_the_whole_assignment_vector(self):
+        scm = simpson_scm()
+        scm.cpts["T"] = Cpt("T", ("X",), {(0,): (1.0, 0.0), (1,): (0.2, 0.8)})
+        joint = joint_distribution(scm)
+        with pytest.raises(PositivityError) as info:
+            propensity_adjust(joint, "T", 1, "R", ("X",))
+        assert str(info.value) == (
+            "treatment value 1 never occurs in stratum {lambda(X)=(1.0, 0.0)}"
+        )
 
     def test_simpson_fixture(self):
         joint = joint_distribution(simpson_scm())

@@ -1,0 +1,125 @@
+"""Start-up cost: which heavy libraries each command loads.
+
+Importing ``scmkit.cli`` loads only the standard library.  numpy and
+scipy are imported inside the functions that compute with them, so the
+exact-law, graph and identification commands never load them; only
+``sample``, ``casecontrol``, ``example`` and ``diagnose`` do, and
+``diagnose`` takes its chi-square tail from ``scipy.special`` instead
+of ``scipy.stats``, whose import alone costs most of a second.
+"""
+
+import json
+import os
+import random
+import subprocess
+import sys
+
+import pytest
+from scipy.special import chdtrc
+from scipy.stats import chi2
+
+from scmkit.cli import main
+from scmkit.diagnostics import _chi_square
+from scmkit.examples import ExampleSpec, build_example
+from scmkit.graph import Dag
+from scmkit.scm import save_model
+
+from structures import TWO_STAGE_EDGES, TWO_STAGE_NODES, drift_dataset, fill
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(main.__code__.co_filename)))
+
+# Run main(argv) for each command line in one fresh interpreter, then list
+# the exit codes, the report errors and the loaded numpy/scipy modules.
+PROBE = """
+import contextlib, io, json, sys
+from scmkit.cli import main
+codes, errors = [], []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        codes.append(main(argv))
+    errors.append(json.loads(out.getvalue())["error"])
+heavy = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
+print(json.dumps({"codes": codes, "errors": errors, "heavy": heavy}))
+"""
+
+
+def probe(commands: list) -> dict:
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps(commands)],
+        env=env, capture_output=True, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+@pytest.fixture(scope="module")
+def catalog(tmp_path_factory):
+    base = tmp_path_factory.mktemp("catalog")
+    for name in ("simpson_binary", "fig1", "smoking", "eelworms", "treatment_plan",
+                 "two_stage", "hiring", "iv_binary", "case_control_pop"):
+        save_model(build_example(ExampleSpec(name, seed=3)), base / f"{name}.json")
+    dag = Dag(TWO_STAGE_NODES, TWO_STAGE_EDGES + [("Y4", "Y2")])
+    save_model(fill(dag, 3), base / "two_stage_edge.json")
+    drift_dataset(5, 400, 0.0).write_csv(base / "rows.csv")
+    return lambda name: str(base / name)
+
+
+def test_cli_import_and_exact_commands_load_no_numpy_or_scipy(catalog):
+    p = catalog
+    commands = [
+        ["validate", "-m", p("fig1.json")],
+        ["joint", "-m", p("simpson_binary.json"), "--targets", "R", "--given", "T=1"],
+        ["intervene", "-m", p("simpson_binary.json"), "--set", "T=1"],
+        ["backdoor", "-m", p("fig1.json"), "-t", "T", "-r", "R", "-z", "X3,X4"],
+        ["adjust-sets", "-m", p("fig1.json"), "-t", "T", "-r", "R"],
+        ["effect", "-m", p("simpson_binary.json"), "-t", "T", "-r", "R", "--adjust", "X",
+         "--t-values", "0,1"],
+        ["frontdoor", "-m", p("smoking.json")],
+        ["eelworms", "-m", p("eelworms.json")],
+        ["gformula", "-m", p("treatment_plan.json"), "--t", "0", "--t2", "1"],
+        ["direct-effect", "-m", p("two_stage.json"), "--y2", "0", "--t", "1"],
+        ["policy", "-m", p("two_stage_edge.json")],
+        ["mediation", "-m", p("hiring.json"), "--sigma", "0=0.25,1=0.75"],
+        ["iv", "-m", p("iv_binary.json")],
+        ["oddsratio", "-m", p("case_control_pop.json")],
+        ["docalc", "-m", p("fig1.json"), "--rule", "2", "--y", "R", "--z", "T=1",
+         "--w", "X3,X4"],
+    ]
+    assert len({argv[0] for argv in commands}) == 15
+    got = probe(commands)
+    assert got["codes"] == [0] * len(commands)
+    assert got["errors"] == [None] * len(commands)
+    assert got["heavy"] == []
+
+
+def test_diagnose_never_loads_scipy_stats(catalog):
+    got = probe([["diagnose", "--data", catalog("rows.csv"), "--x-cols", "X",
+                  "--t-col", "T", "--r-col", "R", "--k", "3"]])
+    assert got["codes"] == [0]
+    assert got["errors"] == [None]
+    assert "scipy.special" in got["heavy"]
+    assert not [m for m in got["heavy"] if m.startswith("scipy.stats")]
+
+
+def test_chi_square_pvalue_equals_scipy_stats_chi2_sf():
+    rng = random.Random(20)
+    dofs = set()
+    for _ in range(1500):
+        cats = rng.randint(2, 60)
+        scale = rng.choice((1, 10, 1000))
+        a = {c: rng.randint(0, scale) for c in range(cats)}
+        b = {c: rng.randint(0, scale) for c in range(cats)}
+        if not sum(a.values()) or not sum(b.values()):
+            continue
+        stat, dof, p = _chi_square(a, b)
+        if dof:
+            dofs.add(dof)
+            assert p == float(chi2.sf(stat, dof))
+    assert len(dofs) >= 40
+
+
+def test_chdtrc_equals_chi2_sf_on_a_grid():
+    xs = [0.0] + [10.0 ** (k / 8.0) for k in range(-40, 49)]  # up to 1e6
+    for dof in range(1, 60):
+        assert [chdtrc(dof, x) for x in xs] == [chi2.sf(x, dof) for x in xs]
