@@ -14,16 +14,18 @@ counts and averages it over the case-side covariate frequencies.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Mapping
+from functools import lru_cache
+from typing import Mapping, Sequence
 
 from .errors import ExhaustionError, InvalidArgumentError
 from .estimands import OddsRatioReport
-from .exogenous import DigitStream, uniforms_at
+from .exogenous import DigitStream
 from .graph import topological_order
 from .identify import _bind
-from .scm import Scm, _realize_column, joint_distribution, restrict
+from .scm import Scm, _realize, joint_distribution, restrict
 
 __all__ = [
     "CaseControlSample",
@@ -43,14 +45,15 @@ _ROLE_NAMES = ("X", "T", "R")
 class CaseControlSample:
     """Alternating (x, t, r) rows: each case is followed by its control.
 
-    `indices` gives each row's position in the simulated population;
-    `roles` marks rows "case" or "control".  Invariants: cases carry
-    r = 1, each control shares its case's x, and no population row is
-    used twice (in particular no control index is a case index).
+    `indices` gives each row's position in the simulated population (an
+    int64 array in samples drawn here); `roles` marks rows "case" or
+    "control".  Invariants: cases carry r = 1, each control shares its
+    case's x, and no population row is used twice (in particular no
+    control index is a case index).
     """
 
     rows: tuple
-    indices: tuple
+    indices: Sequence[int]
     roles: tuple
 
     def __post_init__(self) -> None:
@@ -105,10 +108,7 @@ class _Population:
                 f"population budget of {self.budget} rows exhausted while {context}"
             )
         count = max(n - self.size, min(_BLOCK, self.budget - self.size))
-        block: dict = {}
-        for i, node in enumerate(self.order):
-            u = uniforms_at(self.source, i + 1, self.size, count)
-            block[node] = _realize_column(self.scm, node, u, block)
+        block = _realize(self.scm, self.order, self.source, self.size, count)
         for node in self.order:
             self.columns[node].extend(block[node])
         self.size += count
@@ -171,15 +171,22 @@ def simulate_case_control(
                 break
             pools[x_col[idx]].append(idx)
 
+    # Packed, as a sample may hold millions of rows: equal rows share one
+    # tuple, indices are int64, and samples of one size share their roles.
+    distinct: dict = {}
     rows: list = []
-    indices: list = []
-    roles_out: list = []
+    indices = array("q")
     for case_idx, ctrl_idx in zip(cases, controls):
-        rows.append((x_col[case_idx], t_col[case_idx], r_col[case_idx]))
-        rows.append((x_col[ctrl_idx], t_col[ctrl_idx], r_col[ctrl_idx]))
-        indices.extend((case_idx, ctrl_idx))
-        roles_out.extend(("case", "control"))
-    return CaseControlSample(tuple(rows), tuple(indices), tuple(roles_out))
+        for idx in (case_idx, ctrl_idx):
+            row = (x_col[idx], t_col[idx], r_col[idx])
+            rows.append(distinct.setdefault(row, row))
+            indices.append(idx)
+    return CaseControlSample(tuple(rows), indices, _roles(len(cases)))
+
+
+@lru_cache(maxsize=1)
+def _roles(pairs: int) -> tuple:
+    return ("case", "control") * pairs
 
 
 def estimate_cc_or(sample: CaseControlSample) -> OddsRatioReport:

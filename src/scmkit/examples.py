@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from .errors import ConstraintError, InvalidArgumentError
-from .exogenous import DigitStream, next_uniform, split_streams
+from .exogenous import DigitStream, uniforms_at
 from .graph import Dag, topological_order
 from .scm import Cpt, Domain, Scm
 
@@ -113,6 +113,14 @@ _CC_DEFAULT_RECOVERY = {(1, 0): 2 / 3, (0, 0): 4 / 11, (1, 1): 7 / 13, (0, 1): 1
 _CC_DEFAULT_UPTAKE = {0: 0.45, 1: 0.52}
 
 
+def _check_finite(**named) -> None:
+    for label, value in named.items():
+        if not isinstance(value, (int, float)):
+            raise InvalidArgumentError(f"{label} must be a number, got {value!r}")
+        if not math.isfinite(value):
+            raise InvalidArgumentError(f"{label} is non-finite: {value!r}")
+
+
 def _check_unit_open(**named) -> None:
     for label, value in named.items():
         if not 0 < value < 1:
@@ -131,6 +139,7 @@ def _bernoulli(node: str, one_weight) -> Cpt:
 
 def _fill(dag: Dag, seed: int, sizes: Mapping | None, floor: float) -> Scm:
     """Strictly positive seeded random tables over `dag`."""
+    _check_finite(floor=floor)
     if floor < 0:
         raise InvalidArgumentError(f"floor must be nonnegative, got {floor!r}")
     sizes = dict(sizes or {})
@@ -142,15 +151,17 @@ def _fill(dag: Dag, seed: int, sizes: Mapping | None, floor: float) -> Scm:
             raise InvalidArgumentError(
                 f"domain size for {node!r} must be an integer >= 2, got {size!r}"
             )
-    stream = split_streams(DigitStream(seed), 1)[0]
     domains = {n: Domain(n, tuple(range(sizes.get(n, 2)))) for n in dag.nodes}
+    # One draw per table cell, read in topological order.
+    total = sum(math.prod(len(domains[m].values) for m in (n, *dag.parents(n))) for n in dag.nodes)
+    draws = iter(uniforms_at(DigitStream(seed), 1, 0, total).tolist())
     cpts = {}
     for node in topological_order(dag):
         parents = tuple(dag.parents(node))
         k = len(domains[node].values)
         table = {}
         for cfg in itertools.product(*[domains[p].values for p in parents]):
-            weights = [floor + next_uniform(stream) for _ in range(k)]
+            weights = [floor + next(draws) for _ in range(k)]
             total = sum(weights)
             table[cfg] = tuple(w / total for w in weights)
         cpts[node] = Cpt(node, parents, table)
@@ -316,6 +327,7 @@ def _lord(seed: int, **params):
     mu2 = params.get("mu2", 1.0)
     sigma = params.get("sigma", 1.0)
     rho = params.get("rho", 0.5)
+    _check_finite(mu1=mu1, mu2=mu2, sigma=sigma)
     _check_unit_open(p=params.get("p", 0.5), rho=rho)
     if not sigma > 0:
         raise InvalidArgumentError(f"sigma must be positive, got {sigma!r}")

@@ -1,4 +1,4 @@
-"""Deterministic uniform streams and inverse-CDF sampling.
+"""Deterministic uniform draws on disjoint rows of one digit source.
 
 One seeded digit source yields countably many mutually independent
 uniform streams: stream ``j`` reads the digits sitting at the positions
@@ -10,15 +10,13 @@ of row ``j`` of the diagonal array
     7 12 18 25 ...
 
 so distinct streams never touch the same digit.  A draw concatenates a
-fixed number of digits into a base-``b`` fraction in [0, 1).  Sampling
-from a finite distribution is then the usual generalized inverse
-``min{x : F(x) >= u}``.
+fixed number of digits into a base-``b`` fraction in [0, 1), and
+:func:`uniforms_at` reads any run of draws of a row directly from its
+index.  Samplers turn each draw into a value through the generalized
+inverse ``min{x : F(x) >= u}``.
 """
 
 from __future__ import annotations
-
-import bisect
-from collections.abc import Sequence
 
 from .errors import InvalidArgumentError, ResourceLimitError
 
@@ -31,11 +29,6 @@ _MIX2 = 0x94D049BB133111EB
 _MAX_DIAGONAL = 3_037_000_499
 
 
-def triangular(m: int) -> int:
-    """m-th triangular number m(m+1)/2."""
-    return m * (m + 1) // 2
-
-
 def diagonal_position(row: int, col: int) -> int:
     """Digit position consumed by stream `row` at its `col`-th digit.
 
@@ -45,7 +38,8 @@ def diagonal_position(row: int, col: int) -> int:
     """
     if row < 1 or col < 1:
         raise InvalidArgumentError(f"diagonal indices are 1-based, got ({row}, {col})")
-    return triangular(row + col - 1) - (row - 1)
+    m = row + col - 1
+    return m * (m + 1) // 2 - (row - 1)
 
 
 class DigitStream:
@@ -53,8 +47,7 @@ class DigitStream:
 
     The digit at position ``n`` is a pure function of ``(seed, base, n)``
     (a SplitMix64-style bijective mix of the position), so any position
-    can be evaluated independently and out of order.  ``cursor`` counts
-    digits handed out sequentially via :meth:`next_digit`.
+    can be evaluated independently and out of order.
     """
 
     def __init__(self, seed: int, base: int = 10):
@@ -64,7 +57,6 @@ class DigitStream:
             raise InvalidArgumentError(f"seed must be non-negative, got {seed}")
         self.seed = seed & _MASK64
         self.base = base
-        self.cursor = 0
 
     def digit_at(self, position: int) -> int:
         """Digit in [0, base) at the given 1-based position."""
@@ -78,57 +70,16 @@ class DigitStream:
         """Vectorized :meth:`digit_at` over an array of positions."""
         import numpy as np
 
-        pos = np.asarray(positions, dtype=np.uint64)
-        z = np.uint64(self.seed) + pos * np.uint64(_GAMMA)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
-        return (z % np.uint64(self.base)).astype(np.int64)
-
-    def next_digit(self) -> int:
-        self.cursor += 1
-        return self.digit_at(self.cursor)
-
-
-class UniformStream:
-    """One row of the diagonal array, read ``precision`` digits at a time."""
-
-    def __init__(self, source: DigitStream, row: int, precision: int = 16):
-        if row < 1:
-            raise InvalidArgumentError(f"row must be >= 1, got {row}")
-        if precision < 1:
-            raise InvalidArgumentError(f"precision must be >= 1, got {precision}")
-        self.source = source
-        self.row = row
-        self.precision = precision
-        self._col = 0  # digits of this row consumed so far
-
-    def positions(self, count: int) -> list[int]:
-        """The next `count` digit positions this stream would consume."""
-        return [diagonal_position(self.row, self._col + i + 1) for i in range(count)]
-
-
-def split_streams(source: DigitStream, k: int) -> list[UniformStream]:
-    """k uniform streams over disjoint digit positions of one source."""
-    if k < 1:
-        raise InvalidArgumentError(f"need at least one stream, got k={k}")
-    return [UniformStream(source, row) for row in range(1, k + 1)]
-
-
-def next_uniform(stream: UniformStream) -> float:
-    """Next draw in [0, 1); consumes `precision` digits of the stream's row."""
-    return float(next_uniforms(stream, 1)[0])
-
-
-def next_uniforms(stream: UniformStream, n: int) -> np.ndarray:
-    """Batch of n draws; same digit consumption as n calls to next_uniform."""
-    if n < 0:
-        raise InvalidArgumentError(f"draw count must be >= 0, got {n}")
-    draws = uniforms_at(
-        stream.source, stream.row, stream._col // stream.precision, n, stream.precision
-    )
-    stream._col += n * stream.precision
-    return draws
+        # In place, so a call holds one temporary besides its result.
+        z = np.asarray(positions, dtype=np.uint64) * np.uint64(_GAMMA)
+        z += np.uint64(self.seed)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        z %= np.uint64(self.base)
+        return z.view(np.int64)
 
 
 def uniforms_at(
@@ -136,42 +87,38 @@ def uniforms_at(
 ) -> np.ndarray:
     """Draws number first_draw .. first_draw+n-1 (0-based) of a diagonal row.
 
-    Pure in (source, row, draw index): any draw can be reproduced without
-    replaying the ones before it.
+    Draw k reads the `precision` digits at columns k*precision+1 ..
+    (k+1)*precision of the row.  Pure in (source, row, draw index): any
+    draw can be reproduced without replaying the ones before it.
     """
     import numpy as np
 
+    if row < 1 or first_draw < 0 or n < 0 or precision < 1:
+        raise InvalidArgumentError(
+            "need row >= 1, first_draw >= 0, n >= 0 and precision >= 1, got "
+            f"row={row}, first_draw={first_draw}, n={n}, precision={precision}"
+        )
     if n == 0:
         return np.empty(0)
     if row + (first_draw + n) * precision - 1 > _MAX_DIAGONAL:
         raise ResourceLimitError(
             f"draws up to {first_draw + n} of row {row} pass digit diagonal {_MAX_DIAGONAL}"
         )
-    cols = first_draw * precision + 1 + np.arange(n * precision, dtype=np.int64)
-    m = row + cols - 1
-    positions = m * (m + 1) // 2 - (row - 1)
-    digits = source.digits_at(positions).reshape(n, precision)
+    # Digit c of draw i lies on diagonal m = row + (first_draw+i)*precision + c,
+    # at position m(m+1)/2 - (row-1); one draw per column, in place.
+    start = first_draw * precision + row
+    pos = np.arange(precision, dtype=np.uint64)[:, None] + np.arange(
+        start, start + n * precision, precision, dtype=np.uint64
+    )
+    pos *= pos + np.uint64(1)
+    pos //= np.uint64(2)
+    pos -= np.uint64(row - 1)
+    digits = source.digits_at(pos).reshape(precision, n)
     weights = float(source.base) ** -(1.0 + np.arange(precision))
-    return digits @ weights
-
-
-def inverse_cdf_sample(cdf: Sequence[tuple[object, float]], u: float) -> object:
-    """Generalized inverse: the first value whose CDF threshold reaches u.
-
-    `cdf` lists (value, F(value)) pairs in support order; the final
-    threshold must be 1.  Returns min{x : F(x) >= u}.
-    """
-    if not cdf:
-        raise InvalidArgumentError("empty cdf")
-    thresholds = [t for _, t in cdf]
-    for a, b in zip(thresholds, thresholds[1:]):
-        if b < a:
-            raise InvalidArgumentError("cdf thresholds must be non-decreasing")
-    if abs(thresholds[-1] - 1.0) > 1e-9:
-        raise InvalidArgumentError(f"final cdf threshold must be 1, got {thresholds[-1]!r}")
-    if not 0.0 <= u < 1.0:
-        raise InvalidArgumentError(f"u must lie in [0, 1), got {u!r}")
-    idx = bisect.bisect_left(thresholds, u)
-    if idx >= len(cdf):  # final threshold slightly below 1 within tolerance
-        idx = len(cdf) - 1
-    return cdf[idx][0]
+    # A fixed summation order fixes every rounding, so a draw depends on its
+    # index alone, not on n or the BLAS build.  It is the order of OpenBLAS's
+    # one-row matrix product, which built the seeded tables.
+    lanes = [np.zeros(n) for _ in range(4)]
+    for col in range(precision):
+        lanes[col % 4] += digits[col] * weights[col]
+    return (lanes[0] + lanes[2]) + (lanes[1] + lanes[3])

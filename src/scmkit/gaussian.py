@@ -21,7 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import InvalidArgumentError, SingularConditioningError
-from .exogenous import DigitStream, next_uniforms, split_streams
+from .exogenous import DigitStream, uniforms_at
 from .graph import Dag, topological_order
 from .scm import Dataset
 
@@ -263,20 +263,17 @@ def lg_sample(model: LinearGaussianScm, source: DigitStream, n: int) -> Dataset:
     if n < 0:
         raise InvalidArgumentError("sample size must be non-negative")
     order = topological_order(model.dag)
-    streams = split_streams(source, len(order))
     columns: dict[str, np.ndarray] = {}
     top = np.nextafter(1.0, 0.0)
-    for node, stream in zip(order, streams):
-        u = np.clip(next_uniforms(stream, n), 5e-17, top)
-        noise = math.sqrt(model.noise_vars[node]) * (
-            norm_ppf(u) if n else np.empty(0)
-        )
+    for j, node in enumerate(order):
+        u = np.clip(uniforms_at(source, j + 1, 0, n), 5e-17, top)
+        noise = math.sqrt(model.noise_vars[node]) * norm_ppf(u)
         x = model.intercepts[node] + noise
         for parent, c in model.coefficients[node].items():
             x = x + c * columns[parent]
         columns[node] = x
-    rows = [tuple(float(columns[nd][i]) for nd in order) for i in range(n)]
-    return Dataset(tuple(order), rows)
+    # Popping each column as it is listed keeps one copy of the values alive.
+    return Dataset(tuple(order), list(zip(*(columns.pop(nd).tolist() for nd in order))))
 
 
 def _require_positive(**named: float) -> None:

@@ -18,6 +18,7 @@ whichever arithmetic the tables carry.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from operator import itemgetter
@@ -30,7 +31,7 @@ from .errors import (
     ResourceLimitError,
     ZeroProbabilityError,
 )
-from .exogenous import DigitStream, next_uniforms, split_streams
+from .exogenous import DigitStream, uniforms_at
 from .graph import Dag, topological_order
 
 # Conditioning events with less mass than this are treated as impossible.
@@ -257,7 +258,10 @@ def joint_distribution(scm: Scm) -> JointTable:
         values = scm.domains[node].values
         grown = {}
         for cfg, mass in partial.items():
-            row = cpt.table[tuple(cfg[i] for i in parent_pos)]
+            try:
+                row = cpt.table[tuple(cfg[i] for i in parent_pos)]
+            except KeyError as exc:
+                raise _missing_row(cpt, exc.args[0]) from None
             for value, p in zip(values, row):
                 if p == 0:
                     continue
@@ -376,35 +380,48 @@ def sample(scm: Scm, source: DigitStream, n: int) -> Dataset:
     if n < 0:
         raise InvalidArgumentError(f"sample size must be >= 0, got {n}")
     order = topological_order(scm.dag)
-    streams = split_streams(source, len(order)) if order else []
-    columns: dict = {}
-    for node, stream in zip(order, streams):
-        u = next_uniforms(stream, n)
-        columns[node] = _realize_column(scm, node, u, columns)
-    rows = list(zip(*[columns[nd] for nd in order])) if n and order else []
-    return Dataset(tuple(order), rows)
+    columns = _realize(scm, order, source, 0, n)
+    return Dataset(tuple(order), list(zip(*(columns[nd] for nd in order))))
 
 
-def _realize_column(scm: Scm, node, uniforms, columns) -> list:
-    """Inverse-CDF transform of the node's rows at the realized parents."""
+def _realize(scm: Scm, order, source: DigitStream, start: int, count: int) -> dict:
+    """Rows start .. start+count-1 of every node, as {node: list of values}.
+
+    Node j of the topological `order` maps draw u of diagonal row j+1 to
+    min{x : F(x) >= u} at its realized parents: parent codes index a
+    cumulative table (one row per configuration, in itertools.product order)
+    in mixed radix, and the count of thresholds below u, bar the last, is
+    searchsorted(side="left") capped at the top value.
+    """
     import numpy as np
 
-    cpt = scm.cpts[node]
-    values = scm.domains[node].values
-    top = len(values) - 1
-    cum = {
-        cfg: np.cumsum(np.asarray(row, dtype=float)) for cfg, row in cpt.table.items()
+    codes: dict = {}
+    for j, node in enumerate(order):
+        cpt = scm.cpts[node]
+        size = len(scm.domains[node].values)
+        configs = itertools.product(*(scm.domains[p].values for p in cpt.parents))
+        try:
+            rows = [cpt.table[cfg] for cfg in configs]
+        except KeyError as exc:
+            raise _missing_row(cpt, exc.args[0]) from None
+        if any(len(row) != size for row in rows):
+            raise InvalidArgumentError(f"{node!r}: table rows must have {size} entries")
+        cum = np.cumsum(np.asarray(rows, dtype=float), axis=1)
+        index = 0
+        for p in cpt.parents:
+            index = index * len(scm.domains[p].values) + codes[p]
+        u = uniforms_at(source, j + 1, start, count)
+        codes[node] = np.count_nonzero(cum[index, :-1] < u[:, None], axis=1)
+    return {
+        node: list(map(scm.domains[node].values.__getitem__, codes[node].tolist()))
+        for node in order
     }
-    if not cpt.parents:
-        idx = np.minimum(np.searchsorted(cum[()], uniforms, side="left"), top)
-        return [values[i] for i in idx]
-    parent_cols = [columns[p] for p in cpt.parents]
-    out = []
-    for i, u in enumerate(uniforms):
-        thresholds = cum[tuple(col[i] for col in parent_cols)]
-        j = int(np.searchsorted(thresholds, u, side="left"))
-        out.append(values[min(j, top)])
-    return out
+
+
+def _missing_row(cpt: Cpt, cfg: tuple) -> InvalidArgumentError:
+    return InvalidArgumentError(
+        f"{cpt.node!r}: table lacks the row for parents {list(cpt.parents)} = {list(cfg)}"
+    )
 
 
 def cond_independent(joint: JointTable, a, b, c, tol: float = 1e-12):
@@ -486,19 +503,35 @@ def scm_to_json(scm: Scm) -> str:
     return _canonical({"meta": scm.meta, "nodes": nodes}) + "\n"
 
 
+def _field(obj, name: str, kind: type, where: str, default=None):
+    """obj[name], of type `kind`; required unless a default is given."""
+    if not isinstance(obj, dict) or (name not in obj and default is None):
+        raise InvalidArgumentError(f"{where} lacks a {name!r} field")
+    value = obj.get(name, default)
+    if not isinstance(value, kind):
+        raise InvalidArgumentError(
+            f"{where}: {name!r} must be a {kind.__name__}, got {type(value).__name__}"
+        )
+    return value
+
+
 def scm_from_dict(doc: dict) -> Scm:
-    if "nodes" not in doc:
-        raise InvalidArgumentError("model document lacks a 'nodes' field")
+    entries = _field(doc, "nodes", list, "model document")
+    meta = _field(doc, "meta", dict, "model document", {})
     domains, cpts, edges, ids = {}, {}, set(), []
-    for entry in doc["nodes"]:
-        node = entry["id"]
+    for i, entry in enumerate(entries):
+        node = _field(entry, "id", str, f"node entry {i}")
+        for name, kind in (("domain", list), ("parents", list), ("table", dict)):
+            _field(entry, name, kind, f"node {node!r}")
+        if any(isinstance(v, (list, dict)) for v in entry["domain"]):
+            raise InvalidArgumentError(f"node {node!r}: domain values must be scalars")
         ids.append(node)
         domains[node] = Domain(node, tuple(entry["domain"]))
-    for entry in doc["nodes"]:
+    for entry in entries:
         node = entry["id"]
         parents = tuple(entry["parents"])
         for p in parents:
-            if p not in domains:
+            if not isinstance(p, str) or p not in domains:
                 raise InvalidArgumentError(f"{node!r} lists unknown parent {p!r}")
             edges.add((p, node))
         lookups = [{str(v): v for v in domains[p].values} for p in parents]
@@ -514,14 +547,17 @@ def scm_from_dict(doc: dict) -> Scm:
                         f"{node!r}: key value {part!r} not in domain of {parent!r}"
                     )
                 cfg.append(lookup[part])
-            probs = tuple(float(p) for p in row)
+            if not isinstance(row, list) or not all(type(p) in (int, float) for p in row):
+                raise InvalidArgumentError(f"{node!r}: row {key!r} must be a list of numbers")
+            # An integer past the float range counts as infinite.
+            probs = tuple(float(p) if abs(p) < 1e308 else math.inf for p in row)
             if not all(math.isfinite(p) for p in probs):
                 raise InvalidArgumentError(f"{node!r}: row {key!r} has a non-finite probability")
             table[tuple(cfg)] = probs
         cpts[node] = Cpt(node, parents, table)
     if len(set(ids)) != len(ids):
         raise InvalidArgumentError("duplicate node ids in model document")
-    return Scm(Dag(ids, edges), domains, cpts, doc.get("meta", {}))
+    return Scm(Dag(ids, edges), domains, cpts, meta)
 
 
 def scm_from_json(text: str) -> Scm:

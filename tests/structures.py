@@ -1,8 +1,9 @@
 """Seeded random models over the named graph shapes used across tests."""
 
 import itertools
+import math
 
-from scmkit.exogenous import DigitStream, next_uniform, split_streams
+from scmkit.exogenous import DigitStream, uniforms_at
 from scmkit.graph import Dag, topological_order
 from scmkit.scm import Cpt, Dataset, Domain, Scm, sample
 
@@ -83,16 +84,21 @@ IV_EDGES = [("I", "T"), ("U", "T"), ("U", "R"), ("T", "R")]
 
 def fill(dag: Dag, seed: int, sizes: dict | None = None, floor: float = 0.05) -> Scm:
     """Strictly positive random tables over `dag`, reproducible from `seed`."""
-    stream = split_streams(DigitStream(seed), 1)[0]
     sizes = sizes or {}
     domains = {n: Domain(n, tuple(range(sizes.get(n, 2)))) for n in dag.nodes}
+    order = topological_order(dag)
+    total = sum(
+        len(domains[n].values) * math.prod(len(domains[p].values) for p in dag.parents(n))
+        for n in order
+    )
+    draws = iter(uniforms_at(DigitStream(seed), 1, 0, total).tolist())
     cpts = {}
-    for node in topological_order(dag):
+    for node in order:
         parents = tuple(dag.parents(node))
         k = len(domains[node].values)
         table = {}
         for cfg in itertools.product(*[domains[p].values for p in parents]):
-            w = [floor + next_uniform(stream) for _ in range(k)]
+            w = [floor + next(draws) for _ in range(k)]
             s = sum(w)
             table[cfg] = tuple(x / s for x in w)
         cpts[node] = Cpt(node, parents, table)

@@ -271,6 +271,60 @@ class TestErrors:
         assert rep["result"] is None
 
 
+def _drop(key, i=0):
+    return lambda doc: doc["nodes"][i].pop(key)
+
+
+def _set(key, value, i=0):
+    return lambda doc: doc["nodes"][i].__setitem__(key, value)
+
+
+def _first_row(value):
+    def edit(doc):
+        table = doc["nodes"][0]["table"]
+        table[next(iter(table))][0] = value
+
+    return edit
+
+
+_MALFORMED = {
+    "node-without-id": (_drop("id"), "node entry 0 lacks a 'id' field"),
+    "node-without-table": (_drop("table", 2), "node 'X' lacks a 'table' field"),
+    "domain-not-a-list": (_set("domain", 2), "node 'R': 'domain' must be a list, got int"),
+    "nodes-not-a-list": (lambda doc: doc.update(nodes={"R": {}}), "'nodes' must be a list"),
+    "string-probability": (_first_row("abc"), "'R': row '0|0' must be a list of numbers"),
+}
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["joint"], ["sample", "--seed", "1", "--n", "20"]])
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_model_documents_are_domain_failures(capsys, simpson_path, tmp_path, argv, case):
+    edit, message = _MALFORMED[case]
+    with open(simpson_path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, rep = report(capsys, *argv, "-m", str(path))
+    assert code == 1
+    assert message in rep["error"]
+    assert rep["result"] is None
+
+
+@pytest.mark.parametrize("argv", [["joint"], ["sample", "--seed", "1", "--n", "20"],
+                                  ["sample", "--seed", "1", "--n", "0"]])
+def test_a_missing_table_row_is_a_domain_failure(capsys, simpson_path, tmp_path, argv):
+    with open(simpson_path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    del doc["nodes"][0]["table"]["1|0"]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, rep = report(capsys, *argv, "-m", str(path))
+    assert code == 1
+    assert rep["error"] == "'R': table lacks the row for parents ['T', 'X'] = [1, 0]"
+    assert rep["result"] is None
+
+
 def _strict_json(text: str):
     """json.loads that refuses NaN and Infinity, which JSON does not have."""
     def refuse(name):
@@ -284,6 +338,8 @@ def _strict_json(text: str):
     [
         ["example", "lord", "--params", "mu1=NaN"],
         ["example", "fig1", "--params", "floor=NaN"],
+        ["example", "lord", "--params", "group=2,mu2=-Infinity"],
+        ["example", "smoking", "--params", "floor=Infinity"],
     ],
 )
 def test_non_finite_results_are_domain_failures(tmp_path, argv):
@@ -298,6 +354,8 @@ def test_non_finite_results_are_domain_failures(tmp_path, argv):
     assert proc.stderr == b""
     rep = _strict_json(proc.stdout.decode("utf-8"))
     assert "non-finite" in rep["error"]
+    parameter = argv[-1].split(",")[-1].split("=")[0]
+    assert rep["error"].startswith(f"{parameter} is non-finite")
     assert rep["result"] is None
     assert not target.exists()
 

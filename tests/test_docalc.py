@@ -14,7 +14,7 @@ from scmkit.docalc import (
     verify_rule,
 )
 from scmkit.errors import InvalidArgumentError, PositivityError
-from scmkit.exogenous import DigitStream, next_uniform, split_streams
+from scmkit.exogenous import DigitStream, uniforms_at
 from scmkit.graph import Dag, ancestors
 from scmkit.scm import (
     Cpt,
@@ -32,13 +32,13 @@ from structures import backdoor_model, fill
 
 def random_dag(seed: int, n: int = 6, p: float = 0.35) -> Dag:
     """Seeded random order-respecting graph on n nodes."""
-    stream = split_streams(DigitStream(seed), 1)[0]
+    draws = iter(uniforms_at(DigitStream(seed), 1, 0, n * (n - 1) // 2).tolist())
     names = [f"N{i}" for i in range(n)]
     edges = [
         (names[i], names[j])
         for i in range(n)
         for j in range(i + 1, n)
-        if next_uniform(stream) < p
+        if next(draws) < p
     ]
     return Dag(names, edges)
 
@@ -49,12 +49,11 @@ def random_partition(dag: Dag, seed: int) -> NodePartition:
     Y, X and Z always get at least one node, so every seed exercises both
     surgeries; the graph needs at least three nodes.
     """
-    stream = split_streams(DigitStream(seed), 1)[0]
     buckets = {"w": [], "x": [], "y": [], "z": [], "none": []}
     labels = ("w", "x", "y", "z", "none")
     nodes = sorted(dag.nodes)
-    for node in nodes:
-        buckets[labels[int(next_uniform(stream) * 5)]].append(node)
+    for node, u in zip(nodes, uniforms_at(DigitStream(seed), 1, 0, len(nodes)).tolist()):
+        buckets[labels[int(u * 5)]].append(node)
     if not buckets["y"]:
         donor = max(("w", "z", "none", "x"), key=lambda k: len(buckets[k]))
         buckets["y"].append(buckets[donor].pop())

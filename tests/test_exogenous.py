@@ -1,18 +1,14 @@
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from scmkit.errors import InvalidArgumentError, ResourceLimitError
-from scmkit.exogenous import (
-    DigitStream,
-    UniformStream,
-    diagonal_position,
-    inverse_cdf_sample,
-    next_uniform,
-    next_uniforms,
-    split_streams,
-    uniforms_at,
-)
+from scmkit.exogenous import DigitStream, diagonal_position, uniforms_at
+from scmkit.graph import Dag, topological_order
+from scmkit.scm import Cpt, Domain, Scm, _realize, sample
 
 # The first seven rows of the diagonal position array.
 DIAGONAL_ROWS = {
@@ -102,65 +98,73 @@ class TestDiagonalPositions:
 
 
 class TestSplitStreams:
+    """Each row of the diagonal array is a stream over its own digits."""
+
     def test_single_stream_sits_on_row_one(self):
-        (s,) = split_streams(DigitStream(7), 1)
-        assert s.positions(4) == [1, 3, 6, 10]
+        src = RecordingStream()
+        uniforms_at(src, 1, 0, 1, precision=4)
+        assert src.seen == [1, 3, 6, 10]
 
     def test_streams_cover_distinct_rows(self):
-        streams = split_streams(DigitStream(7), 5)
-        assert [s.row for s in streams] == [1, 2, 3, 4, 5]
-        all_positions = [p for s in streams for p in s.positions(100)]
-        assert len(set(all_positions)) == len(all_positions)
+        src = RecordingStream(7)
+        for row in range(1, 6):
+            uniforms_at(src, row, 0, 25, precision=4)
+        assert len(src.seen) == 500
+        assert len(set(src.seen)) == 500
 
     def test_zero_streams_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            split_streams(DigitStream(7), 0)
+        # Row 0 does not exist; negative draw indices, counts and precisions
+        # are rejected alike.
+        bad = ((0, 0, 1, 16), (1, -1, 1, 16), (1, 0, -1, 16), (1, 0, 1, 0))
+        for row, first_draw, n, precision in bad:
+            with pytest.raises(InvalidArgumentError):
+                uniforms_at(DigitStream(7), row, first_draw, n, precision)
 
     def test_champernowne_first_draws(self):
-        streams = split_streams(ChampernowneStream(), 3)
-        for s in streams:
-            s.precision = 3
-        assert next_uniform(streams[0]) == pytest.approx(0.136, abs=1e-15)
-        assert next_uniform(streams[1]) == pytest.approx(0.259, abs=1e-15)
-        assert next_uniform(streams[2]) == pytest.approx(0.481, abs=1e-15)
+        src = ChampernowneStream()
+        first = [uniforms_at(src, row, 0, 1, precision=3)[0] for row in (1, 2, 3)]
+        assert first == pytest.approx([0.136, 0.259, 0.481], abs=1e-15)
 
 
 class TestNextUniform:
+    """Draws along one row, read by index through uniforms_at."""
+
     def test_all_zero_source_draws_zero(self):
-        s = UniformStream(ZeroStream(0), row=1)
-        assert next_uniform(s) == 0.0
+        assert uniforms_at(ZeroStream(0), 1, 0, 1)[0] == 0.0
 
     def test_consecutive_draws_use_fresh_increasing_positions(self):
         src = RecordingStream()
-        s = UniformStream(src, row=2, precision=4)
-        next_uniform(s)
+        uniforms_at(src, 2, 0, 1, precision=4)
         first = list(src.seen)
-        next_uniform(s)
+        uniforms_at(src, 2, 1, 1, precision=4)
         second = src.seen[len(first):]
         assert first == [2, 5, 9, 14]
         assert second == [20, 27, 35, 44]
         assert max(first) < min(second)
 
     def test_batch_equals_repeated_single_draws(self):
-        a = UniformStream(DigitStream(99), row=3)
-        b = UniformStream(DigitStream(99), row=3)
-        batch = next_uniforms(a, 50)
-        singles = np.array([next_uniform(b) for _ in range(50)])
+        src = DigitStream(99)
+        batch = uniforms_at(src, 3, 0, 50)
+        singles = np.array([uniforms_at(src, 3, i, 1)[0] for i in range(50)])
         assert np.array_equal(batch, singles)
+        assert np.array_equal(batch[20:], uniforms_at(src, 3, 20, 30))
+        # Every batch size, last bit included (seed 11 tells sizes 18 and 19
+        # apart when the digits are summed by a matrix product).
+        src = DigitStream(11)
+        singles = np.array([uniforms_at(src, 1, i, 1)[0] for i in range(40)])
+        for n in range(1, 41):
+            assert np.array_equal(uniforms_at(src, 1, 0, n), singles[:n]), n
 
     def test_draws_lie_in_unit_interval(self):
-        s = UniformStream(DigitStream(5), row=1)
-        u = next_uniforms(s, 1000)
+        u = uniforms_at(DigitStream(5), 1, 0, 1000)
         assert np.all((0.0 <= u) & (u < 1.0))
 
     def test_empirical_mean_near_half(self):
-        s = split_streams(DigitStream(12345), 1)[0]
-        u = next_uniforms(s, 100_000)
+        u = uniforms_at(DigitStream(12345), 1, 0, 100_000)
         assert abs(u.mean() - 0.5) < 0.005
 
     def test_empirical_distribution_is_uniform(self):
-        s = split_streams(DigitStream(2024), 2)[1]
-        u = next_uniforms(s, 100_000)
+        u = uniforms_at(DigitStream(2024), 2, 0, 100_000)
         assert ks_distance_uniform(u) < 0.01
 
     def test_scalar_and_vector_digit_paths_agree(self):
@@ -196,60 +200,131 @@ class TestDiagonalBound:
             uniforms_at(DigitStream(7), 1, 200_000_000, 1)
 
 
+def one_node(row, values=None) -> Scm:
+    """A parentless node A with the given table row."""
+    values = tuple(range(len(row))) if values is None else values
+    return Scm(Dag(["A"], []), {"A": Domain("A", values)}, {"A": Cpt("A", (), {(): row})})
+
+
+class ConstantStream(DigitStream):
+    """Every digit is `digit`, so every draw is 0.ddd...d."""
+
+    def __init__(self, digit):
+        super().__init__(0)
+        self.digit = digit
+
+    def digits_at(self, positions):
+        return np.full(np.size(positions), self.digit, dtype=np.int64)
+
+
+class HalfStream(DigitStream):
+    """Digit 5 at position 1 and 0 elsewhere: the first draw of row 1 is 0.5."""
+
+    def digits_at(self, positions):
+        return np.where(np.asarray(positions) == 1, 5, 0)
+
+
+@st.composite
+def small_models(draw) -> Scm:
+    """Up to four nodes over one to three string values, with zero cells
+    and either float or Fraction tables."""
+    n = draw(st.integers(1, 4))
+    names = [f"V{i}" for i in range(n)]
+    edges = [(a, b) for a, b in itertools.combinations(names, 2) if draw(st.booleans())]
+    dag = Dag(names, edges)
+    domains = {
+        name: Domain(name, tuple("abc"[: draw(st.integers(1, 3))])) for name in names
+    }
+    exact = draw(st.booleans())
+    cpts = {}
+    for name in names:
+        parents = tuple(dag.parents(name))
+        k = len(domains[name].values)
+        table = {}
+        for cfg in itertools.product(*(domains[p].values for p in parents)):
+            weights = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any))
+            total = sum(weights)
+            table[cfg] = tuple(Fraction(w, total) if exact else w / total for w in weights)
+        cpts[name] = Cpt(name, parents, table)
+    return Scm(dag, domains, cpts)
+
+
+def reference_rows(scm: Scm, seed: int, rows) -> list:
+    """The documented sampler, one digit and one cell at a time.
+
+    Node j of the topological order reads draw i of diagonal row j+1 as the
+    exact decimal 0.d1...d16 and takes the first value whose exact CDF
+    reaches it.  A row is None when a draw lies within 1e-12 of a
+    threshold, where the float sampler's rounding decides.
+    """
+    src = DigitStream(seed)
+    order = topological_order(scm.dag)
+    out = []
+    for i in rows:
+        values = {}
+        for j, node in enumerate(order):
+            digits = [src.digit_at(diagonal_position(j + 1, 16 * i + c)) for c in range(1, 17)]
+            u = Fraction(int("".join(map(str, digits))), 10**16)
+            cpt = scm.cpts[node]
+            row = cpt.table[tuple(values[p] for p in cpt.parents)]
+            cdf = list(itertools.accumulate(Fraction(p) for p in row))
+            if any(abs(u - t) < 1e-12 for t in cdf):
+                values = None
+                break
+            hit = next((k for k, t in enumerate(cdf) if t >= u), len(cdf) - 1)
+            values[node] = scm.domains[node].values[hit]
+        out.append(None if values is None else tuple(values[nd] for nd in order))
+    return out
+
+
 class TestInverseCdfSample:
+    """sample maps each draw u to min{x : F(x) >= u} of the node's table row."""
+
     def test_bernoulli(self):
-        cdf = [(0, 0.7), (1, 1.0)]
-        assert inverse_cdf_sample(cdf, 0.5) == 0
-        assert inverse_cdf_sample(cdf, 0.8) == 1
+        scm = one_node((0.7, 0.3))
+        assert sample(scm, ConstantStream(5), 3).rows == [(0,)] * 3
+        assert sample(scm, ConstantStream(8), 3).rows == [(1,)] * 3
 
     def test_point_mass(self):
-        cdf = [("v", 1.0)]
-        for u in (0.0, 0.25, 0.999):
-            assert inverse_cdf_sample(cdf, u) == "v"
+        scm = one_node((1.0,), ("v",))
+        for digit in (0, 2, 9):
+            assert sample(scm, ConstantStream(digit), 2).rows == [("v",)] * 2
 
     def test_uniform_over_three_values(self):
-        third = 1.0 / 3.0
-        cdf = [(0, third), (1, 2 * third), (2, 1.0)]
-        assert inverse_cdf_sample(cdf, 0.34) == 1
+        scm = one_node((1 / 3, 1 / 3, 1 / 3))
+        assert sample(scm, ConstantStream(4), 1).rows == [(1,)]
+        assert sample(scm, ConstantStream(7), 1).rows == [(2,)]
 
     def test_threshold_is_inclusive(self):
-        cdf = [(0, 0.5), (1, 1.0)]
-        assert inverse_cdf_sample(cdf, 0.5) == 0
+        assert uniforms_at(HalfStream(0), 1, 0, 1)[0] == 0.5
+        assert sample(one_node((0.5, 0.5)), HalfStream(0), 1).rows == [(0,)]
 
-    def test_decreasing_thresholds_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            inverse_cdf_sample([(0, 0.9), (1, 0.4), (2, 1.0)], 0.5)
-
-    def test_final_threshold_must_reach_one(self):
-        with pytest.raises(InvalidArgumentError):
-            inverse_cdf_sample([(0, 0.4), (1, 0.9)], 0.5)
-
+    @settings(max_examples=60, deadline=None)
     @given(
-        weights=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8),
-        u=st.floats(0.0, 1.0, exclude_max=True),
+        scm=small_models(),
+        seed=st.integers(0, 2**40),
+        n=st.integers(0, 10),
+        start=st.integers(0, 5000),
     )
-    def test_matches_linear_scan(self, weights, u):
-        total = sum(weights)
-        acc, cdf = 0.0, []
-        for i, w in enumerate(weights):
-            acc += w / total
-            cdf.append((i, min(acc, 1.0)))
-        cdf[-1] = (cdf[-1][0], 1.0)
-        expected = next(x for x, thr in cdf if thr >= u)
-        assert inverse_cdf_sample(cdf, u) == expected
+    def test_matches_linear_scan(self, scm, seed, n, start):
+        got = sample(scm, DigitStream(seed), n)
+        order = topological_order(scm.dag)
+        assert got.columns == tuple(order)
+        assert len(got.rows) == n
+        for have, want in zip(got.rows, reference_rows(scm, seed, range(n))):
+            assert want is None or have == want
+        # A block further down the population, as case-control reads it.
+        block = _realize(scm, order, DigitStream(seed), start, n)
+        have_rows = list(zip(*(block[nd] for nd in order)))
+        assert len(have_rows) == n
+        for have, want in zip(have_rows, reference_rows(scm, seed, range(start, start + n))):
+            assert want is None or have == want
 
     def test_sampled_frequencies_follow_the_cdf(self):
-        cdf = [(0, 0.2), (1, 0.7), (2, 1.0)]
-        probs = {0: 0.2, 1: 0.5, 2: 0.3}
-        s = split_streams(DigitStream(777), 1)[0]
-        u = next_uniforms(s, 100_000)
-        values = np.searchsorted([0.2, 0.7, 1.0], u, side="left")
-        for x, p in probs.items():
+        probs = (0.2, 0.5, 0.3)
+        data = sample(one_node(probs), DigitStream(777), 100_000)
+        values = np.array(data.column("A"))
+        for x, p in enumerate(probs):
             freq = np.mean(values == x)
-            se = (p * (1 - p) / len(u)) ** 0.5
+            se = (p * (1 - p) / len(values)) ** 0.5
             assert abs(freq - p) <= 3 * se
-        # spot-check that searchsorted is the same generalized inverse
-        for ui in u[:200]:
-            assert inverse_cdf_sample(cdf, float(ui)) == int(
-                np.searchsorted([0.2, 0.7, 1.0], ui, side="left")
-            )

@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +8,8 @@ from scmkit.errors import (
     ResourceLimitError,
     ZeroProbabilityError,
 )
-from scmkit.exogenous import DigitStream, next_uniform, split_streams
-from scmkit.graph import Dag, topological_order
+from scmkit.exogenous import DigitStream
+from scmkit.graph import Dag
 from scmkit.scm import (
     Cpt,
     Dataset,
@@ -31,6 +30,7 @@ from scmkit.scm import (
     validate_scm,
 )
 
+from structures import fill
 from test_graph import FIG1_EDGES, FIG1_NODES
 
 
@@ -58,24 +58,6 @@ def simpson_scm(beta=0.8, exact=False):
         ),
     }
     return Scm(dag, domains, cpts, {"name": "simpson"})
-
-
-def filled_scm(dag: Dag, seed: int, sizes: dict | None = None) -> Scm:
-    """Random strictly-positive tables over the given graph."""
-    stream = split_streams(DigitStream(seed), 1)[0]
-    sizes = sizes or {}
-    domains = {n: Domain(n, tuple(range(sizes.get(n, 2)))) for n in dag.nodes}
-    cpts = {}
-    for node in topological_order(dag):
-        parents = tuple(dag.parents(node))
-        k = len(domains[node].values)
-        table = {}
-        for cfg in itertools.product(*[domains[p].values for p in parents]):
-            w = [0.05 + next_uniform(stream) for _ in range(k)]
-            s = sum(w)
-            table[cfg] = tuple(x / s for x in w)
-        cpts[node] = Cpt(node, parents, table)
-    return Scm(dag, domains, cpts)
 
 
 class TestValidate:
@@ -149,7 +131,7 @@ class TestJointDistribution:
         assert restrict(joint, "R", {"T": 0}).probs[(1,)] == Fraction(3, 5)
 
     def test_normalization(self):
-        scm = filled_scm(Dag(FIG1_NODES, FIG1_EDGES), seed=11)
+        scm = fill(Dag(FIG1_NODES, FIG1_EDGES), seed=11)
         assert abs(joint_distribution(scm).total() - 1.0) < 1e-10
 
     def test_state_space_guard(self):
@@ -275,6 +257,24 @@ class TestSample:
         data = sample(scm, DigitStream(3), 25)
         assert set(data.rows) == {(1, 1)}
 
+    def test_a_missing_row_is_named(self):
+        scm = simpson_scm()
+        cpt = scm.cpts["R"]
+        table = {cfg: row for cfg, row in cpt.table.items() if cfg != (1, 0)}
+        broken = Scm(scm.dag, scm.domains, {**scm.cpts, "R": Cpt("R", cpt.parents, table)})
+        message = rf"'R': table lacks the row for parents \[{', '.join(map(repr, cpt.parents))}\]"
+        for n in (0, 20):
+            with pytest.raises(InvalidArgumentError, match=message):
+                sample(broken, DigitStream(1), n)
+        with pytest.raises(InvalidArgumentError, match=message):
+            joint_distribution(broken)
+
+    def test_rows_shorter_than_the_domain_are_rejected(self):
+        scm = simpson_scm()
+        short = Scm(scm.dag, scm.domains, {**scm.cpts, "X": Cpt("X", (), {(): (1.0,)})})
+        with pytest.raises(InvalidArgumentError, match="'X': table rows must have 2 entries"):
+            sample(short, DigitStream(1), 5)
+
     def test_prefix_stability(self):
         scm = simpson_scm()
         short = sample(scm, DigitStream(42), 10)
@@ -321,7 +321,7 @@ class TestSample:
 
 class TestCondIndependent:
     def test_fig1_separations(self):
-        scm = filled_scm(Dag(FIG1_NODES, FIG1_EDGES), seed=17)
+        scm = fill(Dag(FIG1_NODES, FIG1_EDGES), seed=17)
         joint = joint_distribution(scm)
         ok, dev = cond_independent(joint, {"X3"}, {"X4"}, {"X1"})
         assert ok, dev
