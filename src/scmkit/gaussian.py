@@ -43,7 +43,7 @@ __all__ = [
 #: the reversal flag, so the exact boundary case reports no reversal.
 SLOPE_DEAD_ZONE = 1e-12
 
-_DET_FLOOR = 1e-12
+_CORRELATION_FLOOR = 1e-12  # least eigenvalue of a non-singular block rescaled to unit diagonal
 _EIGEN_FLOOR = -1e-9
 
 
@@ -153,10 +153,11 @@ def lg_condition(law: GaussianLaw, on: Mapping[str, float]) -> GaussianLaw:
     s_kk = law.covariance[np.ix_(keep, keep)]
     s_kd = law.covariance[np.ix_(keep, drop)]
     s_dd = law.covariance[np.ix_(drop, drop)]
-    if abs(float(np.linalg.det(s_dd))) <= _DET_FLOOR:
-        raise SingularConditioningError(
-            f"conditioning block {sorted(on)} is singular"
-        )
+    # Rescaled to unit diagonal, the test does not depend on units; a zero variance is singular.
+    var = np.diag(s_dd)
+    unit = s_dd / np.sqrt(np.outer(var, var)) if (var > 0).all() else np.zeros_like(s_dd)
+    if np.linalg.eigvalsh(unit).min() <= _CORRELATION_FLOOR:
+        raise SingularConditioningError(f"conditioning block {sorted(on)} is singular")
     gain = s_kd @ np.linalg.inv(s_dd)
     mean = law.mean[keep] + gain @ (values - law.mean[drop])
     cov = s_kk - gain @ s_kd.T

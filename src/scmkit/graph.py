@@ -57,7 +57,7 @@ class Dag:
                 raise InvalidArgumentError(f"edge endpoint {v!r} is not a node")
         self._parents = {n: [] for n in self.nodes}
         self._children = {n: [] for n in self.nodes}
-        for u, v in sorted(self.edges, key=lambda e: (str(e[0]), str(e[1]))):
+        for u, v in self.edges:
             self._parents[v].append(u)
             self._children[u].append(v)
         self._parents = {n: tuple(sorted(ps, key=str)) for n, ps in self._parents.items()}
@@ -118,29 +118,26 @@ def _cycle_witness(dag: Dag, remaining: set) -> str:
     return " <- ".join(str(n) for n in cycle)
 
 
-def descendants(dag: Dag, node) -> frozenset:
-    """All nodes reachable from `node` by a directed path, excluding it."""
+def _closure(dag: Dag, node, step: dict) -> frozenset:
+    """Nodes reachable from `node` through the adjacency map `step`, excluding it."""
     dag._require(node)
     out, frontier = set(), [node]
     while frontier:
-        for child in dag.children(frontier.pop()):
-            if child not in out:
-                out.add(child)
-                frontier.append(child)
+        for nxt in step[frontier.pop()]:
+            if nxt not in out:
+                out.add(nxt)
+                frontier.append(nxt)
     out.discard(node)
     return frozenset(out)
+
+
+def descendants(dag: Dag, node) -> frozenset:
+    """All nodes reachable from `node` by a directed path, excluding it."""
+    return _closure(dag, node, dag._children)
 
 
 def ancestors(dag: Dag, node) -> frozenset:
-    dag._require(node)
-    out, frontier = set(), [node]
-    while frontier:
-        for parent in dag.parents(frontier.pop()):
-            if parent not in out:
-                out.add(parent)
-                frontier.append(parent)
-    out.discard(node)
-    return frozenset(out)
+    return _closure(dag, node, dag._parents)
 
 
 @dataclass(frozen=True)
@@ -195,28 +192,28 @@ class BackdoorReport:
         return [v.path for v in self.verdicts if v.verdict == "violates"]
 
 
-def backdoor_paths(dag: Dag, t, r, cap: int = DEFAULT_PATH_CAP) -> list[Path]:
+def backdoor_paths(dag: Dag, t, r) -> list[Path]:
     """All simple paths from t to r entered against an edge and exiting along one."""
     dag._require(t)
     dag._require(r)
     if t == r:
         raise InvalidArgumentError("treatment and response must differ")
     paths: list[Path] = []
+    steps = {
+        n: sorted([(c, FORWARD) for c in dag._children[n]] + [(p, BACKWARD) for p in dag._parents[n]],
+                  key=lambda s: (str(s[0]), s[1]))
+        for n in dag.nodes
+    }
 
     def extend(node, visited, nodes, dirs):
-        steps = [(c, FORWARD) for c in dag.children(node)] + [
-            (p, BACKWARD) for p in dag.parents(node)
-        ]
-        for nxt, direction in sorted(steps, key=lambda s: (str(s[0]), s[1])):
+        for nxt, direction in steps[node]:
             if nxt == r:
                 if direction == FORWARD:
-                    if len(paths) >= cap:
-                        raise ResourceLimitError(f"more than {cap} back-door paths")
+                    if len(paths) >= DEFAULT_PATH_CAP:
+                        raise ResourceLimitError(f"more than {DEFAULT_PATH_CAP} back-door paths")
                     paths.append(Path(nodes + (r,), dirs + (direction,)))
-                continue
-            if nxt in visited:
-                continue
-            extend(nxt, visited | {nxt}, nodes + (nxt,), dirs + (direction,))
+            elif nxt not in visited:
+                extend(nxt, visited | {nxt}, nodes + (nxt,), dirs + (direction,))
 
     for first in dag.parents(t):
         if first == r:
@@ -323,6 +320,7 @@ def enumerate_valid_adjustment_sets(dag: Dag, t, r, candidates) -> list[frozense
         raise InvalidArgumentError(
             "candidates must exclude the treatment, the response, and treatment descendants"
         )
+    paths = [v.path for v in check_backdoor(dag, t, r, candidates).verdicts]
     ordered = sorted(candidates, key=str)
     minimal: list[frozenset] = []
     for size in range(len(ordered) + 1):
@@ -330,6 +328,6 @@ def enumerate_valid_adjustment_sets(dag: Dag, t, r, candidates) -> list[frozense
             Z = frozenset(combo)
             if any(m <= Z for m in minimal):
                 continue  # proper superset of a known valid set
-            if check_backdoor(dag, t, r, Z).valid:
+            if all(_classify(p, dag, Z).verdict != "violates" for p in paths):
                 minimal.append(Z)
     return sorted(minimal, key=lambda s: (len(s), sorted(s, key=str)))

@@ -81,9 +81,6 @@ class Scm:
         self.cpts = cpts
         self.meta = dict(meta or {})
 
-    def node_values(self, node) -> tuple:
-        return self.domains[node].values
-
 
 @dataclass
 class JointTable:
@@ -553,6 +550,10 @@ def scm_from_dict(doc: dict) -> Scm:
             probs = tuple(float(p) if abs(p) < 1e308 else math.inf for p in row)
             if not all(math.isfinite(p) for p in probs):
                 raise InvalidArgumentError(f"{node!r}: row {key!r} has a non-finite probability")
+            if any(p < 0 for p in probs):
+                raise InvalidArgumentError(f"{node!r}: row {key!r} has a negative probability")
+            if abs(sum(probs) - 1.0) > 1e-12:
+                raise InvalidArgumentError(f"{node!r}: row {key!r} sums to {sum(probs)!r}, not 1")
             table[tuple(cfg)] = probs
         cpts[node] = Cpt(node, parents, table)
     if len(set(ids)) != len(ids):

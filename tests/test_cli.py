@@ -325,6 +325,21 @@ def test_a_missing_table_row_is_a_domain_failure(capsys, simpson_path, tmp_path,
     assert rep["result"] is None
 
 
+@pytest.mark.parametrize("argv", [["validate"], ["joint"], ["sample", "--seed", "1", "--n", "2000"]])
+@pytest.mark.parametrize("row, message", [
+    ([0.2, 0.7], "'A': row '' sums to 0.8999999999999999, not 1"),
+    ([1.2, -0.2], "'A': row '' has a negative probability"),
+], ids=["short", "negative"])
+def test_a_non_normalized_row_is_a_domain_failure(capsys, tmp_path, argv, row, message):
+    doc = {"nodes": [{"id": "A", "domain": [0, 1], "parents": [], "table": {"": row}}]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, rep = report(capsys, *argv, "-m", str(path))
+    assert code == 1
+    assert rep["error"] == message
+    assert rep["result"] is None
+
+
 def _strict_json(text: str):
     """json.loads that refuses NaN and Infinity, which JSON does not have."""
     def refuse(name):

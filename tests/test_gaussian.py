@@ -187,6 +187,30 @@ class TestLgCondition:
         with pytest.raises(SingularConditioningError):
             lg_condition(law, {"A": 0.0, "B": 0.0})
 
+    @pytest.mark.parametrize("sd", [1e-3, 1.0, 1e3])
+    def test_small_independent_parents_are_not_singular(self, sd):
+        # The block's determinant is sd**6, which is 1e-18 at sd = 1e-3.
+        dag = Dag(["A", "B", "C", "Y"], [("A", "Y"), ("B", "Y"), ("C", "Y")])
+        model = LinearGaussianScm(
+            dag,
+            {n: 0.0 for n in "ABCY"},
+            {"A": {}, "B": {}, "C": {}, "Y": {"A": 1.0, "B": 1.0, "C": 1.0}},
+            {"A": sd**2, "B": sd**2, "C": sd**2, "Y": 1.0},
+        )
+        cond = lg_condition(lg_moments(model), {"A": 1.0, "B": 0.0, "C": 0.0})
+        assert cond.mean_of("Y") == pytest.approx(1.0, rel=1e-12)
+        assert cond.var_of("Y") == pytest.approx(1.0, rel=1e-9)
+
+    def test_near_collinear_block_at_large_scale_is_singular(self):
+        # B = A + N(0, w) with var(A) = 1e6: the block's determinant is about
+        # 1e-4 but its condition number is about 3e16, so inverting it gives
+        # a wrong mean for Y = A + N(0, 1).
+        v, w = 1e6, 4e6 / 3e16
+        cov = np.array([[v, v, v], [v, v + w, v], [v, v, v + 1.0]])
+        law = GaussianLaw(("A", "B", "Y"), np.zeros(3), cov)
+        with pytest.raises(SingularConditioningError):
+            lg_condition(law, {"A": 1.0, "B": 1.0})
+
     def test_conditioning_everything_rejected(self):
         law = GaussianLaw(("A",), np.zeros(1), np.eye(1))
         with pytest.raises(InvalidArgumentError):

@@ -323,6 +323,13 @@ class TestEnumerateAdjustmentSets:
         with pytest.raises(InvalidArgumentError):
             enumerate_valid_adjustment_sets(fig1, "T", "R", {"X6"})
 
+    def test_unknown_candidate_rejected(self):
+        # The empty set is valid here, so no subset holding 'nope' is ever
+        # tested; the candidates themselves must be checked.
+        dag = Dag(["T", "R", "W"], [("T", "R"), ("W", "R")])
+        with pytest.raises(InvalidArgumentError, match="^unknown node 'nope'$"):
+            enumerate_valid_adjustment_sets(dag, "T", "R", {"W", "nope"})
+
 
 class TestPath:
     def test_rendering(self):

@@ -1,0 +1,80 @@
+"""Graph answers checked against networkx and a brute-force subset scan.
+
+networkx is a test-only dependency: it supplies the closures and the
+d-separation test, written independently of `scmkit.graph`.
+"""
+
+import itertools
+
+import networkx as nx
+from hypothesis import assume, given, settings, strategies as st
+
+from scmkit.graph import (
+    Dag,
+    ancestors,
+    check_backdoor,
+    descendants,
+    enumerate_valid_adjustment_sets,
+)
+
+
+@st.composite
+def dags(draw, max_nodes=8):
+    """Random DAGs whose name order differs from their topological order."""
+    n = draw(st.integers(2, max_nodes))
+    names = draw(st.permutations([f"V{i}" for i in range(n)]))
+    edges = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())]
+    return Dag(names, edges)
+
+
+def subset_of(pool):
+    return st.sets(st.sampled_from(pool)) if pool else st.just(set())
+
+
+def to_networkx(dag: Dag, drop_out_edges_of=None) -> nx.DiGraph:
+    g = nx.DiGraph()
+    g.add_nodes_from(dag.nodes)
+    g.add_edges_from((u, v) for u, v in dag.edges if u != drop_out_edges_of)
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(dag=dags())
+def test_closures_equal_networkx(dag):
+    g = to_networkx(dag)
+    for node in dag.nodes:
+        assert descendants(dag, node) == nx.descendants(g, node)
+        assert ancestors(dag, node) == nx.ancestors(g, node)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dag=dags(), data=st.data())
+def test_backdoor_criterion_equals_d_separation_without_treatment_out_edges(dag, data):
+    # With r below t and Z free of t's descendants, Z passes the back-door
+    # criterion iff it d-separates t from r once t's out-edges are removed.
+    pairs = [(t, r) for t in sorted(dag.nodes) for r in sorted(descendants(dag, t))]
+    assume(pairs)
+    t, r = data.draw(st.sampled_from(pairs))
+    cut = to_networkx(dag, drop_out_edges_of=t)
+    pool = sorted(dag.nodes - {t, r} - descendants(dag, t))
+    for size in range(len(pool) + 1):
+        for z in itertools.combinations(pool, size):
+            expected = nx.is_d_separator(cut, {t}, {r}, set(z))
+            assert check_backdoor(dag, t, r, z).valid == expected, z
+
+
+@settings(max_examples=200, deadline=None)
+@given(dag=dags(max_nodes=7), data=st.data())
+def test_enumeration_equals_a_brute_force_minimal_subset_scan(dag, data):
+    nodes = sorted(dag.nodes)
+    t, r = data.draw(st.lists(st.sampled_from(nodes), min_size=2, max_size=2, unique=True))
+    candidates = data.draw(subset_of(sorted(dag.nodes - {t, r} - descendants(dag, t))))
+    valid = [
+        frozenset(combo)
+        for size in range(len(candidates) + 1)
+        for combo in itertools.combinations(sorted(candidates), size)
+        if check_backdoor(dag, t, r, combo).valid
+    ]
+    minimal = [z for z in valid if not any(other < z for other in valid)]
+    expected = sorted(minimal, key=lambda s: (len(s), sorted(s)))
+    assert enumerate_valid_adjustment_sets(dag, t, r, candidates) == expected

@@ -24,6 +24,7 @@ from scmkit.scm import (
     joint_distribution,
     restrict,
     sample,
+    scm_from_dict,
     scm_from_json,
     scm_to_json,
     total_variation,
@@ -403,6 +404,29 @@ class TestModelFormat:
         text = scm_to_json(simpson_scm()).replace("0.80000000000000004", bad, 1)
         with pytest.raises(InvalidArgumentError, match="non-finite"):
             scm_from_json(text)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("[1.2, -0.2]", "'R': row '0|0' has a negative probability"),
+            ("[0.2, 0.7]", "'R': row '0|0' sums to 0.8999999999999999, not 1"),
+            ("[0.5, 0.5000000001]", "'R': row '0|0' sums to 1.0000000001, not 1"),
+        ],
+        ids=["negative", "short", "long"],
+    )
+    def test_non_normalized_row_rejected(self, row, message):
+        text = scm_to_json(simpson_scm()).replace(
+            "[0.80000000000000004, 0.20000000000000001]", row, 1
+        )
+        with pytest.raises(InvalidArgumentError) as info:
+            scm_from_json(text)
+        assert str(info.value) == message
+
+    def test_row_off_one_by_rounding_accepted(self):
+        # Ten tenths add up to 0.9999999999999999 in floating point.
+        doc = {"nodes": [{"id": "A", "domain": list(range(10)), "parents": [],
+                          "table": {"": [0.1] * 10}}]}
+        assert scm_from_dict(doc).cpts["A"].table[()] == (0.1,) * 10
 
 
 class TestDatasetCsv:
