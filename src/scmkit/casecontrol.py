@@ -13,6 +13,7 @@ counts and averages it over the case-side covariate frequencies.
 
 from __future__ import annotations
 
+import itertools
 import math
 from array import array
 from collections import defaultdict, deque
@@ -84,34 +85,17 @@ class CaseControlSample:
         ]
 
 
-class _Population:
-    """Lazily realized independent population rows, absolute-indexed.
+def _scan(scm: Scm, nodes: tuple, source: DigitStream, budget: int):
+    """(index, *values of `nodes`) for population rows 0 .. budget-1, in order.
 
     Row i is determined by (model, digit source, i) alone: each node
     reads draw i of its own diagonal stream, so the rows coincide with
     the first rows of the batch sampler on the same source.
     """
-
-    def __init__(self, scm: Scm, source: DigitStream, budget: int):
-        self.scm = scm
-        self.source = source
-        self.budget = budget
-        self.order = topological_order(scm.dag)
-        self.columns: dict = {node: [] for node in self.order}
-        self.size = 0
-
-    def ensure(self, n: int, context: str) -> None:
-        if n <= self.size:
-            return
-        if n > self.budget:
-            raise ExhaustionError(
-                f"population budget of {self.budget} rows exhausted while {context}"
-            )
-        count = max(n - self.size, min(_BLOCK, self.budget - self.size))
-        block = _realize(self.scm, self.order, self.source, self.size, count)
-        for node in self.order:
-            self.columns[node].extend(block[node])
-        self.size += count
+    order = topological_order(scm.dag)
+    for start in range(0, budget, _BLOCK):
+        block = _realize(scm, order, source, start, min(_BLOCK, budget - start))
+        yield from zip(itertools.count(start), *(block[n] for n in nodes))
 
 
 def simulate_case_control(
@@ -143,45 +127,44 @@ def simulate_case_control(
     if restrict(joint, (r_n,)).probs.get((1,), 0) <= 0:
         raise ExhaustionError("no case can occur: the response is never 1")
 
-    pop = _Population(population, source, budget)
-    x_col, t_col, r_col = pop.columns[x_n], pop.columns[t_n], pop.columns[r_n]
-
+    exhausted = f"population budget of {budget} rows exhausted while"
+    rows = _scan(population, (x_n, t_n, r_n), source, budget)
     cases: list = []
-    i = 0
-    while len(cases) < n_pairs:
-        pop.ensure(i + 1, f"scanning for case {len(cases) + 1} of {n_pairs}")
-        if r_col[i] == 1:
-            cases.append(i)
-        i += 1
+    for row in rows:
+        if row[3] == 1:
+            cases.append(row)
+            if len(cases) == n_pairs:
+                break
+    else:
+        raise ExhaustionError(f"{exhausted} scanning for case {len(cases) + 1} of {n_pairs}")
 
+    # The control search resumes where the case scan stopped, just past
+    # the last case; pools hold the scanned rows not used yet, by x.
     pools: dict = defaultdict(deque)
     controls: list = []
-    cursor = cases[-1] + 1
-    for k, case_idx in enumerate(cases):
-        x = x_col[case_idx]
+    for k, case in enumerate(cases):
+        x = case[1]
         if pools[x]:
             controls.append(pools[x].popleft())
             continue
-        while True:
-            pop.ensure(cursor + 1, f"matching a control for case {k + 1}")
-            idx = cursor
-            cursor += 1
-            if x_col[idx] == x:
-                controls.append(idx)
+        for row in rows:
+            if row[1] == x:
+                controls.append(row)
                 break
-            pools[x_col[idx]].append(idx)
+            pools[row[1]].append(row)
+        else:
+            raise ExhaustionError(f"{exhausted} matching a control for case {k + 1}")
 
     # Packed, as a sample may hold millions of rows: equal rows share one
     # tuple, indices are int64, and samples of one size share their roles.
     distinct: dict = {}
-    rows: list = []
+    packed: list = []
     indices = array("q")
-    for case_idx, ctrl_idx in zip(cases, controls):
-        for idx in (case_idx, ctrl_idx):
-            row = (x_col[idx], t_col[idx], r_col[idx])
-            rows.append(distinct.setdefault(row, row))
-            indices.append(idx)
-    return CaseControlSample(tuple(rows), indices, _roles(len(cases)))
+    for row in itertools.chain.from_iterable(zip(cases, controls)):
+        values = row[1:]
+        packed.append(distinct.setdefault(values, values))
+        indices.append(row[0])
+    return CaseControlSample(tuple(packed), indices, _roles(len(cases)))
 
 
 @lru_cache(maxsize=1)

@@ -36,7 +36,7 @@ from .estimands import (
 from .examples import ExampleSpec, build_example, list_examples
 from .exogenous import DigitStream
 from .graph import check_backdoor, check_backdoor_extended, descendants, enumerate_valid_adjustment_sets
-from .identify import adjust, ate, eelworms_effect, frontdoor, gformula2, support_values
+from .identify import backdoor_effect, eelworms_effect, frontdoor, gformula2, support_values
 from .scm import (
     Dataset,
     Intervention,
@@ -276,21 +276,17 @@ def _cmd_effect(args, report):
     ]
     if not t_values:
         raise _UsageError("--t-values needs at least one value")
-    laws = {
-        str(t): _str_keys(adjust(joint, args.t, t, args.r, z_nodes))
-        for t in t_values
-    }
+    # The command's effect is second minus first, the function's first
+    # minus second.
+    effect = backdoor_effect(joint, args.t, t_values[::-1], args.r, z_nodes)
     report["citations"] = [
         "P(R=r under do T=t) = sum_z P(R=r | T=t, Z=z) P(Z=z)"
     ]
+    laws = {str(t): _str_keys(effect.distributions[t]) for t in t_values}
     result = {"adjust": list(z_nodes), "laws": laws}
     if len(t_values) == 2:
-        try:
-            result["ate"] = float(
-                ate(joint, args.t, t_values[1], t_values[0], args.r, z_nodes)
-            )
-        except TypeError:
-            result["ate"] = None
+        result["ate"] = effect.ate
+        if effect.ate is None:
             report["warnings"].append(
                 "response values are not numeric; no average effect"
             )

@@ -20,8 +20,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from .errors import ConstraintError, InvalidArgumentError
+from .estimands import _HIRING_SHAPE, _TWO_STAGE_SHAPE
 from .exogenous import DigitStream, uniforms_at
 from .graph import Dag, topological_order
+from .identify import _EELWORMS_SHAPE, _FRONTDOOR_SHAPE, _GFORMULA_SHAPE
 from .scm import Cpt, Domain, Scm
 
 if TYPE_CHECKING:
@@ -34,7 +36,6 @@ __all__ = [
     "list_examples",
 ]
 
-FIG1_NODES = ("X1", "X2", "X3", "X4", "X5", "X6", "T", "R")
 FIG1_EDGES = (
     ("X1", "X3"),
     ("X2", "X3"),
@@ -48,7 +49,6 @@ FIG1_EDGES = (
     ("X6", "R"),
 )
 
-FIG1A_NODES = FIG1_NODES + ("X7", "X8", "X9")
 FIG1A_EDGES = FIG1_EDGES + (
     ("T", "X7"),
     ("X8", "X7"),
@@ -60,53 +60,6 @@ FIG1A_EDGES = FIG1_EDGES + (
     ("X9", "R"),
 )
 
-TWO_STAGE_NODES = ("Y1", "Y2", "Y3", "Y4", "U")
-TWO_STAGE_EDGES = (
-    ("Y2", "Y1"),
-    ("Y4", "Y1"),
-    ("U", "Y1"),
-    ("Y3", "Y2"),
-    ("Y4", "Y3"),
-    ("U", "Y3"),
-)
-
-SMOKING_NODES = ("X", "Y", "Z", "W")
-SMOKING_EDGES = (("X", "Y"), ("X", "W"), ("Y", "Z"), ("Z", "W"))
-
-EELWORMS_NODES = ("A", "B", "U", "X", "V", "W", "Y")
-EELWORMS_EDGES = (
-    ("A", "B"),
-    ("A", "U"),
-    ("A", "X"),
-    ("U", "V"),
-    ("X", "V"),
-    ("B", "W"),
-    ("V", "W"),
-    ("X", "Y"),
-    ("V", "Y"),
-    ("W", "Y"),
-)
-
-PLAN_NODES = ("X", "T", "R", "X2", "T2", "R2")
-PLAN_EDGES = (
-    ("X", "T"),
-    ("X", "R"),
-    ("T", "R"),
-    ("X", "X2"),
-    ("T", "X2"),
-    ("R", "X2"),
-    ("X2", "T2"),
-    ("T", "T2"),
-    ("R", "T2"),
-    ("X2", "R2"),
-    ("T2", "R2"),
-    ("T", "R2"),
-)
-
-HIRING_NODES = ("S", "B", "Q", "H")
-HIRING_EDGES = (("S", "B"), ("S", "Q"), ("B", "Q"), ("B", "H"), ("Q", "H"), ("S", "H"))
-
-IV_NODES = ("I", "U", "T", "R")
 IV_EDGES = (("I", "T"), ("U", "T"), ("U", "R"), ("T", "R"))
 
 _CC_DEFAULT_RECOVERY = {(1, 0): 2 / 3, (0, 0): 4 / 11, (1, 1): 7 / 13, (0, 1): 1 / 4}
@@ -335,7 +288,9 @@ def _lord(seed: int, **params):
     return _continuous_or_binned(model, params)
 
 
-def _seeded(nodes, edges) -> Callable:
+def _seeded(edges) -> Callable:
+    nodes = {n for edge in edges for n in edge}
+
     def build(seed: int, **params) -> Scm:
         return _fill(
             Dag(nodes, edges),
@@ -458,7 +413,7 @@ _CATALOG = (
         "among subsets of {X1..X5}, exactly {X3} plus one of X1, X2, X4, X5 "
         "(and supersets) block all four back-door paths; {X3} alone opens "
         "the collider X1 -> X3 <- X2",
-        _seeded(FIG1_NODES, FIG1_EDGES),
+        _seeded(FIG1_EDGES),
     ),
     _Entry(
         "fig1a",
@@ -468,7 +423,7 @@ _CATALOG = (
         "conditioning on descendants of T needs the pseudo-treatment check; "
         "conditioning on X9 cuts a response mechanism input and is flagged "
         "as overruling part of the effect",
-        _seeded(FIG1A_NODES, FIG1A_EDGES),
+        _seeded(FIG1A_EDGES),
     ),
     _Entry(
         "two_stage",
@@ -477,7 +432,7 @@ _CATALOG = (
         _SEEDED_PARAMS,
         "p_t(y) = sum_y3 P(Y1=y | Y2=y2, Y3=y3, Y4=t) P(Y3=y3 | Y4=t) "
         "recovers the direct effect of Y4 with Y2 held fixed",
-        _seeded(TWO_STAGE_NODES, TWO_STAGE_EDGES),
+        _seeded(_TWO_STAGE_SHAPE),
     ),
     _Entry(
         "smoking",
@@ -486,7 +441,7 @@ _CATALOG = (
         _SEEDED_PARAMS,
         "front-door identity: l_y(w) = sum_z P(z|y) sum_y' P(w|y',z) P(y') "
         "needs no stratum of the hidden X",
-        _seeded(SMOKING_NODES, SMOKING_EDGES),
+        _seeded(_FRONTDOOR_SHAPE),
     ),
     _Entry(
         "eelworms",
@@ -495,7 +450,7 @@ _CATALOG = (
         _SEEDED_PARAMS,
         "mu_x(y) = sum_(v,w) P(y|x,v,w) sum_u P(v|x,u) "
         "sum_x' P(w|v,x',u) P(x',u) removes the confounded treatment choice",
-        _seeded(EELWORMS_NODES, EELWORMS_EDGES),
+        _seeded(_EELWORMS_SHAPE),
     ),
     _Entry(
         "treatment_plan",
@@ -505,7 +460,7 @@ _CATALOG = (
         "g-formula: the law of R2 under the plan (t, t2) is "
         "sum_(x,r,x2) P(x) P(r|x,t) P(x2|x,t,r) P(r2|x2,t2,t) "
         "with both treatment mechanisms frozen",
-        _seeded(PLAN_NODES, PLAN_EDGES),
+        _seeded(_GFORMULA_SHAPE),
     ),
     _Entry(
         "hiring",
@@ -514,7 +469,7 @@ _CATALOG = (
         _SEEDED_PARAMS,
         "sum_(b,q) E(H | b, q, S=s) {P(b,q | S=0) - P(b,q | S=1)} isolates "
         "the hiring channel that runs through background and qualification",
-        _seeded(HIRING_NODES, HIRING_EDGES),
+        _seeded(_HIRING_SHAPE),
     ),
     _Entry(
         "iv_binary",
@@ -523,7 +478,7 @@ _CATALOG = (
         _SEEDED_PARAMS,
         "theta = {E(R|I=1) - E(R|I=0)} / {E(T|I=1) - E(T|I=0)} equals the "
         "complier treatment effect under monotone uptake",
-        _seeded(IV_NODES, IV_EDGES),
+        _seeded(IV_EDGES),
     ),
     _Entry(
         "case_control_pop",

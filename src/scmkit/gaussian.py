@@ -44,7 +44,7 @@ __all__ = [
 SLOPE_DEAD_ZONE = 1e-12
 
 _CORRELATION_FLOOR = 1e-12  # least eigenvalue of a non-singular block rescaled to unit diagonal
-_EIGEN_FLOOR = -1e-9
+_EIGEN_FLOOR = -1e-9  # least eigenvalue allowed per unit of the largest variance
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,10 @@ class GaussianLaw:
             raise InvalidArgumentError("mean/covariance shapes do not match order")
         if not np.allclose(cov, cov.T, atol=1e-9, rtol=0.0):
             raise InvalidArgumentError("covariance must be symmetric")
-        if k and float(np.linalg.eigvalsh((cov + cov.T) / 2).min()) < _EIGEN_FLOOR:
-            raise InvalidArgumentError("covariance must be positive semidefinite")
+        if k:
+            floor = _EIGEN_FLOOR * max(1.0, float(cov.diagonal().max()))
+            if float(np.linalg.eigvalsh((cov + cov.T) / 2).min()) < floor:
+                raise InvalidArgumentError("covariance must be positive semidefinite")
 
     def index(self, node: str) -> int:
         try:

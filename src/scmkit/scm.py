@@ -95,14 +95,6 @@ class JointTable:
         except ValueError:
             raise InvalidArgumentError(f"{node!r} not in joint table") from None
 
-    def total(self):
-        return sum(self.probs.values())
-
-    def prob(self, assignment: dict):
-        """Mass of a partial assignment {node: value, ...}."""
-        idx = [(self.index(n), v) for n, v in assignment.items()]
-        return sum(p for cfg, p in self.probs.items() if all(cfg[i] == v for i, v in idx))
-
 
 @dataclass
 class Dataset:
@@ -485,8 +477,10 @@ def scm_to_json(scm: Scm) -> str:
                 raise InvalidArgumentError(
                     f"domain value {v!r} of {node!r} cannot appear in a row key"
                 )
+        # A key part is spelled as the loader reads the domain value back:
+        # the float 0.0 is written 0 and read as the integer 0.
         table = {
-            "|".join(str(v) for v in cfg): [float(p) for p in row]
+            "|".join(str(json.loads(_canonical(v))) for v in cfg): [float(p) for p in row]
             for cfg, row in cpt.table.items()
         }
         nodes.append(

@@ -153,6 +153,19 @@ class TestSimulate:
         with pytest.raises(ExhaustionError, match="budget"):
             simulate_case_control(cc_population(), 50, DigitStream(2), budget=100)
 
+    @pytest.mark.parametrize(
+        "n, budget, phase",
+        [
+            (60, 120, "scanning for case 56 of 60"),
+            (50, 100, "matching a control for case 2"),
+        ],
+    )
+    def test_exhaustion_names_the_phase(self, n, budget, phase):
+        message = f"population budget of {budget} rows exhausted while {phase}"
+        with pytest.raises(ExhaustionError) as err:
+            simulate_case_control(cc_population(), n, DigitStream(2), budget=budget)
+        assert str(err.value) == message
+
     def test_requires_binary_response(self):
         dag = Dag(["X", "T", "R"], [("X", "T"), ("X", "R"), ("T", "R")])
         domains = {

@@ -22,7 +22,9 @@ from scmkit.scm import (
     expectation,
     intervene,
     joint_distribution,
+    load_model,
     restrict,
+    save_model,
     validate_scm,
 )
 
@@ -49,6 +51,18 @@ EXACT_SIMPSON = {
     "beta": Fraction(4, 5),
     "x0_weight": Fraction(1, 2),
 }
+
+
+FILE_SPECS = [
+    ExampleSpec(name, seed=seed)
+    for name in CATALOG_NAMES
+    if name not in ("simpson_continuous", "lord")
+    for seed in (0, 3)
+] + [
+    ExampleSpec(name, {"discrete": True, "bins": bins})
+    for name in ("simpson_continuous", "lord")
+    for bins in range(2, 18)
+]
 
 
 def norm_cdf(z: float) -> float:
@@ -89,16 +103,32 @@ class TestCatalog:
             ExampleSpec("simpson_binary", {"slope": 2.0})
 
 
+class TestModelFiles:
+    @pytest.mark.parametrize(
+        "spec",
+        FILE_SPECS,
+        ids=lambda spec: (
+            f"{spec.name}-bins{spec.params['bins']}" if spec.params else f"{spec.name}-seed{spec.seed}"
+        ),
+    )
+    def test_written_files_load_and_resave_to_the_same_bytes(self, spec, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(build_example(spec), path)
+        text = path.read_text()
+        save_model(load_model(path), path)
+        assert path.read_text() == text
+
+
 class TestSimpsonBinary:
     def test_default_fixture_reverses_in_aggregate_only(self):
         joint = joint_distribution(build_example(ExampleSpec("simpson_binary")))
-        treated = restrict(joint, ("R",), {"T": 1}).prob({"R": 1})
-        untreated = restrict(joint, ("R",), {"T": 0}).prob({"R": 1})
+        treated = restrict(joint, ("R",), {"T": 1}).probs[(1,)]
+        untreated = restrict(joint, ("R",), {"T": 0}).probs[(1,)]
         assert treated == pytest.approx(0.58, abs=1e-12)
         assert untreated == pytest.approx(0.60, abs=1e-12)
         for x in (0, 1):
-            helped = restrict(joint, ("R",), {"T": 1, "X": x}).prob({"R": 1})
-            unhelped = restrict(joint, ("R",), {"T": 0, "X": x}).prob({"R": 1})
+            helped = restrict(joint, ("R",), {"T": 1, "X": x}).probs[(1,)]
+            unhelped = restrict(joint, ("R",), {"T": 0, "X": x}).probs[(1,)]
             assert helped > unhelped
 
     def test_adjusted_values_undo_the_reversal(self):
@@ -109,8 +139,8 @@ class TestSimpsonBinary:
     def test_rational_parameters_stay_exact(self):
         model = build_example(ExampleSpec("simpson_binary", EXACT_SIMPSON))
         joint = joint_distribution(model)
-        treated = restrict(joint, ("R",), {"T": 1}).prob({"R": 1})
-        untreated = restrict(joint, ("R",), {"T": 0}).prob({"R": 1})
+        treated = restrict(joint, ("R",), {"T": 1}).probs[(1,)]
+        untreated = restrict(joint, ("R",), {"T": 0}).probs[(1,)]
         assert treated == Fraction(29, 50)
         assert untreated == Fraction(3, 5)
         assert adjust(joint, "T", 1, "R", ("X",))[1] == Fraction(7, 10)
@@ -129,8 +159,8 @@ class TestSimpsonBinary:
         params = {"beta0": 0.7, "beta1": 0.4, "paradox": False}
         model = build_example(ExampleSpec("simpson_binary", params))
         joint = joint_distribution(model)
-        assert restrict(joint, ("T",), {"X": 0}).prob({"T": 1}) == pytest.approx(0.7)
-        assert restrict(joint, ("T",), {"X": 1}).prob({"T": 1}) == pytest.approx(0.4)
+        assert restrict(joint, ("T",), {"X": 0}).probs[(1,)] == pytest.approx(0.7)
+        assert restrict(joint, ("T",), {"X": 1}).probs[(1,)] == pytest.approx(0.4)
 
     def test_asymmetric_uptake_refuses_paradox_mode(self):
         params = {"beta0": 0.7, "beta1": 0.4}
@@ -228,7 +258,7 @@ class TestSeededEntries:
             oracle = joint_distribution(intervene(model, Intervention({"Y": y})))
             want = restrict(oracle, ("W",))
             got = {w: report.effect[(y, w)] for w in (0, 1)}
-            dev = max(abs(got[w] - want.prob({"W": w})) for w in (0, 1))
+            dev = max(abs(got[w] - want.probs[(w,)]) for w in (0, 1))
             assert dev <= 1e-12
 
 
@@ -272,7 +302,7 @@ class TestDiscretizeLg:
             got = restrict(joint, (node,))
             values = binned.domains[node].values
             tv = 0.5 * sum(
-                abs(got.prob({node: values[j]}) - exact[j]) for j in range(16)
+                abs(got.probs.get((values[j],), 0) - exact[j]) for j in range(16)
             )
             assert tv <= 0.02
 

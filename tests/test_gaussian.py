@@ -13,6 +13,7 @@ from scmkit.gaussian import (
     lg_intervene,
     lg_moments,
     lg_sample,
+    lord_component,
     lord_report,
     norm_ppf,
     simpson_cont_model,
@@ -142,6 +143,31 @@ class TestGaussianLaw:
     def test_indefinite_covariance_rejected(self):
         with pytest.raises(InvalidArgumentError):
             GaussianLaw(("A", "B"), np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e6, 1e12])
+    def test_indefinite_covariance_rejected_at_any_scale(self, scale):
+        with pytest.raises(InvalidArgumentError, match="positive semidefinite"):
+            GaussianLaw(("A", "B"), np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]) * scale)
+
+    @pytest.mark.parametrize("var", [1.0, 1e4, 1e6, 1e8, 1e10, 1e12])
+    def test_rank_deficient_model_accepted_at_any_scale(self, var):
+        # B copies A and Y triples it without noise; rounding leaves the
+        # least eigenvalue slightly below 0, by an amount that grows with var.
+        dag = Dag(("A", "B", "Y"), (("A", "B"), ("A", "Y")))
+        model = LinearGaussianScm(
+            dag,
+            intercepts={"A": 0.0, "B": 0.0, "Y": 0.0},
+            coefficients={"A": {}, "B": {"A": 1.0}, "Y": {"A": 3.0}},
+            noise_vars={"A": var, "B": 0.0, "Y": 0.0},
+        )
+        law = lg_moments(model)
+        assert law.var_of("Y") == pytest.approx(9 * var)
+
+    @pytest.mark.parametrize("sigma, rho", [(1.0, 0.2), (1.0, 0.45), (0.7, 0.1), (10.0, 0.7)])
+    def test_cancelled_conditional_variance_accepted(self, sigma, rho):
+        # G = R - X, so given X and R its variance cancels to within rounding of 0.
+        law = lg_condition(lg_moments(lord_component(0.0, sigma, rho)), {"X": 0.3, "R": 1.0})
+        assert abs(law.var_of("G")) < 1e-12
 
     def test_unknown_node(self):
         law = GaussianLaw(("A",), np.zeros(1), np.eye(1))

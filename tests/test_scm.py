@@ -133,7 +133,7 @@ class TestJointDistribution:
 
     def test_normalization(self):
         scm = fill(Dag(FIG1_NODES, FIG1_EDGES), seed=11)
-        assert abs(joint_distribution(scm).total() - 1.0) < 1e-10
+        assert abs(sum(joint_distribution(scm).probs.values()) - 1.0) < 1e-10
 
     def test_state_space_guard(self):
         names = [f"B{i}" for i in range(24)]
@@ -384,6 +384,26 @@ class TestModelFormat:
             {"A": Cpt("A", (), {(): (1 / 3, 1 / 3, 1 / 3)})},
         )
         assert "0.33333333333333331" in scm_to_json(scm)
+
+    @pytest.mark.parametrize(
+        "values",
+        [(-1.0, 0.0, 1.0), (2.0, 1e16), (Fraction(1, 2), Fraction(1, 3), Fraction(3))],
+    )
+    def test_numeric_parent_domains_round_trip(self, values):
+        # The domain list writes 0.0 as 0 and 1/2 as 0.5; row keys must
+        # spell each value as the loader reads it back.
+        scm = Scm(
+            Dag(["A", "B"], [("A", "B")]),
+            {"A": Domain("A", values), "B": Domain("B", (0, 1))},
+            {
+                "A": Cpt("A", (), {(): tuple(1 / len(values) for _ in values)}),
+                "B": Cpt("B", ("A",), {(v,): (0.25, 0.75) for v in values}),
+            },
+        )
+        text = scm_to_json(scm)
+        back = scm_from_json(text)
+        assert back.domains["A"].values == tuple(map(float, values))
+        assert scm_to_json(back) == text
 
     def test_row_keys_join_parent_values(self):
         text = scm_to_json(simpson_scm())
