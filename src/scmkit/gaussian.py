@@ -15,7 +15,7 @@ identical gain laws despite different direct effects.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Mapping
 
 import numpy as np
@@ -44,7 +44,7 @@ __all__ = [
 SLOPE_DEAD_ZONE = 1e-12
 
 _CORRELATION_FLOOR = 1e-12  # least eigenvalue of a non-singular block rescaled to unit diagonal
-_EIGEN_FLOOR = -1e-9  # least eigenvalue allowed per unit of the largest variance
+_EIGEN_FLOOR = -1e-9  # least eigenvalue allowed per unit of the largest source variance
 
 
 @dataclass(frozen=True)
@@ -86,8 +86,11 @@ class GaussianLaw:
     order: tuple[str, ...]
     mean: np.ndarray
     covariance: np.ndarray
+    # Variances of the law the covariance was computed from: rounding there
+    # sets the semidefiniteness floor.  A law built directly uses its own.
+    _scale: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _scale) -> None:
         mean = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.covariance, dtype=float)
         object.__setattr__(self, "order", tuple(self.order))
@@ -99,7 +102,7 @@ class GaussianLaw:
         if not np.allclose(cov, cov.T, atol=1e-9, rtol=0.0):
             raise InvalidArgumentError("covariance must be symmetric")
         if k:
-            floor = _EIGEN_FLOOR * max(1.0, float(cov.diagonal().max()))
+            floor = _EIGEN_FLOOR * float(np.max(cov.diagonal() if _scale is None else _scale))
             if float(np.linalg.eigvalsh((cov + cov.T) / 2).min()) < floor:
                 raise InvalidArgumentError("covariance must be positive semidefinite")
 
@@ -164,7 +167,7 @@ def lg_condition(law: GaussianLaw, on: Mapping[str, float]) -> GaussianLaw:
     mean = law.mean[keep] + gain @ (values - law.mean[drop])
     cov = s_kk - gain @ s_kd.T
     cov = (cov + cov.T) / 2
-    return GaussianLaw(tuple(law.order[i] for i in keep), mean, cov)
+    return GaussianLaw(tuple(law.order[i] for i in keep), mean, cov, np.diag(s_kk))
 
 
 def lg_intervene(

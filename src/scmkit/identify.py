@@ -24,7 +24,7 @@ from typing import Mapping
 
 from .errors import InvalidArgumentError, PositivityError
 from .graph import Dag
-from .scm import POSITIVITY_CUTOFF, JointTable, _marginals, conditional_laws
+from .scm import POSITIVITY_CUTOFF, JointTable, _marginals, _scan, conditional_laws
 
 __all__ = [
     "EffectReport",
@@ -122,7 +122,8 @@ def _laws(joint: JointTable, targets: tuple, given_nodes: tuple):
 def support_values(joint: JointTable, node: str) -> list:
     """Values of `node` carrying positive mass, in a stable order."""
     i = joint.index(node)
-    seen = {cfg[i] for cfg in joint.probs}
+    _, (codes,) = _scan(joint, [[i]])
+    seen = {joint.values[i][c] for c in set(codes)}
     try:
         return sorted(seen)
     except TypeError:

@@ -18,11 +18,13 @@ whichever arithmetic the tables carry.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
-from operator import itemgetter
-from dataclasses import dataclass, field
+import operator
+from collections.abc import ItemsView, Mapping, ValuesView
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -82,18 +84,126 @@ class Scm:
         self.meta = dict(meta or {})
 
 
-@dataclass
 class JointTable:
-    """Exact joint law: full configuration tuple -> probability."""
+    """Exact joint law over the nodes in `order`, stored densely.
 
-    order: tuple
-    probs: dict
+    `masses` is one flat list over every configuration, row-major in
+    `order` (the last node varies fastest): node j takes the values
+    `values[j]`, and the configuration with value codes (c_0, ..., c_n-1)
+    sits at sum(c_j * strides[j]).  The law's configurations, its keys, are
+    the positions `keys`, in that order; when `keys` is None they are the
+    positions of nonzero mass, in row-major order, and `zeros` says whether
+    any mass is zero.  `probs` reads the law as {configuration: probability}.
+
+    `JointTable(order, probs)` builds a table from such a mapping, keeping
+    its keys and their order.
+    """
+
+    def __init__(self, order, probs: Mapping):
+        order = tuple(order)
+        values = tuple(tuple(dict.fromkeys(cfg[j] for cfg in probs)) for j in range(len(order)))
+        self._set(order, values, [0] * math.prod(map(len, values)), [])
+        for cfg, p in probs.items():
+            pos = self._position(cfg)
+            self.masses[pos] = p
+            self.keys.append(pos)
+        self._keyset = set(self.keys)
+
+    @classmethod
+    def _dense(cls, order, values, masses, keys=None, zeros=True) -> "JointTable":
+        table = cls.__new__(cls)
+        table._set(order, values, masses, keys, zeros)
+        return table
+
+    def _set(self, order, values, masses, keys, zeros=True):
+        self.order, self.values, self.masses, self.keys = order, values, masses, keys
+        self.zeros = zeros
+        self.sizes = tuple(map(len, values))
+        self.strides = tuple(math.prod(self.sizes[j + 1:]) for j in range(len(order)))
+        self._keyset = None if keys is None else set(keys)
+        self._size = None
+        self._lookups = None
 
     def index(self, node) -> int:
         try:
             return self.order.index(node)
         except ValueError:
             raise InvalidArgumentError(f"{node!r} not in joint table") from None
+
+    @property
+    def probs(self) -> "_Probs":
+        return _Probs(self)
+
+    def __eq__(self, other):
+        if not isinstance(other, JointTable):
+            return NotImplemented
+        return self.order == other.order and self.probs == other.probs
+
+    def __repr__(self):
+        return f"JointTable({self.order!r}, {self.probs!r})"
+
+    def _position(self, cfg) -> int:
+        """Flat position of a configuration tuple; KeyError off the grid."""
+        if self._lookups is None:
+            self._lookups = [{v: c for c, v in enumerate(vals)} for vals in self.values]
+        if not isinstance(cfg, tuple) or len(cfg) != len(self.order):
+            raise KeyError(cfg)
+        return sum(map(operator.mul, map(dict.__getitem__, self._lookups, cfg), self.strides))
+
+
+class _Probs(Mapping):
+    """Read-only {configuration tuple: probability} view of a JointTable."""
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table: JointTable):
+        self._table = table
+
+    def __len__(self):
+        t = self._table
+        if t._size is None:
+            n = len(t.masses)
+            t._size = len(t.keys) if t.keys is not None else n - (t.masses.count(0) if t.zeros else 0)
+        return t._size
+
+    def __getitem__(self, cfg):
+        t = self._table
+        pos = t._position(cfg)
+        if pos in t._keyset if t.keys is not None else t.masses[pos] != 0:
+            return t.masses[pos]
+        raise KeyError(cfg)
+
+    def __iter__(self):
+        t = self._table
+        configs = itertools.product(*t.values)
+        if t.keys is None:
+            return itertools.compress(configs, t.masses)
+        return map(list(configs).__getitem__, t.keys)
+
+    def items(self):
+        return _Items(self)
+
+    def values(self):
+        return _Values(self)
+
+    def _masses(self):
+        t = self._table
+        if t.keys is None:
+            return itertools.compress(t.masses, t.masses)
+        return map(t.masses.__getitem__, t.keys)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
+class _Items(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, self._mapping._masses())
+
+
+class _Values(ValuesView):
+    def __iter__(self):
+        return self._mapping._masses()
 
 
 @dataclass
@@ -230,7 +340,13 @@ def validate_scm(scm: Scm) -> list[str]:
 
 
 def joint_distribution(scm: Scm) -> JointTable:
-    """Exact joint law over all nodes, enumerated in topological order."""
+    """Exact joint law over all nodes, enumerated in topological order.
+
+    The masses grow row-major one node at a time: every configuration of the
+    nodes so far is multiplied by its row of the node's table, found from
+    the parents' value codes in mixed radix, as `_realize` finds it.  A
+    table may lack a row only where no configuration with mass reaches it.
+    """
     order = topological_order(scm.dag)
     size = 1
     for node in order:
@@ -239,24 +355,112 @@ def joint_distribution(scm: Scm) -> JointTable:
             raise ResourceLimitError(
                 f"state space exceeds {MAX_JOINT_CONFIGS} configurations"
             )
-    position = {n: i for i, n in enumerate(order)}
-    partial = {(): 1}
-    for node in order:
+    values = tuple(scm.domains[n].values for n in order)
+    sizes = tuple(map(len, values))
+    axis = {n: j for j, n in enumerate(order)}
+    # A product of nonzero factors that underflows to 0 (or a non-finite
+    # factor times 0) would blur which configurations are keys.  `floor`
+    # bounds every product from below; once it reaches 0 or a factor is
+    # non-finite, `alive` (0/1 per configuration) tracks the keys instead.
+    masses, alive, floor, zeros = [1], None, 1, False
+    for j, node in enumerate(order):
         cpt = scm.cpts[node]
-        parent_pos = [position[p] for p in cpt.parents]
-        values = scm.domains[node].values
-        grown = {}
-        for cfg, mass in partial.items():
-            try:
-                row = cpt.table[tuple(cfg[i] for i in parent_pos)]
-            except KeyError as exc:
-                raise _missing_row(cpt, exc.args[0]) from None
-            for value, p in zip(values, row):
-                if p == 0:
-                    continue
-                grown[cfg + (value,)] = mass * p
-        partial = grown
-    return JointTable(tuple(order), partial)
+        parents = [axis[p] for p in cpt.parents]
+        if any(a >= j for a in parents):
+            raise InvalidArgumentError(
+                f"{node!r}: table parents {list(cpt.parents)} != graph parents "
+                f"{list(scm.dag.parents(node))}"
+            )
+        configs = list(itertools.product(*(values[a] for a in parents)))
+        rows = [cpt.table.get(cfg) for cfg in configs]
+        at = _codes(_radix(sizes, parents)[:j])
+        if None in rows:
+            for m, r in zip(masses if alive is None else alive, at):
+                if m and rows[r] is None:
+                    raise _missing_row(cpt, configs[r])
+        # As zip() reads a row: entries past the domain are ignored and
+        # missing ones are 0.
+        k = sizes[j]
+        rows = [row if row is not None and len(row) == k else _fit(row or (), k) for row in rows]
+        entries = list(itertools.chain.from_iterable(rows))
+        zeros = zeros or 0 in entries
+        floor *= min(map(abs, filter(None, entries)), default=1)
+        if alive is None and not (floor > 0 and all(map(math.isfinite, entries))):
+            alive = [1 if m else 0 for m in masses]
+        if alive is None:
+            # A structural zero stays 0 without a multiplication.
+            masses = [m * p if m and p else 0 for m, r in zip(masses, at) for p in rows[r]]
+        else:
+            masses = [m * p for m, r in zip(masses, at) for p in rows[r]]
+            alive = [a * (p != 0) for a, r in zip(alive, at) for p in rows[r]]
+    keys = None if alive is None else list(itertools.compress(itertools.count(), alive))
+    return JointTable._dense(tuple(order), values, masses, keys, zeros)
+
+
+def _fit(row, k: int) -> tuple:
+    return tuple(row[:k]) + (0,) * (k - len(row))
+
+
+def _radix(sizes, axes) -> list:
+    """Per-axis offsets of the mixed-radix code of `axes` (in that order):
+    value code c of axis a adds offsets[a][c]; other axes add 0."""
+    weight, r = [0] * len(sizes), 1
+    for a in reversed(axes):
+        weight[a] += r
+        r *= sizes[a]
+    return [range(0, k * w, w) if w else (0,) * k for k, w in zip(sizes, weight)]
+
+
+def _codes(offsets, base: int = 0) -> list:
+    """base plus one offset per axis, at every row-major position of the
+    grid whose axis i has the len(offsets[i]) values."""
+    codes = [base]
+    for steps in reversed(offsets):
+        if any(steps):
+            shifted = (map(operator.add, codes, itertools.repeat(d)) for d in steps)
+            codes = list(itertools.chain.from_iterable(shifted))
+        else:
+            codes *= len(steps)
+    return codes
+
+
+def _scan(joint: JointTable, axes_lists, fixed: dict | None = None) -> tuple:
+    """The masses of the joint's keys whose value codes match `fixed`
+    ({axis: code}), in key order, and for each list of axes the row-major
+    code of every such key's values on those axes."""
+    fixed = fixed or {}
+    offsets = [_radix(joint.sizes, axes) for axes in axes_lists]
+    if joint.keys is None:
+        # Only the matching positions are visited: the grid of the free axes.
+        free = [a for a in range(len(joint.sizes)) if a not in fixed]
+        codes = [_codes([offs[a] for a in free]) for offs in offsets]
+        masses = joint.masses
+        if fixed:
+            strides = _radix(joint.sizes, range(len(joint.sizes)))
+            base = sum(strides[a][c] for a, c in fixed.items())
+            masses = list(map(masses.__getitem__, _codes([strides[a] for a in free], base)))
+        if joint.zeros:
+            codes = [list(itertools.compress(cs, masses)) for cs in codes]
+            masses = list(itertools.compress(masses, masses))
+        return masses, codes
+    keys = joint.keys
+    if fixed:
+        miss = _codes([
+            [int(c != fixed[a]) for c in range(k)] if a in fixed else (0,) * k
+            for a, k in enumerate(joint.sizes)
+        ])
+        keys = [pos for pos in keys if not miss[pos]]
+    codes = [list(map(_codes(offs).__getitem__, keys)) for offs in offsets]
+    return list(map(joint.masses.__getitem__, keys)), codes
+
+
+def _sums(codes, masses, size: int) -> dict:
+    """{code: total mass}: masses added in scan order, codes in the order
+    of their first appearance."""
+    acc = [0] * size
+    for c, p in zip(codes, masses):
+        acc[c] += p
+    return {c: acc[c] for c in dict.fromkeys(codes)}
 
 
 def restrict(joint: JointTable, targets, given: dict | None = None) -> JointTable:
@@ -270,18 +474,21 @@ def restrict(joint: JointTable, targets, given: dict | None = None) -> JointTabl
         targets = tuple(targets)
     if set(targets) & set(given):
         raise InvalidArgumentError("targets and conditioning nodes must be disjoint")
-    target_idx = [joint.index(n) for n in targets]
-    given_idx = [(joint.index(n), v) for n, v in given.items()]
-    mass = 0
-    sums: dict = {}
-    for cfg, p in joint.probs.items():
-        if all(cfg[i] == v for i, v in given_idx):
-            mass += p
-            key = tuple(cfg[i] for i in target_idx)
-            sums[key] = sums.get(key, 0) + p
+    target_axes = [joint.index(n) for n in targets]
+    given_axes = [(joint.index(n), v) for n, v in given.items()]
+    masses, codes = [], []
+    if all(v in joint.values[a] for a, v in given_axes):
+        fixed = {a: joint.values[a].index(v) for a, v in given_axes}
+        masses, (codes,) = _scan(joint, [target_axes], fixed)
+    mass = functools.reduce(operator.add, masses, 0)
     if float(mass) <= POSITIVITY_CUTOFF:
         raise ZeroProbabilityError(f"conditioning event {given!r} has probability 0")
-    return JointTable(targets, {k: v / mass for k, v in sums.items()})
+    values = tuple(joint.values[a] for a in target_axes)
+    probs = [0] * math.prod(map(len, values))
+    sums = _sums(codes, masses, len(probs))
+    for c, m in sums.items():
+        probs[c] = m / mass
+    return JointTable._dense(targets, values, probs, list(sums))
 
 
 def _marginals(joint: JointTable, *node_tuples) -> list:
@@ -291,18 +498,12 @@ def _marginals(joint: JointTable, *node_tuples) -> list:
     Masses accumulate in joint order and keys appear in the order of their
     first configuration, exactly as `restrict` sums them.
     """
-    keys = []
-    for nodes in node_tuples:
-        pos = [joint.index(n) for n in nodes]
-        # itemgetter(*pos) returns a bare value for one position and fails for
-        # none; a slice keeps those keys tuples.
-        short = slice(pos[0], pos[0] + 1) if pos else slice(0)
-        keys.append(itemgetter(*pos) if len(pos) > 1 else itemgetter(short))
-    tables: list = [{} for _ in node_tuples]
-    for cfg, p in joint.probs.items():
-        for key_of, table in zip(keys, tables):
-            key = key_of(cfg)
-            table[key] = table.get(key, 0) + p
+    axes = [[joint.index(n) for n in nodes] for nodes in node_tuples]
+    masses, codes = _scan(joint, axes)
+    tables = []
+    for ax, cs in zip(axes, codes):
+        configs = list(itertools.product(*(joint.values[a] for a in ax)))
+        tables.append({configs[c]: m for c, m in _sums(cs, masses, len(configs)).items()})
     return tables
 
 
@@ -314,17 +515,27 @@ def conditional_laws(joint: JointTable, targets: tuple, given_nodes: tuple) -> d
     what `restrict(joint, targets, dict(zip(given_nodes, given_cfg)))`
     returns; strata with mass at or below POSITIVITY_CUTOFF are left out.
     """
-    targets, given_nodes = tuple(targets), tuple(given_nodes)
-    if set(targets) & set(given_nodes):
-        raise InvalidArgumentError("targets and conditioning nodes must be disjoint")
-    masses, cells = _marginals(joint, given_nodes, given_nodes + targets)
+    return _conditional_laws(joint, tuple(given_nodes), tuple(targets))[0]
+
+
+def _conditional_laws(joint: JointTable, given_nodes: tuple, *target_tuples) -> list:
+    """`conditional_laws` for several target tuples from one scan."""
+    for targets in target_tuples:
+        if set(targets) & set(given_nodes):
+            raise InvalidArgumentError("targets and conditioning nodes must be disjoint")
+    masses, *cell_tables = _marginals(
+        joint, given_nodes, *(given_nodes + targets for targets in target_tuples)
+    )
     k = len(given_nodes)
-    laws: dict = {g: {} for g, mass in masses.items() if float(mass) > POSITIVITY_CUTOFF}
-    for key, mass in cells.items():
-        law = laws.get(key[:k])
-        if law is not None:
-            law[key[k:]] = mass / masses[key[:k]]
-    return laws
+    out = []
+    for cells in cell_tables:
+        laws: dict = {g: {} for g, mass in masses.items() if float(mass) > POSITIVITY_CUTOFF}
+        for key, mass in cells.items():
+            law = laws.get(key[:k])
+            if law is not None:
+                law[key[k:]] = mass / masses[key[:k]]
+        out.append(laws)
+    return out
 
 
 def expectation(joint: JointTable, node, given: dict | None = None):
@@ -334,13 +545,24 @@ def expectation(joint: JointTable, node, given: dict | None = None):
 
 
 def total_variation(a: JointTable, b: JointTable) -> float:
-    """Half the L1 distance between two laws over the same nodes."""
+    """Half the L1 distance between two laws over the same nodes, summed
+    row-major over the union of their value grids."""
     if set(a.order) != set(b.order):
         raise InvalidArgumentError("laws cover different nodes")
     perm = [b.index(n) for n in a.order]
-    b_re = {tuple(cfg[j] for j in perm): p for cfg, p in b.probs.items()}
-    keys = set(a.probs) | set(b_re)
-    return 0.5 * sum(abs(float(a.probs.get(k, 0)) - float(b_re.get(k, 0))) for k in keys)
+    grid = [tuple(dict.fromkeys(a.values[i] + b.values[j])) for i, j in enumerate(perm)]
+    strides = _radix(tuple(map(len, grid)), range(len(grid)))
+    dense = []
+    for table, axes in ((a, range(len(perm))), (b, perm)):
+        # Position on the grid of each of the table's own row-major codes.
+        at = _codes([[s[g.index(v)] for v in table.values[ax]]
+                     for s, g, ax in zip(strides, grid, axes)])
+        masses, (codes,) = _scan(table, [axes])
+        law = [0] * math.prod(map(len, grid))
+        for c, p in zip(codes, masses):
+            law[at[c]] = p
+        dense.append(law)
+    return 0.5 * sum(abs(float(p) - float(q)) for p, q in zip(*dense))
 
 
 def intervene(scm: Scm, iv: Intervention) -> Scm:
@@ -424,7 +646,7 @@ def cond_independent(joint: JointTable, a, b, c, tol: float = 1e-12):
         raise InvalidArgumentError("node sets must be pairwise disjoint")
     if not a or not b:
         return True, 0.0
-    ab, pa, pb = (conditional_laws(joint, nodes, c) for nodes in (a + b, a, b))
+    ab, pa, pb = _conditional_laws(joint, c, a + b, a, b)
     worst = 0.0
     for c_cfg, law_ab in ab.items():
         for a_cfg, p_a in pa[c_cfg].items():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 from scmkit.exogenous import DigitStream, uniforms_at
 from scmkit.graph import Dag, topological_order
@@ -105,6 +106,27 @@ def fill(dag: Dag, seed: int, sizes: dict | None = None, floor: float = 0.05) ->
     return Scm(dag, domains, cpts)
 
 
+def sparse_model(seed: int, n: int = 6, exact: bool = False) -> Scm:
+    """Random DAG over n nodes of one to three values whose tables have zero
+    cells (integer weights 0-3), with float or Fraction probabilities."""
+    draws = iter(uniforms_at(DigitStream(seed), 1, 0, 4096).tolist())
+    names = [f"V{i}" for i in range(n)]
+    edges = [(a, b) for i, a in enumerate(names) for b in names[i + 1:] if next(draws) < 0.4]
+    dag = Dag(names, edges)
+    domains = {v: Domain(v, tuple(range(1 + int(3 * next(draws))))) for v in names}
+    cpts = {}
+    for node in names:
+        parents = tuple(dag.parents(node))
+        k = len(domains[node].values)
+        table = {}
+        for cfg in itertools.product(*[domains[p].values for p in parents]):
+            w = [int(4 * next(draws)) for _ in range(k)]
+            w[int(k * next(draws))] += not any(w)
+            table[cfg] = tuple(Fraction(x, sum(w)) if exact else x / sum(w) for x in w)
+        cpts[node] = Cpt(node, parents, table)
+    return Scm(dag, domains, cpts)
+
+
 def frontdoor_model(seed: int, sizes: dict | None = None) -> Scm:
     return fill(Dag(FRONTDOOR_NODES, FRONTDOOR_EDGES), seed, sizes)
 
@@ -161,3 +183,39 @@ def drift_dataset(seed: int, n: int, shift: float) -> Dataset:
     head = sample(drift_model(0.0), DigitStream(seed), n // 2)
     tail = sample(drift_model(shift), DigitStream(seed + 1), n - n // 2)
     return Dataset(head.columns, tuple(head.rows) + tuple(tail.rows))
+
+
+# ---------------------------------------------------------------------------
+# Dict reference for the exact-law layer: the enumerator and the restrict loop
+# the flat joint replaced, kept to check it value for value and key for key.
+
+
+def reference_joint(scm: Scm) -> dict:
+    """{configuration in topological order: mass}, grown one node at a time."""
+    order = topological_order(scm.dag)
+    position = {n: i for i, n in enumerate(order)}
+    partial = {(): 1}
+    for node in order:
+        cpt = scm.cpts[node]
+        parent_pos = [position[p] for p in cpt.parents]
+        grown = {}
+        for cfg, mass in partial.items():
+            row = cpt.table[tuple(cfg[i] for i in parent_pos)]
+            for value, p in zip(scm.domains[node].values, row):
+                if p != 0:
+                    grown[cfg + (value,)] = mass * p
+        partial = grown
+    return partial
+
+
+def reference_sums(order, probs: dict, targets, given: dict | None = None) -> tuple:
+    """(mass of `given`, {targets configuration: mass}), added in key order."""
+    target_idx = [order.index(n) for n in targets]
+    given_idx = [(order.index(n), v) for n, v in (given or {}).items()]
+    mass, sums = 0, {}
+    for cfg, p in probs.items():
+        if all(cfg[i] == v for i, v in given_idx):
+            mass += p
+            key = tuple(cfg[i] for i in target_idx)
+            sums[key] = sums.get(key, 0) + p
+    return mass, sums

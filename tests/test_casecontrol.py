@@ -149,10 +149,6 @@ class TestSimulate:
         with pytest.raises(ExhaustionError, match="budget"):
             simulate_case_control(cc_population(), 5, DigitStream(0), budget=9)
 
-    def test_budget_exhausted_during_the_scan(self):
-        with pytest.raises(ExhaustionError, match="budget"):
-            simulate_case_control(cc_population(), 50, DigitStream(2), budget=100)
-
     @pytest.mark.parametrize(
         "n, budget, phase",
         [

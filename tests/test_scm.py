@@ -16,6 +16,7 @@ from scmkit.scm import (
     Domain,
     Intervention,
     JointTable,
+    POSITIVITY_CUTOFF,
     Scm,
     cond_independent,
     conditional_laws,
@@ -29,9 +30,10 @@ from scmkit.scm import (
     scm_to_json,
     total_variation,
     validate_scm,
+    _marginals,
 )
 
-from structures import fill
+from structures import fill, reference_joint, reference_sums, sparse_model
 from test_graph import FIG1_EDGES, FIG1_NODES
 
 
@@ -59,6 +61,28 @@ def simpson_scm(beta=0.8, exact=False):
         ),
     }
     return Scm(dag, domains, cpts, {"name": "simpson"})
+
+
+def items(law) -> list:
+    """(key, value, type of value) in key order, to compare exactly."""
+    return [(k, p, type(p)) for k, p in law.items()]
+
+
+def reference_law(order, probs, targets, given=None):
+    mass, sums = reference_sums(order, probs, targets, given)
+    if float(mass) <= POSITIVITY_CUTOFF:
+        return None
+    return {k: v / mass for k, v in sums.items()}
+
+
+def exact_law(joint, targets, given=None):
+    try:
+        return restrict(joint, targets, given).probs
+    except ZeroProbabilityError:
+        return None
+
+
+SPARSE = [(seed, exact) for seed in range(8) for exact in (False, True)]
 
 
 class TestValidate:
@@ -134,6 +158,20 @@ class TestJointDistribution:
     def test_normalization(self):
         scm = fill(Dag(FIG1_NODES, FIG1_EDGES), seed=11)
         assert abs(sum(joint_distribution(scm).probs.values()) - 1.0) < 1e-10
+
+    def test_a_table_parent_after_its_node_is_rejected(self):
+        # The table of A lists B, which follows A in the graph's order.
+        dag = Dag(["A", "B"], [("A", "B")])
+        scm = Scm(
+            dag,
+            {n: Domain(n, (0, 1)) for n in "AB"},
+            {
+                "A": Cpt("A", ("B",), {(0,): (0.5, 0.5), (1,): (0.5, 0.5)}),
+                "B": Cpt("B", ("A",), {(0,): (0.5, 0.5), (1,): (0.5, 0.5)}),
+            },
+        )
+        with pytest.raises(InvalidArgumentError, match=r"'A': table parents \['B'\] != graph parents \[\]"):
+            joint_distribution(scm)
 
     def test_state_space_guard(self):
         names = [f"B{i}" for i in range(24)]
@@ -270,6 +308,22 @@ class TestSample:
         with pytest.raises(InvalidArgumentError, match=message):
             joint_distribution(broken)
 
+    def test_a_row_missing_only_where_no_mass_reaches(self):
+        # X=1 has no mass, so the joint never needs the row T | X=1; sample
+        # reads every row of the table and names the missing one.
+        scm = simpson_scm()
+        cpts = {
+            **scm.cpts,
+            "X": Cpt("X", (), {(): (1.0, 0.0)}),
+            "T": Cpt("T", ("X",), {(0,): scm.cpts["T"].table[(0,)]}),
+        }
+        broken = Scm(scm.dag, scm.domains, cpts)
+        joint = joint_distribution(broken)
+        assert items(joint.probs) == items(reference_joint(broken))
+        assert {cfg[joint.index("X")] for cfg in joint.probs} == {0}
+        with pytest.raises(InvalidArgumentError, match=r"'T': table lacks the row for parents \['X'\] = \[1\]"):
+            sample(broken, DigitStream(1), 10)
+
     def test_rows_shorter_than_the_domain_are_rejected(self):
         scm = simpson_scm()
         short = Scm(scm.dag, scm.domains, {**scm.cpts, "X": Cpt("X", (), {(): (1.0,)})})
@@ -318,6 +372,79 @@ class TestSample:
                 data.columns, {k: v / len(data.rows) for k, v in counts.items()}
             )
             assert total_variation(joint_distribution(scm), empirical) <= 0.02
+
+
+class TestFlatJointMatchesDictReference:
+    """The flat joint gives the dict enumerator's values, their number types
+    and its key order, on models with structural zeros."""
+
+    @pytest.mark.parametrize("seed, exact", SPARSE)
+    def test_joint(self, seed, exact):
+        scm = sparse_model(seed, exact=exact)
+        joint = joint_distribution(scm)
+        want = reference_joint(scm)
+        assert items(joint.probs) == items(want)
+        assert len(joint.probs) == len(want)
+
+    @pytest.mark.parametrize("seed, exact", SPARSE)
+    def test_restrict_in_and_out_of_order(self, seed, exact):
+        scm = sparse_model(seed, exact=exact)
+        joint = joint_distribution(scm)
+        order, probs = joint.order, reference_joint(scm)
+        cases = [(order, None), (order[::-1], None), (order[1::2], None), (order[::-2], None)]
+        for node in order[:3]:
+            rest = tuple(n for n in order if n != node)
+            for value in scm.domains[node].values:
+                cases += [(rest, {node: value}), (rest[::-1], {node: value})]
+        cases.append((order[-1:], {order[0]: 0, order[1]: 0}))
+        for targets, given in cases:
+            want = reference_law(order, probs, targets, given)
+            got = exact_law(joint, targets, given)
+            assert (got is None) == (want is None), (targets, given)
+            if want is not None:
+                assert items(got) == items(want), (targets, given)
+
+    @pytest.mark.parametrize("seed, exact", SPARSE)
+    def test_marginals_and_conditional_laws(self, seed, exact):
+        scm = sparse_model(seed, exact=exact)
+        joint = joint_distribution(scm)
+        order, probs = joint.order, reference_joint(scm)
+        tuples = [order[:2], order[::-2], (order[3], order[0]), ()]
+        got = _marginals(joint, *tuples)
+        for nodes, table in zip(tuples, got):
+            assert items(table) == items(reference_sums(order, probs, nodes)[1])
+        for targets, given_nodes in ((order[-2:], order[:2]), (order[:1], order[:0:-2])):
+            laws = conditional_laws(joint, targets, given_nodes)
+            strata = reference_sums(order, probs, given_nodes)[1]
+            want = [
+                (g, items(reference_law(order, probs, targets, dict(zip(given_nodes, g)))))
+                for g, mass in strata.items() if float(mass) > POSITIVITY_CUTOFF
+            ]
+            assert [(g, items(law)) for g, law in laws.items()] == want
+
+    def test_a_table_off_row_major_keeps_its_scan_order(self):
+        joint = JointTable(("A", "B", "C"), {(0, 0, 1): 0.25, (0, 1, 0): 0.25, (1, 0, 0): 0.5})
+        law = restrict(joint, ("A", "C"))
+        assert list(law.probs) == [(0, 1), (0, 0), (1, 0)]
+        assert law.probs == {(0, 1): 0.25, (0, 0): 0.25, (1, 0): 0.5}
+        assert list(_marginals(joint, ("C",))[0].items()) == [((1,), 0.25), ((0,), 0.75)]
+
+    def test_an_underflowed_product_stays_a_key(self):
+        tiny = 1e-200
+        dag = Dag(["A", "B"], [("A", "B")])
+        scm = Scm(
+            dag,
+            {n: Domain(n, (0, 1)) for n in "AB"},
+            {
+                "A": Cpt("A", (), {(): (tiny, 1 - tiny)}),
+                "B": Cpt("B", ("A",), {(0,): (tiny, 1 - tiny), (1,): (0.0, 1.0)}),
+            },
+        )
+        joint = joint_distribution(scm)
+        assert items(joint.probs) == items(reference_joint(scm))
+        assert list(joint.probs) == [(0, 0), (0, 1), (1, 1)]
+        assert joint.probs[(0, 0)] == 0.0
+        assert list(restrict(joint, ("B",)).probs) == [(0,), (1,)]
 
 
 class TestCondIndependent:
