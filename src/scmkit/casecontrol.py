@@ -224,11 +224,9 @@ def estimate_cc_or(sample: CaseControlSample) -> OddsRatioReport:
     )
 
 
-def export_sample(sample: CaseControlSample, delimiter: str = ",") -> str:
-    """Delimited text with columns x, t, r, pair_id, role."""
-    lines = [delimiter.join(("x", "t", "r", "pair_id", "role"))]
+def export_sample(sample: CaseControlSample) -> str:
+    """Comma-separated text with columns x, t, r, pair_id, role."""
+    lines = ["x,t,r,pair_id,role"]
     for k, (x, t, r) in enumerate(sample.rows):
-        lines.append(
-            delimiter.join((str(x), str(t), str(r), str(k // 2), sample.roles[k]))
-        )
+        lines.append(",".join((str(x), str(t), str(r), str(k // 2), sample.roles[k])))
     return "\n".join(lines) + "\n"

@@ -19,6 +19,7 @@ import math
 import sys
 from typing import TYPE_CHECKING
 
+from . import casecontrol, estimands, identify
 from .casecontrol import DEFAULT_BUDGET, estimate_cc_or, export_sample, simulate_case_control
 from .diagnostics import homogeneity_report
 from .docalc import NodePartition, verify_rule
@@ -112,14 +113,14 @@ def _assignments(scm: Scm, text: str, flag: str) -> dict:
 # names its own node.
 _ROLE_NAMES = {
     "frontdoor": ("Y", "Z", "W", "X"),
-    "eelworms": ("X", "U", "V", "W", "Y"),
-    "gformula": ("X", "T", "R", "X2", "T2", "R2"),
-    "direct-effect": ("Y1", "Y2", "Y3", "Y4"),
-    "policy": ("Y1", "Y2", "Y3", "Y4"),
-    "mediation": ("H", "B", "Q", "S"),
-    "iv": ("I", "T", "R"),
-    "oddsratio": ("X", "T", "R"),
-    "casecontrol": ("X", "T", "R"),
+    "eelworms": identify._EELWORMS_ROLES,
+    "gformula": identify._GFORMULA_ROLES,
+    "direct-effect": estimands._TWO_STAGE_ROLES,
+    "policy": estimands._TWO_STAGE_ROLES,
+    "mediation": estimands._HIRING_ROLES,
+    "iv": estimands._IV_ROLES,
+    "oddsratio": casecontrol._ROLE_NAMES,
+    "casecontrol": casecontrol._ROLE_NAMES,
 }
 
 

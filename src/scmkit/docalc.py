@@ -13,7 +13,8 @@ when Y and Z are conditionally independent given W there (condition C1).
 Rule 2 asserts that conditioning on Z = z in the single-prime model equals
 forcing Z := z in the double-prime model, and holds when Y is independent
 of the re-added Z copies given W (condition C2).  Both conditions and both
-identities are evaluated by exact enumeration.
+identities are evaluated by exact enumeration, each condition from the
+same scan of its joint as the laws of the identity.
 """
 
 from __future__ import annotations
@@ -24,15 +25,13 @@ from typing import Mapping
 from .errors import InvalidArgumentError, PositivityError
 from .graph import Dag
 from .identify import _fmt_stratum
-from .scm import Cpt, Scm, cond_independent, conditional_laws, joint_distribution
+from .scm import Cpt, Scm, _ci_verdict, _conditional_laws, conditional_laws, joint_distribution
 
 __all__ = [
     "NodePartition",
     "RuleVerdict",
     "build_m_doubleprime",
     "build_m_prime",
-    "check_c1",
-    "check_c2",
     "verify_rule",
 ]
 
@@ -191,34 +190,6 @@ def build_m_doubleprime(
     return Scm(Dag(nodes, edges), domains, cpts)
 
 
-def check_c1(
-    scm: Scm, partition: NodePartition, x: Mapping, tol: float = 1e-12
-) -> tuple:
-    """Whether Y and Z are independent given W in the single-prime model.
-
-    Conditioning on the re-attached parentless X-part is vacuous (the
-    isolates are independent of everything), so it is omitted.  Returns
-    (verdict, worst deviation).
-    """
-    m = build_m_prime(scm, partition, x)
-    joint = joint_distribution(m)
-    return cond_independent(joint, partition.y, partition.z, partition.w, tol)
-
-
-def check_c2(
-    scm: Scm,
-    partition: NodePartition,
-    x: Mapping,
-    z: Mapping,
-    tol: float = 1e-12,
-) -> tuple:
-    """Whether Y is independent of the re-added Z copies given W in the
-    double-prime model.  Returns (verdict, worst deviation)."""
-    m = build_m_doubleprime(scm, partition, x, z)
-    joint = joint_distribution(m)
-    return cond_independent(joint, partition.y, partition.z, partition.w, tol)
-
-
 def _worst_gap(a: Mapping, b: Mapping) -> float:
     keys = set(a) | set(b)
     return max(abs(float(a.get(k, 0)) - float(b.get(k, 0))) for k in keys)
@@ -246,29 +217,28 @@ def verify_rule(
     w_nodes = tuple(sorted(partition.w, key=str))
     y_nodes = tuple(sorted(partition.y, key=str))
     z_nodes = tuple(sorted(partition.z, key=str))
+    # The laws the condition reads, as `cond_independent` builds them.
+    pairs = [(y_nodes + z_nodes, w_nodes), (y_nodes, w_nodes), (z_nodes, w_nodes)]
 
     if rule == 1:
         prime = joint_distribution(build_m_prime(scm, partition, x))
-        # check_c1's test, on the joint already built instead of a second one.
-        holds, cond_dev = cond_independent(prime, partition.y, partition.z, partition.w, tol)
-        marginal = conditional_laws(prime, y_nodes, w_nodes)
+        laws, _ = _conditional_laws(prime, pairs + [(y_nodes, w_nodes + z_nodes)])
         gaps = [
-            _worst_gap(law, marginal[cfg[: len(w_nodes)]])
-            for cfg, law in conditional_laws(prime, y_nodes, w_nodes + z_nodes).items()
+            _worst_gap(law, laws[1][cfg[: len(w_nodes)]])
+            for cfg, law in laws[3].items()
         ]
         if not gaps:
             raise PositivityError("no (w, z) stratum has positive probability")
     else:
         z = dict(z or {})
         double = joint_distribution(build_m_doubleprime(scm, partition, x, z))
-        # check_c2's test, on the joint already built instead of a second one.
-        holds, cond_dev = cond_independent(double, partition.y, partition.z, partition.w, tol)
+        laws, _ = _conditional_laws(double, pairs)
         prime = joint_distribution(build_m_prime(scm, partition, x))
         z_cfg = tuple(z[n] for n in z_nodes)
         given = conditional_laws(prime, y_nodes, w_nodes + z_nodes)
         gaps = [
             _worst_gap(law, given[cfg + z_cfg])
-            for cfg, law in conditional_laws(double, y_nodes, w_nodes).items()
+            for cfg, law in laws[1].items()
             if cfg + z_cfg in given
         ]
         if not gaps:
@@ -276,6 +246,8 @@ def verify_rule(
             raise PositivityError(
                 f"conditioning stratum {{{stratum}}} has no mass jointly with any reachable w"
             )
+    # As in `cond_independent`, independence from an empty set holds trivially.
+    holds, cond_dev = _ci_verdict(*laws[:3], tol) if y_nodes and z_nodes else (True, 0.0)
     worst = max([0.0] + gaps)
     return RuleVerdict(
         rule=rule,

@@ -6,10 +6,9 @@ instrumental-variable family (binary ratio, multi-level aggregate, and
 two-stage least squares), and stratified odds ratios computed by two
 algebraically equivalent routes.
 
-As in :mod:`scmkit.identify`, every factor over a joint table comes from
-:func:`scmkit.scm.conditional_laws`, the one primitive behind these
-formulas, built once per call; role bindings and figure shapes go through
-the same binder and shape check.
+As in :mod:`scmkit.identify`, each formula call reads all of its factors
+and supports from one scan of its joint table; role bindings and figure
+shapes go through the same binder and shape check.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from typing import Mapping
 
 from .errors import InvalidArgumentError, PositivityError, WeakInstrumentError
 from .graph import Dag
-from .identify import _bind, _laws, _require_shape, support_values
+from .identify import _bind, _factors, _require_shape
 from .scm import POSITIVITY_CUTOFF, Dataset, JointTable
 
 __all__ = [
@@ -99,8 +98,8 @@ def _mean(dist: Mapping):
         return None
 
 
-def _require_binary(joint: JointTable, node: str) -> None:
-    if not set(support_values(joint, node)) <= {0, 1}:
+def _require_binary(values, node: str) -> None:
+    if not set(values) <= {0, 1}:
         raise InvalidArgumentError(f"{node!r} must take values in {{0, 1}}")
 
 
@@ -130,9 +129,9 @@ def two_stage_direct(
         dag, bound, [_TWO_STAGE_EDGE_SHAPE, _TWO_STAGE_SHAPE], "two-stage", latent=("U",)
     )
     y1_n, y2_n, y3_n, y4_n = bound.values()
-    y1_law = _laws(joint, (y1_n,), (y2_n, y3_n, y4_n))
+    (y1_law, y3_law), _ = _factors(joint, [((y1_n,), (y2_n, y3_n, y4_n)), ((y3_n,), (y4_n,))])
     law: dict = {}
-    for y3, w in _laws(joint, (y3_n,), (y4_n,))(t).items():
+    for y3, w in y3_law(t).items():
         if w <= POSITIVITY_CUTOFF:
             continue
         for y, p in y1_law(y2_val, y3, t).items():
@@ -153,14 +152,16 @@ def antibiotic_policy(
     bound = _bind(roles, _TWO_STAGE_ROLES, joint.order)
     _require_shape(dag, bound, [_TWO_STAGE_EDGE_SHAPE], "two-stage", latent=("U",))
     y1_n, y2_n, y3_n, y4_n = bound.values()
-    _require_binary(joint, y2_n)
-    _require_binary(joint, y3_n)
-    y1_values = support_values(joint, y1_n)
-    pair_law = _laws(joint, (y1_n, y3_n), (y4_n,))
-    treated_law = _laws(joint, (y1_n,), (y2_n, y3_n, y4_n))
+    (pair_law, treated_law), (y2_values, y3_values, y1_values, y4_values) = _factors(
+        joint,
+        [((y1_n, y3_n), (y4_n,)), ((y1_n,), (y2_n, y3_n, y4_n))],
+        (y2_n, y3_n, y1_n, y4_n),
+    )
+    _require_binary(y2_values, y2_n)
+    _require_binary(y3_values, y3_n)
     law: dict = {}
     means: dict = {}
-    for y4 in support_values(joint, y4_n):
+    for y4 in y4_values:
         pair = pair_law(y4)
         p3 = sum(p for (y1, y3), p in pair.items() if y3 == 1)
         treated: dict = {}
@@ -200,9 +201,9 @@ def mediation_fixed_sex(
     support = [s for s, w in sigma_dist.items() if w > 0]
     if not support:
         raise InvalidArgumentError("assumed-covariate law has empty support")
-    h_law = _laws(joint, (h_n,), (b_n, q_n, s_n))
+    (h_law, bq), _ = _factors(joint, [((h_n,), (b_n, q_n, s_n)), ((b_n, q_n), ())])
     out: dict = {}
-    bq = _laws(joint, (b_n, q_n), ())()
+    bq = bq()
     for (b, q), mass in sorted(bq.items(), key=lambda kv: str(kv[0])):
         if mass <= POSITIVITY_CUTOFF:
             continue
@@ -225,10 +226,11 @@ def natural_indirect(
     bound = _bind(roles, _HIRING_ROLES, joint.order)
     _require_shape(dag, bound, [_HIRING_SHAPE], "hiring")
     h_n, b_n, q_n, s_n = bound.values()
-    if set(support_values(joint, s_n)) != {0, 1}:
+    (bq_law, h_law), (s_values,) = _factors(
+        joint, [((b_n, q_n), (s_n,)), ((h_n,), (b_n, q_n, s_n))], (s_n,)
+    )
+    if set(s_values) != {0, 1}:
         raise InvalidArgumentError(f"{s_n!r} must take both values 0 and 1")
-    bq_law = _laws(joint, (b_n, q_n), (s_n,))
-    h_law = _laws(joint, (h_n,), (b_n, q_n, s_n))
     w0, w1 = bq_law(0), bq_law(1)
     total = 0
     for key in sorted(set(w0) | set(w1), key=str):
@@ -247,11 +249,10 @@ def natural_indirect(
 _IV_ROLES = ("I", "T", "R")
 
 
-def _level_means(joint: JointTable, node: str, level_node: str) -> dict:
-    """E(node | level) at every support level of `level_node`."""
-    law = _laws(joint, (node,), (level_node,))
-    means = {i: _mean(law(i)) for i in support_values(joint, level_node)}
-    if None in means.values():
+def _level_means(levels, *laws) -> list:
+    """E(node | level) at every level, for each lookup of P(node | level)."""
+    means = [{i: _mean(law(i)) for i in levels} for law in laws]
+    if any(None in m.values() for m in means):
         raise InvalidArgumentError("treatment and response must be numeric")
     return means
 
@@ -275,10 +276,12 @@ def iv_theta(source, roles: Mapping[str, str]) -> IvResult:
         denominator = float(t[i == 1].mean() - t[i == 0].mean())
     else:
         i_n, t_n, r_n = _bind(roles, _IV_ROLES, source.order).values()
-        _require_binary(source, i_n)
-        _require_binary(source, t_n)
-        t_means = _level_means(source, t_n, i_n)
-        r_means = _level_means(source, r_n, i_n)
+        (t_law, r_law), (i_values, t_values) = _factors(
+            source, [((t_n,), (i_n,)), ((r_n,), (i_n,))], (i_n, t_n)
+        )
+        _require_binary(i_values, i_n)
+        _require_binary(t_values, t_n)
+        t_means, r_means = _level_means(i_values, t_law, r_law)
         if set(t_means) != {0, 1}:
             raise InvalidArgumentError("both instrument arms need positive mass")
         numerator = r_means[1] - r_means[0]
@@ -303,15 +306,17 @@ def iv_multi(joint: JointTable, roles: Mapping[str, str], i0) -> IvResult:
     are p_k proportional to P(I=i_k) {E(T|I=i_k)-E(T|I=i0)} and sum to 1.
     """
     i_n, t_n, r_n = _bind(roles, _IV_ROLES, joint.order).values()
-    t_means = _level_means(joint, t_n, i_n)
-    r_means = _level_means(joint, r_n, i_n)
+    (t_law, r_law, p_i), (i_values,) = _factors(
+        joint, [((t_n,), (i_n,)), ((r_n,), (i_n,)), ((i_n,), ())], (i_n,)
+    )
+    t_means, r_means = _level_means(i_values, t_law, r_law)
     values = list(t_means)
     if i0 not in values:
         raise InvalidArgumentError(f"base level {i0!r} not in instrument support")
     if i0 != values[0]:
         raise InvalidArgumentError("base level must be the smallest instrument value")
     others = values[1:]
-    p_i = _laws(joint, (i_n,), ())()
+    p_i = p_i()
     if not others:
         raise InvalidArgumentError("instrument needs at least two levels")
     thetas = []
@@ -380,13 +385,15 @@ def odds_ratio(joint: JointTable, roles: Mapping[str, str]) -> OddsRatioReport:
     e(x) = p(1-q) / (q(1-p)).  Overall measure: E[e(X) | R=1].
     """
     r_n, t_n, x_n = _bind(roles, ("R", "T", "X"), joint.order).values()
-    _require_binary(joint, r_n)
-    _require_binary(joint, t_n)
-    cells_law = _laws(joint, (r_n, t_n), (x_n,))
-    r_law = _laws(joint, (r_n,), (t_n, x_n))
-    t_law = _laws(joint, (t_n,), (r_n, x_n))
+    (cells_law, r_law, t_law, x_law), (r_values, t_values, x_values) = _factors(
+        joint,
+        [((r_n, t_n), (x_n,)), ((r_n,), (t_n, x_n)), ((t_n,), (r_n, x_n)), ((x_n,), (r_n,))],
+        (r_n, t_n, x_n),
+    )
+    _require_binary(r_values, r_n)
+    _require_binary(t_values, t_n)
     per_x: dict = {}
-    for x in support_values(joint, x_n):
+    for x in x_values:
         cells = cells_law(x)
         for r in (0, 1):
             for t in (0, 1):
@@ -406,7 +413,7 @@ def odds_ratio(joint: JointTable, roles: Mapping[str, str]) -> OddsRatioReport:
             "ratio_response_odds": via_response,
             "ratio_exposure_odds": via_exposure,
         }
-    case_x = _laws(joint, (x_n,), (r_n,))(1)
+    case_x = x_law(1)
     overall = sum(
         per_x[x]["ratio_exposure_odds"] * case_x.get(x, 0) for x in per_x
     )

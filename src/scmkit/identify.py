@@ -5,15 +5,15 @@ the observational law: covariate adjustment and its propensity-grouped
 variant, the mediator (front-door) identity, the crop-yield two-route
 identity, and the two-stage g-formula.
 
-Every factor comes from :func:`scmkit.scm.conditional_laws`, the one
-primitive behind these formulas and those in :mod:`scmkit.estimands`: a
-single grouped pass over the joint yields a factor for every stratum, and
-each factor is built once per call.  Adjustment reads the unnormalized
-masses of the same pass, because its textbook arithmetic divides by them
-only at the end.  Role bindings and figure shapes go through one binder
-and one shape check.  Each formula raises a stratum-named positivity
-error when a required conditioning event carries no mass, and each is
-validated elsewhere against the mutilated-model oracle.
+Each formula call scans its joint once: it asks for all of its factors
+and supports in one call, and a single grouped pass over the joint yields
+every factor for every stratum, as :func:`scmkit.scm.conditional_laws`
+gives one.  Adjustment reads the unnormalized masses of its one pass,
+because its textbook arithmetic divides by them only at the end.  Role
+bindings and figure shapes go through one binder and one shape check.
+Each formula raises a stratum-named positivity error when a required
+conditioning event carries no mass, and each is validated elsewhere
+against the mutilated-model oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Mapping
 
 from .errors import InvalidArgumentError, PositivityError
 from .graph import Dag
-from .scm import POSITIVITY_CUTOFF, JointTable, _marginals, _scan, conditional_laws
+from .scm import POSITIVITY_CUTOFF, JointTable, _conditional_laws, _divide, _marginals, _sorted
 
 __all__ = [
     "EffectReport",
@@ -100,34 +100,33 @@ def _fmt_stratum(given: Mapping) -> str:
     return ", ".join(f"{k}={given[k]!r}" for k in sorted(given))
 
 
-def _laws(joint: JointTable, targets: tuple, given_nodes: tuple):
-    """Lookup given values -> P(targets | given), from one grouped pass.
+def _factors(joint: JointTable, pairs, support=()) -> tuple:
+    """Lookups given values -> P(targets | given), one per (targets, given)
+    pair, and the sorted support of each node in `support`, all from one
+    grouped pass over the joint.
 
     A single target's law is keyed by plain values.  Looking up a stratum
     without mass raises the stratum-named positivity error.
     """
-    laws = conditional_laws(joint, targets, given_nodes)
-    if len(targets) == 1:
-        laws = {g: {k[0]: p for k, p in law.items()} for g, law in laws.items()}
+    def lookup(laws: dict, targets: tuple, given_nodes: tuple):
+        if len(targets) == 1:
+            laws = {g: {k[0]: p for k, p in law.items()} for g, law in laws.items()}
 
-    def law(*given) -> dict:
-        if given not in laws:
-            stratum = _fmt_stratum(dict(zip(given_nodes, given)))
-            raise PositivityError(f"conditioning stratum {{{stratum}}} has no mass")
-        return laws[given]
+        def law(*given) -> dict:
+            if given not in laws:
+                stratum = _fmt_stratum(dict(zip(given_nodes, given)))
+                raise PositivityError(f"conditioning stratum {{{stratum}}} has no mass")
+            return laws[given]
 
-    return law
+        return law
+
+    laws, values = _conditional_laws(joint, pairs, support)
+    return [lookup(law, *pair) for law, pair in zip(laws, pairs)], values
 
 
 def support_values(joint: JointTable, node: str) -> list:
     """Values of `node` carrying positive mass, in a stable order."""
-    i = joint.index(node)
-    _, (codes,) = _scan(joint, [[i]])
-    seen = {joint.values[i][c] for c in set(codes)}
-    try:
-        return sorted(seen)
-    except TypeError:
-        return sorted(seen, key=str)
+    return _sorted({v for (v,) in _marginals(joint, (node,))[0]})
 
 
 def _require_nodes(known, nodes, where: str = "joint table") -> None:
@@ -175,57 +174,69 @@ def _require_shape(
     raise InvalidArgumentError(f"graph does not have the {label} shape")
 
 
-def _adjust_over_strata(p_z, p_tz, p_rtz, t_val, z_names) -> dict:
-    """sum over z of P(z) P(r, t, z) / P(t, z), from masses keyed by z,
-    (t,) + z and (r, t) + z."""
-    cells_of: dict = {}  # (t,) + z -> [(r, mass), ...] in mass-table order
-    for rtz, m in p_rtz.items():
-        cells_of.setdefault(rtz[1:], []).append((rtz[0], m))
+def _adjust_over_strata(p_z, p_zt, p_ztr, t_val, z_names) -> dict:
+    """sum over z of P(z) P(z, t, r) / P(z, t), from masses keyed by z,
+    z + (t,) and z + (t, r)."""
+    cells_of: dict = {}  # z + (t,) -> [(r, mass), ...] in mass-table order
+    for ztr, m in p_ztr.items():
+        cells_of.setdefault(ztr[:-1], []).append((ztr[-1], m))
     out: dict = {}
     for z, mass in p_z.items():
         if mass <= POSITIVITY_CUTOFF:
             continue
-        tz = (t_val,) + z
-        denom = p_tz.get(tz, 0)
+        zt = z + (t_val,)
+        denom = p_zt.get(zt, 0)
         if denom <= POSITIVITY_CUTOFF:
             raise PositivityError(
                 f"treatment value {t_val!r} never occurs in stratum "
                 f"{{{_fmt_stratum(dict(zip(z_names, z)))}}}"
             )
-        for r, m in cells_of.get(tz, ()):
+        for r, m in cells_of.get(zt, ()):
             out[r] = out.get(r, 0) + mass * m / denom
     return out
+
+
+def _strata(joint: JointTable, z_nodes: tuple, *tail) -> list:
+    """Masses keyed by z, z + tail[:1], ..., z + tail, all from one scan."""
+    _require_nodes(joint.order, tail + z_nodes)
+    return _marginals(joint, *(z_nodes + tail[:k] for k in range(len(tail) + 1)))
+
+
+def _mean_difference(first: Mapping, second: Mapping) -> float:
+    values = set(first) | set(second)
+    return float(sum(v * (first.get(v, 0) - second.get(v, 0)) for v in values))
 
 
 def adjust(joint: JointTable, t_node: str, t_val, r_node: str, z_nodes) -> dict:
     """Covariate-adjusted response law: sum_z P(R | T=t, Z=z) P(Z=z)."""
     z_nodes = tuple(z_nodes)
-    _require_nodes(joint.order, (t_node, r_node) + z_nodes)
-    strata = _marginals(joint, z_nodes, (t_node,) + z_nodes, (r_node, t_node) + z_nodes)
-    return _adjust_over_strata(*strata, t_val, z_nodes)
+    return _adjust_over_strata(*_strata(joint, z_nodes, t_node, r_node), t_val, z_nodes)
 
 
 def ate(joint: JointTable, t_node: str, t_val, t_alt, r_node: str, z_nodes) -> float:
     """Mean difference of the adjusted response laws at t_val versus t_alt."""
-    first = adjust(joint, t_node, t_val, r_node, z_nodes)
-    second = adjust(joint, t_node, t_alt, r_node, z_nodes)
-    values = set(first) | set(second)
-    return float(
-        sum(v * (first.get(v, 0) - second.get(v, 0)) for v in values)
+    z_nodes = tuple(z_nodes)
+    strata = _strata(joint, z_nodes, t_node, r_node)
+    return _mean_difference(
+        *(_adjust_over_strata(*strata, t, z_nodes) for t in (t_val, t_alt))
     )
+
+
+def _propensity(t_node: str, z_nodes: tuple, p_z: dict, p_zt: dict) -> PropensityTable:
+    """Assignment vectors from masses keyed by z and z + (t,)."""
+    t_values = tuple(_sorted({zt[-1] for zt in p_zt}))
+    rows = {}
+    for z, law in _divide(p_z, p_zt, len(z_nodes)).items():
+        # An absent value gets a zero of the law's number type, as a division would.
+        zero = 0 * next(iter(law.values()))
+        rows[z] = tuple(law.get((t,), zero) for t in t_values)
+    return PropensityTable(z_nodes, t_node, t_values, rows)
 
 
 def propensity_table(joint: JointTable, t_node: str, z_nodes) -> PropensityTable:
     """Treatment assignment vector per covariate configuration."""
     z_nodes = tuple(z_nodes)
-    _require_nodes(joint.order, (t_node,) + z_nodes)
-    t_values = tuple(support_values(joint, t_node))
-    rows = {}
-    for z, law in conditional_laws(joint, (t_node,), z_nodes).items():
-        # An absent value gets a zero of the law's number type, as a division would.
-        zero = 0 * next(iter(law.values()))
-        rows[z] = tuple(law.get((t,), zero) for t in t_values)
-    return PropensityTable(z_nodes, t_node, t_values, rows)
+    return _propensity(t_node, z_nodes, *_strata(joint, z_nodes, t_node))
 
 
 def propensity_adjust(
@@ -237,21 +248,21 @@ def propensity_adjust(
     are pooled into one stratum before adjusting.
     """
     z_nodes = tuple(z_nodes)
-    _require_nodes(joint.order, (t_node, r_node) + z_nodes)
-    table = propensity_table(joint, t_node, z_nodes)
+    strata = _strata(joint, z_nodes, t_node, r_node)
+    table = _propensity(t_node, z_nodes, *strata[:2])
     group_of = {
         z: tuple(round(v, _LAMBDA_DECIMALS) for v in row)
         for z, row in table.rows.items()
     }
-    strata = _marginals(joint, z_nodes, (t_node,) + z_nodes, (r_node, t_node) + z_nodes)
+    k = len(z_nodes)
     pooled = []
-    # The keys of the three mass tables are z, (t,) + z and (r, t) + z; the
+    # The keys of the three mass tables are z, z + (t,) and z + (t, r); the
     # pooled ones put the whole assignment vector in z's place.
-    for cut, masses in enumerate(strata):
+    for masses in strata:
         sums: dict = {}
         for key, mass in masses.items():
-            if key[cut:] in group_of:
-                g = key[:cut] + (group_of[key[cut:]],)
+            if key[:k] in group_of:
+                g = (group_of[key[:k]],) + key[k:]
                 sums[g] = sums.get(g, 0) + mass
         pooled.append(sums)
     grouped_names = (f"lambda({', '.join(z_nodes)})",)
@@ -259,32 +270,21 @@ def propensity_adjust(
 
 
 def backdoor_effect(
-    joint: JointTable,
-    t_node: str,
-    t_values,
-    r_node: str,
-    z_nodes,
-    method: str = "adjust",
+    joint: JointTable, t_node: str, t_values, r_node: str, z_nodes
 ) -> EffectReport:
     """Package adjusted response laws (and ATE for a pair) as a report."""
     t_values = tuple(t_values)
-    if method == "adjust":
-        law = adjust
-        name = "covariate adjustment"
-    elif method == "propensity":
-        law = propensity_adjust
-        name = "propensity-grouped adjustment"
-    else:
-        raise InvalidArgumentError(f"unknown adjustment method {method!r}")
-    distributions = {t: law(joint, t_node, t, r_node, z_nodes) for t in t_values}
+    z_nodes = tuple(z_nodes)
+    strata = _strata(joint, z_nodes, t_node, r_node)
+    distributions = {t: _adjust_over_strata(*strata, t, z_nodes) for t in t_values}
     effect = None
     if len(t_values) == 2:
         try:
-            effect = ate(joint, t_node, t_values[0], t_values[1], r_node, z_nodes)
+            effect = _mean_difference(distributions[t_values[0]], distributions[t_values[1]])
         except TypeError:
-            effect = None
+            pass
     return EffectReport(
-        estimand=name,
+        estimand="covariate adjustment",
         treatment=t_node,
         treatment_values=t_values,
         response=r_node,
@@ -292,7 +292,7 @@ def backdoor_effect(
         ate=effect,
         citation=(
             f"sum over z of P({r_node} | {t_node}=t, z) P(z), "
-            f"z ranging over {tuple(z_nodes)}"
+            f"z ranging over {z_nodes}"
         ),
     )
 
@@ -322,12 +322,12 @@ def frontdoor(
         [_FRONTDOOR_SHAPE],
         "exposure/mediator/outcome",
     )
-    y_values = support_values(joint, y_node)
-    z_values = support_values(joint, z_node)
-    w_values = support_values(joint, w_node)
-    p_y = _laws(joint, (y_node,), ())()
-    w_law = _laws(joint, (w_node,), (y_node, z_node))
-    z_law = _laws(joint, (z_node,), (y_node,))
+    (p_y, w_law, z_law), (y_values, z_values, w_values) = _factors(
+        joint,
+        [((y_node,), ()), ((w_node,), (y_node, z_node)), ((z_node,), (y_node,))],
+        (y_node, z_node, w_node),
+    )
+    p_y = p_y()
 
     intermediate: dict = {}
     for z in z_values:
@@ -386,15 +386,17 @@ def eelworms_effect(
     bound = _bind(roles, _EELWORMS_ROLES, joint.order)
     _require_shape(dag, bound, [_EELWORMS_SHAPE], "crop-yield", latent=("A", "B"))
     x_n, u_n, v_n, w_n, y_n = bound.values()
-    x_values = support_values(joint, x_n)
-    u_values = support_values(joint, u_n)
-    v_values = support_values(joint, v_n)
-    w_values = support_values(joint, w_n)
-    y_values = support_values(joint, y_n)
-    p_xu = _laws(joint, (x_n, u_n), ())()
-    v_law = _laws(joint, (v_n,), (x_n, u_n))
-    w_law = _laws(joint, (w_n,), (v_n, x_n, u_n))
-    y_law = _laws(joint, (y_n,), (x_n, v_n, w_n))
+    (p_xu, v_law, w_law, y_law), (x_values, u_values, v_values, w_values, y_values) = _factors(
+        joint,
+        [
+            ((x_n, u_n), ()),
+            ((v_n,), (x_n, u_n)),
+            ((w_n,), (v_n, x_n, u_n)),
+            ((y_n,), (x_n, v_n, w_n)),
+        ],
+        tuple(bound.values()),
+    )
+    p_xu = p_xu()
 
     out: dict = {}
     for x in x_values:
@@ -441,13 +443,17 @@ _GFORMULA_SHAPE = (
 )
 
 
-def _gformula(joint: JointTable, bound: Mapping, t_val, t2_val, p_x: Mapping) -> dict:
+def _gformula(joint: JointTable, bound: Mapping, t_val, t2_val, p_x: Mapping | None) -> dict:
     """sum over x of p_x(x) * sum over (r, x2) of P(r | x, t) P(x2 | x, t, r)
-    P(r2 | x, t, r, x2, t2)."""
+    P(r2 | x, t, r, x2, t2); p_x is the observed law of X when None."""
     x_n, t_n, r_n, x2_n, t2_n, r2_n = bound.values()
-    r_law = _laws(joint, (r_n,), (x_n, t_n))
-    x2_law = _laws(joint, (x2_n,), (x_n, t_n, r_n))
-    r2_law = _laws(joint, (r2_n,), (x_n, t_n, r_n, x2_n, t2_n))
+    xt = (x_n, t_n)
+    pairs = [((r_n,), xt), ((x2_n,), xt + (r_n,)), ((r2_n,), xt + (r_n, x2_n, t2_n))]
+    if p_x is None:
+        pairs.append(((x_n,), ()))
+    (r_law, x2_law, r2_law, *observed), _ = _factors(joint, pairs)
+    if p_x is None:
+        p_x = observed[0]()
     out: dict = {}
     for x, px in p_x.items():
         if px <= POSITIVITY_CUTOFF:
@@ -476,7 +482,7 @@ def gformula2(
     """Two-stage g-formula: law of the second response under (t, t')."""
     bound = _bind(roles, _GFORMULA_ROLES, joint.order)
     _require_shape(dag, bound, [_GFORMULA_SHAPE], "two-stage treatment")
-    return _gformula(joint, bound, t_val, t2_val, _laws(joint, (bound["X"],), ())())
+    return _gformula(joint, bound, t_val, t2_val, None)
 
 
 def gformula2_given_x(

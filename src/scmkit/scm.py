@@ -228,47 +228,37 @@ class Dataset:
                 fh.write(",".join(str(v) for v in row) + "\n")
 
     @staticmethod
-    def read_csv(path, domains: dict | None = None) -> "Dataset":
+    def read_csv(path) -> "Dataset":
         """Load a comma-separated file; header row names the columns.
 
-        Values are matched against `domains` when given, otherwise
-        parsed as int when possible and kept as strings when not.
+        Values are parsed as int when possible, then as a finite float, and
+        kept as strings otherwise.
         """
         with open(path, encoding="utf-8") as fh:
             lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
         if not lines:
             raise InvalidArgumentError(f"{path}: empty file")
         columns = tuple(lines[0].split(","))
-        parsers = []
-        for col in columns:
-            if domains and col in domains:
-                lookup = {str(v): v for v in domains[col].values}
-                parsers.append(lambda s, lk=lookup, c=col: _domain_value(s, lk, c))
-            else:
-                parsers.append(_auto_value)
         rows = []
         for ln in lines[1:]:
             parts = ln.split(",")
             if len(parts) != len(columns):
                 raise InvalidArgumentError(f"{path}: row width {len(parts)} != {len(columns)}")
-            rows.append(tuple(parse(part) for parse, part in zip(parsers, parts)))
+            rows.append(tuple(_auto_value(part, path) for part in parts))
         return Dataset(columns, rows)
 
 
-def _domain_value(text, lookup, col):
-    if text not in lookup:
-        raise InvalidArgumentError(f"value {text!r} not in domain of column {col!r}")
-    return lookup[text]
-
-
-def _auto_value(text):
+def _auto_value(text, path):
     try:
         return int(text)
     except ValueError:
         try:
-            return float(text)
+            value = float(text)
         except ValueError:
             return text
+    if not math.isfinite(value):
+        raise InvalidArgumentError(f"{path}: non-finite value {text!r}")
+    return value
 
 
 def validate_scm(scm: Scm) -> list[str]:
@@ -515,27 +505,43 @@ def conditional_laws(joint: JointTable, targets: tuple, given_nodes: tuple) -> d
     what `restrict(joint, targets, dict(zip(given_nodes, given_cfg)))`
     returns; strata with mass at or below POSITIVITY_CUTOFF are left out.
     """
-    return _conditional_laws(joint, tuple(given_nodes), tuple(targets))[0]
+    return _conditional_laws(joint, [(tuple(targets), tuple(given_nodes))])[0][0]
 
 
-def _conditional_laws(joint: JointTable, given_nodes: tuple, *target_tuples) -> list:
-    """`conditional_laws` for several target tuples from one scan."""
-    for targets in target_tuples:
-        if set(targets) & set(given_nodes):
+def _conditional_laws(joint: JointTable, pairs, support=()) -> tuple:
+    """`conditional_laws` for each (targets, given) pair, and the sorted
+    values the joint's keys give each node in `support`, all from one
+    `_marginals` call over the distinct given and given + targets tuples."""
+    for targets, given in pairs:
+        if set(targets) & set(given):
             raise InvalidArgumentError("targets and conditioning nodes must be disjoint")
-    masses, *cell_tables = _marginals(
-        joint, given_nodes, *(given_nodes + targets for targets in target_tuples)
-    )
-    k = len(given_nodes)
-    out = []
-    for cells in cell_tables:
-        laws: dict = {g: {} for g, mass in masses.items() if float(mass) > POSITIVITY_CUTOFF}
-        for key, mass in cells.items():
-            law = laws.get(key[:k])
-            if law is not None:
-                law[key[k:]] = mass / masses[key[:k]]
-        out.append(laws)
-    return out
+    tuples = list(dict.fromkeys(nodes for t, g in pairs for nodes in (g, g + t)))
+    tables = dict(zip(tuples, _marginals(joint, *tuples)))
+    laws = [_divide(tables[given], tables[given + targets], len(given)) for targets, given in pairs]
+    values = []
+    for n in support:
+        nodes = next(nodes for nodes in tuples if n in nodes)
+        values.append(_sorted({key[nodes.index(n)] for key in tables[nodes]}))
+    return laws, values
+
+
+def _divide(masses: dict, cells: dict, k: int) -> dict:
+    """{given: {target: cell mass / given mass}} from masses keyed by the
+    given configuration and cells keyed by it plus the target's; strata
+    at or below POSITIVITY_CUTOFF are left out."""
+    laws: dict = {g: {} for g, mass in masses.items() if float(mass) > POSITIVITY_CUTOFF}
+    for key, mass in cells.items():
+        law = laws.get(key[:k])
+        if law is not None:
+            law[key[k:]] = mass / masses[key[:k]]
+    return laws
+
+
+def _sorted(values) -> list:
+    try:
+        return sorted(values)
+    except TypeError:
+        return sorted(values, key=str)
 
 
 def expectation(joint: JointTable, node, given: dict | None = None):
@@ -646,7 +652,11 @@ def cond_independent(joint: JointTable, a, b, c, tol: float = 1e-12):
         raise InvalidArgumentError("node sets must be pairwise disjoint")
     if not a or not b:
         return True, 0.0
-    ab, pa, pb = _conditional_laws(joint, c, a + b, a, b)
+    return _ci_verdict(*_conditional_laws(joint, [(a + b, c), (a, c), (b, c)])[0], tol)
+
+
+def _ci_verdict(ab: dict, pa: dict, pb: dict, tol: float) -> tuple:
+    """`cond_independent`'s answer from the laws (a + b | c), (a | c), (b | c)."""
     worst = 0.0
     for c_cfg, law_ab in ab.items():
         for a_cfg, p_a in pa[c_cfg].items():
@@ -762,6 +772,9 @@ def scm_from_dict(doc: dict) -> Scm:
                 cfg.append(lookup[part])
             if not isinstance(row, list) or not all(type(p) in (int, float) for p in row):
                 raise InvalidArgumentError(f"{node!r}: row {key!r} must be a list of numbers")
+            k = len(domains[node].values)
+            if len(row) != k:
+                raise InvalidArgumentError(f"{node!r}: row {key!r} has length {len(row)}, not {k}")
             # An integer past the float range counts as infinite.
             probs = tuple(float(p) if abs(p) < 1e308 else math.inf for p in row)
             if not all(math.isfinite(p) for p in probs):

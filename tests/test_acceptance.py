@@ -16,7 +16,7 @@ import numpy as np
 
 from scmkit.casecontrol import estimate_cc_or, simulate_case_control
 from scmkit.diagnostics import homogeneity_report
-from scmkit.docalc import NodePartition, check_c1, check_c2, verify_rule
+from scmkit.docalc import NodePartition, verify_rule
 from scmkit.estimands import (
     antibiotic_policy,
     iv_theta,
@@ -398,11 +398,9 @@ def test_criterion_08_rule_checks_imply_their_identities():
         scm = fill(random_dag(seed, n=5), seed)
         part = random_partition(scm.dag, seed + 301)
         x = first_values(scm, part.x)
-        ok, _ = check_c1(scm, part, x)
+        verdict = verify_rule(scm, part, 1, x)
         cases += 1
-        if ok:
-            verdict = verify_rule(scm, part, 1, x)
-            assert verdict.condition_holds
+        if verdict.condition_holds:
             assert verdict.identity_deviation <= 1e-12
             assert verdict.passed
             rule1_hits += 1
@@ -412,11 +410,9 @@ def test_criterion_08_rule_checks_imply_their_identities():
         part = random_partition(scm.dag, seed + 401)
         x = first_values(scm, part.x)
         z = first_values(scm, part.z)
-        ok, _ = check_c2(scm, part, x, z)
+        verdict = verify_rule(scm, part, 2, x, z)
         cases += 1
-        if ok:
-            verdict = verify_rule(scm, part, 2, x, z)
-            assert verdict.condition_holds
+        if verdict.condition_holds:
             assert verdict.identity_deviation <= 1e-12
             assert verdict.passed
             rule2_hits += 1

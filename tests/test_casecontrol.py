@@ -266,8 +266,3 @@ class TestExport:
             assert (int(x), int(t), int(r)) == got.rows[k]
             assert int(pair_id) == k // 2
             assert role == got.roles[k]
-
-    def test_custom_delimiter(self):
-        got = simulate_case_control(cc_population(), 2, DigitStream(1))
-        text = export_sample(got, delimiter="\t")
-        assert text.splitlines()[0] == "x\tt\tr\tpair_id\trole"

@@ -245,6 +245,33 @@ class TestErrors:
         assert out == ""
         assert "'9'" in err and "domain" in err
 
+    @pytest.mark.parametrize("command", ["validate", "joint"])
+    def test_row_of_the_wrong_length_is_a_domain_failure(self, capsys, tmp_path, command):
+        # Every row sums to 1, but A's row is too long and B's too short.
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"nodes": [
+            {"id": "A", "domain": [0, 1], "parents": [], "table": {"": [0.5, 0.3, 0.2]}},
+            {"id": "B", "domain": [0, 1, 2], "parents": ["A"],
+             "table": {"0": [0.5, 0.5], "1": [1.0]}},
+        ]}))
+        code, rep = report(capsys, command, "-m", str(path))
+        assert code == 1
+        assert rep["error"] == "'A': row '' has length 3, not 2"
+        assert rep["result"] is None
+
+    def test_non_finite_cell_fails_diagnose(self, capsys, tmp_path):
+        # Two nan responses in one block used to count as distinct values.
+        rows_path = tmp_path / "rows.csv"
+        rows_path.write_text("X,T,R\n0,0,1\n0,0,nan\n0,1,1\n0,1,nan\n")
+        code, rep = report(
+            capsys,
+            "diagnose", "--data", str(rows_path),
+            "--x-cols", "X", "--t-col", "T", "--r-col", "R", "--k", "2",
+        )
+        assert code == 1
+        assert rep["error"].endswith("non-finite value 'nan'")
+        assert rep["result"] is None
+
     def test_unknown_subcommand_exits_two(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
 

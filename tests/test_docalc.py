@@ -9,8 +9,6 @@ from scmkit.docalc import (
     RuleVerdict,
     build_m_doubleprime,
     build_m_prime,
-    check_c1,
-    check_c2,
     verify_rule,
 )
 from scmkit.errors import InvalidArgumentError, PositivityError
@@ -28,6 +26,12 @@ from scmkit.scm import (
 )
 
 from structures import backdoor_model, fill
+
+
+def condition(scm: Scm, part: NodePartition, rule: int, x, z=None) -> tuple:
+    """The rule's condition verdict and deviation, as `verify_rule` reports them."""
+    verdict = verify_rule(scm, part, rule, x, z)
+    return verdict.condition_holds, verdict.condition_deviation
 
 
 def random_dag(seed: int, n: int = 6, p: float = 0.35) -> Dag:
@@ -212,7 +216,7 @@ class TestCheckC1:
         dag = Dag(["X", "Y", "Z"], [("X", "Y")])
         scm = fill(dag, 5)
         part = NodePartition(w=set(), x={"X"}, y={"Y"}, z={"Z"})
-        ok, dev = check_c1(scm, part, {"X": 0})
+        ok, dev = condition(scm, part, 1, {"X": 0})
         assert ok and dev <= 1e-15
 
     def test_planted_copy_fails_with_quarter_deviation(self):
@@ -224,7 +228,7 @@ class TestCheckC1:
         }
         scm = Scm(dag, domains, cpts)
         part = NodePartition(w=set(), x=set(), y={"Y"}, z={"Z"})
-        ok, dev = check_c1(scm, part, {})
+        ok, dev = condition(scm, part, 1, {})
         assert not ok
         assert dev == pytest.approx(0.25, abs=1e-12)
 
@@ -235,7 +239,7 @@ class TestCheckC1:
         scm = Scm(scm.dag, scm.domains, cpts)
         part = NodePartition(w=set(), x={"T"}, y={"R"}, z={"X6"})
         for t in (0, 1):
-            ok, dev = check_c1(scm, part, {"T": t})
+            ok, dev = condition(scm, part, 1, {"T": t})
             assert ok and dev <= 1e-15
 
 
@@ -244,7 +248,7 @@ class TestCheckC2:
         dag = Dag(["Z", "Y", "X"], [("X", "Y")])
         scm = fill(dag, 7)
         part = NodePartition(w=set(), x={"X"}, y={"Y"}, z={"Z"})
-        ok, dev = check_c2(scm, part, {"X": 1}, {"Z": 0})
+        ok, dev = condition(scm, part, 2, {"X": 1}, {"Z": 0})
         assert ok and dev <= 1e-15
 
     @pytest.mark.parametrize("seed", range(6))
@@ -252,7 +256,7 @@ class TestCheckC2:
         dag = Dag(["W", "Z", "Y"], [("W", "Z"), ("W", "Y")])
         scm = fill(dag, seed)
         part = NodePartition(w={"W"}, x=set(), y={"Y"}, z={"Z"})
-        ok, _ = check_c2(scm, part, {}, {"Z": 0})
+        ok, _ = condition(scm, part, 2, {}, {"Z": 0})
         assert ok
 
     def test_planted_confounding_fails(self):
@@ -266,7 +270,7 @@ class TestCheckC2:
         }
         scm = Scm(dag, domains, cpts)
         part = NodePartition(w=set(), x=set(), y={"Y"}, z={"Z"})
-        ok, dev = check_c2(scm, part, {}, {"Z": 0})
+        ok, dev = condition(scm, part, 2, {}, {"Z": 0})
         assert not ok
         assert dev > 1e-3
 
@@ -361,9 +365,8 @@ class TestConditionImpliesIdentity:
         scm = fill(random_dag(seed, n=5), seed)
         part = random_partition(scm.dag, seed + 301)
         x = first_values(scm, part.x)
-        ok, _ = check_c1(scm, part, x)
-        if ok:
-            verdict = verify_rule(scm, part, 1, x)
+        verdict = verify_rule(scm, part, 1, x)
+        if verdict.condition_holds:
             assert verdict.identity_deviation <= 1e-12
 
     @pytest.mark.parametrize("seed", range(30))
@@ -372,9 +375,8 @@ class TestConditionImpliesIdentity:
         part = random_partition(scm.dag, seed + 401)
         x = first_values(scm, part.x)
         z = first_values(scm, part.z)
-        ok, _ = check_c2(scm, part, x, z)
-        if ok:
-            verdict = verify_rule(scm, part, 2, x, z)
+        verdict = verify_rule(scm, part, 2, x, z)
+        if verdict.condition_holds:
             assert verdict.identity_deviation <= 1e-12
 
     def test_the_ensemble_is_not_vacuous(self):
@@ -382,6 +384,6 @@ class TestConditionImpliesIdentity:
         for seed in range(30):
             scm = fill(random_dag(seed, n=5), seed)
             part = random_partition(scm.dag, seed + 301)
-            ok, _ = check_c1(scm, part, first_values(scm, part.x))
+            ok, _ = condition(scm, part, 1, first_values(scm, part.x))
             hits += bool(ok)
         assert hits >= 3

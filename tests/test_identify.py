@@ -232,10 +232,11 @@ class TestEffectReport:
         assert report.ate == pytest.approx(0.25, abs=1e-12)
         assert "R" in report.citation and "T" in report.citation
 
-    def test_propensity_method(self):
+    def test_propensity_adjustment_gives_the_same_ate(self):
         joint = joint_distribution(simpson_scm())
-        report = backdoor_effect(joint, "T", (1, 0), "R", ("X",), method="propensity")
-        assert report.ate == pytest.approx(0.25, abs=1e-12)
+        treated, control = (propensity_adjust(joint, "T", t, "R", ("X",)) for t in (1, 0))
+        effect = sum(r * (treated.get(r, 0) - control.get(r, 0)) for r in (0, 1))
+        assert effect == pytest.approx(0.25, abs=1e-12)
 
     def test_unnormalized_distribution_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -249,10 +250,12 @@ class TestEffectReport:
                 citation="",
             )
 
-    def test_bad_method(self):
+    def test_ate_is_read_from_the_reported_laws(self):
         joint = joint_distribution(simpson_scm())
-        with pytest.raises(InvalidArgumentError):
-            backdoor_effect(joint, "T", (1, 0), "R", ("X",), method="magic")
+        report = backdoor_effect(joint, "T", (1, 0), "R", ("X",))
+        treated, control = report.distributions[1], report.distributions[0]
+        assert report.ate == float(sum(r * (treated[r] - control[r]) for r in treated))
+        assert report.ate == ate(joint, "T", 1, 0, "R", ("X",))
 
     def test_propensity_rows_must_normalize(self):
         with pytest.raises(InvalidArgumentError):

@@ -569,6 +569,23 @@ class TestModelFormat:
             scm_from_json(text)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("[0.5, 0.3, 0.2]", "'R': row '0|0' has length 3, not 2"),
+            ("[1.0]", "'R': row '0|0' has length 1, not 2"),
+        ],
+        ids=["long", "short"],
+    )
+    def test_row_length_must_match_the_domain(self, row, message):
+        # Both rows sum to 1; only their length is wrong.
+        text = scm_to_json(simpson_scm()).replace(
+            "[0.80000000000000004, 0.20000000000000001]", row, 1
+        )
+        with pytest.raises(InvalidArgumentError) as info:
+            scm_from_json(text)
+        assert str(info.value) == message
+
     def test_row_off_one_by_rounding_accepted(self):
         # Ten tenths add up to 0.9999999999999999 in floating point.
         doc = {"nodes": [{"id": "A", "domain": list(range(10)), "parents": [],
@@ -585,8 +602,14 @@ class TestDatasetCsv:
         assert back.columns == data.columns
         assert back.rows == data.rows
 
-    def test_domain_checked_ingestion(self, tmp_path):
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-Infinity", "1e400"])
+    def test_non_finite_cell_rejected(self, tmp_path, cell):
         path = tmp_path / "rows.csv"
-        path.write_text("A\n2\n")
-        with pytest.raises(InvalidArgumentError):
-            Dataset.read_csv(path, {"A": Domain("A", (0, 1))})
+        path.write_text(f"A,B\n0,1\n1,{cell}\n")
+        with pytest.raises(InvalidArgumentError, match="non-finite value"):
+            Dataset.read_csv(path)
+
+    def test_finite_floats_and_labels_parse(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_text("A,B\n0,2.5\n1,high\n")
+        assert Dataset.read_csv(path).rows == [(0, 2.5), (1, "high")]
