@@ -37,7 +37,7 @@ from .estimands import (
 from .examples import ExampleSpec, build_example, list_examples
 from .exogenous import DigitStream
 from .graph import check_backdoor, check_backdoor_extended, descendants, enumerate_valid_adjustment_sets
-from .identify import backdoor_effect, eelworms_effect, frontdoor, gformula2, support_values
+from .identify import backdoor_effect, eelworms_effect, frontdoor, gformula2
 from .scm import (
     Dataset,
     Intervention,
@@ -404,8 +404,7 @@ def _cmd_iv(args, report):
     elif args.method == "multi":
         if args.model is None:
             raise _UsageError("method multi needs the exact joint; pass --model")
-        joint = joint_distribution(load_model(args.model))
-        out = iv_multi(joint, roles, min(support_values(joint, roles["I"])))
+        out = iv_multi(joint_distribution(load_model(args.model)), roles)
         report["citations"] = [
             "Theta = sum_k theta_k p_k over instrument levels i_k"
         ]

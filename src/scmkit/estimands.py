@@ -298,12 +298,14 @@ def iv_theta(source, roles: Mapping[str, str]) -> IvResult:
     )
 
 
-def iv_multi(joint: JointTable, roles: Mapping[str, str], i0) -> IvResult:
+def iv_multi(joint: JointTable, roles: Mapping[str, str], i0=None) -> IvResult:
     """Per-level instrumental ratios against a base level, plus the
     weighted aggregate.
 
     theta_k = {E(R|I=i_k)-E(R|I=i0)} / {E(T|I=i_k)-E(T|I=i0)}; the weights
     are p_k proportional to P(I=i_k) {E(T|I=i_k)-E(T|I=i0)} and sum to 1.
+    The base level `i0` must be the smallest instrument value, which is
+    also its default.
     """
     i_n, t_n, r_n = _bind(roles, _IV_ROLES, joint.order).values()
     (t_law, r_law, p_i), (i_values,) = _factors(
@@ -311,6 +313,8 @@ def iv_multi(joint: JointTable, roles: Mapping[str, str], i0) -> IvResult:
     )
     t_means, r_means = _level_means(i_values, t_law, r_law)
     values = list(t_means)
+    if i0 is None:
+        i0 = values[0]
     if i0 not in values:
         raise InvalidArgumentError(f"base level {i0!r} not in instrument support")
     if i0 != values[0]:

@@ -53,7 +53,8 @@ class LinearGaussianScm:
 
     `coefficients[node]` maps each parent of `node` to its weight; the key
     set must equal the parent set from the graph.  Noise variances may be
-    zero (deterministic nodes) but never negative.
+    zero (deterministic nodes) but never negative, and every parameter must
+    be finite.
     """
 
     dag: Dag
@@ -71,10 +72,18 @@ class LinearGaussianScm:
             ):
                 if node not in box:
                     raise InvalidArgumentError(f"missing {label} for {node!r}")
-            if set(self.coefficients[node]) != set(self.dag.parents(node)):
+            coefs = self.coefficients[node]
+            if set(coefs) != set(self.dag.parents(node)):
                 raise InvalidArgumentError(
                     f"coefficients of {node!r} must cover exactly its parents"
                 )
+            for label, value in (
+                ("intercept", self.intercepts[node]),
+                *((f"coefficient of {p!r}", c) for p, c in coefs.items()),
+                ("noise variance", self.noise_vars[node]),
+            ):
+                if not math.isfinite(value):
+                    raise InvalidArgumentError(f"non-finite {label} at {node!r}: {value}")
             if self.noise_vars[node] < 0:
                 raise InvalidArgumentError(f"negative noise variance at {node!r}")
 
@@ -99,6 +108,11 @@ class GaussianLaw:
         k = len(self.order)
         if mean.shape != (k,) or cov.shape != (k, k):
             raise InvalidArgumentError("mean/covariance shapes do not match order")
+        for name, values in (("mean", mean), ("covariance", cov)):
+            bad = np.argwhere(~np.isfinite(values))
+            if bad.size:
+                at = ", ".join(repr(self.order[i]) for i in bad[0])
+                raise InvalidArgumentError(f"non-finite {name} at {at}")
         if not np.allclose(cov, cov.T, atol=1e-9, rtol=0.0):
             raise InvalidArgumentError("covariance must be symmetric")
         if k:
@@ -135,9 +149,13 @@ def lg_moments(model: LinearGaussianScm) -> GaussianLaw:
         mean[i] = model.intercepts[node] + sum(
             c * mean[pos[p]] for p, c in coefs.items()
         )
-        for j in range(i):
-            cross = sum(c * cov[pos[p], j] for p, c in coefs.items())
-            cov[i, j] = cov[j, i] = cross
+        # Row i against every earlier node, one numpy step per parent in the
+        # order `sum` took them; float(c) * x is what Fraction * float does.
+        row = np.zeros(i)
+        for p, c in coefs.items():
+            row = row + float(c) * cov[pos[p], :i]
+        cov[i, :i] = row
+        cov[:i, i] = row
         cov[i, i] = model.noise_vars[node] + sum(
             ca * cb * cov[pos[pa], pos[pb]]
             for pa, ca in coefs.items()
@@ -151,7 +169,8 @@ def lg_condition(law: GaussianLaw, on: Mapping[str, float]) -> GaussianLaw:
     if not on:
         return law
     drop = [law.index(n) for n in sorted(on)]
-    keep = [i for i in range(len(law.order)) if i not in set(drop)]
+    dropped = set(drop)
+    keep = [i for i in range(len(law.order)) if i not in dropped]
     if not keep:
         raise InvalidArgumentError("conditioning on every node leaves no law")
     values = np.array([float(on[law.order[i]]) for i in drop])

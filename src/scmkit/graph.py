@@ -21,6 +21,7 @@ is partly or completely overruled by the conditioning.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 
@@ -88,19 +89,19 @@ class Dag:
 def topological_order(dag: Dag) -> list:
     """Parents-before-children order, ties broken by identifier sort."""
     indegree = {n: len(dag.parents(n)) for n in dag.nodes}
-    frontier = sorted((n for n, d in indegree.items() if d == 0), key=str)
+    # The tick breaks ties between equal identifiers (1 and "1") by push
+    # order, as a stable sort of the frontier would.
+    tick = itertools.count()
+    frontier = [(str(n), next(tick), n) for n, d in indegree.items() if d == 0]
+    heapq.heapify(frontier)
     order = []
     while frontier:
-        node = frontier.pop(0)
+        node = heapq.heappop(frontier)[2]
         order.append(node)
-        changed = False
         for child in dag.children(node):
             indegree[child] -= 1
             if indegree[child] == 0:
-                frontier.append(child)
-                changed = True
-        if changed:
-            frontier.sort(key=str)
+                heapq.heappush(frontier, (str(child), next(tick), child))
     if len(order) < len(dag.nodes):
         raise CyclicGraphError(f"cycle detected: {_cycle_witness(dag, set(indegree) - set(order))}")
     return order

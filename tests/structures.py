@@ -4,6 +4,8 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from scmkit.exogenous import DigitStream, uniforms_at
 from scmkit.graph import Dag, topological_order
 from scmkit.scm import Cpt, Dataset, Domain, Scm, sample
@@ -219,3 +221,51 @@ def reference_sums(order, probs: dict, targets, given: dict | None = None) -> tu
             key = tuple(cfg[i] for i in target_idx)
             sums[key] = sums.get(key, 0) + p
     return mass, sums
+
+
+# ---------------------------------------------------------------------------
+# Scalar references for the graph order and the Gaussian moments: the sorted
+# frontier and the per-entry recursion that the heap and the row steps
+# replaced, kept to check them for equality and bit for bit.
+
+
+def reference_topological_order(dag: Dag) -> list:
+    """Parents before children, the frontier re-sorted by `str` after each step."""
+    indegree = {n: len(dag.parents(n)) for n in dag.nodes}
+    frontier = sorted((n for n, d in indegree.items() if d == 0), key=str)
+    order = []
+    while frontier:
+        node = frontier.pop(0)
+        order.append(node)
+        changed = False
+        for child in dag.children(node):
+            indegree[child] -= 1
+            if indegree[child] == 0:
+                frontier.append(child)
+                changed = True
+        if changed:
+            frontier.sort(key=str)
+    return order
+
+
+def reference_lg_moments(model) -> tuple:
+    """(order, mean, covariance) with one Python sum per covariance entry."""
+    order = topological_order(model.dag)
+    pos = {n: i for i, n in enumerate(order)}
+    k = len(order)
+    mean = np.zeros(k)
+    cov = np.zeros((k, k))
+    for i, node in enumerate(order):
+        coefs = model.coefficients[node]
+        mean[i] = model.intercepts[node] + sum(
+            c * mean[pos[p]] for p, c in coefs.items()
+        )
+        for j in range(i):
+            cross = sum(c * cov[pos[p], j] for p, c in coefs.items())
+            cov[i, j] = cov[j, i] = cross
+        cov[i, i] = model.noise_vars[node] + sum(
+            ca * cb * cov[pos[pa], pos[pb]]
+            for pa, ca in coefs.items()
+            for pb, cb in coefs.items()
+        )
+    return tuple(order), mean, cov

@@ -16,7 +16,10 @@ from scmkit.cli import main
 from scmkit.graph import check_backdoor
 from scmkit.identify import eelworms_effect, frontdoor, gformula2
 from scmkit.scm import (
+    Cpt,
     Dataset,
+    Domain,
+    Scm,
     joint_distribution,
     load_model,
     restrict,
@@ -519,6 +522,22 @@ class TestIdentificationCommands:
         assert rep["result"]["first_stage"] == pytest.approx(
             float(want.first_stage), abs=1e-12
         )
+
+    def test_iv_multi_takes_an_unordered_instrument(self, capsys, tmp_path):
+        # Levels 0 and "a" do not compare; the base level is the first in
+        # str order, as in every support list.
+        dag = Dag(["I", "T", "R"], [("I", "T"), ("T", "R")])
+        domains = {"I": Domain("I", (0, "a")), "T": Domain("T", (0, 1)), "R": Domain("R", (0, 1))}
+        cpts = {
+            "I": Cpt("I", (), {(): (0.5, 0.5)}),
+            "T": Cpt("T", ("I",), {(0,): (0.8, 0.2), ("a",): (0.3, 0.7)}),
+            "R": Cpt("R", ("T",), {(0,): (0.6, 0.4), (1,): (0.2, 0.8)}),
+        }
+        path = tmp_path / "mixed.json"
+        save_model(Scm(dag, domains, cpts), path)
+        code, rep = report(capsys, "iv", "-m", str(path), "--method", "multi")
+        assert code == 0
+        assert rep["result"]["theta"] == pytest.approx(0.4, abs=1e-12)
 
     def test_iv_needs_exactly_one_source(self, capsys):
         code, _, err = run(capsys, "iv")

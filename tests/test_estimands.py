@@ -540,6 +540,10 @@ class TestIvMulti:
         assert result.thetas == (Fraction(1, 2),)
         assert result.theta == Fraction(1, 2)
 
+    def test_base_level_defaults_to_the_smallest(self):
+        joint = joint_distribution(threshold_iv_model())
+        assert iv_multi(joint, IV_ROLES) == iv_multi(joint, IV_ROLES, 0)
+
     def test_base_level_must_be_the_smallest(self):
         joint = joint_distribution(threshold_iv_model())
         with pytest.raises(InvalidArgumentError, match="smallest"):

@@ -1,4 +1,6 @@
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +23,8 @@ from scmkit.gaussian import (
 )
 from scmkit.graph import Dag, topological_order
 
+from structures import reference_lg_moments
+
 REFERENCE = dict(alpha=1.0, beta=0.2, gamma=1.0, mu=0.0, sigma1=1.0, sigma2=1.0, sigma3=1.0)
 
 
@@ -42,6 +46,41 @@ def random_lg(seed: int, n: int = 6, p: float = 0.4) -> LinearGaussianScm:
         },
         noise_vars={nd: float(rng.uniform(0.1, 2.0)) for nd in names},
     )
+
+
+def wide_lg(
+    seed: int, n: int, k: int, coef=float, zero_noise: float = 0.0
+) -> LinearGaussianScm:
+    """n nodes, each with min(i, k) random earlier parents listed in draw
+    order, not sorted; `coef` turns a draw in [-0.7, 0.7] into a
+    coefficient, and about a `zero_noise` share of nodes have no noise."""
+    rng = np.random.default_rng(seed)
+    names = [f"N{i:03d}" for i in range(n)]
+    parents = {
+        nd: [names[j] for j in rng.choice(i, size=min(i, k), replace=False)] if i else []
+        for i, nd in enumerate(names)
+    }
+    return LinearGaussianScm(
+        Dag(names, [(p, nd) for nd, ps in parents.items() for p in ps]),
+        intercepts={nd: float(rng.normal()) for nd in names},
+        coefficients={
+            nd: {p: coef(float(rng.uniform(-0.7, 0.7))) for p in ps}
+            for nd, ps in parents.items()
+        },
+        noise_vars={
+            nd: 0.0 if rng.random() < zero_noise else float(rng.uniform(0.5, 1.5))
+            for nd in names
+        },
+    )
+
+
+def assert_reference_moments(model: LinearGaussianScm) -> None:
+    """lg_moments equals the scalar recursion bit for bit, signed zeros included."""
+    law = lg_moments(model)
+    order, mean, cov = reference_lg_moments(model)
+    assert law.order == order
+    assert law.mean.shape == mean.shape and law.mean.tobytes() == mean.tobytes()
+    assert law.covariance.shape == cov.shape and law.covariance.tobytes() == cov.tobytes()
 
 
 def matrix_moments(model: LinearGaussianScm):
@@ -127,12 +166,76 @@ class TestLgMoments:
                 noise_vars={"A": 1.0, "B": 1.0},
             )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field, label",
+        [
+            ("intercepts", "intercept"),
+            ("coefficients", "coefficient of 'A'"),
+            ("noise_vars", "noise variance"),
+        ],
+    )
+    def test_non_finite_parameter_rejected(self, bad, field, label):
+        params = {
+            "intercepts": {"A": 0.0, "B": 0.0},
+            "coefficients": {"A": {}, "B": {"A": 1.0}},
+            "noise_vars": {"A": 1.0, "B": 1.0},
+        }
+        params[field]["B"] = {"A": bad} if field == "coefficients" else bad
+        with pytest.raises(InvalidArgumentError, match=re.escape(f"non-finite {label} at 'B'")):
+            LinearGaussianScm(Dag(("A", "B"), (("A", "B"),)), **params)
+
     def test_negative_variance_rejected(self):
         dag = Dag(("A",), ())
         with pytest.raises(InvalidArgumentError):
             LinearGaussianScm(
                 dag, intercepts={"A": 0.0}, coefficients={"A": {}}, noise_vars={"A": -1.0}
             )
+
+
+class TestRowMoments:
+    """The row-vectorized moments against the scalar recursion they replaced."""
+
+    @pytest.mark.parametrize("n, k", [(100, 2), (100, 3), (200, 2), (200, 3)])
+    def test_wide_models(self, n, k):
+        model = wide_lg(n + k, n, k)
+        assert any(list(c) != sorted(c) for c in model.coefficients.values())
+        assert_reference_moments(model)
+
+    def test_zero_noise_nodes(self):
+        model = wide_lg(5, 60, 3, zero_noise=0.3)
+        assert 0.0 in model.noise_vars.values()
+        assert_reference_moments(model)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_intervened_models(self, seed):
+        model = wide_lg(seed, 100, 3)
+        for node in ("N000", "N017", "N050", "N099"):
+            assert_reference_moments(lg_intervene(model, node, 1.5 - seed))
+
+    def test_parentless_nodes(self):
+        dag = Dag(("A", "B", "C"), (("A", "C"),))
+        model = LinearGaussianScm(
+            dag,
+            intercepts={"A": -0.0, "B": 2.0, "C": 0.5},
+            coefficients={"A": {}, "B": {}, "C": {"A": -0.0}},
+            noise_vars={"A": 1.0, "B": 0.25, "C": 0.0},
+        )
+        assert_reference_moments(model)
+        single = LinearGaussianScm(Dag(("A",), ()), {"A": 1.0}, {"A": {}}, {"A": 2.0})
+        assert_reference_moments(single)
+
+    def test_empty_model(self):
+        model = LinearGaussianScm(Dag((), ()), {}, {}, {})
+        assert lg_moments(model).order == ()
+        assert_reference_moments(model)
+
+    @pytest.mark.parametrize("coef", [lambda x: round(2 * x), lambda x: Fraction(round(10 * x), 10)])
+    def test_exact_coefficients(self, coef):
+        model = wide_lg(11, 40, 3, coef=coef, zero_noise=0.2)
+        kinds = {type(c) for cs in model.coefficients.values() for c in cs.values()}
+        assert kinds == {type(coef(0.3))}
+        assert_reference_moments(model)
 
 
 class TestGaussianLaw:
@@ -172,6 +275,20 @@ class TestGaussianLaw:
         # of 0, and the rounding grows with the variances past sigma = 10.
         law = lg_condition(lg_moments(lord_component(0.0, sigma, rho)), {"X": 0.3, "R": 1.0})
         assert abs(law.var_of("G")) < 1e-12 * max(1.0, sigma / 10) ** 2
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mean_rejected(self, bad):
+        with pytest.raises(InvalidArgumentError, match="non-finite mean at 'B'"):
+            GaussianLaw(("A", "B"), np.array([0.0, bad]), np.eye(2))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("i, j", [(0, 1), (1, 1)])
+    def test_non_finite_covariance_rejected(self, bad, i, j):
+        cov = np.eye(2)
+        cov[i, j] = cov[j, i] = bad
+        at = re.escape(f"non-finite covariance at {('A', 'B')[min(i, j)]!r}, 'B'")
+        with pytest.raises(InvalidArgumentError, match=at):
+            GaussianLaw(("A", "B"), np.zeros(2), cov)
 
     def test_unknown_node(self):
         law = GaussianLaw(("A",), np.zeros(1), np.eye(1))

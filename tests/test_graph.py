@@ -23,6 +23,8 @@ from scmkit.graph import (
     topological_order,
 )
 
+from structures import reference_topological_order
+
 # Two-level treatment/response graph: X3, X4 feed the treatment, the
 # response listens to X3, X5 and the post-treatment X6.
 FIG1_EDGES = [
@@ -117,6 +119,23 @@ class TestTopologicalOrder:
         for early, late in [("X1", "X3"), ("X1", "X4"), ("X2", "X3"), ("X2", "X5")]:
             assert pos[early] < pos[late]
         assert pos["T"] < pos["X6"] < pos["R"]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_heap_frontier_matches_the_sorted_frontier(self, seed):
+        # Mixed int and str names, so 3 and "3" tie on their identifier.
+        rng = random.Random(seed)
+        pool = [*range(12), *map(str, range(12)), *(f"N{i}" for i in range(20))]
+        for _ in range(100):
+            names = rng.sample(pool, rng.randint(1, 30))
+            edges = [
+                (a, b) for i, a in enumerate(names) for b in names[i + 1:] if rng.random() < 0.25
+            ]
+            dag = Dag(names, edges)
+            assert topological_order(dag) == reference_topological_order(dag)
+
+    def test_equal_identifiers_keep_the_sorted_frontier_order(self):
+        dag = Dag([1, "1", 0, "0", "2", 2], [(0, 2), ("0", "2")])
+        assert topological_order(dag) == reference_topological_order(dag)
 
     def test_two_cycle_raises_with_witness(self):
         dag = Dag(["A", "B"], [("A", "B"), ("B", "A")])

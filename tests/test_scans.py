@@ -6,6 +6,7 @@ pass per joint it builds.
 """
 
 import importlib
+import json
 import pkgutil
 
 import pytest
@@ -35,7 +36,8 @@ from scmkit.identify import (
     propensity_table,
     support_values,
 )
-from scmkit.scm import cond_independent, joint_distribution
+from scmkit.cli import main
+from scmkit.scm import cond_independent, joint_distribution, save_model
 
 from structures import (
     EELWORMS_ROLES,
@@ -51,7 +53,7 @@ from structures import (
     iv_model,
     two_stage_model,
 )
-from test_estimands import IV_ROLES, two_stage_with_second_edge
+from test_estimands import IV_ROLES, threshold_iv_model, two_stage_with_second_edge
 from test_scm import simpson_scm
 
 XTR_ROLES = {"X": "X", "T": "T", "R": "R"}
@@ -105,6 +107,21 @@ def test_one_scan_per_formula_call(name, scans):
     joint = joint_distribution(model)
     call(joint)
     assert len(scans) == 1
+
+
+def test_cli_multi_level_instrument_scans_once(scans, tmp_path, capsys):
+    # Three instrument levels; the report matches the call with the base
+    # level passed explicitly as the smallest supported one.
+    path = tmp_path / "threshold.json"
+    save_model(threshold_iv_model(), path)
+    assert main(["iv", "-m", str(path), "--method", "multi"]) == 0
+    assert len(scans) == 1
+    result = json.loads(capsys.readouterr().out)["result"]
+    joint = joint_distribution(threshold_iv_model())
+    expected = iv_multi(joint, IV_ROLES, min(support_values(joint, "I")))
+    assert result["theta"] == float(expected.theta)
+    assert result["thetas"] == [float(t) for t in expected.thetas]
+    assert result["weights"] == [float(w) for w in expected.weights]
 
 
 @pytest.mark.parametrize("rule, joints", [(1, 1), (2, 2)])
