@@ -85,17 +85,22 @@ class CaseControlSample:
         ]
 
 
-def _scan(scm: Scm, nodes: tuple, source: DigitStream, budget: int):
+def _scan(scm: Scm, nodes: tuple, source: DigitStream, budget: int, first_block: int):
     """(index, *values of `nodes`) for population rows 0 .. budget-1, in order.
 
     Row i is determined by (model, digit source, i) alone: each node
     reads draw i of its own diagonal stream, so the rows coincide with
-    the first rows of the batch sampler on the same source.
+    the first rows of the batch sampler on the same source.  Blocks start
+    at `first_block` rows and double up to `_BLOCK`.
     """
     order = topological_order(scm.dag)
-    for start in range(0, budget, _BLOCK):
-        block = _realize(scm, order, source, start, min(_BLOCK, budget - start))
-        yield from zip(itertools.count(start), *(block[n] for n in nodes))
+    start, block = 0, min(first_block, _BLOCK)
+    while start < budget:
+        count = min(block, budget - start)
+        rows = _realize(scm, order, source, start, count)
+        yield from zip(itertools.count(start), *(rows[n] for n in nodes))
+        start += count
+        block = min(2 * block, _BLOCK)
 
 
 def simulate_case_control(
@@ -128,7 +133,7 @@ def simulate_case_control(
         raise ExhaustionError("no case can occur: the response is never 1")
 
     exhausted = f"population budget of {budget} rows exhausted while"
-    rows = _scan(population, (x_n, t_n, r_n), source, budget)
+    rows = _scan(population, (x_n, t_n, r_n), source, budget, 4 * n_pairs)
     cases: list = []
     for row in rows:
         if row[3] == 1:

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable, Mapping
 
 from .errors import ConstraintError, InvalidArgumentError
 from .estimands import _HIRING_SHAPE, _TWO_STAGE_SHAPE
-from .exogenous import DigitStream, uniforms_at
+from .exogenous import DigitStream, uniform_list
 from .graph import Dag, topological_order
 from .identify import _EELWORMS_SHAPE, _FRONTDOOR_SHAPE, _GFORMULA_SHAPE
 from .scm import Cpt, Domain, Scm
@@ -107,7 +107,7 @@ def _fill(dag: Dag, seed: int, sizes: Mapping | None, floor: float) -> Scm:
     domains = {n: Domain(n, tuple(range(sizes.get(n, 2)))) for n in dag.nodes}
     # One draw per table cell, read in topological order.
     total = sum(math.prod(len(domains[m].values) for m in (n, *dag.parents(n))) for n in dag.nodes)
-    draws = iter(uniforms_at(DigitStream(seed), 1, 0, total).tolist())
+    draws = iter(uniform_list(DigitStream(seed), 1, 0, total))
     cpts = {}
     for node in topological_order(dag):
         parents = tuple(dag.parents(node))

@@ -18,6 +18,8 @@ inverse ``min{x : F(x) >= u}``.
 
 from __future__ import annotations
 
+import functools
+
 from .errors import InvalidArgumentError, ResourceLimitError
 
 _MASK64 = (1 << 64) - 1
@@ -82,6 +84,29 @@ class DigitStream:
         return z.view(np.int64)
 
 
+def _check_draws(row: int, first_draw: int, n: int, precision: int) -> None:
+    if row < 1 or first_draw < 0 or n < 0 or precision < 1:
+        raise InvalidArgumentError(
+            "need row >= 1, first_draw >= 0, n >= 0 and precision >= 1, got "
+            f"row={row}, first_draw={first_draw}, n={n}, precision={precision}"
+        )
+    if n and row + (first_draw + n) * precision - 1 > _MAX_DIAGONAL:
+        raise ResourceLimitError(
+            f"draws up to {first_draw + n} of row {row} pass digit diagonal {_MAX_DIAGONAL}"
+        )
+
+
+@functools.lru_cache(maxsize=8)
+def draw_weights(base: int, precision: int) -> tuple:
+    """Weight base**-(c+1) of digit c of a draw, correctly rounded.
+
+    Exact integer division rounds once, so the weights, and with them every
+    draw, are the same on every host (numpy's SIMD ``power`` can return
+    10**-5 one ulp low).
+    """
+    return tuple(1 / base ** (c + 1) for c in range(precision))
+
+
 def uniforms_at(
     source: DigitStream, row: int, first_draw: int, n: int, precision: int = 16
 ) -> np.ndarray:
@@ -93,17 +118,9 @@ def uniforms_at(
     """
     import numpy as np
 
-    if row < 1 or first_draw < 0 or n < 0 or precision < 1:
-        raise InvalidArgumentError(
-            "need row >= 1, first_draw >= 0, n >= 0 and precision >= 1, got "
-            f"row={row}, first_draw={first_draw}, n={n}, precision={precision}"
-        )
+    _check_draws(row, first_draw, n, precision)
     if n == 0:
         return np.empty(0)
-    if row + (first_draw + n) * precision - 1 > _MAX_DIAGONAL:
-        raise ResourceLimitError(
-            f"draws up to {first_draw + n} of row {row} pass digit diagonal {_MAX_DIAGONAL}"
-        )
     # Digit c of draw i lies on diagonal m = row + (first_draw+i)*precision + c,
     # at position m(m+1)/2 - (row-1); one draw per column, in place.
     start = first_draw * precision + row
@@ -114,11 +131,31 @@ def uniforms_at(
     pos //= np.uint64(2)
     pos -= np.uint64(row - 1)
     digits = source.digits_at(pos).reshape(precision, n)
-    weights = float(source.base) ** -(1.0 + np.arange(precision))
     # A fixed summation order fixes every rounding, so a draw depends on its
     # index alone, not on n or the BLAS build.  It is the order of OpenBLAS's
     # one-row matrix product, which built the seeded tables.
     lanes = [np.zeros(n) for _ in range(4)]
-    for col in range(precision):
-        lanes[col % 4] += digits[col] * weights[col]
+    for col, weight in enumerate(draw_weights(source.base, precision)):
+        lanes[col % 4] += digits[col] * weight
     return (lanes[0] + lanes[2]) + (lanes[1] + lanes[3])
+
+
+def uniform_list(
+    source: DigitStream, row: int, first_draw: int, n: int, precision: int = 16
+) -> list:
+    """:func:`uniforms_at` as a list of floats, computed without numpy.
+
+    It reads the same digits through ``source.digit_at`` and sums them in
+    the same lanes and order, so every draw is equal to the array's.
+    """
+    _check_draws(row, first_draw, n, precision)
+    digit = source.digit_at
+    weighted = tuple(enumerate(draw_weights(source.base, precision)))
+    out = []
+    for m in range(first_draw * precision + row, (first_draw + n) * precision + row, precision):
+        lanes = [0.0, 0.0, 0.0, 0.0]
+        for col, weight in weighted:
+            d = m + col
+            lanes[col % 4] += digit(d * (d + 1) // 2 - (row - 1)) * weight
+        out.append((lanes[0] + lanes[2]) + (lanes[1] + lanes[3]))
+    return out

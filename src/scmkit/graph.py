@@ -87,12 +87,14 @@ class Dag:
 
 
 def topological_order(dag: Dag) -> list:
-    """Parents-before-children order, ties broken by identifier sort."""
+    """Parents-before-children order, ties broken by identifier sort
+    (by `str`, then by type name)."""
     indegree = {n: len(dag.parents(n)) for n in dag.nodes}
-    # The tick breaks ties between equal identifiers (1 and "1") by push
-    # order, as a stable sort of the frontier would.
+    # Equal identifiers (1 and "1") are ordered by type name, not by the
+    # set's hash order, so every process gives the same order; the tick
+    # keeps the heap from comparing the nodes themselves.
     tick = itertools.count()
-    frontier = [(str(n), next(tick), n) for n, d in indegree.items() if d == 0]
+    frontier = [(_tie_key(n), next(tick), n) for n, d in indegree.items() if d == 0]
     heapq.heapify(frontier)
     order = []
     while frontier:
@@ -101,10 +103,14 @@ def topological_order(dag: Dag) -> list:
         for child in dag.children(node):
             indegree[child] -= 1
             if indegree[child] == 0:
-                heapq.heappush(frontier, (str(child), next(tick), child))
+                heapq.heappush(frontier, (_tie_key(child), next(tick), child))
     if len(order) < len(dag.nodes):
         raise CyclicGraphError(f"cycle detected: {_cycle_witness(dag, set(indegree) - set(order))}")
     return order
+
+
+def _tie_key(node) -> tuple:
+    return str(node), type(node).__qualname__
 
 
 def _cycle_witness(dag: Dag, remaining: set) -> str:

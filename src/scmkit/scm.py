@@ -33,13 +33,17 @@ from .errors import (
     ResourceLimitError,
     ZeroProbabilityError,
 )
-from .exogenous import DigitStream, uniforms_at
+from .exogenous import DigitStream, uniform_list, uniforms_at
 from .graph import Dag, topological_order
 
 # Conditioning events with less mass than this are treated as impossible.
 POSITIVITY_CUTOFF = 1e-15
 
 MAX_JOINT_CONFIGS = 10_000_000
+
+# Samples of fewer draws than this skip numpy: its import costs more than
+# hashing them one digit at a time.
+_STDLIB_DRAWS = 4096
 
 
 @dataclass(frozen=True)
@@ -608,9 +612,13 @@ def _realize(scm: Scm, order, source: DigitStream, start: int, count: int) -> di
     min{x : F(x) >= u} at its realized parents: parent codes index a
     cumulative table (one row per configuration, in itertools.product order)
     in mixed radix, and the count of thresholds below u, bar the last, is
-    searchsorted(side="left") capped at the top value.
+    searchsorted(side="left") capped at the top value.  Fewer than
+    `_STDLIB_DRAWS` draws are counted in plain Python, more with numpy;
+    both give the same codes.
     """
-    import numpy as np
+    small = count * len(order) < _STDLIB_DRAWS
+    if not small:
+        import numpy as np
 
     codes: dict = {}
     for j, node in enumerate(order):
@@ -623,16 +631,24 @@ def _realize(scm: Scm, order, source: DigitStream, start: int, count: int) -> di
             raise _missing_row(cpt, exc.args[0]) from None
         if any(len(row) != size for row in rows):
             raise InvalidArgumentError(f"{node!r}: table rows must have {size} entries")
-        cum = np.cumsum(np.asarray(rows, dtype=float), axis=1)
-        index = 0
-        for p in cpt.parents:
-            index = index * len(scm.domains[p].values) + codes[p]
-        u = uniforms_at(source, j + 1, start, count)
-        codes[node] = np.count_nonzero(cum[index, :-1] < u[:, None], axis=1)
-    return {
-        node: list(map(scm.domains[node].values.__getitem__, codes[node].tolist()))
-        for node in order
-    }
+        radix = [(len(scm.domains[p].values), codes[p]) for p in cpt.parents]
+        if small:
+            cum = [list(itertools.accumulate(map(float, row)))[:-1] for row in rows]
+            index = [0] * count
+            for k, parent in radix:
+                index = [i * k + c for i, c in zip(index, parent)]
+            u = uniform_list(source, j + 1, start, count)
+            codes[node] = [sum(t < x for t in cum[i]) for i, x in zip(index, u)]
+        else:
+            cum = np.cumsum(np.asarray(rows, dtype=float), axis=1)
+            index = 0
+            for k, parent in radix:
+                index = index * k + parent
+            u = uniforms_at(source, j + 1, start, count)
+            codes[node] = np.count_nonzero(cum[index, :-1] < u[:, None], axis=1)
+    if not small:
+        codes = {node: c.tolist() for node, c in codes.items()}
+    return {node: list(map(scm.domains[node].values.__getitem__, codes[node])) for node in order}
 
 
 def _missing_row(cpt: Cpt, cfg: tuple) -> InvalidArgumentError:

@@ -230,9 +230,11 @@ def reference_sums(order, probs: dict, targets, given: dict | None = None) -> tu
 
 
 def reference_topological_order(dag: Dag) -> list:
-    """Parents before children, the frontier re-sorted by `str` after each step."""
+    """Parents before children, the frontier re-sorted by `str`, then by type
+    name, after each step."""
+    key = lambda n: (str(n), type(n).__qualname__)  # noqa: E731
     indegree = {n: len(dag.parents(n)) for n in dag.nodes}
-    frontier = sorted((n for n, d in indegree.items() if d == 0), key=str)
+    frontier = sorted((n for n, d in indegree.items() if d == 0), key=key)
     order = []
     while frontier:
         node = frontier.pop(0)
@@ -244,7 +246,7 @@ def reference_topological_order(dag: Dag) -> list:
                 frontier.append(child)
                 changed = True
         if changed:
-            frontier.sort(key=str)
+            frontier.sort(key=key)
     return order
 
 

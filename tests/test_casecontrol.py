@@ -76,6 +76,30 @@ class TestPopulationFixture:
             assert cell["ratio_exposure_odds"] == pytest.approx(POP_E, abs=1e-12)
 
 
+def reference_case_control(pop: Scm, n: int, seed: int, budget: int):
+    """The pairing rule read off the batch sampler's first `budget` rows.
+
+    The cases are the first n rows with r = 1; case k takes the earliest
+    unused row past the last case whose x matches.  Returns (rows,
+    indices, roles), or the exhaustion message when the rows run out.
+    """
+    data = sample(pop, DigitStream(seed), budget)
+    cols = [data.columns.index(c) for c in ("X", "T", "R")]
+    rows = [tuple(row[c] for c in cols) for row in data.rows]
+    exhausted = f"population budget of {budget} rows exhausted while"
+    cases = [i for i, row in enumerate(rows) if row[2] == 1][:n]
+    if len(cases) < n:
+        return f"{exhausted} scanning for case {len(cases) + 1} of {n}"
+    later = {x: iter([j for j in range(cases[-1] + 1, budget) if rows[j][0] == x]) for x in (0, 1)}
+    indices = []
+    for k, i in enumerate(cases):
+        j = next(later[rows[i][0]], None)
+        if j is None:
+            return f"{exhausted} matching a control for case {k + 1}"
+        indices += [i, j]
+    return tuple(rows[i] for i in indices), indices, ("case", "control") * n
+
+
 class TestSimulate:
     def test_pairing_invariants(self):
         got = simulate_case_control(cc_population(), 300, DigitStream(11))
@@ -161,6 +185,28 @@ class TestSimulate:
         with pytest.raises(ExhaustionError) as err:
             simulate_case_control(cc_population(), n, DigitStream(2), budget=budget)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 150, 1023, 1024, 1025])
+    @pytest.mark.parametrize("seed", [0, 9])
+    def test_equals_the_pairing_rule_across_block_sizes(self, n, seed):
+        # Blocks of 4n rows doubling up to 4096: these n straddle that schedule.
+        got = simulate_case_control(cc_population(), n, DigitStream(seed), budget=6000)
+        rows, indices, roles = reference_case_control(cc_population(), n, seed, 6000)
+        assert got.rows == rows and list(got.indices) == indices and got.roles == roles
+
+    @pytest.mark.parametrize(
+        "n, budget", [(1, 2), (2, 5), (3, 7), (40, 90), (60, 120), (200, 450), (1100, 2300)]
+    )
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_exhaustion_messages_across_block_sizes(self, n, budget, seed):
+        want = reference_case_control(cc_population(), n, seed, budget)
+        if isinstance(want, str):
+            with pytest.raises(ExhaustionError) as err:
+                simulate_case_control(cc_population(), n, DigitStream(seed), budget=budget)
+            assert str(err.value) == want
+        else:
+            got = simulate_case_control(cc_population(), n, DigitStream(seed), budget=budget)
+            assert (got.rows, list(got.indices), got.roles) == want
 
     def test_requires_binary_response(self):
         dag = Dag(["X", "T", "R"], [("X", "T"), ("X", "R"), ("T", "R")])

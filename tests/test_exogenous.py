@@ -1,14 +1,22 @@
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from scmkit.errors import InvalidArgumentError, ResourceLimitError
-from scmkit.exogenous import DigitStream, diagonal_position, uniforms_at
+from scmkit import scm as scm_module
+from scmkit.exogenous import (
+    DigitStream,
+    diagonal_position,
+    draw_weights,
+    uniform_list,
+    uniforms_at,
+)
 from scmkit.graph import Dag, topological_order
-from scmkit.scm import Cpt, Domain, Scm, _realize, sample
+from scmkit.scm import _STDLIB_DRAWS, Cpt, Domain, Scm, _realize, sample
 
 # The first seven rows of the diagonal position array.
 DIAGONAL_ROWS = {
@@ -200,6 +208,69 @@ class TestDiagonalBound:
             uniforms_at(DigitStream(7), 1, 200_000_000, 1)
 
 
+class TestDrawWeights:
+    # 10**-5 as numpy's AVX-512 power kernel returns it: one ulp low.
+    SIMD_TENTH_POWER_5 = float.fromhex("0x1.4f8b588e368f0p-17")
+
+    def test_weights_are_correctly_rounded(self):
+        for base, precision in ((10, 16), (2, 60), (3, 40), (16, 8)):
+            want = tuple(float(Fraction(1, base ** (c + 1))) for c in range(precision))
+            assert draw_weights(base, precision) == want
+        assert draw_weights(10, 16)[4].hex() == "0x1.4f8b588e368f1p-17"
+
+    def test_pinned_draw_that_simd_weights_moved(self):
+        src = DigitStream(0)
+        want = float.fromhex("0x1.4f484768c799cp-14")  # 0.0000799375390099
+        assert uniforms_at(src, 1, 6940, 1)[0] == want
+        assert uniform_list(src, 1, 6940, 1) == [want]
+        simd = list(draw_weights(10, 16))
+        simd[4] = self.SIMD_TENTH_POWER_5
+        lanes = [0.0] * 4
+        for c, w in enumerate(simd):
+            lanes[c % 4] += src.digit_at(diagonal_position(1, 6940 * 16 + c + 1)) * w
+        assert (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]) == float.fromhex(
+            "0x1.4f484768c799bp-14"
+        )
+
+
+class TestUniformList:
+    """The stdlib draws equal the numpy ones, draw for draw."""
+
+    @pytest.mark.parametrize(
+        "seed, base, row, first_draw, n, precision",
+        [
+            (0, 10, 1, 0, 2000, 16),
+            (2**64 - 1, 10, 3, 6900, 100, 16),
+            (99, 10, 7, 123_456, 64, 16),
+            (5, 2, 2, 10, 300, 53),
+            (11, 3, 4, 0, 200, 7),
+            (12345, 16, 1, 0, 200, 1),
+        ],
+    )
+    def test_equals_uniforms_at(self, seed, base, row, first_draw, n, precision):
+        src = DigitStream(seed, base)
+        want = uniforms_at(src, row, first_draw, n, precision).tolist()
+        assert uniform_list(src, row, first_draw, n, precision) == want
+
+    def test_reads_digits_through_digit_at(self):
+        src = ChampernowneStream()
+        first = [uniform_list(src, row, 0, 1, precision=3)[0] for row in (1, 2, 3)]
+        assert first == [uniforms_at(src, row, 0, 1, precision=3)[0] for row in (1, 2, 3)]
+        assert uniform_list(ZeroStream(0), 2, 5, 3) == [0.0] * 3
+        assert uniform_list(DigitStream(1), 1, 0, 0) == []
+
+    def test_rejects_what_uniforms_at_rejects(self):
+        bad = ((0, 0, 1, 16), (1, -1, 1, 16), (1, 0, -1, 16), (1, 0, 1, 0))
+        for row, first_draw, n, precision in bad:
+            with pytest.raises(InvalidArgumentError):
+                uniform_list(DigitStream(7), row, first_draw, n, precision)
+        with pytest.raises(ResourceLimitError):
+            uniform_list(DigitStream(7), 5, 189_812_530, 1)
+        assert uniform_list(DigitStream(7), 4, 189_812_530, 1) == uniforms_at(
+            DigitStream(7), 4, 189_812_530, 1
+        ).tolist()
+
+
 def one_node(row, values=None) -> Scm:
     """A parentless node A with the given table row."""
     values = tuple(range(len(row))) if values is None else values
@@ -213,12 +284,18 @@ class ConstantStream(DigitStream):
         super().__init__(0)
         self.digit = digit
 
+    def digit_at(self, position):
+        return self.digit
+
     def digits_at(self, positions):
         return np.full(np.size(positions), self.digit, dtype=np.int64)
 
 
 class HalfStream(DigitStream):
     """Digit 5 at position 1 and 0 elsewhere: the first draw of row 1 is 0.5."""
+
+    def digit_at(self, position):
+        return 5 if position == 1 else 0
 
     def digits_at(self, positions):
         return np.where(np.asarray(positions) == 1, 5, 0)
@@ -246,6 +323,29 @@ def small_models(draw) -> Scm:
             total = sum(weights)
             table[cfg] = tuple(Fraction(w, total) if exact else w / total for w in weights)
         cpts[name] = Cpt(name, parents, table)
+    return Scm(dag, domains, cpts)
+
+
+def realize_on(path: str, scm: Scm, order, seed: int, start: int, count: int) -> dict:
+    """`_realize` forced onto the stdlib or the numpy path."""
+    cutoff = 1 << 62 if path == "stdlib" else 0
+    with mock.patch.object(scm_module, "_STDLIB_DRAWS", cutoff):
+        return _realize(scm, order, DigitStream(seed), start, count)
+
+
+def three_node_model() -> Scm:
+    """A -> B -> C and A -> C with Fraction and float rows and zero cells."""
+    dag = Dag(["A", "B", "C"], [("A", "B"), ("B", "C"), ("A", "C")])
+    domains = {"A": Domain("A", ("x", "y", "z")), "B": Domain("B", (0, 1)),
+               "C": Domain("C", (0, 1, 2))}
+    third = Fraction(1, 3)
+    cpts = {
+        "A": Cpt("A", (), {(): (third, Fraction(0), 2 * third)}),
+        "B": Cpt("B", ("A",), {("x",): (0.3, 0.7), ("y",): (1.0, 0.0), ("z",): (0.1, 0.9)}),
+        "C": Cpt("C", ("A", "B"), {
+            (a, b): ((0.2, 0.0, 0.8) if b else (third, third, third)) for a in "xyz" for b in (0, 1)
+        }),
+    }
     return Scm(dag, domains, cpts)
 
 
@@ -319,6 +419,33 @@ class TestInverseCdfSample:
         assert len(have_rows) == n
         for have, want in zip(have_rows, reference_rows(scm, seed, range(start, start + n))):
             assert want is None or have == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        scm=small_models(),
+        seed=st.integers(0, 2**40),
+        n=st.integers(0, 40),
+        start=st.integers(0, 5000),
+    )
+    def test_both_paths_give_equal_rows(self, scm, seed, n, start):
+        order = topological_order(scm.dag)
+        stdlib = realize_on("stdlib", scm, order, seed, start, n)
+        assert realize_on("numpy", scm, order, seed, start, n) == stdlib
+        # A longer run keeps these rows as its prefix, on either path.
+        longer = realize_on("numpy", scm, order, seed, start, n + 7)
+        assert {nd: col[:n] for nd, col in longer.items()} == stdlib
+
+    @pytest.mark.parametrize("start", [0, 4093, 250_000])
+    def test_counts_either_side_of_the_cutoff(self, start):
+        scm = three_node_model()
+        order = topological_order(scm.dag)
+        edge = _STDLIB_DRAWS // len(order)
+        widest = _realize(scm, order, DigitStream(17), start, edge + 2)
+        for count in (edge - 1, edge, edge + 1, edge + 2):
+            got = _realize(scm, order, DigitStream(17), start, count)
+            assert got == {nd: col[:count] for nd, col in widest.items()}
+            assert got == realize_on("numpy", scm, order, 17, start, count)
+            assert got == realize_on("stdlib", scm, order, 17, start, count)
 
     def test_sampled_frequencies_follow_the_cdf(self):
         probs = (0.2, 0.5, 0.3)

@@ -1,4 +1,8 @@
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -136,6 +140,30 @@ class TestTopologicalOrder:
     def test_equal_identifiers_keep_the_sorted_frontier_order(self):
         dag = Dag([1, "1", 0, "0", "2", 2], [(0, 2), ("0", "2")])
         assert topological_order(dag) == reference_topological_order(dag)
+        assert topological_order(dag) == [0, "0", 1, "1", 2, "2"]
+
+    def test_order_does_not_depend_on_string_hashing(self):
+        # Mixed int and str names in two processes with different hash seeds.
+        script = (
+            "import json, random; from scmkit.graph import Dag, topological_order\n"
+            "rng, out = random.Random(4), []\n"
+            "pool = [*range(12), *map(str, range(12))]\n"
+            "for _ in range(300):\n"
+            "    names = rng.sample(pool, rng.randint(2, 24))\n"
+            "    edges = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]"
+            " if rng.random() < 0.2]\n"
+            "    out.append(topological_order(Dag(names, edges)))\n"
+            "print(json.dumps(out))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules[Dag.__module__].__file__)))
+        orders = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, check=True)
+            orders.append(json.loads(proc.stdout))
+        assert orders[0] == orders[1]
 
     def test_two_cycle_raises_with_witness(self):
         dag = Dag(["A", "B"], [("A", "B"), ("B", "A")])

@@ -2,10 +2,12 @@
 
 Importing ``scmkit.cli`` loads only the standard library.  numpy and
 scipy are imported inside the functions that compute with them, so the
-exact-law, graph and identification commands never load them; only
-``sample``, ``casecontrol``, ``example`` and ``diagnose`` do, and
-``diagnose`` takes its chi-square tail from ``scipy.special`` instead
-of ``scipy.stats``, whose import alone costs most of a second.
+exact-law, graph and identification commands never load them, nor do
+``sample`` and ``casecontrol`` at command-line sizes (fewer draws than
+``scm._STDLIB_DRAWS``) or a seeded ``example``.  Only ``diagnose`` and
+Gaussian sampling load heavy libraries, and ``diagnose`` takes its
+chi-square tail from ``scipy.special`` instead of ``scipy.stats``, whose
+import alone costs most of a second.
 """
 
 import json
@@ -65,7 +67,7 @@ def catalog(tmp_path_factory):
     return lambda name: str(base / name)
 
 
-def test_cli_import_and_exact_commands_load_no_numpy_or_scipy(catalog):
+def test_cli_import_and_small_commands_load_no_numpy_or_scipy(catalog):
     p = catalog
     commands = [
         ["validate", "-m", p("fig1.json")],
@@ -85,8 +87,11 @@ def test_cli_import_and_exact_commands_load_no_numpy_or_scipy(catalog):
         ["oddsratio", "-m", p("case_control_pop.json")],
         ["docalc", "-m", p("fig1.json"), "--rule", "2", "--y", "R", "--z", "T=1",
          "--w", "X3,X4"],
+        ["sample", "-m", p("simpson_binary.json"), "--seed", "5", "--n", "300"],
+        ["casecontrol", "-m", p("case_control_pop.json"), "--seed", "5", "--n", "150"],
+        ["example", "fig1", "--seed", "5"],
     ]
-    assert len({argv[0] for argv in commands}) == 15
+    assert len({argv[0] for argv in commands}) == 18
     got = probe(commands)
     assert got["codes"] == [0] * len(commands)
     assert got["errors"] == [None] * len(commands)
