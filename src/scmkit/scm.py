@@ -11,9 +11,10 @@ interventions replace a mechanism by a point mass and cut the incoming
 edges; sampling realizes each row through the generalized inverse CDF
 driven by one uniform stream per node.
 
-Probabilities may be floats or ``fractions.Fraction`` values; all
-exact operations (joint, restrict, conditional independence) preserve
-whichever arithmetic the tables carry.
+Probabilities may be floats or ``fractions.Fraction`` values; all exact
+operations (joint, restrict, conditional independence) preserve whichever
+arithmetic the tables carry.  A ``Fraction`` joint holds integer numerators
+over one denominator, divided only where a probability leaves the table.
 """
 
 from __future__ import annotations
@@ -97,7 +98,9 @@ class JointTable:
     sits at sum(c_j * strides[j]).  The law's configurations, its keys, are
     the positions `keys`, in that order; when `keys` is None they are the
     positions of nonzero mass, in row-major order, and `zeros` says whether
-    any mass is zero.  `probs` reads the law as {configuration: probability}.
+    any mass is zero.  `probs` reads the law as {configuration: probability}:
+    the masses themselves when `scale` is None, else Fraction(mass, scale),
+    the masses being integer numerators over that one denominator.
 
     `JointTable(order, probs)` builds a table from such a mapping, keeping
     its keys and their order.
@@ -114,14 +117,14 @@ class JointTable:
         self._keyset = set(self.keys)
 
     @classmethod
-    def _dense(cls, order, values, masses, keys=None, zeros=True) -> "JointTable":
+    def _dense(cls, order, values, masses, keys=None, zeros=True, scale=None) -> "JointTable":
         table = cls.__new__(cls)
-        table._set(order, values, masses, keys, zeros)
+        table._set(order, values, masses, keys, zeros, scale)
         return table
 
-    def _set(self, order, values, masses, keys, zeros=True):
+    def _set(self, order, values, masses, keys, zeros=True, scale=None):
         self.order, self.values, self.masses, self.keys = order, values, masses, keys
-        self.zeros = zeros
+        self.zeros, self.scale = zeros, scale
         self.sizes = tuple(map(len, values))
         self.strides = tuple(math.prod(self.sizes[j + 1:]) for j in range(len(order)))
         self._keyset = None if keys is None else set(keys)
@@ -174,7 +177,7 @@ class _Probs(Mapping):
         t = self._table
         pos = t._position(cfg)
         if pos in t._keyset if t.keys is not None else t.masses[pos] != 0:
-            return t.masses[pos]
+            return t.masses[pos] if t.scale is None else Fraction(t.masses[pos], t.scale)
         raise KeyError(cfg)
 
     def __iter__(self):
@@ -193,11 +196,16 @@ class _Probs(Mapping):
     def _masses(self):
         t = self._table
         if t.keys is None:
-            return itertools.compress(t.masses, t.masses)
-        return map(t.masses.__getitem__, t.keys)
+            return _unscaled(t, itertools.compress(t.masses, t.masses))
+        return _unscaled(t, map(t.masses.__getitem__, t.keys))
 
     def __repr__(self):
         return repr(dict(self.items()))
+
+
+def _unscaled(joint: JointTable, masses):
+    """The probabilities that the joint's stored `masses` stand for."""
+    return masses if joint.scale is None else map(Fraction, masses, itertools.repeat(joint.scale))
 
 
 class _Items(ItemsView):
@@ -342,20 +350,17 @@ def joint_distribution(scm: Scm) -> JointTable:
     table may lack a row only where no configuration with mass reaches it.
     """
     order = topological_order(scm.dag)
-    size = 1
-    for node in order:
-        size *= len(scm.domains[node].values)
-        if size > MAX_JOINT_CONFIGS:
-            raise ResourceLimitError(
-                f"state space exceeds {MAX_JOINT_CONFIGS} configurations"
-            )
     values = tuple(scm.domains[n].values for n in order)
     sizes = tuple(map(len, values))
+    if math.prod(sizes) > MAX_JOINT_CONFIGS:
+        raise ResourceLimitError(f"state space exceeds {MAX_JOINT_CONFIGS} configurations")
     axis = {n: j for j, n in enumerate(order)}
+    lcms = _lcms(scm, order)
     # A product of nonzero factors that underflows to 0 (or a non-finite
     # factor times 0) would blur which configurations are keys.  `floor`
     # bounds every product from below; once it reaches 0 or a factor is
     # non-finite, `alive` (0/1 per configuration) tracks the keys instead.
+    # Integer rows never underflow, and are finite past the float range.
     masses, alive, floor, zeros = [1], None, 1, False
     for j, node in enumerate(order):
         cpt = scm.cpts[node]
@@ -376,11 +381,14 @@ def joint_distribution(scm: Scm) -> JointTable:
         # missing ones are 0.
         k = sizes[j]
         rows = [row if row is not None and len(row) == k else _fit(row or (), k) for row in rows]
+        if lcms is not None:
+            rows = [[p.numerator * (lcms[j] // p.denominator) for p in row] for row in rows]
         entries = list(itertools.chain.from_iterable(rows))
         zeros = zeros or 0 in entries
-        floor *= min(map(abs, filter(None, entries)), default=1)
-        if alive is None and not (floor > 0 and all(map(math.isfinite, entries))):
-            alive = [1 if m else 0 for m in masses]
+        if lcms is None:
+            floor *= min(map(abs, filter(None, entries)), default=1)
+            if alive is None and not (floor > 0 and all(map(math.isfinite, entries))):
+                alive = [1 if m else 0 for m in masses]
         if alive is None:
             # A structural zero stays 0 without a multiplication.
             masses = [m * p if m and p else 0 for m, r in zip(masses, at) for p in rows[r]]
@@ -388,7 +396,23 @@ def joint_distribution(scm: Scm) -> JointTable:
             masses = [m * p for m, r in zip(masses, at) for p in rows[r]]
             alive = [a * (p != 0) for a, r in zip(alive, at) for p in rows[r]]
     keys = None if alive is None else list(itertools.compress(itertools.count(), alive))
-    return JointTable._dense(tuple(order), values, masses, keys, zeros)
+    scale = None if lcms is None else math.prod(lcms)
+    return JointTable._dense(tuple(order), values, masses, keys, zeros, scale)
+
+
+def _lcms(scm: Scm, order) -> list | None:
+    """Per node of `order`, the lcm of its entries' denominators, by which
+    `joint_distribution` scales its rows to integers, when every entry is an
+    int or a Fraction and some node's nonzero entries are all Fractions, so
+    that every nonzero product is a Fraction; else None."""
+    lcms, exact = [], False
+    for node in order:
+        entries = [p for row in scm.cpts[node].table.values() if row is not None for p in row]
+        if not all(isinstance(p, (int, Fraction)) for p in entries):
+            return None
+        exact = exact or not any(p for p in entries if not isinstance(p, Fraction))
+        lcms.append(math.lcm(*(p.denominator for p in entries)))
+    return lcms if exact else None
 
 
 def _fit(row, k: int) -> tuple:
@@ -474,14 +498,15 @@ def restrict(joint: JointTable, targets, given: dict | None = None) -> JointTabl
     if all(v in joint.values[a] for a, v in given_axes):
         fixed = {a: joint.values[a].index(v) for a, v in given_axes}
         masses, (codes,) = _scan(joint, [target_axes], fixed)
-    mass = functools.reduce(operator.add, masses, 0)
-    if float(mass) <= POSITIVITY_CUTOFF:
+    mass, scale = functools.reduce(operator.add, masses, 0), joint.scale
+    if float(mass if scale is None else Fraction(mass, scale)) <= POSITIVITY_CUTOFF:
         raise ZeroProbabilityError(f"conditioning event {given!r} has probability 0")
     values = tuple(joint.values[a] for a in target_axes)
     probs = [0] * math.prod(map(len, values))
     sums = _sums(codes, masses, len(probs))
+    divide = operator.truediv if scale is None else Fraction
     for c, m in sums.items():
-        probs[c] = m / mass
+        probs[c] = divide(m, mass)
     return JointTable._dense(targets, values, probs, list(sums))
 
 
@@ -497,7 +522,8 @@ def _marginals(joint: JointTable, *node_tuples) -> list:
     tables = []
     for ax, cs in zip(axes, codes):
         configs = list(itertools.product(*(joint.values[a] for a in ax)))
-        tables.append({configs[c]: m for c, m in _sums(cs, masses, len(configs)).items()})
+        sums = _sums(cs, masses, len(configs))
+        tables.append(dict(zip(map(configs.__getitem__, sums), _unscaled(joint, sums.values()))))
     return tables
 
 
@@ -546,33 +572,6 @@ def _sorted(values) -> list:
         return sorted(values)
     except TypeError:
         return sorted(values, key=str)
-
-
-def expectation(joint: JointTable, node, given: dict | None = None):
-    """Mean of a numeric node, optionally conditional."""
-    law = restrict(joint, (node,), given)
-    return sum(v[0] * p for v, p in law.probs.items())
-
-
-def total_variation(a: JointTable, b: JointTable) -> float:
-    """Half the L1 distance between two laws over the same nodes, summed
-    row-major over the union of their value grids."""
-    if set(a.order) != set(b.order):
-        raise InvalidArgumentError("laws cover different nodes")
-    perm = [b.index(n) for n in a.order]
-    grid = [tuple(dict.fromkeys(a.values[i] + b.values[j])) for i, j in enumerate(perm)]
-    strides = _radix(tuple(map(len, grid)), range(len(grid)))
-    dense = []
-    for table, axes in ((a, range(len(perm))), (b, perm)):
-        # Position on the grid of each of the table's own row-major codes.
-        at = _codes([[s[g.index(v)] for v in table.values[ax]]
-                     for s, g, ax in zip(strides, grid, axes)])
-        masses, (codes,) = _scan(table, [axes])
-        law = [0] * math.prod(map(len, grid))
-        for c, p in zip(codes, masses):
-            law[at[c]] = p
-        dense.append(law)
-    return 0.5 * sum(abs(float(p) - float(q)) for p, q in zip(*dense))
 
 
 def intervene(scm: Scm, iv: Intervention) -> Scm:

@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from scmkit.errors import InvalidArgumentError
 from scmkit.exogenous import DigitStream, uniforms_at
 from scmkit.graph import Dag, topological_order
-from scmkit.scm import Cpt, Dataset, Domain, Scm, sample
+from scmkit.scm import Cpt, Dataset, Domain, JointTable, Scm, restrict, sample
 
 FRONTDOOR_NODES = ["X", "Y", "Z", "W"]
 FRONTDOOR_EDGES = [("X", "Y"), ("X", "W"), ("Y", "Z"), ("Z", "W")]
@@ -129,6 +130,22 @@ def sparse_model(seed: int, n: int = 6, exact: bool = False) -> Scm:
     return Scm(dag, domains, cpts)
 
 
+def exact_fill(dag: Dag, seed: int, size: int = 3) -> Scm:
+    """Strictly positive `Fraction` tables over `dag`, every node taking
+    `size` values: integer weights 1-9 over their row total."""
+    draws = iter(uniforms_at(DigitStream(seed), 1, 0, 4096).tolist())
+    domains = {n: Domain(n, tuple(range(size))) for n in dag.nodes}
+    cpts = {}
+    for node in topological_order(dag):
+        parents = tuple(dag.parents(node))
+        table = {}
+        for cfg in itertools.product(*[domains[p].values for p in parents]):
+            w = [1 + int(9 * next(draws)) for _ in range(size)]
+            table[cfg] = tuple(Fraction(x, sum(w)) for x in w)
+        cpts[node] = Cpt(node, parents, table)
+    return Scm(dag, domains, cpts)
+
+
 def frontdoor_model(seed: int, sizes: dict | None = None) -> Scm:
     return fill(Dag(FRONTDOOR_NODES, FRONTDOOR_EDGES), seed, sizes)
 
@@ -221,6 +238,31 @@ def reference_sums(order, probs: dict, targets, given: dict | None = None) -> tu
             key = tuple(cfg[i] for i in target_idx)
             sums[key] = sums.get(key, 0) + p
     return mass, sums
+
+
+# ---------------------------------------------------------------------------
+# Summaries of a law that only the tests use, read through the public
+# `probs` view.
+
+
+def expectation(joint: JointTable, node, given: dict | None = None):
+    """Mean of a numeric node, optionally conditional."""
+    law = restrict(joint, (node,), given)
+    return sum(v[0] * p for v, p in law.probs.items())
+
+
+def total_variation(a: JointTable, b: JointTable) -> float:
+    """Half the L1 distance between two laws over the same nodes, summed
+    row-major over the union of their value grids."""
+    if set(a.order) != set(b.order):
+        raise InvalidArgumentError("laws cover different nodes")
+    perm = [b.index(n) for n in a.order]
+    grid = [tuple(dict.fromkeys(a.values[i] + b.values[j])) for i, j in enumerate(perm)]
+    p = a.probs
+    q = {tuple(cfg[j] for j in perm): m for cfg, m in b.probs.items()}
+    return 0.5 * sum(
+        abs(float(p.get(cfg, 0)) - float(q.get(cfg, 0))) for cfg in itertools.product(*grid)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,6 @@ from scmkit.scm import (
     Intervention,
     JointTable,
     Scm,
-    expectation,
     intervene,
     joint_distribution,
     restrict,
@@ -60,6 +59,7 @@ from structures import (
     drift_dataset,
     drift_model,
     eelworms_model,
+    expectation,
     fill,
     frontdoor_model,
     gformula_model,

@@ -22,10 +22,9 @@ from scmkit.scm import (
     intervene,
     joint_distribution,
     restrict,
-    total_variation,
 )
 
-from structures import backdoor_model, fill
+from structures import backdoor_model, fill, total_variation
 
 
 def condition(scm: Scm, part: NodePartition, rule: int, x, z=None) -> tuple:

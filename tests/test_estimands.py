@@ -32,7 +32,6 @@ from scmkit.scm import (
     Intervention,
     JointTable,
     Scm,
-    expectation,
     intervene,
     joint_distribution,
     restrict,
@@ -45,6 +44,7 @@ from structures import (
     TWO_STAGE_EDGES,
     TWO_STAGE_NODES,
     TWO_STAGE_ROLES,
+    expectation,
     fill,
     hiring_model,
     two_stage_model,

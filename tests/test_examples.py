@@ -19,7 +19,6 @@ from scmkit.identify import adjust, frontdoor
 from scmkit.scm import (
     Intervention,
     Scm,
-    expectation,
     intervene,
     joint_distribution,
     load_model,
@@ -27,6 +26,8 @@ from scmkit.scm import (
     save_model,
     validate_scm,
 )
+
+from structures import expectation
 
 CATALOG_NAMES = (
     "simpson_binary",

@@ -193,9 +193,15 @@ class TestDiagonalBound:
         src = DigitStream(7)
         row, draw = 4, 189_812_530  # its 16th digit sits on diagonal LAST
         assert row + (draw + 1) * 16 - 1 == self.LAST
+        got = uniforms_at(src, row, draw, 1)[0]
+        # uniform_list finds the positions in Python ints, which cannot wrap.
+        assert [got] == uniform_list(src, row, draw, 1)
         digits = [src.digit_at(diagonal_position(row, draw * 16 + k)) for k in range(1, 17)]
-        want = np.array(digits, dtype=np.int64) @ (10.0 ** -(1.0 + np.arange(16)))
-        assert uniforms_at(src, row, draw, 1)[0] == want
+        exact = sum(Fraction(d, 10 ** (k + 1)) for k, d in enumerate(digits))
+        # Each weight and product rounds once and each term passes through at
+        # most five additions, so the draw is within 7 units of 2**-53 of the
+        # exact sum; the bound leaves one more for second-order terms.
+        assert abs(Fraction(got) - exact) <= exact * Fraction(8, 2**53)
 
     def test_one_past_the_last_diagonal_raises(self):
         src = DigitStream(7)

@@ -26,7 +26,6 @@ from scmkit.scm import (
     intervene,
     joint_distribution,
     restrict,
-    total_variation,
 )
 
 from structures import (
@@ -37,6 +36,7 @@ from structures import (
     fill,
     frontdoor_model,
     gformula_model,
+    total_variation,
 )
 from test_scm import simpson_scm
 

@@ -1,13 +1,15 @@
 """Each formula call reads its observational joint in exactly one scan.
 
 A formula asks for all of its factors and supports at once, so one pass
-over the joint's masses serves the whole call; `verify_rule` makes one
-pass per joint it builds.
+over the joint's masses serves the whole call, whether they are floats or
+the integer numerators of a Fraction joint; `verify_rule` makes one pass
+per joint it builds.
 """
 
 import importlib
 import json
 import pkgutil
+from fractions import Fraction
 
 import pytest
 
@@ -37,7 +39,7 @@ from scmkit.identify import (
     support_values,
 )
 from scmkit.cli import main
-from scmkit.scm import cond_independent, joint_distribution, save_model
+from scmkit.scm import Cpt, Scm, cond_independent, joint_distribution, save_model
 
 from structures import (
     EELWORMS_ROLES,
@@ -105,6 +107,24 @@ def scans(monkeypatch):
 def test_one_scan_per_formula_call(name, scans):
     model, call = CALLS[name]
     joint = joint_distribution(model)
+    call(joint)
+    assert len(scans) == 1
+
+
+def exact(model: Scm) -> Scm:
+    """The model with every table entry replaced by the Fraction of its value."""
+    cpts = {
+        n: Cpt(n, cpt.parents, {cfg: tuple(map(Fraction, row)) for cfg, row in cpt.table.items()})
+        for n, cpt in model.cpts.items()
+    }
+    return Scm(model.dag, model.domains, cpts, model.meta)
+
+
+@pytest.mark.parametrize("name", list(CALLS))
+def test_one_scan_per_formula_call_on_a_fraction_joint(name, scans):
+    model, call = CALLS[name]
+    joint = joint_distribution(exact(model))
+    assert isinstance(joint.scale, int)
     call(joint)
     assert len(scans) == 1
 

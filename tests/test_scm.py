@@ -2,14 +2,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scmkit.errors import (
     InvalidArgumentError,
+    PositivityError,
     ResourceLimitError,
     ZeroProbabilityError,
 )
 from scmkit.exogenous import DigitStream
 from scmkit.graph import Dag
+from scmkit.identify import adjust, gformula2
 from scmkit.scm import (
     Cpt,
     Dataset,
@@ -20,7 +23,6 @@ from scmkit.scm import (
     Scm,
     cond_independent,
     conditional_laws,
-    expectation,
     intervene,
     joint_distribution,
     restrict,
@@ -28,12 +30,22 @@ from scmkit.scm import (
     scm_from_dict,
     scm_from_json,
     scm_to_json,
-    total_variation,
     validate_scm,
     _marginals,
 )
 
-from structures import fill, reference_joint, reference_sums, sparse_model
+from structures import (
+    GFORMULA_EDGES,
+    GFORMULA_NODES,
+    GFORMULA_ROLES,
+    exact_fill,
+    expectation,
+    fill,
+    reference_joint,
+    reference_sums,
+    sparse_model,
+    total_variation,
+)
 from test_graph import FIG1_EDGES, FIG1_NODES
 
 
@@ -445,6 +457,163 @@ class TestFlatJointMatchesDictReference:
         assert list(joint.probs) == [(0, 0), (0, 1), (1, 1)]
         assert joint.probs[(0, 0)] == 0.0
         assert list(restrict(joint, ("B",)).probs) == [(0,), (1,)]
+
+
+def typed(law: dict) -> dict:
+    """{key: (value, type of value)}, to compare exactly in any key order."""
+    return {k: (p, type(p)) for k, p in law.items()}
+
+
+def reference_adjust(order, probs, t, t_val, r, z):
+    """sum over z of P(z) P(r | z, t) from the reference sums; None when a
+    stratum with mass never takes t_val."""
+    out = {}
+    for zc, mass in reference_sums(order, probs, z)[1].items():
+        if float(mass) <= POSITIVITY_CUTOFF:
+            continue
+        given = dict(zip(z, zc), **{t: t_val})
+        denom, cells = reference_sums(order, probs, (r,), given)
+        if float(denom) <= POSITIVITY_CUTOFF:
+            return None
+        for (rv,), m in cells.items():
+            out[rv] = out.get(rv, 0) + mass * m / denom
+    return out
+
+
+def reference_gformula2(order, probs, t_val, t2_val):
+    """sum over x, r, x2 of P(x) P(r | x, t) P(x2 | x, t, r) P(r2 | x, t, r, x2, t2)."""
+    law = lambda targets, given: reference_law(order, probs, targets, given) or {}  # noqa: E731
+    out = {}
+    for (x,), px in law(("X",), None).items():
+        for (r,), pr in law(("R",), {"X": x, "T": t_val}).items():
+            for (x2,), px2 in law(("X2",), {"X": x, "T": t_val, "R": r}).items():
+                given = {"X": x, "T": t_val, "R": r, "X2": x2, "T2": t2_val}
+                for (r2,), p in law(("R2",), given).items():
+                    out[r2] = out.get(r2, 0) + px * pr * px2 * p
+    return out
+
+
+def reference_ci(order, probs, a, b, c) -> tuple:
+    """(verdict, worst |P(a, b | c) - P(a | c) P(b | c)|) at tolerance 1e-12."""
+    worst = 0.0
+    for cv, mass in reference_sums(order, probs, c)[1].items():
+        if float(mass) <= POSITIVITY_CUTOFF:
+            continue
+        given = dict(zip(c, cv))
+        ab, pa, pb = (reference_law(order, probs, nodes, given) for nodes in (a + b, a, b))
+        for av, p_a in pa.items():
+            for bv, p_b in pb.items():
+                dev = abs(float(ab.get(av + bv, 0)) - float(p_a) * float(p_b))
+                worst = max(worst, dev)
+    return worst <= 1e-12, worst
+
+
+def exact_models():
+    """Exact sparse models, the same models under an intervention (whose
+    forced rows are int point masses), and ternary g-formula models."""
+    seeds = st.integers(0, 2**20)
+    sparse = seeds.map(lambda seed: sparse_model(seed, exact=True))
+    forced = st.tuples(seeds, st.integers(0, 5), st.integers(0, 2)).map(
+        lambda args: _forced(sparse_model(args[0], exact=True), *args[1:])
+    )
+    shaped = seeds.map(lambda seed: exact_fill(Dag(GFORMULA_NODES, GFORMULA_EDGES), seed))
+    return st.one_of(sparse, forced, shaped)
+
+
+def _forced(scm: Scm, i: int, v: int) -> Scm:
+    node = sorted(scm.dag.nodes)[i]
+    values = scm.domains[node].values
+    return intervene(scm, Intervention({node: values[v % len(values)]}))
+
+
+class TestIntegerNumerators:
+    """A joint of Fraction tables holds integer numerators over one scale;
+    every law read from it is == to the dict reference's, with its type."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(scm=exact_models(), data=st.data())
+    def test_laws_and_formulas_equal_the_reference(self, scm, data):
+        joint = joint_distribution(scm)
+        assert isinstance(joint.scale, int)
+        order, probs = joint.order, reference_joint(scm)
+        assert items(joint.probs) == items(probs)
+        nodes = st.sampled_from(order)
+        perm = data.draw(st.permutations(order))
+        k = data.draw(st.integers(1, len(order) - 1))
+        targets, rest = tuple(perm[:k]), perm[k:]
+        given = {n: data.draw(st.sampled_from(scm.domains[n].values)) for n in rest[:2]}
+        want = reference_law(order, probs, targets, given)
+        got = exact_law(joint, targets, given)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert items(got) == items(want)
+        given_nodes = tuple(rest)
+        strata = reference_sums(order, probs, given_nodes)[1]
+        laws = conditional_laws(joint, targets, given_nodes)
+        assert [(g, items(law)) for g, law in laws.items()] == [
+            (g, items(reference_law(order, probs, targets, dict(zip(given_nodes, g)))))
+            for g, mass in strata.items() if float(mass) > POSITIVITY_CUTOFF
+        ]
+        a, b = data.draw(nodes), data.draw(nodes)
+        if a != b:
+            c = tuple(sorted(set(rest) - {a, b})[:1])
+            assert cond_independent(joint, {a}, {b}, set(c)) == reference_ci(
+                order, probs, (a,), (b,), c
+            )
+        t, r = data.draw(nodes), data.draw(nodes)
+        if t != r:
+            z = tuple(p for p in scm.cpts[t].parents if p != r)
+            t_val = data.draw(st.sampled_from(scm.domains[t].values))
+            want = reference_adjust(order, probs, t, t_val, r, z)
+            if want is None:
+                with pytest.raises(PositivityError):
+                    adjust(joint, t, t_val, r, z)
+            else:
+                assert typed(adjust(joint, t, t_val, r, z)) == typed(want)
+        if set(order) == set(GFORMULA_NODES):
+            t_val, t2_val = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+            got = gformula2(joint, GFORMULA_ROLES, t_val, t2_val)
+            assert typed(got) == typed(reference_gformula2(order, probs, t_val, t2_val))
+
+    def test_an_all_int_model_keeps_float_laws(self):
+        dag = Dag(["A", "B"], [("A", "B")])
+        scm = Scm(
+            dag,
+            {n: Domain(n, (0, 1)) for n in "AB"},
+            {
+                "A": Cpt("A", (), {(): (0, 1)}),
+                "B": Cpt("B", ("A",), {(0,): (1, 0), (1,): (0, 1)}),
+            },
+        )
+        joint = joint_distribution(scm)
+        assert joint.scale is None
+        assert items(joint.probs) == items(reference_joint(scm)) == [((1, 1), 1, int)]
+        assert items(restrict(joint, ("B",)).probs) == [((1,), 1.0, float)]
+
+    def test_a_mixed_float_and_fraction_model_stays_on_the_object_path(self):
+        scm = simpson_scm(exact=True)
+        scm.cpts["T"] = Cpt("T", ("X",), {(0,): (0.25, 0.75), (1,): (0.75, 0.25)})
+        joint = joint_distribution(scm)
+        assert joint.scale is None
+        assert items(joint.probs) == items(reference_joint(scm))
+        assert {type(p) for p in joint.probs.values()} == {float}
+        want = reference_law(joint.order, reference_joint(scm), ("R",), {"X": 1})
+        assert items(restrict(joint, ("R",), {"X": 1}).probs) == items(want)
+
+    def test_int_entries_past_the_float_range_do_not_overflow(self):
+        dag = Dag(["A", "B"], [("A", "B")])
+        huge = 10**400
+        scm = Scm(
+            dag,
+            {n: Domain(n, (0, 1)) for n in "AB"},
+            {
+                "A": Cpt("A", (), {(): (Fraction(1, 3), Fraction(2, 3))}),
+                "B": Cpt("B", ("A",), {(0,): (huge, 0), (1,): (1, huge)}),
+            },
+        )
+        joint = joint_distribution(scm)
+        assert items(joint.probs) == items(reference_joint(scm))
+        assert joint.probs[(1, 1)] == Fraction(2 * huge, 3)
 
 
 class TestCondIndependent:
