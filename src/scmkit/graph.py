@@ -201,47 +201,82 @@ class BackdoorReport:
 
 def backdoor_paths(dag: Dag, t, r) -> list[Path]:
     """All simple paths from t to r entered against an edge and exiting along one."""
+    return [v.path for v in _walk(dag, t, r, frozenset(), frozenset())]
+
+
+# A path's (verdict, witness) before any node decides it.
+_OPEN = ("violates", None)
+
+
+def _walk(dag: Dag, t, r, Z: frozenset, above_z: frozenset) -> list[PathVerdict]:
+    """Every back-door path from t to r with its verdict against Z.
+
+    One depth-first walk over shared stacks: children and parents are tried
+    in identifier order, and each node's roles are fixed once per visit, so
+    paths that share a prefix share its classification.
+    """
     dag._require(t)
     dag._require(r)
     if t == r:
         raise InvalidArgumentError("treatment and response must differ")
-    paths: list[Path] = []
+    verdicts: list[PathVerdict] = []
     steps = {
         n: sorted([(c, FORWARD) for c in dag._children[n]] + [(p, BACKWARD) for p in dag._parents[n]],
                   key=lambda s: (str(s[0]), s[1]))
         for n in dag.nodes
     }
+    visited, nodes, dirs = {t}, [t], []
 
-    def extend(node, visited, nodes, dirs):
+    def visit(node, came, state):
+        visited.add(node)
+        nodes.append(node)
+        dirs.append(came)
+        forward, backward = _roles(node, came, state, Z, above_z)
         for nxt, direction in steps[node]:
             if nxt == r:
                 if direction == FORWARD:
-                    if len(paths) >= DEFAULT_PATH_CAP:
+                    if len(verdicts) >= DEFAULT_PATH_CAP:
                         raise ResourceLimitError(f"more than {DEFAULT_PATH_CAP} back-door paths")
-                    paths.append(Path(nodes + (r,), dirs + (direction,)))
+                    verdicts.append(PathVerdict(Path((*nodes, r), (*dirs, FORWARD)), *forward))
             elif nxt not in visited:
-                extend(nxt, visited | {nxt}, nodes + (nxt,), dirs + (direction,))
+                visit(nxt, direction, forward if direction == FORWARD else backward)
+        visited.remove(node)
+        nodes.pop()
+        dirs.pop()
 
     for first in dag.parents(t):
-        if first == r:
-            continue  # the edge r -> t leaves r, so it opens no back-door path
-        extend(first, {t, first}, (t, first), (BACKWARD,))
-    return paths
+        if first != r:  # the edge r -> t leaves r, so it opens no back-door path
+            visit(first, BACKWARD, _OPEN)
+    return verdicts
 
 
-def _classify(path: Path, dag: Dag, Z: frozenset) -> PathVerdict:
-    pointing = [
-        node
-        for i, node in enumerate(path.interior(), start=1)
-        if node in Z and not path.is_collider(i)
-    ]
-    if pointing:
-        return PathVerdict(path, "satisfies-(i)", pointing[0])
-    # No Z-node on the path points an arrow; look for an open collider.
-    for i, node in enumerate(path.interior(), start=1):
-        if path.is_collider(i) and node not in Z and not (descendants(dag, node) & Z):
-            return PathVerdict(path, "satisfies-(ii)", node)
-    return PathVerdict(path, "violates")
+def _roles(node, came, state, Z: frozenset, above_z: frozenset) -> tuple:
+    """(verdict, witness) of a path prefix extended through interior `node`,
+    entered along `came`: once for leaving it forward, once backward.
+
+    The first Z-node that points an arrow along the path (a chain or fork
+    node) fixes (i).  Until one appears, the first collider outside
+    `above_z` (Z with its ancestors: neither the collider nor any of its
+    descendants lies in Z) is the (ii) witness.
+    """
+    if state[0] == "satisfies-(i)":
+        return state, state
+    pointing = ("satisfies-(i)", node) if node in Z else state
+    if came == BACKWARD:
+        return pointing, pointing
+    # Entered along an arrow, the node is a collider when left backward.
+    if state[0] == "violates" and node not in above_z:
+        return pointing, ("satisfies-(ii)", node)
+    return pointing, state
+
+
+def _classify(path: Path, Z: frozenset, above_z: frozenset) -> PathVerdict:
+    """The walk's verdict for a stored path, folded node by node."""
+    state = _OPEN
+    for i in range(1, len(path.nodes) - 1):
+        forward, backward = _roles(path.nodes[i], path.directions[i - 1], state, Z, above_z)
+        state = forward if path.directions[i] == FORWARD else backward
+    return PathVerdict(path, *state)
 
 
 def check_backdoor(dag: Dag, t, r, Z) -> BackdoorReport:
@@ -256,7 +291,7 @@ def check_backdoor(dag: Dag, t, r, Z) -> BackdoorReport:
         raise DescendantConditioningError(
             f"{sorted(offenders, key=str)} descend from {t!r}; use check_backdoor_extended"
         )
-    verdicts = [_classify(p, dag, Z) for p in backdoor_paths(dag, t, r)]
+    verdicts = _walk(dag, t, r, Z, Z.union(*(ancestors(dag, z) for z in Z)))
     return BackdoorReport(all(v.verdict != "violates" for v in verdicts), verdicts)
 
 
@@ -328,6 +363,7 @@ def enumerate_valid_adjustment_sets(dag: Dag, t, r, candidates) -> list[frozense
             "candidates must exclude the treatment, the response, and treatment descendants"
         )
     paths = [v.path for v in check_backdoor(dag, t, r, candidates).verdicts]
+    above = {c: ancestors(dag, c) | {c} for c in candidates}
     ordered = sorted(candidates, key=str)
     minimal: list[frozenset] = []
     for size in range(len(ordered) + 1):
@@ -335,6 +371,7 @@ def enumerate_valid_adjustment_sets(dag: Dag, t, r, candidates) -> list[frozense
             Z = frozenset(combo)
             if any(m <= Z for m in minimal):
                 continue  # proper superset of a known valid set
-            if all(_classify(p, dag, Z).verdict != "violates" for p in paths):
+            above_z = frozenset().union(*(above[z] for z in Z))
+            if all(_classify(p, Z, above_z).verdict != "violates" for p in paths):
                 minimal.append(Z)
     return sorted(minimal, key=lambda s: (len(s), sorted(s, key=str)))

@@ -331,14 +331,24 @@ def validate_scm(scm: Scm) -> list[str]:
                     f"{node!r}@{cfg!r}: row length {len(row)} != domain size {len(dom.values)}"
                 )
                 continue
-            if not all(math.isfinite(p) for p in row):
+            if not all(math.isfinite(_float(p)) for p in row):
                 problems.append(f"{node!r}@{cfg!r}: non-finite probability")
                 continue
             if any(p < 0 for p in row):
                 problems.append(f"{node!r}@{cfg!r}: negative probability")
-            if abs(float(sum(row)) - 1.0) > 1e-12:
-                problems.append(f"{node!r}@{cfg!r}: row sums to {float(sum(row))!r}, not 1")
+            total = _float(sum(row))
+            if abs(total - 1.0) > 1e-12:
+                problems.append(f"{node!r}@{cfg!r}: row sums to {total!r}, not 1")
     return problems
+
+
+def _float(p) -> float:
+    """`float(p)`, or an infinity of p's sign for an int or Fraction past
+    the float range."""
+    try:
+        return float(p)
+    except OverflowError:
+        return math.inf if p > 0 else -math.inf
 
 
 def joint_distribution(scm: Scm) -> JointTable:
@@ -407,9 +417,13 @@ def _lcms(scm: Scm, order) -> list | None:
     that every nonzero product is a Fraction; else None."""
     lcms, exact = [], False
     for node in order:
-        entries = [p for row in scm.cpts[node].table.values() if row is not None for p in row]
-        if not all(isinstance(p, (int, Fraction)) for p in entries):
-            return None
+        entries = []
+        for row in scm.cpts[node].table.values():
+            if row is not None:
+                for p in row:
+                    if not isinstance(p, (int, Fraction)):
+                        return None
+                    entries.append(p)
         exact = exact or not any(p for p in entries if not isinstance(p, Fraction))
         lcms.append(math.lcm(*(p.denominator for p in entries)))
     return lcms if exact else None

@@ -8,7 +8,16 @@ import numpy as np
 
 from scmkit.errors import InvalidArgumentError
 from scmkit.exogenous import DigitStream, uniforms_at
-from scmkit.graph import Dag, topological_order
+from scmkit.graph import (
+    BACKWARD,
+    FORWARD,
+    BackdoorReport,
+    Dag,
+    Path,
+    PathVerdict,
+    descendants,
+    topological_order,
+)
 from scmkit.scm import Cpt, Dataset, Domain, JointTable, Scm, restrict, sample
 
 FRONTDOOR_NODES = ["X", "Y", "Z", "W"]
@@ -313,3 +322,70 @@ def reference_lg_moments(model) -> tuple:
             for pb, cb in coefs.items()
         )
     return tuple(order), mean, cov
+
+
+# ---------------------------------------------------------------------------
+# Path-by-path reference for the back-door criterion: the recursive listing
+# that copied its visited set and tuples at every step, and the classifier
+# that read each collider's descendants, which the single classifying walk
+# replaced; kept to check its paths, order, verdicts and witnesses.
+
+
+def reference_backdoor_paths(dag: Dag, t, r) -> list:
+    """Back-door paths from t to r, children and parents tried in `str` order."""
+    steps = {
+        n: sorted([(c, FORWARD) for c in dag.children(n)] + [(p, BACKWARD) for p in dag.parents(n)],
+                  key=lambda s: (str(s[0]), s[1]))
+        for n in dag.nodes
+    }
+    paths = []
+
+    def extend(node, visited, nodes, dirs):
+        for nxt, direction in steps[node]:
+            if nxt == r:
+                if direction == FORWARD:
+                    paths.append(Path(nodes + (r,), dirs + (direction,)))
+            elif nxt not in visited:
+                extend(nxt, visited | {nxt}, nodes + (nxt,), dirs + (direction,))
+
+    for first in dag.parents(t):
+        if first != r:
+            extend(first, {t, first}, (t, first), (BACKWARD,))
+    return paths
+
+
+def reference_classify(path: Path, dag: Dag, Z) -> PathVerdict:
+    """(i) at the first pointing Z-node, else (ii) at the first collider that
+    neither is in Z nor has a descendant there, else a violation."""
+    pointing = [
+        node
+        for i, node in enumerate(path.interior(), start=1)
+        if node in Z and not path.is_collider(i)
+    ]
+    if pointing:
+        return PathVerdict(path, "satisfies-(i)", pointing[0])
+    for i, node in enumerate(path.interior(), start=1):
+        if path.is_collider(i) and node not in Z and not (descendants(dag, node) & Z):
+            return PathVerdict(path, "satisfies-(ii)", node)
+    return PathVerdict(path, "violates")
+
+
+def reference_check_backdoor(dag: Dag, t, r, Z) -> BackdoorReport:
+    Z = frozenset(Z)
+    verdicts = [reference_classify(p, dag, Z) for p in reference_backdoor_paths(dag, t, r)]
+    return BackdoorReport(all(v.verdict != "violates" for v in verdicts), verdicts)
+
+
+def reference_adjustment_sets(dag: Dag, t, r, candidates) -> list:
+    """Minimal subsets of `candidates`, smallest first, that leave no path violating."""
+    paths = reference_backdoor_paths(dag, t, r)
+    ordered = sorted(candidates, key=str)
+    minimal = []
+    for size in range(len(ordered) + 1):
+        for combo in itertools.combinations(ordered, size):
+            Z = frozenset(combo)
+            if any(m <= Z for m in minimal):
+                continue
+            if all(reference_classify(p, dag, Z).verdict != "violates" for p in paths):
+                minimal.append(Z)
+    return sorted(minimal, key=lambda s: (len(s), sorted(s, key=str)))

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from scmkit import graph
 from scmkit.errors import (
     CyclicGraphError,
     DescendantConditioningError,
@@ -203,6 +204,17 @@ class TestBackdoorPaths:
     def test_direct_edge_only(self):
         dag = Dag(["T", "R"], [("T", "R")])
         assert backdoor_paths(dag, "T", "R") == []
+
+    @pytest.mark.parametrize("listing", [
+        lambda dag: backdoor_paths(dag, "T", "R"),
+        lambda dag: check_backdoor(dag, "T", "R", {"X3"}).verdicts,
+    ])
+    def test_the_cap_admits_exactly_its_count(self, fig1, monkeypatch, listing):
+        monkeypatch.setattr(graph, "DEFAULT_PATH_CAP", 4)
+        assert len(listing(fig1)) == 4
+        monkeypatch.setattr(graph, "DEFAULT_PATH_CAP", 3)
+        with pytest.raises(ResourceLimitError, match=r"^more than 3 back-door paths$"):
+            listing(fig1)
 
     def test_same_endpoint_rejected(self, fig1):
         with pytest.raises(InvalidArgumentError):

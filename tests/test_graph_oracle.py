@@ -1,4 +1,5 @@
-"""Graph answers checked against networkx and a brute-force subset scan.
+"""Graph answers checked against networkx, a brute-force subset scan and
+the path-by-path reference in `structures`.
 
 networkx is a test-only dependency: it supplies the closures and the
 d-separation test, written independently of `scmkit.graph`.
@@ -7,14 +8,21 @@ d-separation test, written independently of `scmkit.graph`.
 import itertools
 
 import networkx as nx
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from scmkit.graph import (
     Dag,
     ancestors,
+    backdoor_paths,
     check_backdoor,
     descendants,
     enumerate_valid_adjustment_sets,
+)
+
+from structures import (
+    reference_adjustment_sets,
+    reference_backdoor_paths,
+    reference_check_backdoor,
 )
 
 
@@ -24,6 +32,17 @@ def dags(draw, max_nodes=8):
     n = draw(st.integers(2, max_nodes))
     names = draw(st.permutations([f"V{i}" for i in range(n)]))
     edges = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())]
+    return Dag(names, edges)
+
+
+@st.composite
+def sparse_dags(draw, max_nodes=10):
+    """Random DAGs of one to two edges per node, so that back-door paths
+    are common but few enough to list twice."""
+    n = draw(st.integers(2, max_nodes))
+    names = draw(st.permutations([f"V{i}" for i in range(n)]))
+    pairs = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=n - 1, max_size=2 * n, unique=True))
     return Dag(names, edges)
 
 
@@ -78,3 +97,28 @@ def test_enumeration_equals_a_brute_force_minimal_subset_scan(dag, data):
     minimal = [z for z in valid if not any(other < z for other in valid)]
     expected = sorted(minimal, key=lambda s: (len(s), sorted(s)))
     assert enumerate_valid_adjustment_sets(dag, t, r, candidates) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(dag=sparse_dags(), data=st.data())
+def test_the_walk_lists_and_classifies_as_the_path_by_path_reference(dag, data):
+    nodes = sorted(dag.nodes)
+    t = data.draw(st.sampled_from([n for n in nodes if dag.parents(n)]))
+    r = data.draw(st.sampled_from([n for n in nodes if n != t]))
+    pool = sorted(dag.nodes - {t, r} - descendants(dag, t))
+    z = data.draw(st.sets(st.sampled_from(pool), max_size=3)) if pool else set()
+    # A node with two parents, or one of its descendants, in Z opens that
+    # node as a collider, so that (ii) turns on Z's ancestors.
+    colliders = sorted(n for n in dag.nodes if len(dag.parents(n)) > 1)
+    below = sorted({d for c in colliders for d in descendants(dag, c) | {c}} & set(pool))
+    if below and data.draw(st.booleans()):
+        z.add(data.draw(st.sampled_from(below)))
+    report = check_backdoor(dag, t, r, z)
+    for verdict in report.verdicts:
+        event(verdict.verdict)
+    assert report == reference_check_backdoor(dag, t, r, z)
+    assert backdoor_paths(dag, t, r) == reference_backdoor_paths(dag, t, r)
+    candidates = data.draw(st.sets(st.sampled_from(pool), max_size=6)) if pool else set()
+    assert enumerate_valid_adjustment_sets(dag, t, r, candidates) == reference_adjustment_sets(
+        dag, t, r, candidates
+    )

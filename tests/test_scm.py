@@ -146,6 +146,24 @@ class TestValidate:
         problems = validate_scm(scm)
         assert problems == ["'T'@(0,): non-finite probability"]
 
+    @pytest.mark.parametrize("huge", [10**400, -(10**400), Fraction(10**400, 3)])
+    def test_entries_past_the_float_range_are_named_not_raised(self, huge):
+        dag = Dag(["A", "B"], [("A", "B")])
+        scm = Scm(
+            dag,
+            {n: Domain(n, (0, 1)) for n in "AB"},
+            {
+                "A": Cpt("A", (), {(): (0.5, 0.5)}),
+                "B": Cpt("B", ("A",), {(0,): (huge, 0), (1,): (0, 1)}),
+            },
+        )
+        assert validate_scm(scm) == ["'B'@(0,): non-finite probability"]
+
+    def test_a_row_summing_past_the_float_range_is_named_not_raised(self):
+        scm = simpson_scm()
+        scm.cpts["T"] = Cpt("T", ("X",), {(0,): (10**308, 10**308), (1,): (0.8, 0.2)})
+        assert validate_scm(scm) == ["'T'@(0,): row sums to inf, not 1"]
+
 
 class TestJointDistribution:
     def test_single_coin(self):
