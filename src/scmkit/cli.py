@@ -9,6 +9,10 @@ domain operation fails (the module's message appears verbatim in
 ``error``) or when a checked criterion is violated, and 2 on usage
 errors.  Failure reports go to stdout; ``--out`` files are written only
 on success.
+
+One table, ``_COMMANDS``, lists each subcommand's handler, help, citation,
+model file, role names and options; ``main`` loads the model, binds
+``--roles``, runs the handler and cites its formula for every command.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import argparse
 import json
 import math
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import casecontrol, estimands, identify
 from .casecontrol import DEFAULT_BUDGET, estimate_cc_or, export_sample, simulate_case_control
@@ -73,8 +77,6 @@ def _split_list(text: str) -> list:
 def _parse_pairs(text: str, flag: str) -> dict:
     out = {}
     for part in _split_list(text):
-        if "=" not in part:
-            raise _UsageError(f"{flag} expects k=v pairs, got {part!r}")
         key, _, value = part.partition("=")
         if not key or not value:
             raise _UsageError(f"{flag} expects k=v pairs, got {part!r}")
@@ -109,25 +111,11 @@ def _assignments(scm: Scm, text: str, flag: str) -> dict:
     }
 
 
-# Role names of the subcommands that take --roles; by default each role
-# names its own node.
-_ROLE_NAMES = {
-    "frontdoor": ("Y", "Z", "W", "X"),
-    "eelworms": identify._EELWORMS_ROLES,
-    "gformula": identify._GFORMULA_ROLES,
-    "direct-effect": estimands._TWO_STAGE_ROLES,
-    "policy": estimands._TWO_STAGE_ROLES,
-    "mediation": estimands._HIRING_ROLES,
-    "iv": estimands._IV_ROLES,
-    "oddsratio": casecontrol._ROLE_NAMES,
-    "casecontrol": casecontrol._ROLE_NAMES,
-}
-
-
-def _roles(args) -> dict:
-    names = _ROLE_NAMES[args.command]
+def _roles(names: tuple, text: str | None) -> dict:
+    """Bindings {role: node} from --roles; by default each role names its
+    own node."""
     roles = {name: name for name in names}
-    for role, node in _parse_pairs(args.roles or "", "--roles").items():
+    for role, node in _parse_pairs(text or "", "--roles").items():
         if role not in roles:
             raise _UsageError(f"--roles accepts {', '.join(names)}; got {role!r}")
         roles[role] = node
@@ -163,66 +151,47 @@ def _gaussian_doc(model: LinearGaussianScm) -> dict:
 
 
 # ---------------------------------------------------------------- handlers
+# A handler takes (args, report, model, roles), fills `report` and returns
+# an exit code (None means 0) or, for a row table, the CSV text.
 
 
-def _cmd_validate(args, report):
-    model = load_model(args.model)
+def _cmd_validate(args, report, model, roles):
     problems = validate_scm(model)
     report["result"] = {"ok": not problems, "problems": problems}
     if problems:
         report["error"] = f"model failed validation with {len(problems)} problem(s)"
         return 1
-    return 0
 
 
-def _cmd_joint(args, report):
-    model = load_model(args.model)
+def _cmd_joint(args, report, model, roles):
     joint = joint_distribution(model)
     targets = tuple(_split_list(args.targets)) if args.targets else tuple(
         sorted(model.dag.nodes, key=str)
     )
     given = _assignments(model, args.given, "--given") if args.given else None
     law = restrict(joint, targets, given)
-    report["citations"] = ["P(v) = product over nodes of P(v_i | parents_i)"]
-    report["result"] = {
-        "order": list(law.order),
-        "probs": {
-            "|".join(str(v) for v in cfg): float(p) for cfg, p in sorted(
-                law.probs.items(), key=lambda kv: str(kv[0])
-            )
-        },
-    }
-    return 0
+    probs = {cfg: float(p) for cfg, p in sorted(law.probs.items(), key=lambda kv: str(kv[0]))}
+    report["result"] = {"order": list(law.order), "probs": _joined_keys(probs)}
 
 
-def _cmd_intervene(args, report):
-    model = load_model(args.model)
+def _cmd_intervene(args, report, model, roles):
     assignments = _assignments(model, args.set, "--set")
     cut = intervene(model, Intervention(assignments))
-    report["citations"] = [
-        "do(V=v): delete the mechanisms of the set nodes and fix their values"
-    ]
     report["result"] = {"model": _model_doc(cut)}
     if args.model_out:
         save_model(cut, args.model_out)
-    return 0
 
 
-def _cmd_sample(args, report):
-    model = load_model(args.model)
+def _cmd_sample(args, report, model, roles):
     data = sample(model, DigitStream(args.seed), args.n)
-    report["citations"] = ["inverse-CDF draws along one uniform stream per node"]
     report["result"] = {
         "columns": list(data.columns),
         "rows": [list(row) for row in data.rows],
     }
-    table = ",".join(str(c) for c in data.columns) + "\n"
-    table += "".join(",".join(str(v) for v in row) + "\n" for row in data.rows)
-    return 0, table
+    return data.to_csv()
 
 
-def _cmd_backdoor(args, report):
-    model = load_model(args.model)
+def _cmd_backdoor(args, report, model, roles):
     z_nondesc = _split_list(args.adjust) if args.adjust else []
     if args.adjust_desc:
         verdict = check_backdoor_extended(
@@ -230,10 +199,6 @@ def _cmd_backdoor(args, report):
         )
     else:
         verdict = check_backdoor(model.dag, args.t, args.r, z_nondesc)
-    report["citations"] = [
-        "Z is admissible when every back-door path is blocked: a noncollider "
-        "in Z, or a collider whose descendants stay outside Z"
-    ]
     report["warnings"] = list(verdict.warnings)
     report["result"] = {
         "valid": verdict.valid,
@@ -250,26 +215,20 @@ def _cmd_backdoor(args, report):
     return 0 if verdict.valid else 1
 
 
-def _cmd_adjust_sets(args, report):
-    model = load_model(args.model)
+def _cmd_adjust_sets(args, report, model, roles):
     if args.candidates:
         candidates = _split_list(args.candidates)
     else:
         blocked = {args.t, args.r} | descendants(model.dag, args.t)
         candidates = sorted(set(model.dag.nodes) - blocked, key=str)
     sets = enumerate_valid_adjustment_sets(model.dag, args.t, args.r, candidates)
-    report["citations"] = [
-        "minimal candidate subsets passing the back-door criterion"
-    ]
     report["result"] = {
         "candidates": sorted(candidates, key=str),
         "minimal_sets": [sorted(s, key=str) for s in sets],
     }
-    return 0
 
 
-def _cmd_effect(args, report):
-    model = load_model(args.model)
+def _cmd_effect(args, report, model, roles):
     joint = joint_distribution(model)
     z_nodes = tuple(_split_list(args.adjust)) if args.adjust else ()
     t_values = [
@@ -280,106 +239,57 @@ def _cmd_effect(args, report):
     # The command's effect is second minus first, the function's first
     # minus second.
     effect = backdoor_effect(joint, args.t, t_values[::-1], args.r, z_nodes)
-    report["citations"] = [
-        "P(R=r under do T=t) = sum_z P(R=r | T=t, Z=z) P(Z=z)"
-    ]
     laws = {str(t): _str_keys(effect.distributions[t]) for t in t_values}
     result = {"adjust": list(z_nodes), "laws": laws}
     if len(t_values) == 2:
         result["ate"] = effect.ate
         if effect.ate is None:
-            report["warnings"].append(
-                "response values are not numeric; no average effect"
-            )
+            report["warnings"].append("response values are not numeric; no average effect")
     report["result"] = result
-    return 0
 
 
-def _cmd_frontdoor(args, report):
-    model = load_model(args.model)
-    roles = _roles(args)
-    out = frontdoor(
-        joint_distribution(model),
-        roles["Y"],
-        roles["Z"],
-        roles["W"],
-        dag=model.dag,
-        x_node=roles["X"],
-    )
-    report["citations"] = [
-        "l_y(w) = sum_z P(z|y) sum_y' P(w|y',z) P(y')"
-    ]
+def _cmd_frontdoor(args, report, model, roles):
+    y, z, w, x = roles.values()
+    out = frontdoor(joint_distribution(model), y, z, w, dag=model.dag, x_node=x)
     report["result"] = {
         "effect": _joined_keys(out.effect),
         "intermediate": _joined_keys(out.intermediate),
     }
-    return 0
 
 
-def _cmd_eelworms(args, report):
-    model = load_model(args.model)
-    roles = _roles(args)
+def _cmd_eelworms(args, report, model, roles):
     law = eelworms_effect(joint_distribution(model), roles, dag=model.dag)
-    report["citations"] = [
-        "mu_x(y) = sum_(v,w) P(y|x,v,w) sum_u P(v|x,u) "
-        "sum_x' P(w|v,x',u) P(x',u)"
-    ]
     report["result"] = {"effect": _joined_keys(law)}
-    return 0
 
 
-def _cmd_gformula(args, report):
-    model = load_model(args.model)
-    roles = _roles(args)
+def _cmd_gformula(args, report, model, roles):
     joint = joint_distribution(model)
     t_val = _domain_value(model, roles["T"], args.t_value)
     t2_val = _domain_value(model, roles["T2"], args.t2_value)
     law = gformula2(joint, roles, t_val, t2_val, dag=model.dag)
-    report["citations"] = [
-        "sum_(x,r,x2) P(x) P(r|x,t) P(x2|x,t,r) P(r2|x2,t2,t)"
-    ]
     report["result"] = {"law": _str_keys(law)}
-    return 0
 
 
-def _cmd_direct_effect(args, report):
-    model = load_model(args.model)
-    roles = _roles(args)
+def _cmd_direct_effect(args, report, model, roles):
     joint = joint_distribution(model)
     y2_val = _domain_value(model, roles["Y2"], args.y2)
     t_val = _domain_value(model, roles["Y4"], args.t_value)
     out = two_stage_direct(joint, roles, y2_val, t_val, dag=model.dag)
-    report["citations"] = [
-        "p_t(y) = sum_y3 P(Y1=y | Y2=y2, Y3=y3, Y4=t) P(Y3=y3 | Y4=t)"
-    ]
     report["result"] = {"law": _str_keys(out["law"]), "mean": out["mean"]}
-    return 0
 
 
-def _cmd_policy(args, report):
-    model = load_model(args.model)
-    roles = _roles(args)
+def _cmd_policy(args, report, model, roles):
     out = antibiotic_policy(joint_distribution(model), roles, dag=model.dag)
-    report["citations"] = [
-        "P(Y1=y under withhold-unless-Y3) = P(y, Y3=0 | y4) "
-        "+ P(y | Y2=1, Y3=1, y4) P(Y3=1 | y4)"
-    ]
     report["result"] = {
         "law": _joined_keys(out["law"]),
         "means": _str_keys(out["means"]),
         "mean_at_1_lower": out["mean_at_1_lower"],
     }
-    return 0
 
 
-def _cmd_mediation(args, report):
-    model = load_model(args.model)
-    roles = _roles(args)
+def _cmd_mediation(args, report, model, roles):
     joint = joint_distribution(model)
     indirect = natural_indirect(joint, roles, dag=model.dag)
-    report["citations"] = [
-        "sum_(b,q) E(H | b, q, S=1) {P(b,q | S=0) - P(b,q | S=1)}"
-    ]
     result = {"natural_indirect": float(indirect)}
     if args.sigma:
         sigma = {
@@ -389,35 +299,26 @@ def _cmd_mediation(args, report):
         fixed = mediation_fixed_sex(joint, roles, sigma, dag=model.dag)
         result["fixed_law"] = _joined_keys(fixed)
     report["result"] = result
-    return 0
 
 
-def _cmd_iv(args, report):
-    roles = _roles(args)
+def _cmd_iv(args, report, model, roles):
     if (args.model is None) == (args.data is None):
         raise _UsageError("iv needs exactly one of --model or --data")
     if args.method == "tsls":
         if args.data is None:
             raise _UsageError("method tsls reads a dataset; pass --data")
         out = iv_tsls(Dataset.read_csv(args.data), roles)
-        report["citations"] = ["theta = cov(I, R) / cov(I, T)"]
+        citation = "theta = cov(I, R) / cov(I, T)"
     elif args.method == "multi":
-        if args.model is None:
+        if model is None:
             raise _UsageError("method multi needs the exact joint; pass --model")
-        out = iv_multi(joint_distribution(load_model(args.model)), roles)
-        report["citations"] = [
-            "Theta = sum_k theta_k p_k over instrument levels i_k"
-        ]
+        out = iv_multi(joint_distribution(model), roles)
+        citation = "Theta = sum_k theta_k p_k over instrument levels i_k"
     else:
-        source = (
-            joint_distribution(load_model(args.model))
-            if args.model
-            else Dataset.read_csv(args.data)
-        )
+        source = joint_distribution(model) if model is not None else Dataset.read_csv(args.data)
         out = iv_theta(source, roles)
-        report["citations"] = [
-            "theta = {E(R|I=1) - E(R|I=0)} / {E(T|I=1) - E(T|I=0)}"
-        ]
+        citation = "theta = {E(R|I=1) - E(R|I=0)} / {E(T|I=1) - E(T|I=0)}"
+    report["citations"] = [citation]
     result = {
         "theta": float(out.theta),
         "numerator": float(out.numerator),
@@ -431,45 +332,32 @@ def _cmd_iv(args, report):
         result["first_stage"] = float(out.first_stage)
         result["reduced_form"] = float(out.reduced_form)
     report["result"] = result
-    return 0
 
 
-def _cmd_oddsratio(args, report):
-    model = load_model(args.model)
-    roles = _roles(args)
+def _cmd_oddsratio(args, report, model, roles):
     out = odds_ratio(joint_distribution(model), roles)
-    report["citations"] = [
-        "p(1-q)/(q(1-p)) equals the response-side odds ratio in every stratum"
-    ]
     report["warnings"] = list(out.warnings)
     report["result"] = {
         "per_x": {str(x): _str_keys(cell) for x, cell in out.per_x.items()},
         "overall": out.overall,
     }
-    return 0
 
 
-def _cmd_casecontrol(args, report):
-    model = load_model(args.model)
-    roles = _roles(args)
+def _cmd_casecontrol(args, report, model, roles):
     pairs = simulate_case_control(
         model, args.n, DigitStream(args.seed), budget=args.budget, roles=roles
     )
     estimate = estimate_cc_or(pairs)
-    report["citations"] = [
-        "matched pairs preserve the within-stratum exposure odds ratio"
-    ]
     report["warnings"] = list(estimate.warnings)
     report["result"] = {
         "pairs": pairs.pair_count,
         "per_x": {str(x): _str_keys(cell) for x, cell in estimate.per_x.items()},
         "overall": estimate.overall,
     }
-    return 0, export_sample(pairs)
+    return export_sample(pairs)
 
 
-def _cmd_docalc(args, report):
-    model = load_model(args.model)
+def _cmd_docalc(args, report, model, roles):
     x = _assignments(model, args.x, "--x")
     z = _assignments(model, args.z, "--z") if args.z else None
     partition = NodePartition(
@@ -498,7 +386,7 @@ def _cmd_docalc(args, report):
     return 0 if verdict.passed else 1
 
 
-def _cmd_diagnose(args, report):
+def _cmd_diagnose(args, report, model, roles):
     data = Dataset.read_csv(args.data)
     out = homogeneity_report(
         data,
@@ -509,10 +397,6 @@ def _cmd_diagnose(args, report):
         secondary_col=args.secondary,
         threshold=args.threshold,
     )
-    report["citations"] = [
-        "index blocks of an exchangeable stratum share one response law; "
-        "their p-values should look like a sample of uniforms"
-    ]
     report["warnings"] = list(out.warnings)
     report["result"] = {
         "alarm": out.alarm,
@@ -533,13 +417,12 @@ def _cmd_diagnose(args, report):
             for r in out.reports
         ],
     }
-    return 0
 
 
-def _cmd_example(args, report):
+def _cmd_example(args, report, model, roles):
     if args.name is None:
         report["result"] = {"catalog": list(list_examples())}
-        return 0
+        return
     params = {}
     if args.params:
         for key, raw in _parse_pairs(args.params, "--params").items():
@@ -547,10 +430,8 @@ def _cmd_example(args, report):
                 params[key] = json.loads(raw)
             except json.JSONDecodeError:
                 params[key] = raw
-    entry = next((e for e in list_examples() if e["name"] == args.name), None)
     model = build_example(ExampleSpec(args.name, params, seed=args.seed))
-    if entry is not None:
-        report["citations"] = [entry["citation"]]
+    report["citations"] = [next(e["citation"] for e in list_examples() if e["name"] == args.name)]
     if isinstance(model, Scm):
         report["result"] = {"model": _model_doc(model)}
         if args.model_out:
@@ -561,54 +442,207 @@ def _cmd_example(args, report):
             raise _UsageError(
                 "only discrete models serialize; pass --params discrete=true"
             )
-    return 0
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "joint": _cmd_joint,
-    "intervene": _cmd_intervene,
-    "sample": _cmd_sample,
-    "backdoor": _cmd_backdoor,
-    "adjust-sets": _cmd_adjust_sets,
-    "effect": _cmd_effect,
-    "frontdoor": _cmd_frontdoor,
-    "eelworms": _cmd_eelworms,
-    "gformula": _cmd_gformula,
-    "direct-effect": _cmd_direct_effect,
-    "policy": _cmd_policy,
-    "mediation": _cmd_mediation,
-    "iv": _cmd_iv,
-    "oddsratio": _cmd_oddsratio,
-    "casecontrol": _cmd_casecontrol,
-    "docalc": _cmd_docalc,
-    "diagnose": _cmd_diagnose,
-    "example": _cmd_example,
+# ---------------------------------------------------------------- commands
+
+
+def _opt(*flags, **kwargs) -> tuple:
+    """One `add_argument` call, as data."""
+    return flags, kwargs
+
+
+class _Command(NamedTuple):
+    """A subcommand: handler, help, the report's citation on success (None
+    where the handler cites by its input or nothing is cited), whether
+    -m/--model is "required", "optional" or absent (None), --roles names."""
+
+    handler: Callable
+    help: str
+    citation: str | None = None
+    model: str | None = "required"
+    roles: tuple = ()
+    options: tuple = ()
+
+
+_T = _opt("-t", required=True)
+_R = _opt("-r", required=True)
+_SEED = _opt("--seed", type=int, required=True)
+
+# One entry per subcommand, in --help order.
+_COMMANDS = {
+    "validate": _Command(_cmd_validate, "check a model file"),
+    "joint": _Command(
+        _cmd_joint,
+        "exact joint or conditional law",
+        "P(v) = product over nodes of P(v_i | parents_i)",
+        options=(
+            _opt("--targets", help="comma list of nodes (default: all)"),
+            _opt("--given", help="conditioning assignments k=v,..."),
+        ),
+    ),
+    "intervene": _Command(
+        _cmd_intervene,
+        "cut mechanisms and fix values",
+        "do(V=v): delete the mechanisms of the set nodes and fix their values",
+        options=(
+            _opt("--set", required=True, help="assignments k=v,..."),
+            _opt("--model-out", help="write the cut model here"),
+        ),
+    ),
+    "sample": _Command(
+        _cmd_sample,
+        "draw rows from the model",
+        "inverse-CDF draws along one uniform stream per node",
+        options=(_SEED, _opt("--n", type=int, required=True)),
+    ),
+    "backdoor": _Command(
+        _cmd_backdoor,
+        "check one adjustment set",
+        "Z is admissible when every back-door path is blocked: a noncollider "
+        "in Z, or a collider whose descendants stay outside Z",
+        options=(
+            _opt("-t", required=True, help="treatment node"),
+            _opt("-r", required=True, help="response node"),
+            _opt("-z", "--adjust", help="comma list of conditioning nodes"),
+            _opt("--adjust-desc", help="treatment-descendant part of the set (extended check)"),
+        ),
+    ),
+    "adjust-sets": _Command(
+        _cmd_adjust_sets,
+        "minimal valid adjustment sets",
+        "minimal candidate subsets passing the back-door criterion",
+        options=(_T, _R, _opt("--candidates", help="comma list (default: all eligible)")),
+    ),
+    "effect": _Command(
+        _cmd_effect,
+        "adjusted interventional law",
+        "P(R=r under do T=t) = sum_z P(R=r | T=t, Z=z) P(Z=z)",
+        options=(
+            _T,
+            _R,
+            _opt("--adjust", help="comma list of adjustment nodes"),
+            _opt(
+                "--t-values",
+                required=True,
+                help="treatment values, comma list; with two, the effect is "
+                "second minus first",
+            ),
+        ),
+    ),
+    "frontdoor": _Command(
+        _cmd_frontdoor,
+        "mediator identification",
+        "l_y(w) = sum_z P(z|y) sum_y' P(w|y',z) P(y')",
+        roles=identify._FRONTDOOR_ROLES,
+    ),
+    "eelworms": _Command(
+        _cmd_eelworms,
+        "pest-count identification",
+        "mu_x(y) = sum_(v,w) P(y|x,v,w) sum_u P(v|x,u) sum_x' P(w|v,x',u) P(x',u)",
+        roles=identify._EELWORMS_ROLES,
+    ),
+    "gformula": _Command(
+        _cmd_gformula,
+        "two-stage treatment plan",
+        "sum_(x,r,x2) P(x) P(r|x,t) P(x2|x,t,r) P(r2|x2,t2,t)",
+        roles=identify._GFORMULA_ROLES,
+        options=(
+            _opt("--t", dest="t_value", required=True, help="first value"),
+            _opt("--t2", dest="t2_value", required=True, help="second value"),
+        ),
+    ),
+    "direct-effect": _Command(
+        _cmd_direct_effect,
+        "first treatment, second held",
+        "p_t(y) = sum_y3 P(Y1=y | Y2=y2, Y3=y3, Y4=t) P(Y3=y3 | Y4=t)",
+        roles=estimands._TWO_STAGE_ROLES,
+        options=(
+            _opt("--y2", required=True, help="fixed second-treatment value"),
+            _opt("--t", dest="t_value", required=True, help="first-treatment value"),
+        ),
+    ),
+    "policy": _Command(
+        _cmd_policy,
+        "withhold-unless-indicated response law",
+        "P(Y1=y under withhold-unless-Y3) = P(y, Y3=0 | y4) "
+        "+ P(y | Y2=1, Y3=1, y4) P(Y3=1 | y4)",
+        roles=estimands._TWO_STAGE_ROLES,
+    ),
+    "mediation": _Command(
+        _cmd_mediation,
+        "indirect-channel decomposition",
+        "sum_(b,q) E(H | b, q, S=1) {P(b,q | S=0) - P(b,q | S=1)}",
+        roles=estimands._HIRING_ROLES,
+        options=(_opt("--sigma", help="assumed S-law k=v,... for the fixed variant"),),
+    ),
+    "iv": _Command(
+        _cmd_iv,
+        "instrumental-variable ratio",
+        model="optional",
+        roles=estimands._IV_ROLES,
+        options=(
+            _opt("--data", help="dataset CSV (alternative to --model)"),
+            _opt("--method", choices=("theta", "multi", "tsls"), default="theta"),
+        ),
+    ),
+    "oddsratio": _Command(
+        _cmd_oddsratio,
+        "per-stratum odds ratios",
+        "p(1-q)/(q(1-p)) equals the response-side odds ratio in every stratum",
+        roles=casecontrol._ROLE_NAMES,
+    ),
+    "casecontrol": _Command(
+        _cmd_casecontrol,
+        "paired sampling plus estimation",
+        "matched pairs preserve the within-stratum exposure odds ratio",
+        roles=casecontrol._ROLE_NAMES,
+        options=(
+            _SEED,
+            _opt("--n", type=int, required=True, help="number of pairs"),
+            _opt("--budget", type=int, default=DEFAULT_BUDGET),
+        ),
+    ),
+    "docalc": _Command(
+        _cmd_docalc,
+        "verify rule 1 or 2 on a partition",
+        options=(
+            _opt("--rule", type=int, choices=(1, 2), required=True),
+            _opt("--w", help="conditioning nodes, comma list"),
+            _opt("--x", default="", help="treatment assignments k=v,..."),
+            _opt("--y", required=True, help="response nodes, comma list"),
+            _opt("--z", help="second assignment set k=v,..."),
+            _opt("--tol", type=_finite_float, default=1e-12),
+        ),
+    ),
+    "diagnose": _Command(
+        _cmd_diagnose,
+        "stratified homogeneity checks",
+        "index blocks of an exchangeable stratum share one response law; "
+        "their p-values should look like a sample of uniforms",
+        model=None,
+        options=(
+            _opt("--data", required=True, help="dataset CSV"),
+            _opt("--x-cols", help="covariate columns, comma list"),
+            _opt("--t-col", required=True),
+            _opt("--r-col", required=True),
+            _opt("--k", type=int, default=2, help="blocks per stratum"),
+            _opt("--secondary", help="secondary index column"),
+            _opt("--threshold", type=_finite_float, default=0.01),
+        ),
+    ),
+    "example": _Command(
+        _cmd_example,
+        "build a catalog model",
+        model=None,
+        options=(
+            _opt("name", nargs="?", help="catalog name (omit to list)"),
+            _opt("--seed", type=int, default=0),
+            _opt("--params", help="builder parameters k=v,... (JSON values)"),
+            _opt("--model-out", help="write the model file here"),
+        ),
+    ),
 }
-
-
-def _subcommand(sub, name: str, help: str, required: bool = True):
-    """Subparser with the model option and, for a role-taking command,
-    its role bindings."""
-    p = sub.add_parser(name, help=help)
-    p.add_argument("-m", "--model", required=required, help="model file (JSON)")
-    if name in _ROLE_NAMES:
-        p.add_argument(
-            "--roles",
-            help=f"role bindings as k=v pairs; roles: {', '.join(_ROLE_NAMES[name])} "
-            "(default: each role names its own node)",
-        )
-    return p
-
-
-def _add_io(p):
-    p.add_argument("--out", help="write the output here instead of stdout")
-    p.add_argument(
-        "--format",
-        choices=("json", "csv"),
-        default="json",
-        help="payload format; csv is available for row tables only",
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -618,125 +652,28 @@ def _build_parser() -> argparse.ArgumentParser:
         "formulas over structural causal models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = _subcommand(sub, "validate", "check a model file")
-    _add_io(p)
-
-    p = _subcommand(sub, "joint", "exact joint or conditional law")
-    p.add_argument("--targets", help="comma list of nodes (default: all)")
-    p.add_argument("--given", help="conditioning assignments k=v,...")
-    _add_io(p)
-
-    p = _subcommand(sub, "intervene", "cut mechanisms and fix values")
-    p.add_argument("--set", required=True, help="assignments k=v,...")
-    p.add_argument("--model-out", help="write the cut model here")
-    _add_io(p)
-
-    p = _subcommand(sub, "sample", "draw rows from the model")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_io(p)
-
-    p = _subcommand(sub, "backdoor", "check one adjustment set")
-    p.add_argument("-t", required=True, help="treatment node")
-    p.add_argument("-r", required=True, help="response node")
-    p.add_argument("-z", "--adjust", help="comma list of conditioning nodes")
-    p.add_argument(
-        "--adjust-desc",
-        help="treatment-descendant part of the set (extended check)",
-    )
-    _add_io(p)
-
-    p = _subcommand(sub, "adjust-sets", "minimal valid adjustment sets")
-    p.add_argument("-t", required=True)
-    p.add_argument("-r", required=True)
-    p.add_argument("--candidates", help="comma list (default: all eligible)")
-    _add_io(p)
-
-    p = _subcommand(sub, "effect", "adjusted interventional law")
-    p.add_argument("-t", required=True)
-    p.add_argument("-r", required=True)
-    p.add_argument("--adjust", help="comma list of adjustment nodes")
-    p.add_argument(
-        "--t-values",
-        required=True,
-        help="treatment values, comma list; with two, the effect is "
-        "second minus first",
-    )
-    _add_io(p)
-
-    p = _subcommand(sub, "frontdoor", "mediator identification")
-    _add_io(p)
-
-    p = _subcommand(sub, "eelworms", "pest-count identification")
-    _add_io(p)
-
-    p = _subcommand(sub, "gformula", "two-stage treatment plan")
-    p.add_argument("--t", dest="t_value", required=True, help="first value")
-    p.add_argument("--t2", dest="t2_value", required=True, help="second value")
-    _add_io(p)
-
-    p = _subcommand(sub, "direct-effect", "first treatment, second held")
-    p.add_argument("--y2", required=True, help="fixed second-treatment value")
-    p.add_argument("--t", dest="t_value", required=True, help="first-treatment value")
-    _add_io(p)
-
-    p = _subcommand(sub, "policy", "withhold-unless-indicated response law")
-    _add_io(p)
-
-    p = _subcommand(sub, "mediation", "indirect-channel decomposition")
-    p.add_argument("--sigma", help="assumed S-law k=v,... for the fixed variant")
-    _add_io(p)
-
-    p = _subcommand(sub, "iv", "instrumental-variable ratio", required=False)
-    p.add_argument("--data", help="dataset CSV (alternative to --model)")
-    p.add_argument("--method", choices=("theta", "multi", "tsls"), default="theta")
-    _add_io(p)
-
-    p = _subcommand(sub, "oddsratio", "per-stratum odds ratios")
-    _add_io(p)
-
-    p = _subcommand(sub, "casecontrol", "paired sampling plus estimation")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--n", type=int, required=True, help="number of pairs")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    _add_io(p)
-
-    p = _subcommand(sub, "docalc", "verify rule 1 or 2 on a partition")
-    p.add_argument("--rule", type=int, choices=(1, 2), required=True)
-    p.add_argument("--w", help="conditioning nodes, comma list")
-    p.add_argument("--x", default="", help="treatment assignments k=v,...")
-    p.add_argument("--y", required=True, help="response nodes, comma list")
-    p.add_argument("--z", help="second assignment set k=v,...")
-    p.add_argument("--tol", type=_finite_float, default=1e-12)
-    _add_io(p)
-
-    p = sub.add_parser("diagnose", help="stratified homogeneity checks")
-    p.add_argument("--data", required=True, help="dataset CSV")
-    p.add_argument("--x-cols", help="covariate columns, comma list")
-    p.add_argument("--t-col", required=True)
-    p.add_argument("--r-col", required=True)
-    p.add_argument("--k", type=int, default=2, help="blocks per stratum")
-    p.add_argument("--secondary", help="secondary index column")
-    p.add_argument("--threshold", type=_finite_float, default=0.01)
-    _add_io(p)
-
-    p = sub.add_parser("example", help="build a catalog model")
-    p.add_argument("name", nargs="?", help="catalog name (omit to list)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--params", help="builder parameters k=v,... (JSON values)")
-    p.add_argument("--model-out", help="write the model file here")
-    _add_io(p)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if command.model:
+            p.add_argument(
+                "-m", "--model", required=command.model == "required", help="model file (JSON)"
+            )
+        if command.roles:
+            p.add_argument(
+                "--roles",
+                help=f"role bindings as k=v pairs; roles: {', '.join(command.roles)} "
+                "(default: each role names its own node)",
+            )
+        for flags, kwargs in command.options:
+            p.add_argument(*flags, **kwargs)
+        p.add_argument("--out", help="write the output here instead of stdout")
+        p.add_argument(
+            "--format",
+            choices=("json", "csv"),
+            default="json",
+            help="payload format; csv is available for row tables only",
+        )
     return parser
-
-
-def _write(text: str, path: str | None) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def main(argv=None) -> int:
@@ -760,33 +697,32 @@ def main(argv=None) -> int:
     if args.format == "csv" and args.command not in _TABLE_COMMANDS:
         print("error: --format csv is only available for row tables", file=sys.stderr)
         return 2
-    table = None
+    command = _COMMANDS[args.command]
     try:
-        outcome = _HANDLERS[args.command](args, report)
+        model = load_model(args.model) if command.model and args.model is not None else None
+        roles = _roles(command.roles, args.roles) if command.roles else None
+        outcome = command.handler(args, report, model, roles)
+        if command.citation:
+            report["citations"] = [command.citation]
+        # A result that JSON cannot carry, such as nan, fails here.
+        text = outcome if args.format == "csv" else _canonical(report) + "\n"
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ScmError, OSError) as exc:
-        report["error"] = str(exc)
-        _write(_canonical(report) + "\n", None)
-        return 1
-    if isinstance(outcome, tuple):
-        code, table = outcome
-    else:
-        code = outcome
-    try:
-        text = table if args.format == "csv" else _canonical(report) + "\n"
-    except ScmError as exc:  # a result that JSON cannot carry, such as nan
-        report["result"] = None
-        report["error"] = str(exc)
-        _write(_canonical(report) + "\n", None)
+        report.update(result=None, citations=[], error=str(exc))
+        sys.stdout.write(_canonical(report) + "\n")
         return 1
     try:
-        _write(text, args.out)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return code
+    return outcome if isinstance(outcome, int) else 0
 
 
 if __name__ == "__main__":

@@ -165,15 +165,6 @@ class Path:
         if len(set(self.nodes)) != len(self.nodes):
             raise InvalidArgumentError("path must be simple")
 
-    def is_collider(self, i: int) -> bool:
-        """True when both neighbouring edges point into nodes[i]."""
-        if not 0 < i < len(self.nodes) - 1:
-            return False
-        return self.directions[i - 1] == FORWARD and self.directions[i] == BACKWARD
-
-    def interior(self) -> tuple:
-        return self.nodes[1:-1]
-
     def __str__(self):
         parts = [str(self.nodes[0])]
         for node, direction in zip(self.nodes[1:], self.directions):

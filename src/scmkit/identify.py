@@ -124,11 +124,6 @@ def _factors(joint: JointTable, pairs, support=()) -> tuple:
     return [lookup(law, *pair) for law, pair in zip(laws, pairs)], values
 
 
-def support_values(joint: JointTable, node: str) -> list:
-    """Values of `node` carrying positive mass, in a stable order."""
-    return _sorted({v for (v,) in _marginals(joint, (node,))[0]})
-
-
 def _require_nodes(known, nodes, where: str = "joint table") -> None:
     missing = [n for n in nodes if n not in known]
     if missing:
@@ -298,6 +293,9 @@ def backdoor_effect(
 
 
 _FRONTDOOR_SHAPE = (("X", "Y"), ("X", "W"), ("Y", "Z"), ("Z", "W"))
+# The exposure Y, mediator Z, outcome W and hidden cause X, in the order
+# `frontdoor` takes them.
+_FRONTDOOR_ROLES = ("Y", "Z", "W", "X")
 
 
 def frontdoor(

@@ -233,11 +233,13 @@ class Dataset:
     def __len__(self):
         return len(self.rows)
 
+    def to_csv(self) -> str:
+        """Comma-separated text: a header of the columns, then one line per row."""
+        return "".join(",".join(map(str, line)) + "\n" for line in [self.columns, *self.rows])
+
     def write_csv(self, path):
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(str(c) for c in self.columns) + "\n")
-            for row in self.rows:
-                fh.write(",".join(str(v) for v in row) + "\n")
+            fh.write(self.to_csv())
 
     @staticmethod
     def read_csv(path) -> "Dataset":
@@ -331,7 +333,7 @@ def validate_scm(scm: Scm) -> list[str]:
                     f"{node!r}@{cfg!r}: row length {len(row)} != domain size {len(dom.values)}"
                 )
                 continue
-            if not all(math.isfinite(_float(p)) for p in row):
+            if not _finite(row):
                 problems.append(f"{node!r}@{cfg!r}: non-finite probability")
                 continue
             if any(p < 0 for p in row):
@@ -349,6 +351,15 @@ def _float(p) -> float:
         return float(p)
     except OverflowError:
         return math.inf if p > 0 else -math.inf
+
+
+def _finite(values) -> bool:
+    """Whether every value is finite; an int or Fraction past the float
+    range is not, as for `_float`."""
+    try:
+        return all(map(math.isfinite, values))
+    except OverflowError:
+        return False
 
 
 def joint_distribution(scm: Scm) -> JointTable:
@@ -370,7 +381,8 @@ def joint_distribution(scm: Scm) -> JointTable:
     # factor times 0) would blur which configurations are keys.  `floor`
     # bounds every product from below; once it reaches 0 or a factor is
     # non-finite, `alive` (0/1 per configuration) tracks the keys instead.
-    # Integer rows never underflow, and are finite past the float range.
+    # Integer rows never underflow; an entry past the float range counts
+    # as non-finite, like an infinite float.
     masses, alive, floor, zeros = [1], None, 1, False
     for j, node in enumerate(order):
         cpt = scm.cpts[node]
@@ -397,7 +409,7 @@ def joint_distribution(scm: Scm) -> JointTable:
         zeros = zeros or 0 in entries
         if lcms is None:
             floor *= min(map(abs, filter(None, entries)), default=1)
-            if alive is None and not (floor > 0 and all(map(math.isfinite, entries))):
+            if alive is None and not (floor > 0 and _finite(entries)):
                 alive = [1 if m else 0 for m in masses]
         if alive is None:
             # A structural zero stays 0 without a multiplication.
@@ -513,7 +525,7 @@ def restrict(joint: JointTable, targets, given: dict | None = None) -> JointTabl
         fixed = {a: joint.values[a].index(v) for a, v in given_axes}
         masses, (codes,) = _scan(joint, [target_axes], fixed)
     mass, scale = functools.reduce(operator.add, masses, 0), joint.scale
-    if float(mass if scale is None else Fraction(mass, scale)) <= POSITIVITY_CUTOFF:
+    if _float(mass if scale is None else Fraction(mass, scale)) <= POSITIVITY_CUTOFF:
         raise ZeroProbabilityError(f"conditioning event {given!r} has probability 0")
     values = tuple(joint.values[a] for a in target_axes)
     probs = [0] * math.prod(map(len, values))
@@ -573,7 +585,7 @@ def _divide(masses: dict, cells: dict, k: int) -> dict:
     """{given: {target: cell mass / given mass}} from masses keyed by the
     given configuration and cells keyed by it plus the target's; strata
     at or below POSITIVITY_CUTOFF are left out."""
-    laws: dict = {g: {} for g, mass in masses.items() if float(mass) > POSITIVITY_CUTOFF}
+    laws: dict = {g: {} for g, mass in masses.items() if _float(mass) > POSITIVITY_CUTOFF}
     for key, mass in cells.items():
         law = laws.get(key[:k])
         if law is not None:

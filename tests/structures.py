@@ -18,7 +18,7 @@ from scmkit.graph import (
     descendants,
     topological_order,
 )
-from scmkit.scm import Cpt, Dataset, Domain, JointTable, Scm, restrict, sample
+from scmkit.scm import Cpt, Dataset, Domain, JointTable, Scm, _marginals, _sorted, restrict, sample
 
 FRONTDOOR_NODES = ["X", "Y", "Z", "W"]
 FRONTDOOR_EDGES = [("X", "Y"), ("X", "W"), ("Y", "Z"), ("Z", "W")]
@@ -354,18 +354,34 @@ def reference_backdoor_paths(dag: Dag, t, r) -> list:
     return paths
 
 
+def support_values(joint: JointTable, node: str) -> list:
+    """Values of `node` carrying positive mass, in a stable order."""
+    return _sorted({v for (v,) in _marginals(joint, (node,))[0]})
+
+
+def is_collider(path: Path, i: int) -> bool:
+    """True when both neighbouring edges point into path.nodes[i]."""
+    if not 0 < i < len(path.nodes) - 1:
+        return False
+    return path.directions[i - 1] == FORWARD and path.directions[i] == BACKWARD
+
+
+def interior(path: Path) -> tuple:
+    return path.nodes[1:-1]
+
+
 def reference_classify(path: Path, dag: Dag, Z) -> PathVerdict:
     """(i) at the first pointing Z-node, else (ii) at the first collider that
     neither is in Z nor has a descendant there, else a violation."""
     pointing = [
         node
-        for i, node in enumerate(path.interior(), start=1)
-        if node in Z and not path.is_collider(i)
+        for i, node in enumerate(interior(path), start=1)
+        if node in Z and not is_collider(path, i)
     ]
     if pointing:
         return PathVerdict(path, "satisfies-(i)", pointing[0])
-    for i, node in enumerate(path.interior(), start=1):
-        if path.is_collider(i) and node not in Z and not (descendants(dag, node) & Z):
+    for i, node in enumerate(interior(path), start=1):
+        if is_collider(path, i) and node not in Z and not (descendants(dag, node) & Z):
             return PathVerdict(path, "satisfies-(ii)", node)
     return PathVerdict(path, "violates")
 

@@ -1,9 +1,12 @@
 """End-to-end checks of the command-line surface."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +15,7 @@ from scmkit.errors import DescendantConditioningError
 from scmkit.estimands import iv_tsls, natural_indirect, odds_ratio
 from scmkit.examples import ExampleSpec, build_example, list_examples
 from scmkit.exogenous import DigitStream
-from scmkit.cli import main
+from scmkit.cli import _build_parser, main
 from scmkit.graph import check_backdoor
 from scmkit.identify import eelworms_effect, frontdoor, gformula2
 from scmkit.scm import (
@@ -283,6 +286,37 @@ class TestErrors:
         assert code == 0
         assert "backdoor" in out
 
+    @pytest.mark.parametrize("command", ["intervene", "example"])
+    def test_an_unwritable_model_out_gives_a_bare_failure_report(
+        self, capsys, simpson_path, tmp_path, command
+    ):
+        target = str(tmp_path / "missing" / "model.json")
+        argv = {
+            "intervene": ["intervene", "-m", simpson_path, "--set", "T=1"],
+            "example": ["example", "fig1"],
+        }[command]
+        code, rep = report(capsys, *argv, "--model-out", target)
+        assert code == 1
+        assert "No such file or directory" in rep["error"]
+        assert rep["result"] is None
+        assert rep["citations"] == []
+
+    def test_a_rejected_sigma_gives_a_bare_failure_report(self, capsys, tmp_path):
+        path = tmp_path / "hiring.json"
+        save_model(build_example(ExampleSpec("hiring", seed=8)), path)
+        code, rep = report(capsys, "mediation", "-m", str(path), "--sigma", "0=0.25,1=-5")
+        assert code == 1
+        assert rep["error"] == "assumed-covariate weights sum to -4.75"
+        assert rep["result"] is None
+        assert rep["citations"] == []
+
+    def test_an_empty_model_path_is_a_domain_failure(self, capsys):
+        # iv used to take an empty -m for a dataset path of None and raise.
+        for command in ("iv", "validate"):
+            code, rep = report(capsys, command, "-m", "")
+            assert code == 1
+            assert "No such file or directory" in rep["error"]
+
     @pytest.mark.parametrize("command", ["validate", "joint"])
     @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_probability_is_a_domain_failure(
@@ -299,6 +333,40 @@ class TestErrors:
         rep = json.loads(out)
         assert "non-finite" in rep["error"]
         assert rep["result"] is None
+
+
+def _pinned_help() -> dict:
+    """{argv: text} from cli_help.txt, the --help output at 80 columns."""
+    text = (Path(__file__).parent / "cli_help.txt").read_text(encoding="utf-8")
+    parts = re.split(r"^==> scmkit (.*) <==\n", text, flags=re.M)
+    return dict(zip(parts[1::2], parts[2::2]))
+
+
+PINNED_HELP = _pinned_help()
+
+
+def test_help_pins_the_top_level_and_every_subcommand():
+    commands = re.search(r"\{(.*)\}", PINNED_HELP["--help"]).group(1).split(",")
+    assert len(commands) == 19
+    assert list(PINNED_HELP) == ["--help"] + [f"{c} --help" for c in commands]
+
+
+# argparse's layout changed in 3.13 ("-m, --model MODEL"), so the bytes are
+# pinned on older interpreters and the option order on every one.
+@pytest.mark.skipif(sys.version_info >= (3, 13), reason="help layout of argparse < 3.13")
+@pytest.mark.parametrize("argv", list(PINNED_HELP))
+def test_help_text_is_unchanged(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, *argv.split()) == (0, PINNED_HELP[argv], "")
+
+
+def test_every_subcommand_keeps_its_pinned_option_order():
+    parser = _build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(subparsers.choices) == [k.split()[0] for k in PINNED_HELP if k != "--help"]
+    for name, sub in subparsers.choices.items():
+        pinned = re.findall(r"^  (-[\w-]+)", PINNED_HELP[f"{name} --help"], flags=re.M)
+        assert [a.option_strings[0] for a in sub._actions if a.option_strings] == pinned, name
 
 
 def _drop(key, i=0):

@@ -28,7 +28,7 @@ from scmkit.graph import (
     topological_order,
 )
 
-from structures import reference_topological_order
+from structures import interior, is_collider, reference_topological_order
 
 # Two-level treatment/response graph: X3, X4 feed the treatment, the
 # response listens to X3, X5 and the post-treatment X6.
@@ -290,8 +290,8 @@ class TestCheckBackdoor:
                 p = v.path
                 pointing = [
                     n
-                    for i, n in enumerate(p.interior(), start=1)
-                    if n in Z and not p.is_collider(i)
+                    for i, n in enumerate(interior(p), start=1)
+                    if n in Z and not is_collider(p, i)
                 ]
                 if v.verdict == "satisfies-(i)":
                     assert pointing
@@ -398,7 +398,7 @@ class TestPath:
     def test_collider_detection(self):
         p = Path(("T", "X4", "X1", "X3", "X2", "X5", "R"),
                  (BACKWARD, BACKWARD, FORWARD, BACKWARD, FORWARD, FORWARD))
-        assert [i for i in range(len(p.nodes)) if p.is_collider(i)] == [3]
+        assert [i for i in range(len(p.nodes)) if is_collider(p, i)] == [3]
 
     def test_non_simple_rejected(self):
         with pytest.raises(InvalidArgumentError):

@@ -36,7 +36,6 @@ from scmkit.identify import (
     gformula2_given_x,
     propensity_adjust,
     propensity_table,
-    support_values,
 )
 from scmkit.cli import main
 from scmkit.scm import Cpt, Scm, cond_independent, joint_distribution, save_model
@@ -53,6 +52,7 @@ from structures import (
     gformula_model,
     hiring_model,
     iv_model,
+    support_values,
     two_stage_model,
 )
 from test_estimands import IV_ROLES, threshold_iv_model, two_stage_with_second_edge

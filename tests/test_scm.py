@@ -633,6 +633,48 @@ class TestIntegerNumerators:
         assert items(joint.probs) == items(reference_joint(scm))
         assert joint.probs[(1, 1)] == Fraction(2 * huge, 3)
 
+    def test_an_all_int_row_past_the_float_range_answers(self):
+        # The float path's underflow guard used to raise OverflowError on
+        # the int entry.
+        huge = 10**400
+        scm = Scm(
+            Dag(["A", "B"], [("A", "B")]),
+            {n: Domain(n, (0, 1)) for n in "AB"},
+            {
+                "A": Cpt("A", (), {(): (huge, 0)}),
+                "B": Cpt("B", ("A",), {(0,): (1, 0), (1,): (0, 1)}),
+            },
+        )
+        joint = joint_distribution(scm)
+        assert joint.scale is None
+        assert items(joint.probs) == items(reference_joint(scm)) == [((0, 0), huge, int)]
+        assert items(restrict(joint, ("B",), {"A": 0}).probs) == [((0,), 1.0, float)]
+        assert cond_independent(joint, {"A"}, {"B"}, set()) == (True, 0.0)
+
+    def test_a_fraction_child_past_the_float_range_answers(self):
+        # The positivity casts of restrict, _divide and the independence
+        # check used to raise OverflowError on these masses.
+        huge = 10**400
+        scm = Scm(
+            Dag(["A", "B"], [("A", "B")]),
+            {n: Domain(n, (0, 1)) for n in "AB"},
+            {
+                "A": Cpt("A", (), {(): (Fraction(1, 3), Fraction(2, 3))}),
+                "B": Cpt("B", ("A",), {(0,): (huge, 0), (1,): (0, huge)}),
+            },
+        )
+        joint = joint_distribution(scm)
+        assert joint.scale is not None
+        assert items(restrict(joint, ("B",), {"A": 1}).probs) == [((1,), 1, Fraction)]
+        assert items(restrict(joint, ("B",)).probs) == [
+            ((0,), Fraction(1, 3), Fraction),
+            ((1,), Fraction(2, 3), Fraction),
+        ]
+        assert conditional_laws(joint, ("B",), ("A",)) == {(0,): {(0,): 1}, (1,): {(1,): 1}}
+        ok, dev = cond_independent(joint, {"A"}, {"B"}, set())
+        assert not ok
+        assert dev == pytest.approx(2 / 9)
+
 
 class TestCondIndependent:
     def test_fig1_separations(self):
