@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .errors import ExhaustionError, InvalidArgumentError
-from .estimands import OddsRatioReport
+from .estimands import _ODDS_ROLES, OddsRatioReport
 from .exogenous import DigitStream
 from .graph import topological_order
 from .identify import _bind
@@ -38,8 +38,6 @@ __all__ = [
 DEFAULT_BUDGET = 10_000_000
 
 _BLOCK = 4096
-
-_ROLE_NAMES = ("X", "T", "R")
 
 
 @dataclass(frozen=True)
@@ -117,8 +115,8 @@ def simulate_case_control(
     whose x matches.  Raises an exhaustion error when the row budget
     runs out, including when no case can ever occur.
     """
-    roles = roles or {n: n for n in _ROLE_NAMES}
-    x_n, t_n, r_n = _bind(roles, _ROLE_NAMES, population.dag.nodes, "population").values()
+    roles = roles or {n: n for n in _ODDS_ROLES}
+    x_n, t_n, r_n = _bind(roles, _ODDS_ROLES, population.dag.nodes, "population").values()
     for node in (t_n, r_n):
         if set(population.domains[node].values) != {0, 1}:
             raise InvalidArgumentError(f"{node!r} must take values in {{0, 1}}")

@@ -13,35 +13,38 @@ on success.
 One table, ``_COMMANDS``, lists each subcommand's handler, help, citation,
 model file, role names and options; ``main`` loads the model, binds
 ``--roles``, runs the handler and cites its formula for every command.
+
+Start-up is most of a command's time, so ``import scmkit.cli`` loads only
+the ``scm``, ``graph``, ``exogenous`` and ``errors`` modules, and each
+handler imports the formula module it calls:
+
+- ``validate``, ``joint``, ``intervene``, ``sample``, ``backdoor`` and
+  ``adjust-sets`` load nothing more;
+- ``effect``, ``frontdoor``, ``eelworms`` and ``gformula`` load
+  ``identify``;
+- ``direct-effect``, ``policy``, ``mediation``, ``iv`` and ``oddsratio``
+  load ``identify`` and ``estimands``, and ``casecontrol`` also
+  ``casecontrol``;
+- ``docalc`` loads ``identify`` and ``docalc``, ``diagnose`` loads
+  ``diagnostics``, and ``example`` loads ``identify``, ``estimands`` and
+  ``examples`` (``gaussian`` too for the continuous entries).
+
+``main`` adds options only to the subcommand being run, since they read
+role names and defaults (``_From``) from that command's formula module.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import sys
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from . import casecontrol, estimands, identify
-from .casecontrol import DEFAULT_BUDGET, estimate_cc_or, export_sample, simulate_case_control
-from .diagnostics import homogeneity_report
-from .docalc import NodePartition, verify_rule
 from .errors import ScmError
-from .estimands import (
-    antibiotic_policy,
-    iv_multi,
-    iv_theta,
-    iv_tsls,
-    mediation_fixed_sex,
-    natural_indirect,
-    odds_ratio,
-    two_stage_direct,
-)
-from .examples import ExampleSpec, build_example, list_examples
 from .exogenous import DigitStream
 from .graph import check_backdoor, check_backdoor_extended, descendants, enumerate_valid_adjustment_sets
-from .identify import backdoor_effect, eelworms_effect, frontdoor, gformula2
 from .scm import (
     Dataset,
     Intervention,
@@ -152,7 +155,8 @@ def _gaussian_doc(model: LinearGaussianScm) -> dict:
 
 # ---------------------------------------------------------------- handlers
 # A handler takes (args, report, model, roles), fills `report` and returns
-# an exit code (None means 0) or, for a row table, the CSV text.
+# an exit code (None means 0) or, for a row table, the CSV text.  It
+# imports the formula module it calls, so a command loads only its own.
 
 
 def _cmd_validate(args, report, model, roles):
@@ -229,6 +233,8 @@ def _cmd_adjust_sets(args, report, model, roles):
 
 
 def _cmd_effect(args, report, model, roles):
+    from .identify import backdoor_effect
+
     joint = joint_distribution(model)
     z_nodes = tuple(_split_list(args.adjust)) if args.adjust else ()
     t_values = [
@@ -249,6 +255,8 @@ def _cmd_effect(args, report, model, roles):
 
 
 def _cmd_frontdoor(args, report, model, roles):
+    from .identify import frontdoor
+
     y, z, w, x = roles.values()
     out = frontdoor(joint_distribution(model), y, z, w, dag=model.dag, x_node=x)
     report["result"] = {
@@ -258,11 +266,15 @@ def _cmd_frontdoor(args, report, model, roles):
 
 
 def _cmd_eelworms(args, report, model, roles):
+    from .identify import eelworms_effect
+
     law = eelworms_effect(joint_distribution(model), roles, dag=model.dag)
     report["result"] = {"effect": _joined_keys(law)}
 
 
 def _cmd_gformula(args, report, model, roles):
+    from .identify import gformula2
+
     joint = joint_distribution(model)
     t_val = _domain_value(model, roles["T"], args.t_value)
     t2_val = _domain_value(model, roles["T2"], args.t2_value)
@@ -271,6 +283,8 @@ def _cmd_gformula(args, report, model, roles):
 
 
 def _cmd_direct_effect(args, report, model, roles):
+    from .estimands import two_stage_direct
+
     joint = joint_distribution(model)
     y2_val = _domain_value(model, roles["Y2"], args.y2)
     t_val = _domain_value(model, roles["Y4"], args.t_value)
@@ -279,6 +293,8 @@ def _cmd_direct_effect(args, report, model, roles):
 
 
 def _cmd_policy(args, report, model, roles):
+    from .estimands import antibiotic_policy
+
     out = antibiotic_policy(joint_distribution(model), roles, dag=model.dag)
     report["result"] = {
         "law": _joined_keys(out["law"]),
@@ -288,6 +304,8 @@ def _cmd_policy(args, report, model, roles):
 
 
 def _cmd_mediation(args, report, model, roles):
+    from .estimands import mediation_fixed_sex, natural_indirect
+
     joint = joint_distribution(model)
     indirect = natural_indirect(joint, roles, dag=model.dag)
     result = {"natural_indirect": float(indirect)}
@@ -302,6 +320,8 @@ def _cmd_mediation(args, report, model, roles):
 
 
 def _cmd_iv(args, report, model, roles):
+    from .estimands import iv_multi, iv_theta, iv_tsls
+
     if (args.model is None) == (args.data is None):
         raise _UsageError("iv needs exactly one of --model or --data")
     if args.method == "tsls":
@@ -335,6 +355,8 @@ def _cmd_iv(args, report, model, roles):
 
 
 def _cmd_oddsratio(args, report, model, roles):
+    from .estimands import odds_ratio
+
     out = odds_ratio(joint_distribution(model), roles)
     report["warnings"] = list(out.warnings)
     report["result"] = {
@@ -344,6 +366,8 @@ def _cmd_oddsratio(args, report, model, roles):
 
 
 def _cmd_casecontrol(args, report, model, roles):
+    from .casecontrol import estimate_cc_or, export_sample, simulate_case_control
+
     pairs = simulate_case_control(
         model, args.n, DigitStream(args.seed), budget=args.budget, roles=roles
     )
@@ -358,6 +382,8 @@ def _cmd_casecontrol(args, report, model, roles):
 
 
 def _cmd_docalc(args, report, model, roles):
+    from .docalc import NodePartition, verify_rule
+
     x = _assignments(model, args.x, "--x")
     z = _assignments(model, args.z, "--z") if args.z else None
     partition = NodePartition(
@@ -387,6 +413,8 @@ def _cmd_docalc(args, report, model, roles):
 
 
 def _cmd_diagnose(args, report, model, roles):
+    from .diagnostics import homogeneity_report
+
     data = Dataset.read_csv(args.data)
     out = homogeneity_report(
         data,
@@ -420,6 +448,8 @@ def _cmd_diagnose(args, report, model, roles):
 
 
 def _cmd_example(args, report, model, roles):
+    from .examples import ExampleSpec, build_example, list_examples
+
     if args.name is None:
         report["result"] = {"catalog": list(list_examples())}
         return
@@ -452,16 +482,31 @@ def _opt(*flags, **kwargs) -> tuple:
     return flags, kwargs
 
 
+class _From(NamedTuple):
+    """A constant of a formula module, read when its subcommand's options
+    are added, so that the module loads only for the command that runs."""
+
+    module: str
+    name: str
+
+
+def _resolve(value):
+    if isinstance(value, _From):
+        return getattr(importlib.import_module(f".{value.module}", __package__), value.name)
+    return value
+
+
 class _Command(NamedTuple):
     """A subcommand: handler, help, the report's citation on success (None
     where the handler cites by its input or nothing is cited), whether
-    -m/--model is "required", "optional" or absent (None), --roles names."""
+    -m/--model is "required", "optional" or absent (None), --roles names
+    (a `_From`)."""
 
     handler: Callable
     help: str
     citation: str | None = None
     model: str | None = "required"
-    roles: tuple = ()
+    roles: _From | None = None
     options: tuple = ()
 
 
@@ -534,19 +579,19 @@ _COMMANDS = {
         _cmd_frontdoor,
         "mediator identification",
         "l_y(w) = sum_z P(z|y) sum_y' P(w|y',z) P(y')",
-        roles=identify._FRONTDOOR_ROLES,
+        roles=_From("identify", "_FRONTDOOR_ROLES"),
     ),
     "eelworms": _Command(
         _cmd_eelworms,
         "pest-count identification",
         "mu_x(y) = sum_(v,w) P(y|x,v,w) sum_u P(v|x,u) sum_x' P(w|v,x',u) P(x',u)",
-        roles=identify._EELWORMS_ROLES,
+        roles=_From("identify", "_EELWORMS_ROLES"),
     ),
     "gformula": _Command(
         _cmd_gformula,
         "two-stage treatment plan",
         "sum_(x,r,x2) P(x) P(r|x,t) P(x2|x,t,r) P(r2|x2,t2,t)",
-        roles=identify._GFORMULA_ROLES,
+        roles=_From("identify", "_GFORMULA_ROLES"),
         options=(
             _opt("--t", dest="t_value", required=True, help="first value"),
             _opt("--t2", dest="t2_value", required=True, help="second value"),
@@ -556,7 +601,7 @@ _COMMANDS = {
         _cmd_direct_effect,
         "first treatment, second held",
         "p_t(y) = sum_y3 P(Y1=y | Y2=y2, Y3=y3, Y4=t) P(Y3=y3 | Y4=t)",
-        roles=estimands._TWO_STAGE_ROLES,
+        roles=_From("estimands", "_TWO_STAGE_ROLES"),
         options=(
             _opt("--y2", required=True, help="fixed second-treatment value"),
             _opt("--t", dest="t_value", required=True, help="first-treatment value"),
@@ -567,20 +612,20 @@ _COMMANDS = {
         "withhold-unless-indicated response law",
         "P(Y1=y under withhold-unless-Y3) = P(y, Y3=0 | y4) "
         "+ P(y | Y2=1, Y3=1, y4) P(Y3=1 | y4)",
-        roles=estimands._TWO_STAGE_ROLES,
+        roles=_From("estimands", "_TWO_STAGE_ROLES"),
     ),
     "mediation": _Command(
         _cmd_mediation,
         "indirect-channel decomposition",
         "sum_(b,q) E(H | b, q, S=1) {P(b,q | S=0) - P(b,q | S=1)}",
-        roles=estimands._HIRING_ROLES,
+        roles=_From("estimands", "_HIRING_ROLES"),
         options=(_opt("--sigma", help="assumed S-law k=v,... for the fixed variant"),),
     ),
     "iv": _Command(
         _cmd_iv,
         "instrumental-variable ratio",
         model="optional",
-        roles=estimands._IV_ROLES,
+        roles=_From("estimands", "_IV_ROLES"),
         options=(
             _opt("--data", help="dataset CSV (alternative to --model)"),
             _opt("--method", choices=("theta", "multi", "tsls"), default="theta"),
@@ -590,17 +635,17 @@ _COMMANDS = {
         _cmd_oddsratio,
         "per-stratum odds ratios",
         "p(1-q)/(q(1-p)) equals the response-side odds ratio in every stratum",
-        roles=casecontrol._ROLE_NAMES,
+        roles=_From("estimands", "_ODDS_ROLES"),
     ),
     "casecontrol": _Command(
         _cmd_casecontrol,
         "paired sampling plus estimation",
         "matched pairs preserve the within-stratum exposure odds ratio",
-        roles=casecontrol._ROLE_NAMES,
+        roles=_From("estimands", "_ODDS_ROLES"),
         options=(
             _SEED,
             _opt("--n", type=int, required=True, help="number of pairs"),
-            _opt("--budget", type=int, default=DEFAULT_BUDGET),
+            _opt("--budget", type=int, default=_From("casecontrol", "DEFAULT_BUDGET")),
         ),
     ),
     "docalc": _Command(
@@ -645,7 +690,9 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(options_for=_COMMANDS) -> argparse.ArgumentParser:
+    """The parser of every subcommand; only those named in `options_for`
+    get their options, which may read their formula modules."""
     parser = argparse.ArgumentParser(
         prog="scmkit",
         description="Exact queries, interventions, and identification "
@@ -654,6 +701,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
+        if name not in options_for:
+            continue
         if command.model:
             p.add_argument(
                 "-m", "--model", required=command.model == "required", help="model file (JSON)"
@@ -661,11 +710,11 @@ def _build_parser() -> argparse.ArgumentParser:
         if command.roles:
             p.add_argument(
                 "--roles",
-                help=f"role bindings as k=v pairs; roles: {', '.join(command.roles)} "
+                help=f"role bindings as k=v pairs; roles: {', '.join(_resolve(command.roles))} "
                 "(default: each role names its own node)",
             )
         for flags, kwargs in command.options:
-            p.add_argument(*flags, **kwargs)
+            p.add_argument(*flags, **{k: _resolve(v) for k, v in kwargs.items()})
         p.add_argument("--out", help="write the output here instead of stdout")
         p.add_argument(
             "--format",
@@ -677,7 +726,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The top level takes no option but -h, so the first token naming a
+    # subcommand is the command.
+    parser = _build_parser([token for token in argv if token in _COMMANDS][:1])
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -700,12 +752,17 @@ def main(argv=None) -> int:
     command = _COMMANDS[args.command]
     try:
         model = load_model(args.model) if command.model and args.model is not None else None
-        roles = _roles(command.roles, args.roles) if command.roles else None
+        roles = _roles(_resolve(command.roles), args.roles) if command.roles else None
         outcome = command.handler(args, report, model, roles)
+        code = outcome if isinstance(outcome, int) else 0
         if command.citation:
             report["citations"] = [command.citation]
         # A result that JSON cannot carry, such as nan, fails here.
         text = outcome if args.format == "csv" else _canonical(report) + "\n"
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return code
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -714,15 +771,11 @@ def main(argv=None) -> int:
         sys.stdout.write(_canonical(report) + "\n")
         return 1
     try:
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        sys.stdout.write(text)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return outcome if isinstance(outcome, int) else 0
+    return code
 
 
 if __name__ == "__main__":

@@ -381,6 +381,10 @@ def iv_tsls(dataset: Dataset, roles: Mapping[str, str]) -> IvResult:
     )
 
 
+# Covariate, exposure and response; case-control sampling binds the same.
+_ODDS_ROLES = ("X", "T", "R")
+
+
 def odds_ratio(joint: JointTable, roles: Mapping[str, str]) -> OddsRatioReport:
     """Stratified odds ratio computed by both routes.
 
@@ -388,7 +392,8 @@ def odds_ratio(joint: JointTable, roles: Mapping[str, str]) -> OddsRatioReport:
     Exposure route: with p = P(T=1|R=1,x) and q = P(T=1|R=0,x),
     e(x) = p(1-q) / (q(1-p)).  Overall measure: E[e(X) | R=1].
     """
-    r_n, t_n, x_n = _bind(roles, ("R", "T", "X"), joint.order).values()
+    # Response first, the order its binding errors have always named.
+    r_n, t_n, x_n = _bind(roles, _ODDS_ROLES[::-1], joint.order).values()
     (cells_law, r_law, t_law, x_law), (r_values, t_values, x_values) = _factors(
         joint,
         [((r_n, t_n), (x_n,)), ((r_n,), (t_n, x_n)), ((t_n,), (r_n, x_n)), ((x_n,), (r_n,))],

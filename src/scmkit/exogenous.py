@@ -31,19 +31,6 @@ _MIX2 = 0x94D049BB133111EB
 _MAX_DIAGONAL = 3_037_000_499
 
 
-def diagonal_position(row: int, col: int) -> int:
-    """Digit position consumed by stream `row` at its `col`-th digit.
-
-    Both indices are 1-based.  Row ``j`` occupies positions
-    ``T(j+c-1) - (j-1)`` for c = 1, 2, ..., where T is the triangular
-    number; rows partition the positive integers.
-    """
-    if row < 1 or col < 1:
-        raise InvalidArgumentError(f"diagonal indices are 1-based, got ({row}, {col})")
-    m = row + col - 1
-    return m * (m + 1) // 2 - (row - 1)
-
-
 class DigitStream:
     """Counter-based pseudo-random digit source.
 

@@ -273,7 +273,7 @@ def _classify(path: Path, Z: frozenset, above_z: frozenset) -> PathVerdict:
 def check_backdoor(dag: Dag, t, r, Z) -> BackdoorReport:
     """Per-path criterion verdicts; valid iff every back-door path passes."""
     Z = frozenset(Z)
-    for z in Z:
+    for z in sorted(Z, key=str):
         dag._require(z)
     if Z & {t, r}:
         raise InvalidArgumentError("conditioning set must exclude treatment and response")
@@ -316,7 +316,7 @@ def check_backdoor_extended(dag: Dag, t, r, Z_desc, Z_nondesc) -> BackdoorReport
     longer involves the original treatment value.
     """
     Z_desc, Z_nondesc = frozenset(Z_desc), frozenset(Z_nondesc)
-    for z in Z_desc | Z_nondesc:
+    for z in sorted(Z_desc | Z_nondesc, key=str):
         dag._require(z)
     if (Z_desc | Z_nondesc) & {t, r}:
         raise InvalidArgumentError("conditioning sets must exclude treatment and response")

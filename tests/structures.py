@@ -274,6 +274,20 @@ def total_variation(a: JointTable, b: JointTable) -> float:
     )
 
 
+def diagonal_position(row: int, col: int) -> int:
+    """Digit position consumed by stream `row` at its `col`-th digit.
+
+    Both indices are 1-based.  Row ``j`` occupies positions
+    ``T(j+c-1) - (j-1)`` for c = 1, 2, ..., where T is the triangular
+    number; rows partition the positive integers.  `exogenous` computes
+    the same positions inline.
+    """
+    if row < 1 or col < 1:
+        raise InvalidArgumentError(f"diagonal indices are 1-based, got ({row}, {col})")
+    m = row + col - 1
+    return m * (m + 1) // 2 - (row - 1)
+
+
 # ---------------------------------------------------------------------------
 # Scalar references for the graph order and the Gaussian moments: the sorted
 # frontier and the per-entry recursion that the heap and the row steps

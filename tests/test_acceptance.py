@@ -26,7 +26,7 @@ from scmkit.estimands import (
     two_stage_direct,
 )
 from scmkit.examples import ExampleSpec, build_example
-from scmkit.exogenous import DigitStream, diagonal_position, uniforms_at
+from scmkit.exogenous import DigitStream, uniforms_at
 from scmkit.gaussian import (
     lg_condition,
     lg_moments,
@@ -56,6 +56,7 @@ from structures import (
     HIRING_ROLES,
     TWO_STAGE_ROLES,
     backdoor_model,
+    diagonal_position,
     drift_dataset,
     drift_model,
     eelworms_model,

@@ -40,6 +40,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def cli_process(argv, **env) -> subprocess.CompletedProcess:
+    """`python -m scmkit.cli` in a fresh interpreter on this source tree."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(main.__code__.co_filename)))
+    env = dict(os.environ, **env, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run(
+        [sys.executable, "-m", "scmkit.cli", *argv], env=env, capture_output=True, check=False
+    )
+
+
 def report(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert err == ""
@@ -301,6 +310,18 @@ class TestErrors:
         assert rep["result"] is None
         assert rep["citations"] == []
 
+    @pytest.mark.parametrize("argv", [["validate"], ["sample", "--seed", "1", "--n", "5"],
+                                      ["sample", "--seed", "1", "--n", "5", "--format", "csv"]])
+    def test_an_unwritable_out_gives_a_bare_failure_report(
+        self, capsys, simpson_path, tmp_path, argv
+    ):
+        target = str(tmp_path / "missing" / "report.json")
+        code, rep = report(capsys, *argv, "-m", simpson_path, "--out", target)
+        assert code == 1
+        assert "No such file or directory" in rep["error"]
+        assert rep["result"] is None
+        assert rep["citations"] == []
+
     def test_a_rejected_sigma_gives_a_bare_failure_report(self, capsys, tmp_path):
         path = tmp_path / "hiring.json"
         save_model(build_example(ExampleSpec("hiring", seed=8)), path)
@@ -456,13 +477,8 @@ def _strict_json(text: str):
     ],
 )
 def test_non_finite_results_are_domain_failures(tmp_path, argv):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(main.__code__.co_filename)))
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     target = tmp_path / "report.json"
-    proc = subprocess.run(
-        [sys.executable, "-m", "scmkit.cli", *argv, "--out", str(target)],
-        env=env, capture_output=True, check=False,
-    )
+    proc = cli_process([*argv, "--out", str(target)])
     assert proc.returncode == 1
     assert proc.stderr == b""
     rep = _strict_json(proc.stdout.decode("utf-8"))
@@ -490,13 +506,20 @@ def test_module_entry_point_prints_the_in_process_report(capsys, simpson_path):
     argv = ["effect", "-m", simpson_path, "-t", "T", "-r", "R", "--adjust", "X",
             "--t-values", "0,1"]
     want = run(capsys, *argv)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(main.__code__.co_filename)))
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run(
-        [sys.executable, "-m", "scmkit.cli", *argv], env=env, capture_output=True, check=False
-    )
+    proc = cli_process(argv)
     assert (proc.returncode, proc.stdout.decode("utf-8")) == want[:2]
     assert want[1].startswith("{")
+
+
+# Hash seeds 1 and 2 iterate these sets in different orders, so a check
+# in set order names a different node under each.
+@pytest.mark.parametrize("flags", [["-z", "X9,X7,Q1"], ["-z", "Q1", "--adjust-desc", "X9,X7"]])
+def test_an_unknown_conditioning_node_report_is_the_same_in_every_process(fig1_path, flags):
+    argv = ["backdoor", "-m", fig1_path, "-t", "T", "-r", "R", *flags]
+    outs = [cli_process(argv, PYTHONHASHSEED=seed) for seed in ("1", "2")]
+    assert [p.returncode for p in outs] == [1, 1]
+    assert outs[0].stdout == outs[1].stdout
+    assert json.loads(outs[0].stdout)["error"] == "unknown node 'Q1'"
 
 
 class TestIdentificationCommands:

@@ -149,8 +149,7 @@ def _value(data, command, flag, base, docs, csv_paths) -> str:
     if flag == "--model-out":
         return str(base / data.draw(st.sampled_from(["model_out.json", "nodir/model_out.json"])))
     if flag == "--out":
-        # Writable: a failed --out write reports on stderr alone.
-        return str(base / "out.txt")
+        return str(base / data.draw(st.sampled_from(["out.txt"] * 3 + ["nodir/out.txt"])))
     return data.draw(st.sampled_from(VALUES[flag]))
 
 

@@ -8,15 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from scmkit.errors import InvalidArgumentError, ResourceLimitError
 from scmkit import scm as scm_module
-from scmkit.exogenous import (
-    DigitStream,
-    diagonal_position,
-    draw_weights,
-    uniform_list,
-    uniforms_at,
-)
+from scmkit.exogenous import DigitStream, draw_weights, uniform_list, uniforms_at
 from scmkit.graph import Dag, topological_order
 from scmkit.scm import _STDLIB_DRAWS, Cpt, Domain, Scm, _realize, sample
+
+from structures import diagonal_position
 
 # The first seven rows of the diagonal position array.
 DIAGONAL_ROWS = {

@@ -260,6 +260,13 @@ class TestCheckBackdoor:
         with pytest.raises(InvalidArgumentError):
             check_backdoor(fig1, "T", "R", {"T"})
 
+    def test_the_first_unknown_node_in_identifier_order_is_reported(self, fig1):
+        unknown = {"X9", "X7", "Q1", "Z5", "W2", "V8"}
+        with pytest.raises(InvalidArgumentError, match="^unknown node 'Q1'$"):
+            check_backdoor(fig1, "T", "R", unknown)
+        with pytest.raises(InvalidArgumentError, match="^unknown node 'Q1'$"):
+            check_backdoor_extended(fig1, "T", "R", unknown - {"Q1"} | {"X6"}, {"Q1", "X3"})
+
     def test_descendant_in_z_routed_to_extended(self, fig1):
         with pytest.raises(DescendantConditioningError):
             check_backdoor(fig1, "T", "R", {"X6"})

@@ -1,9 +1,12 @@
-"""Start-up cost: which heavy libraries each command loads.
+"""Start-up cost: which modules each command loads.
 
-Importing ``scmkit.cli`` loads only the standard library.  numpy and
-scipy are imported inside the functions that compute with them, so the
-exact-law, graph and identification commands never load them, nor do
-``sample`` and ``casecontrol`` at command-line sizes (fewer draws than
+Importing ``scmkit.cli`` loads the standard library and four of the
+package's modules (``scm``, ``graph``, ``exogenous`` and ``errors``); each
+command then imports only the formula modules it runs, as the table in
+the ``scmkit.cli`` docstring lists.  numpy and scipy are imported inside
+the functions that compute with them, so the exact-law, graph and
+identification commands never load them, nor do ``sample`` and
+``casecontrol`` at command-line sizes (fewer draws than
 ``scm._STDLIB_DRAWS``) or a seeded ``example``.  Only ``diagnose`` and
 Gaussian sampling load heavy libraries, and ``diagnose`` takes its
 chi-square tail from ``scipy.special`` instead of ``scipy.stats``, whose
@@ -31,7 +34,8 @@ from structures import TWO_STAGE_EDGES, TWO_STAGE_NODES, drift_dataset, fill
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(main.__code__.co_filename)))
 
 # Run main(argv) for each command line in one fresh interpreter, then list
-# the exit codes, the report errors and the loaded numpy/scipy modules.
+# the exit codes, the report errors and the loaded numpy, scipy and scmkit
+# modules.
 PROBE = """
 import contextlib, io, json, sys
 from scmkit.cli import main
@@ -42,7 +46,8 @@ for argv in json.loads(sys.argv[1]):
         codes.append(main(argv))
     errors.append(json.loads(out.getvalue())["error"])
 heavy = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
-print(json.dumps({"codes": codes, "errors": errors, "heavy": heavy}))
+own = sorted(m for m in sys.modules if m.split(".")[0] == "scmkit")
+print(json.dumps({"codes": codes, "errors": errors, "heavy": heavy, "scmkit": own}))
 """
 
 
@@ -67,31 +72,39 @@ def catalog(tmp_path_factory):
     return lambda name: str(base / name)
 
 
+def command_lines(p) -> dict:
+    """One successful command line per subcommand, on the catalog files."""
+    return {
+        "validate": ["validate", "-m", p("fig1.json")],
+        "joint": ["joint", "-m", p("simpson_binary.json"), "--targets", "R", "--given", "T=1"],
+        "intervene": ["intervene", "-m", p("simpson_binary.json"), "--set", "T=1"],
+        "backdoor": ["backdoor", "-m", p("fig1.json"), "-t", "T", "-r", "R", "-z", "X3,X4"],
+        "adjust-sets": ["adjust-sets", "-m", p("fig1.json"), "-t", "T", "-r", "R"],
+        "effect": ["effect", "-m", p("simpson_binary.json"), "-t", "T", "-r", "R", "--adjust",
+                   "X", "--t-values", "0,1"],
+        "frontdoor": ["frontdoor", "-m", p("smoking.json")],
+        "eelworms": ["eelworms", "-m", p("eelworms.json")],
+        "gformula": ["gformula", "-m", p("treatment_plan.json"), "--t", "0", "--t2", "1"],
+        "direct-effect": ["direct-effect", "-m", p("two_stage.json"), "--y2", "0", "--t", "1"],
+        "policy": ["policy", "-m", p("two_stage_edge.json")],
+        "mediation": ["mediation", "-m", p("hiring.json"), "--sigma", "0=0.25,1=0.75"],
+        "iv": ["iv", "-m", p("iv_binary.json")],
+        "oddsratio": ["oddsratio", "-m", p("case_control_pop.json")],
+        "docalc": ["docalc", "-m", p("fig1.json"), "--rule", "2", "--y", "R", "--z", "T=1",
+                   "--w", "X3,X4"],
+        "sample": ["sample", "-m", p("simpson_binary.json"), "--seed", "5", "--n", "300"],
+        "casecontrol": ["casecontrol", "-m", p("case_control_pop.json"), "--seed", "5",
+                        "--n", "150"],
+        "example": ["example", "fig1", "--seed", "5"],
+        "diagnose": ["diagnose", "--data", p("rows.csv"), "--x-cols", "X", "--t-col", "T",
+                     "--r-col", "R", "--k", "3"],
+    }
+
+
 def test_cli_import_and_small_commands_load_no_numpy_or_scipy(catalog):
-    p = catalog
-    commands = [
-        ["validate", "-m", p("fig1.json")],
-        ["joint", "-m", p("simpson_binary.json"), "--targets", "R", "--given", "T=1"],
-        ["intervene", "-m", p("simpson_binary.json"), "--set", "T=1"],
-        ["backdoor", "-m", p("fig1.json"), "-t", "T", "-r", "R", "-z", "X3,X4"],
-        ["adjust-sets", "-m", p("fig1.json"), "-t", "T", "-r", "R"],
-        ["effect", "-m", p("simpson_binary.json"), "-t", "T", "-r", "R", "--adjust", "X",
-         "--t-values", "0,1"],
-        ["frontdoor", "-m", p("smoking.json")],
-        ["eelworms", "-m", p("eelworms.json")],
-        ["gformula", "-m", p("treatment_plan.json"), "--t", "0", "--t2", "1"],
-        ["direct-effect", "-m", p("two_stage.json"), "--y2", "0", "--t", "1"],
-        ["policy", "-m", p("two_stage_edge.json")],
-        ["mediation", "-m", p("hiring.json"), "--sigma", "0=0.25,1=0.75"],
-        ["iv", "-m", p("iv_binary.json")],
-        ["oddsratio", "-m", p("case_control_pop.json")],
-        ["docalc", "-m", p("fig1.json"), "--rule", "2", "--y", "R", "--z", "T=1",
-         "--w", "X3,X4"],
-        ["sample", "-m", p("simpson_binary.json"), "--seed", "5", "--n", "300"],
-        ["casecontrol", "-m", p("case_control_pop.json"), "--seed", "5", "--n", "150"],
-        ["example", "fig1", "--seed", "5"],
-    ]
-    assert len({argv[0] for argv in commands}) == 18
+    lines = command_lines(catalog)
+    assert len(lines) == 19
+    commands = [argv for name, argv in lines.items() if name != "diagnose"]
     got = probe(commands)
     assert got["codes"] == [0] * len(commands)
     assert got["errors"] == [None] * len(commands)
@@ -99,12 +112,54 @@ def test_cli_import_and_small_commands_load_no_numpy_or_scipy(catalog):
 
 
 def test_diagnose_never_loads_scipy_stats(catalog):
-    got = probe([["diagnose", "--data", catalog("rows.csv"), "--x-cols", "X",
-                  "--t-col", "T", "--r-col", "R", "--k", "3"]])
+    got = probe([command_lines(catalog)["diagnose"]])
     assert got["codes"] == [0]
     assert got["errors"] == [None]
     assert "scipy.special" in got["heavy"]
     assert not [m for m in got["heavy"] if m.startswith("scipy.stats")]
+
+
+CLI_MODULES = ["scmkit", "scmkit.cli", "scmkit.errors", "scmkit.exogenous", "scmkit.graph",
+               "scmkit.scm"]
+
+
+def test_importing_the_cli_loads_only_its_own_modules():
+    got = probe([])
+    assert got["scmkit"] == CLI_MODULES
+    assert got["heavy"] == []
+
+
+# The formula modules each group of commands loads beyond the CLI's own.
+LOADS = [
+    (["validate", "joint", "intervene", "sample", "backdoor", "adjust-sets"], []),
+    (["effect", "frontdoor", "eelworms", "gformula"], ["identify"]),
+    (["direct-effect", "policy", "mediation", "iv", "oddsratio"], ["identify", "estimands"]),
+    (["casecontrol"], ["identify", "estimands", "casecontrol"]),
+    (["docalc"], ["identify", "docalc"]),
+    (["diagnose"], ["diagnostics"]),
+    (["example"], ["identify", "estimands", "examples"]),
+]
+
+
+def test_the_load_table_lists_every_subcommand_once(catalog):
+    names = [name for group, _ in LOADS for name in group]
+    assert sorted(names) == sorted(command_lines(catalog))
+
+
+@pytest.mark.parametrize("group, extra", LOADS, ids=[group[0] for group, _ in LOADS])
+def test_each_command_loads_only_its_formula_modules(catalog, group, extra):
+    lines = command_lines(catalog)
+    got = probe([lines[name] for name in group])
+    assert got["errors"] == [None] * len(group)
+    assert got["scmkit"] == sorted(CLI_MODULES + [f"scmkit.{m}" for m in extra])
+
+
+def test_a_continuous_example_also_loads_gaussian():
+    got = probe([["example", "lord", "--seed", "5"]])
+    assert got["errors"] == [None]
+    assert got["scmkit"] == sorted(
+        CLI_MODULES + ["scmkit.identify", "scmkit.estimands", "scmkit.examples", "scmkit.gaussian"]
+    )
 
 
 def test_chi_square_pvalue_equals_scipy_stats_chi2_sf():
