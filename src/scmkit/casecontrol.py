@@ -17,11 +17,10 @@ import itertools
 import math
 from array import array
 from collections import defaultdict, deque
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .errors import ExhaustionError, InvalidArgumentError
+from .errors import ExhaustionError, InvalidArgumentError, Record
 from .estimands import _ODDS_ROLES, OddsRatioReport
 from .exogenous import DigitStream
 from .graph import topological_order
@@ -40,8 +39,7 @@ DEFAULT_BUDGET = 10_000_000
 _BLOCK = 4096
 
 
-@dataclass(frozen=True)
-class CaseControlSample:
+class CaseControlSample(Record):
     """Alternating (x, t, r) rows: each case is followed by its control.
 
     `indices` gives each row's position in the simulated population (an
@@ -51,23 +49,24 @@ class CaseControlSample:
     control index is a case index).
     """
 
-    rows: tuple
-    indices: Sequence[int]
-    roles: tuple
+    __slots__ = ("rows", "indices", "roles")
 
-    def __post_init__(self) -> None:
-        n = len(self.rows)
-        if n % 2 or len(self.indices) != n or len(self.roles) != n:
+    def __init__(self, rows: tuple, indices: Sequence[int], roles: tuple):
+        n = len(rows)
+        if n % 2 or len(indices) != n or len(roles) != n:
             raise InvalidArgumentError("rows, indices, and roles must align in pairs")
-        if len(set(self.indices)) != n:
+        if len(set(indices)) != n:
             raise InvalidArgumentError("population rows may be used only once")
         for k in range(0, n, 2):
-            if self.roles[k] != "case" or self.roles[k + 1] != "control":
+            if roles[k] != "case" or roles[k + 1] != "control":
                 raise InvalidArgumentError(f"pair {k // 2} must be case then control")
-            if self.rows[k][2] != 1:
+            if rows[k][2] != 1:
                 raise InvalidArgumentError(f"case {k // 2} lacks r = 1")
-            if self.rows[k][0] != self.rows[k + 1][0]:
+            if rows[k][0] != rows[k + 1][0]:
                 raise InvalidArgumentError(f"pair {k // 2} is not matched on x")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "roles", roles)
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, Record
 from .scm import Dataset
 
 __all__ = [
@@ -42,8 +41,7 @@ EXPECTED_MIN = 5.0
 MIN_BLOCK_ROWS = 2
 
 
-@dataclass(frozen=True)
-class SplitStratum:
+class SplitStratum(Record):
     """One stratum's rows and their contiguous index blocks.
 
     `key` is (covariate configuration, treatment value), with None in
@@ -54,32 +52,40 @@ class SplitStratum:
     and split again, giving k leaf blocks per primary block.
     """
 
-    key: tuple
-    indices: tuple
-    blocks: tuple
-    group_count: int
-    too_small: bool
+    __slots__ = ("key", "indices", "blocks", "group_count", "too_small")
+
+    def __init__(self, key: tuple, indices: tuple, blocks: tuple, group_count: int,
+                 too_small: bool):
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "group_count", group_count)
+        object.__setattr__(self, "too_small", too_small)
 
 
-@dataclass(frozen=True)
-class StratumReport:
-    """One adjacent-block comparison inside one stratum."""
+class StratumReport(Record):
+    """One adjacent-block comparison inside one stratum.
 
-    key: tuple
-    compares: str  # "responses" or "treatments"
-    pair: tuple  # positions of the two blocks in the stratum's block list
-    left_counts: dict
-    right_counts: dict
-    statistic: float
-    pvalue: float
+    `compares` is "responses" or "treatments"; `pair` holds the positions
+    of the two blocks in the stratum's block list.
+    """
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.pvalue <= 1.0:
-            raise InvalidArgumentError(f"p-value {self.pvalue!r} outside [0, 1]")
+    __slots__ = ("key", "compares", "pair", "left_counts", "right_counts", "statistic", "pvalue")
+
+    def __init__(self, key: tuple, compares: str, pair: tuple, left_counts: dict,
+                 right_counts: dict, statistic: float, pvalue: float):
+        if not 0.0 <= pvalue <= 1.0:
+            raise InvalidArgumentError(f"p-value {pvalue!r} outside [0, 1]")
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "compares", compares)
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "left_counts", left_counts)
+        object.__setattr__(self, "right_counts", right_counts)
+        object.__setattr__(self, "statistic", statistic)
+        object.__setattr__(self, "pvalue", pvalue)
 
 
-@dataclass(frozen=True)
-class HomogeneityReport:
+class HomogeneityReport(Record):
     """All block comparisons plus the pooled uniformity check.
 
     `pvalues[i]` belongs to `reports[i]`.  The alarm fires when the
@@ -87,17 +93,21 @@ class HomogeneityReport:
     uniformity p-value crosses the threshold.
     """
 
-    reports: tuple
-    pvalues: tuple
-    uniformity_statistic: float | None
-    uniformity_pvalue: float | None
-    threshold: float
-    alarm: bool
-    warnings: tuple = ()
+    __slots__ = ("reports", "pvalues", "uniformity_statistic", "uniformity_pvalue", "threshold",
+                 "alarm", "warnings")
 
-    def __post_init__(self) -> None:
-        if len(self.reports) != len(self.pvalues):
+    def __init__(self, reports: tuple, pvalues: tuple, uniformity_statistic: float | None,
+                 uniformity_pvalue: float | None, threshold: float, alarm: bool,
+                 warnings: tuple = ()):
+        if len(reports) != len(pvalues):
             raise InvalidArgumentError("reports and p-values must align")
+        object.__setattr__(self, "reports", reports)
+        object.__setattr__(self, "pvalues", pvalues)
+        object.__setattr__(self, "uniformity_statistic", uniformity_statistic)
+        object.__setattr__(self, "uniformity_pvalue", uniformity_pvalue)
+        object.__setattr__(self, "threshold", threshold)
+        object.__setattr__(self, "alarm", alarm)
+        object.__setattr__(self, "warnings", warnings)
 
 
 def _chunks(seq: list, k: int) -> list:

@@ -19,10 +19,9 @@ same scan of its joint as the laws of the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import InvalidArgumentError, PositivityError
+from .errors import InvalidArgumentError, PositivityError, Record
 from .graph import Dag
 from .identify import _fmt_stratum
 from .scm import Cpt, Scm, _ci_verdict, _conditional_laws, conditional_laws, joint_distribution
@@ -36,27 +35,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class NodePartition:
+class NodePartition(Record):
     """Disjoint node sets W, X, Y, Z covering a subset of a model's nodes.
 
     Nodes outside the four sets are carried along by the surgeries and
     marginalized out of every check.
     """
 
-    w: frozenset
-    x: frozenset
-    y: frozenset
-    z: frozenset
+    __slots__ = ("w", "x", "y", "z")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "w", frozenset(self.w))
-        object.__setattr__(self, "x", frozenset(self.x))
-        object.__setattr__(self, "y", frozenset(self.y))
-        object.__setattr__(self, "z", frozenset(self.z))
-        sets = (self.w, self.x, self.y, self.z)
+    def __init__(self, w, x, y, z):
+        sets = (frozenset(w), frozenset(x), frozenset(y), frozenset(z))
         if sum(len(s) for s in sets) != len(frozenset().union(*sets)):
             raise InvalidArgumentError("W, X, Y, Z must be pairwise disjoint")
+        for name, members in zip(self.__slots__, sets):
+            object.__setattr__(self, name, members)
 
     def split(self, dag: Dag, which: str) -> tuple:
         """(parentless, parented) members of one of the four sets."""
@@ -66,29 +59,30 @@ class NodePartition:
         return exo, endo
 
 
-@dataclass(frozen=True)
-class RuleVerdict:
+class RuleVerdict(Record):
     """Outcome of checking one rule on one model and partition.
 
     `passed` may hold only when the rule's condition holds and the
     identity's worst deviation is within tolerance.
     """
 
-    rule: int
-    condition: str
-    condition_holds: bool
-    condition_deviation: float
-    identity_deviation: float
-    tol: float
-    passed: bool
+    __slots__ = ("rule", "condition", "condition_holds", "condition_deviation",
+                 "identity_deviation", "tol", "passed")
 
-    def __post_init__(self) -> None:
-        if self.passed and not (
-            self.condition_holds and self.identity_deviation <= self.tol
-        ):
+    def __init__(self, rule: int, condition: str, condition_holds: bool,
+                 condition_deviation: float, identity_deviation: float, tol: float,
+                 passed: bool):
+        if passed and not (condition_holds and identity_deviation <= tol):
             raise InvalidArgumentError(
                 "a passing verdict requires the condition and the identity"
             )
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "condition", condition)
+        object.__setattr__(self, "condition_holds", condition_holds)
+        object.__setattr__(self, "condition_deviation", condition_deviation)
+        object.__setattr__(self, "identity_deviation", identity_deviation)
+        object.__setattr__(self, "tol", tol)
+        object.__setattr__(self, "passed", passed)
 
 
 def _check_partition(scm: Scm, partition: NodePartition) -> None:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types and the value-record base shared across the package.
 
 Everything raised on purpose derives from :class:`ScmError`, so callers
 (notably the CLI) can distinguish domain failures from genuine bugs.
@@ -56,3 +56,53 @@ class ExhaustionError(ScmError):
 
 class ConstraintError(ScmError):
     """A named parameter constraint of an example builder is violated."""
+
+
+class Record:
+    """Base of the package's value records: named fields in `__slots__`.
+
+    A subclass lists its fields in `__slots__`, in constructor order, and
+    writes an `__init__` that checks its arguments and stores them with
+    `object.__setattr__`.  Records compare equal when they are of the same
+    class with equal field tuples, and read as ``Name(field=value, ...)``.
+    A record is frozen, hashing as its field tuple and refusing assignment,
+    unless its class is declared with ``frozen=False``; such a record is
+    unhashable.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, frozen: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if not frozen:
+            cls.__hash__ = None
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getstate__(self):
+        return self._astuple()
+
+    def __setstate__(self, state):
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)

@@ -13,10 +13,9 @@ shapes go through the same binder and shape check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import InvalidArgumentError, PositivityError, WeakInstrumentError
+from .errors import InvalidArgumentError, PositivityError, Record, WeakInstrumentError
 from .graph import Dag
 from .identify import _bind, _factors, _require_shape
 from .scm import POSITIVITY_CUTOFF, Dataset, JointTable
@@ -37,8 +36,7 @@ __all__ = [
 _DENOM_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class IvResult:
+class IvResult(Record):
     """Instrumental-variable ratio with its ingredients.
 
     For the multi-level form, `theta` is the overall weighted aggregate,
@@ -47,24 +45,26 @@ class IvResult:
     two auxiliary regression slopes whose ratio reproduces `theta`.
     """
 
-    theta: object
-    numerator: object
-    denominator: object
-    valid: bool
-    thetas: tuple | None = None
-    weights: tuple | None = None
-    first_stage: object | None = None
-    reduced_form: object | None = None
+    __slots__ = ("theta", "numerator", "denominator", "valid", "thetas", "weights", "first_stage",
+                 "reduced_form")
 
-    def __post_init__(self) -> None:
-        if self.valid:
-            want = float(self.numerator) / float(self.denominator)
-            if abs(float(self.theta) - want) > 1e-9 * max(1.0, abs(want)):
+    def __init__(self, theta, numerator, denominator, valid: bool, thetas: tuple | None = None,
+                 weights: tuple | None = None, first_stage=None, reduced_form=None):
+        if valid:
+            want = float(numerator) / float(denominator)
+            if abs(float(theta) - want) > 1e-9 * max(1.0, abs(want)):
                 raise InvalidArgumentError("ratio inconsistent with its parts")
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "valid", valid)
+        object.__setattr__(self, "thetas", thetas)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "first_stage", first_stage)
+        object.__setattr__(self, "reduced_form", reduced_form)
 
 
-@dataclass(frozen=True)
-class OddsRatioReport:
+class OddsRatioReport(Record):
     """Per-stratum odds ratios, plus the case-side average.
 
     `per_x[x]` holds p (exposure rate among responders), q (among
@@ -74,12 +74,10 @@ class OddsRatioReport:
     when no stratum survived estimation.
     """
 
-    per_x: Mapping
-    overall: float | None
-    warnings: tuple = ()
+    __slots__ = ("per_x", "overall", "warnings")
 
-    def __post_init__(self) -> None:
-        for x, cell in self.per_x.items():
+    def __init__(self, per_x: Mapping, overall: float | None, warnings: tuple = ()):
+        for x, cell in per_x.items():
             if "ratio_response_odds" not in cell:
                 continue
             a = float(cell["ratio_response_odds"])
@@ -88,6 +86,9 @@ class OddsRatioReport:
                 raise InvalidArgumentError(
                     f"odds-ratio routes disagree in stratum {x!r}"
                 )
+        object.__setattr__(self, "per_x", per_x)
+        object.__setattr__(self, "overall", overall)
+        object.__setattr__(self, "warnings", warnings)
 
 
 def _mean(dist: Mapping):

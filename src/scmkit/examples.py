@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping
 
-from .errors import ConstraintError, InvalidArgumentError
+from .errors import ConstraintError, InvalidArgumentError, Record
 from .estimands import _HIRING_SHAPE, _TWO_STAGE_SHAPE
 from .exogenous import DigitStream, uniform_list
 from .graph import Dag, topological_order
@@ -344,13 +343,16 @@ _BINNING_PARAMS = (
 )
 
 
-@dataclass(frozen=True)
-class _Entry:
-    name: str
-    summary: str
-    parameters: tuple
-    citation: str
-    builder: Callable
+class _Entry(Record):
+    __slots__ = ("name", "summary", "parameters", "citation", "builder")
+
+    def __init__(self, name: str, summary: str, parameters: tuple, citation: str,
+                 builder: Callable):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "summary", summary)
+        object.__setattr__(self, "parameters", parameters)
+        object.__setattr__(self, "citation", citation)
+        object.__setattr__(self, "builder", builder)
 
 
 _CATALOG = (
@@ -499,27 +501,28 @@ _CATALOG = (
 _BY_NAME = {entry.name: entry for entry in _CATALOG}
 
 
-@dataclass(frozen=True)
-class ExampleSpec:
+class ExampleSpec(Record):
     """A catalog name plus builder parameters and a fill-in seed."""
 
-    name: str
-    params: Mapping = field(default_factory=dict)
-    seed: int = 0
+    __slots__ = ("name", "params", "seed")
 
-    def __post_init__(self) -> None:
-        if self.name not in _BY_NAME:
+    def __init__(self, name: str, params: Mapping | None = None, seed: int = 0):
+        params = {} if params is None else params
+        if name not in _BY_NAME:
             raise InvalidArgumentError(
-                f"unknown example {self.name!r}; catalog: "
+                f"unknown example {name!r}; catalog: "
                 f"{', '.join(sorted(_BY_NAME))}"
             )
-        allowed = {label for label, _ in _BY_NAME[self.name].parameters}
-        unknown = set(self.params) - allowed
+        allowed = {label for label, _ in _BY_NAME[name].parameters}
+        unknown = set(params) - allowed
         if unknown:
             raise InvalidArgumentError(
-                f"unknown parameters {sorted(unknown)} for {self.name!r}; "
+                f"unknown parameters {sorted(unknown)} for {name!r}; "
                 f"documented: {sorted(allowed)}"
             )
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "seed", seed)
 
 
 def build_example(spec: ExampleSpec) -> Scm | LinearGaussianScm:

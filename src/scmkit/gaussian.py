@@ -15,12 +15,11 @@ identical gain laws despite different direct effects.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .errors import InvalidArgumentError, SingularConditioningError
+from .errors import InvalidArgumentError, Record, SingularConditioningError
 from .exogenous import DigitStream, uniforms_at
 from .graph import Dag, topological_order
 from .scm import Dataset
@@ -47,8 +46,7 @@ _CORRELATION_FLOOR = 1e-12  # least eigenvalue of a non-singular block rescaled 
 _EIGEN_FLOOR = -1e-9  # least eigenvalue allowed per unit of the largest source variance
 
 
-@dataclass(frozen=True)
-class LinearGaussianScm:
+class LinearGaussianScm(Record):
     """Structural equations ``X_i = a_i + sum_j c_ij X_j + N(0, s_i^2)``.
 
     `coefficients[node]` maps each parent of `node` to its weight; the key
@@ -57,61 +55,61 @@ class LinearGaussianScm:
     be finite.
     """
 
-    dag: Dag
-    intercepts: Mapping[str, float]
-    coefficients: Mapping[str, Mapping[str, float]]
-    noise_vars: Mapping[str, float]
+    __slots__ = ("dag", "intercepts", "coefficients", "noise_vars")
 
-    def __post_init__(self) -> None:
-        topological_order(self.dag)
-        for node in self.dag.nodes:
+    def __init__(self, dag: Dag, intercepts: Mapping[str, float],
+                 coefficients: Mapping[str, Mapping[str, float]], noise_vars: Mapping[str, float]):
+        topological_order(dag)
+        for node in dag.nodes:
             for box, label in (
-                (self.intercepts, "intercept"),
-                (self.coefficients, "coefficients"),
-                (self.noise_vars, "noise variance"),
+                (intercepts, "intercept"),
+                (coefficients, "coefficients"),
+                (noise_vars, "noise variance"),
             ):
                 if node not in box:
                     raise InvalidArgumentError(f"missing {label} for {node!r}")
-            coefs = self.coefficients[node]
-            if set(coefs) != set(self.dag.parents(node)):
+            coefs = coefficients[node]
+            if set(coefs) != set(dag.parents(node)):
                 raise InvalidArgumentError(
                     f"coefficients of {node!r} must cover exactly its parents"
                 )
             for label, value in (
-                ("intercept", self.intercepts[node]),
+                ("intercept", intercepts[node]),
                 *((f"coefficient of {p!r}", c) for p, c in coefs.items()),
-                ("noise variance", self.noise_vars[node]),
+                ("noise variance", noise_vars[node]),
             ):
                 if not math.isfinite(value):
                     raise InvalidArgumentError(f"non-finite {label} at {node!r}: {value}")
-            if self.noise_vars[node] < 0:
+            if noise_vars[node] < 0:
                 raise InvalidArgumentError(f"negative noise variance at {node!r}")
+        object.__setattr__(self, "dag", dag)
+        object.__setattr__(self, "intercepts", intercepts)
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "noise_vars", noise_vars)
 
 
-@dataclass(frozen=True)
-class GaussianLaw:
-    """A multivariate normal law over named nodes."""
+class GaussianLaw(Record):
+    """A multivariate normal law over named nodes.
 
-    order: tuple[str, ...]
-    mean: np.ndarray
-    covariance: np.ndarray
-    # Variances of the law the covariance was computed from: rounding there
-    # sets the semidefiniteness floor.  A law built directly uses its own.
-    _scale: InitVar[np.ndarray | None] = None
+    `_scale`, which is not a field, gives the variances of the law the
+    covariance was computed from: rounding there sets the semidefiniteness
+    floor.  A law built directly uses its own.
+    """
 
-    def __post_init__(self, _scale) -> None:
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.covariance, dtype=float)
-        object.__setattr__(self, "order", tuple(self.order))
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", cov)
-        k = len(self.order)
+    __slots__ = ("order", "mean", "covariance")
+
+    def __init__(self, order: tuple[str, ...], mean: np.ndarray, covariance: np.ndarray,
+                 _scale: np.ndarray | None = None):
+        mean = np.asarray(mean, dtype=float)
+        cov = np.asarray(covariance, dtype=float)
+        order = tuple(order)
+        k = len(order)
         if mean.shape != (k,) or cov.shape != (k, k):
             raise InvalidArgumentError("mean/covariance shapes do not match order")
         for name, values in (("mean", mean), ("covariance", cov)):
             bad = np.argwhere(~np.isfinite(values))
             if bad.size:
-                at = ", ".join(repr(self.order[i]) for i in bad[0])
+                at = ", ".join(repr(order[i]) for i in bad[0])
                 raise InvalidArgumentError(f"non-finite {name} at {at}")
         if not np.allclose(cov, cov.T, atol=1e-9, rtol=0.0):
             raise InvalidArgumentError("covariance must be symmetric")
@@ -119,6 +117,9 @@ class GaussianLaw:
             floor = _EIGEN_FLOOR * float(np.max(cov.diagonal() if _scale is None else _scale))
             if float(np.linalg.eigvalsh((cov + cov.T) / 2).min()) < floor:
                 raise InvalidArgumentError("covariance must be positive semidefinite")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "covariance", cov)
 
     def index(self, node: str) -> int:
         try:

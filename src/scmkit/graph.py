@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 
 from .errors import (
     CyclicGraphError,
     DescendantConditioningError,
     InvalidArgumentError,
+    Record,
     ResourceLimitError,
 )
 
@@ -147,8 +147,7 @@ def ancestors(dag: Dag, node) -> frozenset:
     return _closure(dag, node, dag._parents)
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(Record):
     """Simple path: node sequence plus per-step edge orientation.
 
     ``directions[i]`` is ``"forward"`` when the graph edge runs
@@ -156,14 +155,15 @@ class Path:
     other way.
     """
 
-    nodes: tuple
-    directions: tuple
+    __slots__ = ("nodes", "directions")
 
-    def __post_init__(self):
-        if len(self.directions) != len(self.nodes) - 1:
+    def __init__(self, nodes: tuple, directions: tuple):
+        if len(directions) != len(nodes) - 1:
             raise InvalidArgumentError("one direction per step required")
-        if len(set(self.nodes)) != len(self.nodes):
+        if len(set(nodes)) != len(nodes):
             raise InvalidArgumentError("path must be simple")
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "directions", directions)
 
     def __str__(self):
         parts = [str(self.nodes[0])]
@@ -173,26 +173,30 @@ class Path:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class PathVerdict:
-    path: Path
-    verdict: str  # "satisfies-(i)" | "satisfies-(ii)" | "violates"
-    witness: object = None  # pointing Z-node for (i), open collider for (ii)
+class PathVerdict(Record):
+    """One path's verdict: "satisfies-(i)", "satisfies-(ii)" or "violates".
+
+    `witness` is the pointing Z-node for (i) and the open collider for (ii).
+    """
+
+    __slots__ = ("path", "verdict", "witness")
+
+    def __init__(self, path: Path, verdict: str, witness=None):
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "witness", witness)
 
 
-@dataclass
-class BackdoorReport:
-    valid: bool
-    verdicts: list[PathVerdict]
-    warnings: list[str] = field(default_factory=list)
+class BackdoorReport(Record, frozen=False):
+    __slots__ = ("valid", "verdicts", "warnings")
+
+    def __init__(self, valid: bool, verdicts: list[PathVerdict], warnings: list | None = None):
+        self.valid = valid
+        self.verdicts = verdicts
+        self.warnings = [] if warnings is None else warnings
 
     def violating_paths(self) -> list[Path]:
         return [v.path for v in self.verdicts if v.verdict == "violates"]
-
-
-def backdoor_paths(dag: Dag, t, r) -> list[Path]:
-    """All simple paths from t to r entered against an edge and exiting along one."""
-    return [v.path for v in _walk(dag, t, r, frozenset(), frozenset())]
 
 
 # A path's (verdict, witness) before any node decides it.

@@ -19,10 +19,9 @@ against the mutilated-model oracle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import InvalidArgumentError, PositivityError
+from .errors import InvalidArgumentError, PositivityError, Record
 from .graph import Dag
 from .scm import POSITIVITY_CUTOFF, JointTable, _conditional_laws, _divide, _marginals, _sorted
 
@@ -44,47 +43,49 @@ __all__ = [
 _LAMBDA_DECIMALS = 12
 
 
-@dataclass(frozen=True)
-class EffectReport:
+class EffectReport(Record):
     """A named interventional estimate: per-treatment response laws plus ATE."""
 
-    estimand: str
-    treatment: str
-    treatment_values: tuple
-    response: str
-    distributions: Mapping
-    ate: float | None
-    citation: str
+    __slots__ = ("estimand", "treatment", "treatment_values", "response", "distributions", "ate",
+                 "citation")
 
-    def __post_init__(self) -> None:
-        for t, dist in self.distributions.items():
+    def __init__(self, estimand: str, treatment: str, treatment_values: tuple, response: str,
+                 distributions: Mapping, ate: float | None, citation: str):
+        for t, dist in distributions.items():
             total = sum(dist.values())
             if abs(total - 1.0) > 1e-10:
                 raise InvalidArgumentError(
                     f"response law at treatment {t!r} sums to {total!r}"
                 )
+        object.__setattr__(self, "estimand", estimand)
+        object.__setattr__(self, "treatment", treatment)
+        object.__setattr__(self, "treatment_values", treatment_values)
+        object.__setattr__(self, "response", response)
+        object.__setattr__(self, "distributions", distributions)
+        object.__setattr__(self, "ate", ate)
+        object.__setattr__(self, "citation", citation)
 
 
-@dataclass(frozen=True)
-class PropensityTable:
+class PropensityTable(Record):
     """Per-covariate-configuration treatment assignment vectors."""
 
-    x_nodes: tuple[str, ...]
-    t_node: str
-    t_values: tuple
-    rows: Mapping[tuple, tuple]
+    __slots__ = ("x_nodes", "t_node", "t_values", "rows")
 
-    def __post_init__(self) -> None:
-        for cfg, row in self.rows.items():
+    def __init__(self, x_nodes: tuple[str, ...], t_node: str, t_values: tuple,
+                 rows: Mapping[tuple, tuple]):
+        for cfg, row in rows.items():
             total = sum(row)
             if abs(total - 1.0) > 1e-12:
                 raise InvalidArgumentError(
                     f"assignment vector at {cfg!r} sums to {total!r}"
                 )
+        object.__setattr__(self, "x_nodes", x_nodes)
+        object.__setattr__(self, "t_node", t_node)
+        object.__setattr__(self, "t_values", t_values)
+        object.__setattr__(self, "rows", rows)
 
 
-@dataclass(frozen=True)
-class FrontdoorReport:
+class FrontdoorReport(Record):
     """Mediator-identity output.
 
     `effect[(y, w)]` is l_y(w), the identified law of W under setting the
@@ -92,8 +93,11 @@ class FrontdoorReport:
     under a fixed mediator level z.
     """
 
-    effect: Mapping[tuple, float]
-    intermediate: Mapping[tuple, float]
+    __slots__ = ("effect", "intermediate")
+
+    def __init__(self, effect: Mapping[tuple, float], intermediate: Mapping[tuple, float]):
+        object.__setattr__(self, "effect", effect)
+        object.__setattr__(self, "intermediate", intermediate)
 
 
 def _fmt_stratum(given: Mapping) -> str:

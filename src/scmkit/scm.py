@@ -25,12 +25,12 @@ import json
 import math
 import operator
 from collections.abc import ItemsView, Mapping, ValuesView
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
     CyclicGraphError,
     InvalidArgumentError,
+    Record,
     ResourceLimitError,
     ZeroProbabilityError,
 )
@@ -47,16 +47,16 @@ MAX_JOINT_CONFIGS = 10_000_000
 _STDLIB_DRAWS = 4096
 
 
-@dataclass(frozen=True)
-class Domain:
-    node: object
-    values: tuple
+class Domain(Record):
+    __slots__ = ("node", "values")
 
-    def __post_init__(self):
-        if not self.values:
-            raise InvalidArgumentError(f"empty domain for {self.node!r}")
-        if len(set(self.values)) != len(self.values):
-            raise InvalidArgumentError(f"duplicate values in domain of {self.node!r}")
+    def __init__(self, node, values: tuple):
+        if not values:
+            raise InvalidArgumentError(f"empty domain for {node!r}")
+        if len(set(values)) != len(values):
+            raise InvalidArgumentError(f"duplicate values in domain of {node!r}")
+        object.__setattr__(self, "node", node)
+        object.__setattr__(self, "values", values)
 
     def index(self, value) -> int:
         try:
@@ -65,18 +65,26 @@ class Domain:
             raise InvalidArgumentError(f"{value!r} not in domain of {self.node!r}") from None
 
 
-@dataclass(frozen=True)
-class Cpt:
-    """One node's mechanism: parent configuration -> distribution row."""
+class Cpt(Record):
+    """One node's mechanism: parent configuration -> distribution row.
 
-    node: object
-    parents: tuple
-    table: dict  # tuple of parent values (in `parents` order) -> probability sequence
+    `table` maps a tuple of parent values (in `parents` order) to a
+    probability sequence.
+    """
+
+    __slots__ = ("node", "parents", "table")
+
+    def __init__(self, node, parents: tuple, table: dict):
+        object.__setattr__(self, "node", node)
+        object.__setattr__(self, "parents", parents)
+        object.__setattr__(self, "table", table)
 
 
-@dataclass
-class Intervention:
-    assignments: dict  # node -> forced value
+class Intervention(Record, frozen=False):
+    __slots__ = ("assignments",)
+
+    def __init__(self, assignments: dict):
+        self.assignments = assignments  # node -> forced value
 
 
 class Scm:
@@ -218,10 +226,12 @@ class _Values(ValuesView):
         return self._mapping._masses()
 
 
-@dataclass
-class Dataset:
-    columns: tuple
-    rows: list  # list of value tuples, row index = collection order
+class Dataset(Record, frozen=False):
+    __slots__ = ("columns", "rows")
+
+    def __init__(self, columns: tuple, rows: list):
+        self.columns = columns
+        self.rows = rows  # list of value tuples, row index = collection order
 
     def column(self, name) -> list:
         try:
@@ -536,9 +546,10 @@ def restrict(joint: JointTable, targets, given: dict | None = None) -> JointTabl
     return JointTable._dense(targets, values, probs, list(sums))
 
 
-def _marginals(joint: JointTable, *node_tuples) -> list:
+def _marginals(joint: JointTable, *node_tuples, numerators: bool = False) -> list:
     """Unnormalized masses {configuration: mass} of each node tuple, all
-    from one scan of the joint.
+    from one scan of the joint; with `numerators`, the masses of a
+    `Fraction` joint stay integer numerators over its `scale`.
 
     Masses accumulate in joint order and keys appear in the order of their
     first configuration, exactly as `restrict` sums them.
@@ -549,7 +560,8 @@ def _marginals(joint: JointTable, *node_tuples) -> list:
     for ax, cs in zip(axes, codes):
         configs = list(itertools.product(*(joint.values[a] for a in ax)))
         sums = _sums(cs, masses, len(configs))
-        tables.append(dict(zip(map(configs.__getitem__, sums), _unscaled(joint, sums.values()))))
+        totals = sums.values() if numerators else _unscaled(joint, sums.values())
+        tables.append(dict(zip(map(configs.__getitem__, sums), totals)))
     return tables
 
 
@@ -572,8 +584,9 @@ def _conditional_laws(joint: JointTable, pairs, support=()) -> tuple:
         if set(targets) & set(given):
             raise InvalidArgumentError("targets and conditioning nodes must be disjoint")
     tuples = list(dict.fromkeys(nodes for t, g in pairs for nodes in (g, g + t)))
-    tables = dict(zip(tuples, _marginals(joint, *tuples)))
-    laws = [_divide(tables[given], tables[given + targets], len(given)) for targets, given in pairs]
+    tables = dict(zip(tuples, _marginals(joint, *tuples, numerators=True)))
+    laws = [_divide(tables[given], tables[given + targets], len(given), joint.scale)
+            for targets, given in pairs]
     values = []
     for n in support:
         nodes = next(nodes for nodes in tuples if n in nodes)
@@ -581,15 +594,21 @@ def _conditional_laws(joint: JointTable, pairs, support=()) -> tuple:
     return laws, values
 
 
-def _divide(masses: dict, cells: dict, k: int) -> dict:
+def _divide(masses: dict, cells: dict, k: int, scale=None) -> dict:
     """{given: {target: cell mass / given mass}} from masses keyed by the
     given configuration and cells keyed by it plus the target's; strata
-    at or below POSITIVITY_CUTOFF are left out."""
-    laws: dict = {g: {} for g, mass in masses.items() if _float(mass) > POSITIVITY_CUTOFF}
+    at or below POSITIVITY_CUTOFF are left out.  With a `scale`, masses
+    and cells are integer numerators over it, each divided once as
+    Fraction(cell, given)."""
+    laws: dict = {
+        g: {} for g, mass in masses.items()
+        if _float(mass if scale is None else Fraction(mass, scale)) > POSITIVITY_CUTOFF
+    }
+    divide = operator.truediv if scale is None else Fraction
     for key, mass in cells.items():
         law = laws.get(key[:k])
         if law is not None:
-            law[key[k:]] = mass / masses[key[:k]]
+            law[key[k:]] = divide(mass, masses[key[:k]])
     return laws
 
 

@@ -15,6 +15,7 @@ from scmkit.graph import (
     Dag,
     Path,
     PathVerdict,
+    check_backdoor,
     descendants,
     topological_order,
 )
@@ -366,6 +367,12 @@ def reference_backdoor_paths(dag: Dag, t, r) -> list:
         if first != r:
             extend(first, {t, first}, (t, first), (BACKWARD,))
     return paths
+
+
+def backdoor_paths(dag: Dag, t, r) -> list:
+    """All simple paths from t to r entered against an edge and exiting
+    along one: the paths `check_backdoor` judges, read with an empty Z."""
+    return [v.path for v in check_backdoor(dag, t, r, ()).verdicts]
 
 
 def support_values(joint: JointTable, node: str) -> list:

@@ -19,7 +19,6 @@ from scmkit.graph import (
     Dag,
     Path,
     ancestors,
-    backdoor_paths,
     check_backdoor,
     check_backdoor_extended,
     descendants,
@@ -28,7 +27,7 @@ from scmkit.graph import (
     topological_order,
 )
 
-from structures import interior, is_collider, reference_topological_order
+from structures import backdoor_paths, interior, is_collider, reference_topological_order
 
 # Two-level treatment/response graph: X3, X4 feed the treatment, the
 # response listens to X3, X5 and the post-treatment X6.

@@ -13,13 +13,13 @@ from hypothesis import assume, event, given, settings, strategies as st
 from scmkit.graph import (
     Dag,
     ancestors,
-    backdoor_paths,
     check_backdoor,
     descendants,
     enumerate_valid_adjustment_sets,
 )
 
 from structures import (
+    backdoor_paths,
     reference_adjustment_sets,
     reference_backdoor_paths,
     reference_check_backdoor,

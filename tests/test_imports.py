@@ -11,6 +11,10 @@ identification commands never load them, nor do ``sample`` and
 Gaussian sampling load heavy libraries, and ``diagnose`` takes its
 chi-square tail from ``scipy.special`` instead of ``scipy.stats``, whose
 import alone costs most of a second.
+
+The package's records are plain classes, so no command loads
+``dataclasses`` (and with it ``inspect``) except ``diagnose``, through
+``scipy.special``; numpy alone loads ``inspect``.
 """
 
 import json
@@ -34,8 +38,8 @@ from structures import TWO_STAGE_EDGES, TWO_STAGE_NODES, drift_dataset, fill
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(main.__code__.co_filename)))
 
 # Run main(argv) for each command line in one fresh interpreter, then list
-# the exit codes, the report errors and the loaded numpy, scipy and scmkit
-# modules.
+# the exit codes, the report errors, the loaded numpy, scipy and scmkit
+# modules, and which of the slow standard modules in SLOW were loaded.
 PROBE = """
 import contextlib, io, json, sys
 from scmkit.cli import main
@@ -47,8 +51,18 @@ for argv in json.loads(sys.argv[1]):
     errors.append(json.loads(out.getvalue())["error"])
 heavy = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
 own = sorted(m for m in sys.modules if m.split(".")[0] == "scmkit")
-print(json.dumps({"codes": codes, "errors": errors, "heavy": heavy, "scmkit": own}))
+slow = [m for m in ("dataclasses", "inspect") if m in sys.modules]
+print(json.dumps({"codes": codes, "errors": errors, "heavy": heavy, "scmkit": own, "slow": slow}))
 """
+
+
+def assert_no_slow_stdlib(got: dict, group: list) -> None:
+    """No `dataclasses` outside `diagnose`, whose scipy.special imports it,
+    and no `inspect` unless numpy, which imports it, was loaded."""
+    if group != ["diagnose"]:
+        assert "dataclasses" not in got["slow"]
+    if not any(m.split(".")[0] == "numpy" for m in got["heavy"]):
+        assert "inspect" not in got["slow"]
 
 
 def probe(commands: list) -> dict:
@@ -109,6 +123,7 @@ def test_cli_import_and_small_commands_load_no_numpy_or_scipy(catalog):
     assert got["codes"] == [0] * len(commands)
     assert got["errors"] == [None] * len(commands)
     assert got["heavy"] == []
+    assert got["slow"] == []
 
 
 def test_diagnose_never_loads_scipy_stats(catalog):
@@ -127,6 +142,7 @@ def test_importing_the_cli_loads_only_its_own_modules():
     got = probe([])
     assert got["scmkit"] == CLI_MODULES
     assert got["heavy"] == []
+    assert got["slow"] == []
 
 
 # The formula modules each group of commands loads beyond the CLI's own.
@@ -152,6 +168,7 @@ def test_each_command_loads_only_its_formula_modules(catalog, group, extra):
     got = probe([lines[name] for name in group])
     assert got["errors"] == [None] * len(group)
     assert got["scmkit"] == sorted(CLI_MODULES + [f"scmkit.{m}" for m in extra])
+    assert_no_slow_stdlib(got, group)
 
 
 def test_a_continuous_example_also_loads_gaussian():
@@ -160,6 +177,7 @@ def test_a_continuous_example_also_loads_gaussian():
     assert got["scmkit"] == sorted(
         CLI_MODULES + ["scmkit.identify", "scmkit.estimands", "scmkit.examples", "scmkit.gaussian"]
     )
+    assert "dataclasses" not in got["slow"]
 
 
 def test_chi_square_pvalue_equals_scipy_stats_chi2_sf():
