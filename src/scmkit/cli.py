@@ -77,9 +77,25 @@ def _split_list(text: str) -> list:
     return [p for p in parts if p]
 
 
-def _parse_pairs(text: str, flag: str) -> dict:
+def _split_outside(text: str) -> list:
+    """`_split_list` that leaves commas inside brackets, braces and JSON
+    strings alone, so that a k=v value may be a JSON list or object."""
+    cuts, depth, quoted, escaped = [-1], 0, False, False
+    for i, ch in enumerate(text):
+        if quoted:
+            quoted, escaped = escaped or ch != '"', ch == "\\" and not escaped
+        elif ch == "," and depth == 0:
+            cuts.append(i)
+        else:
+            quoted = ch == '"'
+            depth = max(0, depth + (ch in "[{") - (ch in "]}"))
+    cuts.append(len(text))
+    return [p for p in (text[a + 1:b].strip() for a, b in zip(cuts, cuts[1:])) if p]
+
+
+def _parse_pairs(text: str, flag: str, split: Callable = _split_list) -> dict:
     out = {}
-    for part in _split_list(text):
+    for part in split(text):
         key, _, value = part.partition("=")
         if not key or not value:
             raise _UsageError(f"{flag} expects k=v pairs, got {part!r}")
@@ -455,10 +471,11 @@ def _cmd_example(args, report, model, roles):
         return
     params = {}
     if args.params:
-        for key, raw in _parse_pairs(args.params, "--params").items():
+        for key, raw in _parse_pairs(args.params, "--params", _split_outside).items():
             try:
                 params[key] = json.loads(raw)
-            except json.JSONDecodeError:
+            # Past its nesting or integer-digit limits json raises these too.
+            except (ValueError, RecursionError):
                 params[key] = raw
     model = build_example(ExampleSpec(args.name, params, seed=args.seed))
     report["citations"] = [next(e["citation"] for e in list_examples() if e["name"] == args.name)]

@@ -30,7 +30,6 @@ __all__ = [
     "StratumReport",
     "homogeneity_report",
     "stratify_split",
-    "two_sample_pvalue",
     "uniformity_check",
 ]
 
@@ -219,16 +218,6 @@ def _chi_square(a: Mapping, b: Mapping) -> tuple:
         stat += (ca - e_a) ** 2 / e_a + (cb - e_b) ** 2 / e_b
     dof = len(pools) - 1
     return float(stat), dof, float(chdtrc(dof, stat))
-
-
-def two_sample_pvalue(a, b) -> float:
-    """Chi-square homogeneity p-value for two samples on a finite domain.
-
-    Accepts value -> count mappings or plain iterables of values; small
-    cells are pooled per the documented convention.
-    """
-    _, _, p = _chi_square(_as_counts(a), _as_counts(b))
-    return p
 
 
 def uniformity_check(pvals: Sequence[float]) -> tuple:

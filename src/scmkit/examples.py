@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import itertools
 import math
+from numbers import Integral, Real
 from typing import TYPE_CHECKING, Callable, Mapping
 
-from .errors import ConstraintError, InvalidArgumentError, Record
+from .errors import ConstraintError, InvalidArgumentError, Record, ResourceLimitError
 from .estimands import _HIRING_SHAPE, _TWO_STAGE_SHAPE
 from .exogenous import DigitStream, uniform_list
 from .graph import Dag, topological_order
 from .identify import _EELWORMS_SHAPE, _FRONTDOOR_SHAPE, _GFORMULA_SHAPE
-from .scm import Cpt, Domain, Scm
+from .scm import MAX_JOINT_CONFIGS, Cpt, Domain, Scm, _finite as _all_finite
 
 if TYPE_CHECKING:
     from .gaussian import LinearGaussianScm
@@ -61,63 +62,94 @@ FIG1A_EDGES = FIG1_EDGES + (
 
 IV_EDGES = (("I", "T"), ("U", "T"), ("U", "R"), ("T", "R"))
 
-_CC_DEFAULT_RECOVERY = {(1, 0): 2 / 3, (0, 0): 4 / 11, (1, 1): 7 / 13, (0, 1): 1 / 4}
-_CC_DEFAULT_UPTAKE = {0: 0.45, 1: 0.52}
+
+# Parameter kinds: each checks one value and names the parameter when it
+# refuses it.  A number is any real (int, float, Fraction), never a bool.
+def _number(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise InvalidArgumentError(f"{name} must be a number, got {value!r}")
 
 
-def _check_finite(**named) -> None:
-    for label, value in named.items():
-        if not isinstance(value, (int, float)):
-            raise InvalidArgumentError(f"{label} must be a number, got {value!r}")
-        if not math.isfinite(value):
-            raise InvalidArgumentError(f"{label} is non-finite: {value!r}")
+def _finite(name: str, value) -> None:
+    _number(name, value)
+    if not _all_finite((value,)):
+        raise InvalidArgumentError(f"{name} is non-finite: {value!r}")
 
 
-def _check_unit_open(**named) -> None:
-    for label, value in named.items():
-        if not 0 < value < 1:
-            raise InvalidArgumentError(f"{label} must lie in (0, 1), got {value!r}")
+def _positive(name: str, value) -> None:
+    _number(name, value)
+    if not value > 0:
+        raise InvalidArgumentError(f"{name} must be positive, got {value!r}")
+    _finite(name, value)
 
 
-def _check_probability(**named) -> None:
-    for label, value in named.items():
-        if not 0 <= value <= 1:
-            raise InvalidArgumentError(f"{label} must lie in [0, 1], got {value!r}")
+def _unit_open(name: str, value) -> None:
+    _number(name, value)
+    if not 0 < value < 1:
+        raise InvalidArgumentError(f"{name} must lie in (0, 1), got {value!r}")
 
 
-def _bernoulli(node: str, one_weight) -> Cpt:
-    return Cpt(node, (), {(): (1 - one_weight, one_weight)})
+def _probability(name: str, value) -> None:
+    _number(name, value)
+    if not 0 <= value <= 1:
+        raise InvalidArgumentError(f"{name} must lie in [0, 1], got {value!r}")
 
 
-def _fill(dag: Dag, seed: int, sizes: Mapping | None, floor: float) -> Scm:
-    """Strictly positive seeded random tables over `dag`."""
-    _check_finite(floor=floor)
-    if floor < 0:
-        raise InvalidArgumentError(f"floor must be nonnegative, got {floor!r}")
-    sizes = dict(sizes or {})
-    unknown = set(sizes) - set(dag.nodes)
-    if unknown:
-        raise InvalidArgumentError(f"sizes name unknown nodes {sorted(unknown)}")
-    for node, size in sizes.items():
-        if not isinstance(size, int) or size < 2:
-            raise InvalidArgumentError(
-                f"domain size for {node!r} must be an integer >= 2, got {size!r}"
-            )
-    domains = {n: Domain(n, tuple(range(sizes.get(n, 2)))) for n in dag.nodes}
-    # One draw per table cell, read in topological order.
-    total = sum(math.prod(len(domains[m].values) for m in (n, *dag.parents(n))) for n in dag.nodes)
-    draws = iter(uniform_list(DigitStream(seed), 1, 0, total))
-    cpts = {}
-    for node in topological_order(dag):
-        parents = tuple(dag.parents(node))
-        k = len(domains[node].values)
-        table = {}
-        for cfg in itertools.product(*[domains[p].values for p in parents]):
-            weights = [floor + next(draws) for _ in range(k)]
-            total = sum(weights)
-            table[cfg] = tuple(w / total for w in weights)
-        cpts[node] = Cpt(node, parents, table)
-    return Scm(dag, domains, cpts)
+def _boolean(name: str, value) -> None:
+    if not isinstance(value, bool):
+        raise InvalidArgumentError(f"{name} must be true or false, got {value!r}")
+
+
+def _count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 2:
+        raise InvalidArgumentError(f"{name} must be an integer >= 2, got {value!r}")
+
+
+def _one_of(*choices) -> Callable:
+    def check(name: str, value) -> None:
+        if isinstance(value, bool) or value not in choices:
+            raise InvalidArgumentError(f"{name} must be {' or '.join(map(repr, choices))}, got {value!r}")
+
+    return check
+
+
+def _table_2x2(name: str, value) -> None:
+    if not (
+        isinstance(value, (list, tuple))
+        and len(value) == 2
+        and all(isinstance(row, (list, tuple)) and len(row) == 2 for row in value)
+    ):
+        raise InvalidArgumentError(f"{name} must be a 2x2 table indexed [t][x]")
+    for t in (0, 1):
+        for x in (0, 1):
+            _probability(f"{name}({t},{x})", value[t][x])
+
+
+def _keyed(keys: set, described: str) -> Callable:
+    """A map with exactly `keys`, each to a number in (0, 1)."""
+    def check(name: str, value) -> None:
+        if not isinstance(value, Mapping) or set(value) != keys:
+            raise InvalidArgumentError(f"{name} must map {described}")
+        for key, weight in value.items():
+            _unit_open(f"{name}{key}" if isinstance(key, tuple) else f"{name}[{key}]", weight)
+
+    return check
+
+
+def _node_sizes(name: str, value) -> None:
+    if not isinstance(value, Mapping):
+        raise InvalidArgumentError(f"{name} must map node names to domain sizes, got {value!r}")
+    for node, size in value.items():
+        _count(f"domain size for {node!r}", size)
+
+
+def _table_cells(dag: Dag, sizes: Mapping) -> int:
+    """Cells in all of `dag`'s tables at these domain sizes, refused past
+    `MAX_JOINT_CONFIGS` before any table is built."""
+    cells = sum(math.prod(sizes[m] for m in (n, *dag.parents(n))) for n in dag.nodes)
+    if cells > MAX_JOINT_CONFIGS:
+        raise ResourceLimitError(f"model tables would exceed {MAX_JOINT_CONFIGS} cells")
+    return cells
 
 
 def _norm_cdf(z: float) -> float:
@@ -134,15 +166,14 @@ def discretize_lg(model: LinearGaussianScm, bins: int = 16, span: float = 4.0) -
     zero-noise mechanisms put all mass on the cell holding the structural
     value.  The approximation error of the defaults is small but real:
     node marginals sit within total variation 0.02 of the exact binned
-    normal laws for the catalog's continuous entries.
+    normal laws for the catalog's continuous entries.  Grids over
+    `MAX_JOINT_CONFIGS` table cells are refused before any table is built.
     """
-    if int(bins) < 2:
-        raise InvalidArgumentError(f"need at least 2 bins, got {bins!r}")
-    if not span > 0:
-        raise InvalidArgumentError(f"span must be positive, got {span!r}")
+    _count("bins", bins)
+    _positive("span", span)
+    _table_cells(model.dag, dict.fromkeys(model.dag.nodes, bins))
     from .gaussian import lg_moments
 
-    bins = int(bins)
     law = lg_moments(model)
     edges = {}
     domains = {}
@@ -186,18 +217,15 @@ def discretize_lg(model: LinearGaussianScm, bins: int = 16, span: float = 4.0) -
     return Scm(model.dag, domains, cpts)
 
 
-def _simpson_binary(seed: int, **params) -> Scm:
-    p = params.get("p", ((0.2, 0.7), (0.5, 0.9)))
-    x0_weight = params.get("x0_weight", 0.5)
-    paradox = params.get("paradox", True)
-    beta0 = params.get("beta0")
-    beta1 = params.get("beta1")
-    if len(p) != 2 or any(len(row) != 2 for row in p):
-        raise InvalidArgumentError("p must be a 2x2 table indexed [t][x]")
-    for t in (0, 1):
-        for x in (0, 1):
-            _check_probability(**{f"p({t},{x})": p[t][x]})
-    _check_unit_open(x0_weight=x0_weight)
+def _xtr(x_row: tuple, t_rows: dict, r_rows: dict) -> Scm:
+    """Binary X, T, R with X -> T, X -> R, T -> R, over these tables."""
+    dag = Dag(("X", "T", "R"), (("X", "T"), ("X", "R"), ("T", "R")))
+    domains = {n: Domain(n, (0, 1)) for n in ("X", "T", "R")}
+    cpts = {"X": Cpt("X", (), {(): x_row}), "T": Cpt("T", ("X",), t_rows), "R": Cpt("R", ("T", "X"), r_rows)}
+    return Scm(dag, domains, cpts)
+
+
+def _simpson_binary(seed: int, given, p, x0_weight, beta0, beta1, beta, paradox) -> Scm:
     if (beta0 is None) != (beta1 is None):
         raise InvalidArgumentError("beta0 and beta1 must be given together")
     if beta0 is not None:
@@ -207,17 +235,14 @@ def _simpson_binary(seed: int, **params) -> Scm:
                 "uptake q(0)=beta, q(1)=1-beta; pass paradox=False with "
                 "beta0/beta1"
             )
-        if "beta" in params:
+        if "beta" in given:
             raise InvalidArgumentError("give either beta or beta0/beta1, not both")
-        _check_unit_open(beta0=beta0, beta1=beta1)
         if not beta0 > beta1:
             raise ConstraintError(
                 f"asymmetric uptake needs beta0 > beta1, got {beta0!r} <= {beta1!r}"
             )
         q0, q1 = beta0, beta1
     else:
-        beta = params.get("beta", 0.8)
-        _check_unit_open(beta=beta)
         q0, q1 = beta, 1 - beta
         if paradox:
             chain = (p[1][1], p[0][1], p[1][0], p[0][0])
@@ -232,114 +257,76 @@ def _simpson_binary(seed: int, **params) -> Scm:
                     f"uptake odds beta/(1-beta) = {beta / (1 - beta)} fall "
                     f"below theta = {theta}; no reversal is possible"
                 )
-    dag = Dag(("X", "T", "R"), (("X", "T"), ("X", "R"), ("T", "R")))
-    domains = {n: Domain(n, (0, 1)) for n in ("X", "T", "R")}
-    cpts = {
-        "X": Cpt("X", (), {(): (x0_weight, 1 - x0_weight)}),
-        "T": Cpt("T", ("X",), {(0,): (1 - q0, q0), (1,): (1 - q1, q1)}),
-        "R": Cpt(
-            "R",
-            ("T", "X"),
-            {(t, x): (1 - p[t][x], p[t][x]) for t in (0, 1) for x in (0, 1)},
-        ),
-    }
-    return Scm(dag, domains, cpts)
+    return _xtr(
+        (x0_weight, 1 - x0_weight),
+        {(0,): (1 - q0, q0), (1,): (1 - q1, q1)},
+        {(t, x): (1 - p[t][x], p[t][x]) for t in (0, 1) for x in (0, 1)},
+    )
 
 
-def _continuous_or_binned(model: LinearGaussianScm, params: Mapping):
-    if params.get("discrete", False):
-        return discretize_lg(
-            model, bins=params.get("bins", 16), span=params.get("span", 4.0)
-        )
-    return model
-
-
-def _simpson_continuous(seed: int, **params):
+def _simpson_continuous(seed: int, given, alpha, beta, gamma, mu, sigma1, sigma2, sigma3,
+                        discrete, bins, span):
     from .gaussian import simpson_cont_model
 
-    model = simpson_cont_model(
-        alpha=params.get("alpha", 1.0),
-        beta=params.get("beta", 0.2),
-        gamma=params.get("gamma", 1.0),
-        mu=params.get("mu", 0.0),
-        sigma1=params.get("sigma1", 1.0),
-        sigma2=params.get("sigma2", 1.0),
-        sigma3=params.get("sigma3", 1.0),
-    )
-    return _continuous_or_binned(model, params)
+    model = simpson_cont_model(alpha, beta, gamma, mu, sigma1, sigma2, sigma3)
+    return discretize_lg(model, bins, span) if discrete else model
 
 
-def _lord(seed: int, **params):
+def _lord(seed: int, given, group, mu1, mu2, sigma, p, rho, discrete, bins, span):
     from .gaussian import lord_component
 
-    group = params.get("group", 1)
-    if group not in (1, 2):
-        raise InvalidArgumentError(f"group must be 1 or 2, got {group!r}")
-    mu1 = params.get("mu1", 0.0)
-    mu2 = params.get("mu2", 1.0)
-    sigma = params.get("sigma", 1.0)
-    rho = params.get("rho", 0.5)
-    _check_finite(mu1=mu1, mu2=mu2, sigma=sigma)
-    _check_unit_open(p=params.get("p", 0.5), rho=rho)
-    if not sigma > 0:
-        raise InvalidArgumentError(f"sigma must be positive, got {sigma!r}")
     model = lord_component(mu1 if group == 1 else mu2, sigma, rho)
-    return _continuous_or_binned(model, params)
+    return discretize_lg(model, bins, span) if discrete else model
 
 
 def _seeded(edges) -> Callable:
+    """Builder of strictly positive seeded random tables over `edges`."""
     nodes = {n for edge in edges for n in edge}
 
-    def build(seed: int, **params) -> Scm:
-        return _fill(
-            Dag(nodes, edges),
-            seed,
-            params.get("sizes"),
-            params.get("floor", 0.05),
-        )
+    def build(seed: int, given, floor, sizes) -> Scm:
+        if floor < 0:
+            raise InvalidArgumentError(f"floor must be nonnegative, got {floor!r}")
+        dag = Dag(nodes, edges)
+        unknown = set(sizes or ()) - nodes
+        if unknown:
+            raise InvalidArgumentError(f"sizes name unknown nodes {sorted(unknown)}")
+        sizes = {n: (sizes or {}).get(n, 2) for n in dag.nodes}
+        # One draw per table cell, read in topological order.
+        draws = iter(uniform_list(DigitStream(seed), 1, 0, _table_cells(dag, sizes)))
+        domains = {n: Domain(n, tuple(range(size))) for n, size in sizes.items()}
+        cpts = {}
+        for node in topological_order(dag):
+            parents = tuple(dag.parents(node))
+            table = {}
+            for cfg in itertools.product(*[domains[p].values for p in parents]):
+                weights = [floor + next(draws) for _ in range(sizes[node])]
+                total = sum(weights)
+                table[cfg] = tuple(w / total for w in weights)
+            cpts[node] = Cpt(node, parents, table)
+        return Scm(dag, domains, cpts)
 
     return build
 
 
-def _case_control_pop(seed: int, **params) -> Scm:
-    recovery = dict(params.get("recovery", _CC_DEFAULT_RECOVERY))
-    uptake = dict(params.get("uptake", _CC_DEFAULT_UPTAKE))
-    x1_weight = params.get("x1_weight", 0.5)
-    if set(recovery) != {(t, x) for t in (0, 1) for x in (0, 1)}:
-        raise InvalidArgumentError("recovery must map all four (t, x) pairs")
-    if set(uptake) != {0, 1}:
-        raise InvalidArgumentError("uptake must map x = 0 and x = 1")
-    for key, value in recovery.items():
-        _check_unit_open(**{f"recovery{key}": value})
-    for key, value in uptake.items():
-        _check_unit_open(**{f"uptake[{key}]": value})
-    _check_unit_open(x1_weight=x1_weight)
-    dag = Dag(("X", "T", "R"), (("X", "T"), ("X", "R"), ("T", "R")))
-    domains = {n: Domain(n, (0, 1)) for n in ("X", "T", "R")}
-    cpts = {
-        "X": _bernoulli("X", x1_weight),
-        "T": Cpt(
-            "T",
-            ("X",),
-            {(x,): (1 - uptake[x], uptake[x]) for x in (0, 1)},
-        ),
-        "R": Cpt(
-            "R",
-            ("T", "X"),
-            {key: (1 - value, value) for key, value in recovery.items()},
-        ),
-    }
-    return Scm(dag, domains, cpts)
+def _case_control_pop(seed: int, given, recovery, uptake, x1_weight) -> Scm:
+    return _xtr(
+        (1 - x1_weight, x1_weight),
+        {(x,): (1 - uptake[x], uptake[x]) for x in (0, 1)},
+        {key: (1 - value, value) for key, value in recovery.items()},
+    )
 
 
+# One row per parameter, (name, kind, default, help).  A default of None
+# makes the parameter optional; `list_examples` appends the default to the
+# help unless the help speaks of its default itself.
 _SEEDED_PARAMS = (
-    ("sizes", "optional mapping node -> domain size (default: all binary)"),
-    ("floor", "minimum unnormalized table weight, default 0.05"),
+    ("floor", _finite, 0.05, "minimum unnormalized table weight"),
+    ("sizes", _node_sizes, None, "optional mapping node -> domain size (default: all binary)"),
 )
 _BINNING_PARAMS = (
-    ("discrete", "emit the binned companion instead, default False"),
-    ("bins", "cells per node in the binned companion, default 16"),
-    ("span", "half-width of the grid in marginal SDs, default 4.0"),
+    ("discrete", _boolean, False, "emit the binned companion instead"),
+    ("bins", _count, 16, "cells per node in the binned companion"),
+    ("span", _positive, 4.0, "half-width of the grid in marginal SDs"),
 )
 
 
@@ -361,13 +348,13 @@ _CATALOG = (
         "Binary recovery table whose aggregate treatment comparison reverses "
         "every per-sex comparison: X sex, T medicine, R recovery.",
         (
-            ("p", "2x2 recovery table p[t][x] = P(R=1|T=t,X=x), "
-             "default ((0.2, 0.7), (0.5, 0.9))"),
-            ("beta", "symmetric uptake q(0)=beta, q(1)=1-beta, default 0.8"),
-            ("beta0", "asymmetric uptake for x=0 (requires paradox=False)"),
-            ("beta1", "asymmetric uptake for x=1 (requires paradox=False)"),
-            ("x0_weight", "P(X=0), default 0.5"),
-            ("paradox", "enforce the reversal constraints, default True"),
+            ("p", _table_2x2, ((0.2, 0.7), (0.5, 0.9)),
+             "2x2 recovery table p[t][x] = P(R=1|T=t,X=x)"),
+            ("x0_weight", _unit_open, 0.5, "P(X=0)"),
+            ("beta0", _unit_open, None, "asymmetric uptake for x=0 (requires paradox=False)"),
+            ("beta1", _unit_open, None, "asymmetric uptake for x=1 (requires paradox=False)"),
+            ("beta", _unit_open, 0.8, "symmetric uptake q(0)=beta, q(1)=1-beta"),
+            ("paradox", _boolean, True, "enforce the reversal constraints"),
         ),
         "P(R=1|T=t) = sum_x p(t,x) q_t(x) P(X=x) / P(T=t) orders against "
         "every stratum once beta/(1-beta) >= theta = "
@@ -379,13 +366,13 @@ _CATALOG = (
         "Linear-Gaussian dose-response system where the observed regression "
         "of R on T is positive although raising T lowers R at every dose.",
         (
-            ("alpha", "covariate weight in the response, default 1.0"),
-            ("beta", "causal loss per treatment unit, default 0.2"),
-            ("gamma", "shared-cause weight in the covariate, default 1.0"),
-            ("mu", "shared-cause mean, default 0.0"),
-            ("sigma1", "response noise SD, default 1.0"),
-            ("sigma2", "covariate noise SD, default 1.0"),
-            ("sigma3", "treatment noise SD, default 1.0"),
+            ("alpha", _positive, 1.0, "covariate weight in the response"),
+            ("beta", _positive, 0.2, "causal loss per treatment unit"),
+            ("gamma", _positive, 1.0, "shared-cause weight in the covariate"),
+            ("mu", _finite, 0.0, "shared-cause mean"),
+            ("sigma1", _positive, 1.0, "response noise SD"),
+            ("sigma2", _positive, 1.0, "covariate noise SD"),
+            ("sigma3", _positive, 1.0, "treatment noise SD"),
         ) + _BINNING_PARAMS,
         "observed slope alpha*cov(X,T)/var(T) - beta exceeds zero while the "
         "interventional slope is -beta",
@@ -396,12 +383,12 @@ _CATALOG = (
         "Pre/post score model for one group: initial score X, retest R "
         "regressing toward the group mean, deterministic gain G = R - X.",
         (
-            ("mu1", "group-1 initial mean, default 0.0"),
-            ("mu2", "group-2 initial mean, default 1.0"),
-            ("sigma", "initial-score SD, default 1.0"),
-            ("p", "group-1 weight in the two-group population, default 0.5"),
-            ("rho", "retest persistence in (0, 1), default 0.5"),
-            ("group", "which group's component to build, 1 or 2, default 1"),
+            ("group", _one_of(1, 2), 1, "which group's component to build, 1 or 2"),
+            ("mu1", _finite, 0.0, "group-1 initial mean"),
+            ("mu2", _finite, 1.0, "group-2 initial mean"),
+            ("sigma", _positive, 1.0, "initial-score SD"),
+            ("p", _unit_open, 0.5, "group-1 weight in the two-group population"),
+            ("rho", _unit_open, 0.5, "retest persistence in (0, 1)"),
         ) + _BINNING_PARAMS,
         "both groups share the gain law N(0, 2(1-rho) sigma^2) although "
         "E(R | X=x) differs between groups by (1-rho)(mu1 - mu2)",
@@ -487,10 +474,12 @@ _CATALOG = (
         "Population for paired case-control sampling: covariate X, exposure "
         "T, response R with a fixed per-stratum exposure odds ratio.",
         (
-            ("recovery", "P(R=1|T=t,X=x) per (t, x) pair; the defaults give "
+            ("recovery", _keyed({(t, x) for t in (0, 1) for x in (0, 1)}, "all four (t, x) pairs"),
+             {(1, 0): 2 / 3, (0, 0): 4 / 11, (1, 1): 7 / 13, (0, 1): 1 / 4},
+             "P(R=1|T=t,X=x) per (t, x) pair; the defaults give "
              "exposure odds ratio 3.5 in both strata"),
-            ("uptake", "P(T=1|X=x) per x, default {0: 0.45, 1: 0.52}"),
-            ("x1_weight", "P(X=1), default 0.5"),
+            ("uptake", _keyed({0, 1}, "x = 0 and x = 1"), {0: 0.45, 1: 0.52}, "P(T=1|X=x) per x"),
+            ("x1_weight", _unit_open, 0.5, "P(X=1)"),
         ),
         "per-stratum exposure odds ratio p(1-q)/(q(1-p)) = 3.5 at the "
         "defaults, recoverable from matched case-control pairs alone",
@@ -513,7 +502,7 @@ class ExampleSpec(Record):
                 f"unknown example {name!r}; catalog: "
                 f"{', '.join(sorted(_BY_NAME))}"
             )
-        allowed = {label for label, _ in _BY_NAME[name].parameters}
+        allowed = {row[0] for row in _BY_NAME[name].parameters}
         unknown = set(params) - allowed
         if unknown:
             raise InvalidArgumentError(
@@ -526,9 +515,16 @@ class ExampleSpec(Record):
 
 
 def build_example(spec: ExampleSpec) -> Scm | LinearGaussianScm:
-    """Build and validate the model the spec names."""
+    """Check each parameter against its declared kind, fill in the defaults,
+    and build the model from those values and the names the caller gave."""
     entry = _BY_NAME[spec.name]
-    return entry.builder(spec.seed, **dict(spec.params))
+    values = {}
+    for name, kind, default, _ in entry.parameters:
+        value = spec.params[name] if name in spec.params else default
+        if value is not None or default is not None:
+            kind(name, value)
+        values[name] = value
+    return entry.builder(spec.seed, spec.params.keys(), **values)
 
 
 def list_examples() -> tuple:
@@ -537,7 +533,10 @@ def list_examples() -> tuple:
         {
             "name": entry.name,
             "summary": entry.summary,
-            "parameters": {label: doc for label, doc in entry.parameters},
+            "parameters": {
+                name: text if default is None or "default" in text else f"{text}, default {default!r}"
+                for name, _, default, text in entry.parameters
+            },
             "citation": entry.citation,
         }
         for entry in _CATALOG

@@ -37,7 +37,6 @@ __all__ = [
     "gformula2",
     "gformula2_given_x",
     "propensity_adjust",
-    "propensity_table",
 ]
 
 _LAMBDA_DECIMALS = 12
@@ -230,12 +229,6 @@ def _propensity(t_node: str, z_nodes: tuple, p_z: dict, p_zt: dict) -> Propensit
         zero = 0 * next(iter(law.values()))
         rows[z] = tuple(law.get((t,), zero) for t in t_values)
     return PropensityTable(z_nodes, t_node, t_values, rows)
-
-
-def propensity_table(joint: JointTable, t_node: str, z_nodes) -> PropensityTable:
-    """Treatment assignment vector per covariate configuration."""
-    z_nodes = tuple(z_nodes)
-    return _propensity(t_node, z_nodes, *_strata(joint, z_nodes, t_node))
 
 
 def propensity_adjust(

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from scmkit.diagnostics import _as_counts, _chi_square
 from scmkit.errors import InvalidArgumentError
 from scmkit.exogenous import DigitStream, uniforms_at
 from scmkit.graph import (
@@ -19,6 +20,7 @@ from scmkit.graph import (
     descendants,
     topological_order,
 )
+from scmkit.identify import PropensityTable, _propensity, _strata
 from scmkit.scm import Cpt, Dataset, Domain, JointTable, Scm, _marginals, _sorted, restrict, sample
 
 FRONTDOOR_NODES = ["X", "Y", "Z", "W"]
@@ -378,6 +380,24 @@ def backdoor_paths(dag: Dag, t, r) -> list:
 def support_values(joint: JointTable, node: str) -> list:
     """Values of `node` carrying positive mass, in a stable order."""
     return _sorted({v for (v,) in _marginals(joint, (node,))[0]})
+
+
+def propensity_table(joint: JointTable, t_node: str, z_nodes) -> PropensityTable:
+    """Treatment assignment vector per covariate configuration, from the
+    strata `propensity_adjust` pools."""
+    z_nodes = tuple(z_nodes)
+    return _propensity(t_node, z_nodes, *_strata(joint, z_nodes, t_node))
+
+
+def two_sample_pvalue(a, b) -> float:
+    """Chi-square homogeneity p-value for two samples on a finite domain,
+    by the test `homogeneity_report` runs per stratum.
+
+    Accepts value -> count mappings or plain iterables of values; small
+    cells are pooled per the documented convention.
+    """
+    _, _, p = _chi_square(_as_counts(a), _as_counts(b))
+    return p
 
 
 def is_collider(path: Path, i: int) -> bool:

@@ -489,6 +489,81 @@ def test_non_finite_results_are_domain_failures(tmp_path, argv):
     assert not target.exists()
 
 
+@pytest.mark.parametrize(
+    "name, params, message",
+    [
+        ("simpson_binary", "p=2", "p must be a 2x2 table indexed [t][x]"),
+        ("simpson_binary", "x0_weight=[1]", "x0_weight must be a number, got [1]"),
+        ("simpson_binary", 'x0_weight="a"', "x0_weight must be a number, got 'a'"),
+        ("simpson_binary", "beta=nan", "beta must be a number, got 'nan'"),
+        ("simpson_binary", 'beta="0.5"', "beta must be a number, got '0.5'"),
+        ("case_control_pop", "recovery=3", "recovery must map all four (t, x) pairs"),
+        ("case_control_pop", "uptake=3", "uptake must map x = 0 and x = 1"),
+        ("fig1", "sizes=3", "sizes must map node names to domain sizes, got 3"),
+        ("simpson_continuous", 'alpha="x"', "alpha must be a number, got 'x'"),
+        ("simpson_continuous", 'discrete=true,bins="x"', "bins must be an integer >= 2, got 'x'"),
+        ("simpson_continuous", 'discrete=true,span="x"', "span must be a number, got 'x'"),
+        ("lord", "rho=[1]", "rho must be a number, got [1]"),
+        ("lord", "discrete=true,bins=1e400", "bins must be an integer >= 2, got inf"),
+        ("fig1", "floor=" + "1" * 5000, "floor must be a number, got '" + "1" * 5000 + "'"),
+        ("fig1", "floor=" + "[" * 100_000, "floor must be a number, got '" + "[" * 100_000 + "'"),
+    ],
+    ids=lambda v: v[:40],
+)
+def test_wrong_kind_params_are_failure_reports(capsys, name, params, message):
+    code, out, err = run(capsys, "example", name, "--params", params)
+    assert (code, err) == (1, "")
+    rep = _strict_json(out)
+    assert rep["error"] == message
+    assert rep["result"] is None
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        # Each would need more than MAX_JOINT_CONFIGS table cells.
+        ("simpson_continuous", "discrete=true,bins=1000000000"),
+        ("lord", "discrete=true,bins=216"),
+        ("fig1", 'sizes={"X1":1000000000}'),
+        ("fig1a", 'sizes={"T":4000,"X6":4000}'),
+    ],
+)
+def test_oversized_state_spaces_are_refused_before_any_table(capsys, name, params):
+    code, rep = report(capsys, "example", name, "--params", params)
+    assert code == 1
+    assert rep["error"] == "model tables would exceed 10000000 cells"
+
+
+def test_a_fractional_bin_count_is_refused(capsys):
+    code, rep = report(capsys, "example", "lord", "--params", "discrete=true,bins=2.7")
+    assert code == 1
+    assert rep["error"] == "bins must be an integer >= 2, got 2.7"
+
+
+@pytest.mark.parametrize(
+    "name, params, spec",
+    [
+        ("simpson_binary", "p=[[0.2,0.7],[0.5,0.9]], beta=0.8",
+         ExampleSpec("simpson_binary", {"p": ((0.2, 0.7), (0.5, 0.9))})),
+        ("fig1", 'sizes={"X1":3,"X2":3},floor=0.1',
+         ExampleSpec("fig1", {"sizes": {"X1": 3, "X2": 3}, "floor": 0.1})),
+    ],
+)
+def test_table_valued_params_pass_through_the_cli(capsys, tmp_path, name, params, spec):
+    path = tmp_path / "model.json"
+    code, rep = report(capsys, "example", name, "--params", params, "--model-out", str(path))
+    assert code == 0
+    assert load_model(path).cpts == build_example(spec).cpts
+
+
+def test_a_comma_inside_a_json_string_does_not_split_params(capsys):
+    code, rep = report(
+        capsys, "example", "case_control_pop", "--params", 'x1_weight=0.25,recovery={"a,b":1}'
+    )
+    assert code == 1
+    assert rep["error"] == "recovery must map all four (t, x) pairs"
+
+
 @pytest.mark.parametrize("flag", ["--tol", "--threshold"])
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "x"])
 def test_non_finite_float_options_are_usage_errors(capsys, fig1_path, flag, bad):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from scmkit.cli import main
-from scmkit.examples import ExampleSpec, build_example
+from scmkit.examples import _CATALOG, ExampleSpec, build_example
 from scmkit.exogenous import DigitStream
 from scmkit.scm import sample, scm_to_json
 
@@ -75,6 +75,27 @@ VALUES = {
     "--method": ["theta", "multi", "tsls", "x"],
     "--format": ["json", "csv", "csv", "x"],
 }
+# Per catalog entry, from its declared parameter table: each parameter at
+# its default (a key JSON cannot spell is dropped) and at one value of a
+# wrong kind, a number for a boolean and a boolean for anything else.
+TABLE_PARAMS = {
+    entry.name: [
+        f"{name}={value}"
+        for name, _, default, _ in entry.parameters
+        for value in (json.dumps(default, skipkeys=True), "1" if isinstance(default, bool) else "true")
+    ]
+    for entry in _CATALOG
+}
+# Values of five kinds; each is the wrong kind for every parameter but a
+# boolean for the boolean ones.
+WRONG_KINDS = {"string": '"x"', "list": "[1]", "bool": "true", "NaN": "NaN", "object": '{"k":"v"}'}
+WRONG_KIND_CASES = [
+    (entry.name, name, kind)
+    for entry in _CATALOG
+    for name, _, default, _ in entry.parameters
+    for kind in WRONG_KINDS
+    if not (kind == "bool" and isinstance(default, bool))
+]
 DAMAGE = [0, 1, -0.5, 2, 0.5, 1e300, "x", None, [], True, [0.5, 0.5]]
 CSV_TEXTS = [
     "", "A,B\n1\n", "X,T,R\n", "X,T,R\n0,0,nan\n", "X,T,R\n0,1,1\n1,0,0\n", "I,T,R\n1,1,1\n"
@@ -126,7 +147,7 @@ def _damaged(data, doc) -> str:
     return text
 
 
-def _value(data, command, flag, base, docs, csv_paths) -> str:
+def _value(data, command, flag, base, docs, csv_paths, entry=None) -> str:
     if flag == "-m":
         choice = data.draw(st.sampled_from(["home"] * 5 + ["any"] * 3 + ["missing", "empty"]))
         if choice == "missing":
@@ -150,6 +171,9 @@ def _value(data, command, flag, base, docs, csv_paths) -> str:
         return str(base / data.draw(st.sampled_from(["model_out.json", "nodir/model_out.json"])))
     if flag == "--out":
         return str(base / data.draw(st.sampled_from(["out.txt"] * 3 + ["nodir/out.txt"])))
+    if flag == "--params" and entry in TABLE_PARAMS and data.draw(st.booleans()):
+        drawn = st.sampled_from(TABLE_PARAMS[entry])
+        return ",".join(data.draw(st.lists(drawn, min_size=1, max_size=3)))
     return data.draw(st.sampled_from(VALUES[flag]))
 
 
@@ -171,11 +195,12 @@ def test_any_flags_on_any_model_file_keep_the_exit_contract(files, capsys, data)
     flags += [f for f in ("--out", "--format") if data.draw(st.sampled_from(range(4))) == 2]
     if data.draw(st.sampled_from(range(10))) == 5:
         flags.append(data.draw(st.sampled_from(ALL_FLAGS)))
-    argv, values = [command], {}
+    argv, values, entry = [command], {}, None
     if command == "example" and data.draw(st.booleans()):
-        argv.append(data.draw(st.sampled_from(sorted(CATALOG) + ["lord", "nosuch"])))
+        entry = data.draw(st.sampled_from(sorted(TABLE_PARAMS) + ["nosuch"]))
+        argv.append(entry)
     for flag in data.draw(st.permutations(flags)):
-        values[flag] = _value(data, command, flag, base, docs, csv_paths)
+        values[flag] = _value(data, command, flag, base, docs, csv_paths, entry)
         argv += [flag, values[flag]]
     out_path = base / "out.txt"
     out_path.unlink(missing_ok=True)
@@ -195,3 +220,13 @@ def test_any_flags_on_any_model_file_keep_the_exit_contract(files, capsys, data)
         assert payload.endswith("\n"), argv
     else:
         _strict_json(payload)
+
+
+@pytest.mark.parametrize("name, param, kind", WRONG_KIND_CASES)
+def test_every_catalog_parameter_refuses_a_value_of_the_wrong_kind(capsys, name, param, kind):
+    code = main(["example", name, "--params", f"{param}={WRONG_KINDS[kind]}"])
+
+    assert code == 1
+    report = _strict_json(capsys.readouterr().out)
+    assert report["result"] is None
+    assert report["error"]

@@ -12,14 +12,13 @@ from scmkit.diagnostics import (
     StratumReport,
     homogeneity_report,
     stratify_split,
-    two_sample_pvalue,
     uniformity_check,
 )
 from scmkit.errors import InvalidArgumentError
 from scmkit.exogenous import DigitStream
 from scmkit.scm import Dataset, sample
 
-from structures import drift_dataset, drift_model
+from structures import drift_dataset, drift_model, two_sample_pvalue
 
 
 def iid_dataset(seed: int, n: int) -> Dataset:

@@ -15,7 +15,6 @@ from scmkit.identify import (
     gformula2,
     gformula2_given_x,
     propensity_adjust,
-    propensity_table,
 )
 from scmkit.scm import (
     Cpt,
@@ -36,6 +35,7 @@ from structures import (
     fill,
     frontdoor_model,
     gformula_model,
+    propensity_table,
     total_variation,
 )
 from test_scm import simpson_scm

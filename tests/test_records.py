@@ -22,7 +22,7 @@ from scmkit.diagnostics import HomogeneityReport, SplitStratum, StratumReport
 from scmkit.docalc import NodePartition, RuleVerdict
 from scmkit.errors import CyclicGraphError, InvalidArgumentError
 from scmkit.estimands import IvResult, OddsRatioReport
-from scmkit.examples import _BY_NAME, ExampleSpec, _case_control_pop, _Entry
+from scmkit.examples import _BY_NAME, ExampleSpec, _case_control_pop, _Entry, _unit_open
 from scmkit.gaussian import GaussianLaw, LinearGaussianScm
 from scmkit.graph import BackdoorReport, Dag, Path, PathVerdict, check_backdoor
 from scmkit.identify import EffectReport, FrontdoorReport, PropensityTable
@@ -88,7 +88,7 @@ RECORDS = [
      ((), (), None, None, 0.01, False, ("no tests",)), ((), (), 0.5, 0.75, 0.01, False, ()),
      True, True),
     (_Entry, ("name", "summary", "parameters", "citation", "builder"),
-     ("pop", "A population.", (("p", "a rate"),), "eq. 9", _case_control_pop),
+     ("pop", "A population.", (("p", _unit_open, 0.5, "a rate"),), "eq. 9", _case_control_pop),
      ("pop", "A population.", (), "eq. 9", _case_control_pop), True, True),
     (ExampleSpec, ("name", "params", "seed"), ("fig1", {"floor": 0.1}, 3),
      ("fig1", {}, 4), True, False),
@@ -240,7 +240,7 @@ def _lgs(intercepts, coefficients, noise_vars, dag=CHAIN):
 
 
 CATALOG = ", ".join(sorted(_BY_NAME))
-FIG1_PARAMETERS = sorted(label for label, _ in _BY_NAME["fig1"].parameters)
+FIG1_PARAMETERS = sorted(row[0] for row in _BY_NAME["fig1"].parameters)
 
 # (constructor, message): every check a record runs when it is built; where
 # a record breaks several checks, the first in the record's order is named.

@@ -35,7 +35,6 @@ from scmkit.identify import (
     gformula2,
     gformula2_given_x,
     propensity_adjust,
-    propensity_table,
 )
 from scmkit.cli import main
 from scmkit.scm import Cpt, Scm, cond_independent, joint_distribution, save_model
@@ -52,6 +51,7 @@ from structures import (
     gformula_model,
     hiring_model,
     iv_model,
+    propensity_table,
     support_values,
     two_stage_model,
 )
