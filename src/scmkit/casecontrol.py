@@ -64,9 +64,7 @@ class CaseControlSample(Record):
                 raise InvalidArgumentError(f"case {k // 2} lacks r = 1")
             if rows[k][0] != rows[k + 1][0]:
                 raise InvalidArgumentError(f"pair {k // 2} is not matched on x")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "roles", roles)
+        Record.__init__(self, rows, indices, roles)
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -402,12 +402,7 @@ def _cmd_docalc(args, report, model, roles):
 
     x = _assignments(model, args.x, "--x")
     z = _assignments(model, args.z, "--z") if args.z else None
-    partition = NodePartition(
-        w=frozenset(_split_list(args.w)) if args.w else frozenset(),
-        x=frozenset(x),
-        y=frozenset(_split_list(args.y)),
-        z=frozenset(z) if z else frozenset(),
-    )
+    partition = NodePartition(_split_list(args.w or ""), x, _split_list(args.y), z or ())
     verdict = verify_rule(model, partition, args.rule, x, z=z, tol=args.tol)
     report["citations"] = [
         "rule 1: P(y | z, w) = P(y | w) under do(x) when Y and Z are "
@@ -416,15 +411,7 @@ def _cmd_docalc(args, report, model, roles):
         else "rule 2: P(y | w) under do(x, z) = P(y | Z=z, w) under do(x) "
         "when the augmented independence holds"
     ]
-    report["result"] = {
-        "rule": verdict.rule,
-        "condition": verdict.condition,
-        "condition_holds": verdict.condition_holds,
-        "condition_deviation": verdict.condition_deviation,
-        "identity_deviation": verdict.identity_deviation,
-        "tol": verdict.tol,
-        "passed": verdict.passed,
-    }
+    report["result"] = {name: getattr(verdict, name) for name in verdict.__slots__}
     return 0 if verdict.passed else 1
 
 

@@ -55,11 +55,7 @@ class SplitStratum(Record):
 
     def __init__(self, key: tuple, indices: tuple, blocks: tuple, group_count: int,
                  too_small: bool):
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "group_count", group_count)
-        object.__setattr__(self, "too_small", too_small)
+        Record.__init__(self, key, indices, blocks, group_count, too_small)
 
 
 class StratumReport(Record):
@@ -75,13 +71,7 @@ class StratumReport(Record):
                  right_counts: dict, statistic: float, pvalue: float):
         if not 0.0 <= pvalue <= 1.0:
             raise InvalidArgumentError(f"p-value {pvalue!r} outside [0, 1]")
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "compares", compares)
-        object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "left_counts", left_counts)
-        object.__setattr__(self, "right_counts", right_counts)
-        object.__setattr__(self, "statistic", statistic)
-        object.__setattr__(self, "pvalue", pvalue)
+        Record.__init__(self, key, compares, pair, left_counts, right_counts, statistic, pvalue)
 
 
 class HomogeneityReport(Record):
@@ -100,13 +90,8 @@ class HomogeneityReport(Record):
                  warnings: tuple = ()):
         if len(reports) != len(pvalues):
             raise InvalidArgumentError("reports and p-values must align")
-        object.__setattr__(self, "reports", reports)
-        object.__setattr__(self, "pvalues", pvalues)
-        object.__setattr__(self, "uniformity_statistic", uniformity_statistic)
-        object.__setattr__(self, "uniformity_pvalue", uniformity_pvalue)
-        object.__setattr__(self, "threshold", threshold)
-        object.__setattr__(self, "alarm", alarm)
-        object.__setattr__(self, "warnings", warnings)
+        Record.__init__(self, reports, pvalues, uniformity_statistic, uniformity_pvalue, threshold,
+                              alarm, warnings)
 
 
 def _chunks(seq: list, k: int) -> list:

@@ -48,8 +48,7 @@ class NodePartition(Record):
         sets = (frozenset(w), frozenset(x), frozenset(y), frozenset(z))
         if sum(len(s) for s in sets) != len(frozenset().union(*sets)):
             raise InvalidArgumentError("W, X, Y, Z must be pairwise disjoint")
-        for name, members in zip(self.__slots__, sets):
-            object.__setattr__(self, name, members)
+        Record.__init__(self, *sets)
 
     def split(self, dag: Dag, which: str) -> tuple:
         """(parentless, parented) members of one of the four sets."""
@@ -76,13 +75,8 @@ class RuleVerdict(Record):
             raise InvalidArgumentError(
                 "a passing verdict requires the condition and the identity"
             )
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "condition", condition)
-        object.__setattr__(self, "condition_holds", condition_holds)
-        object.__setattr__(self, "condition_deviation", condition_deviation)
-        object.__setattr__(self, "identity_deviation", identity_deviation)
-        object.__setattr__(self, "tol", tol)
-        object.__setattr__(self, "passed", passed)
+        Record.__init__(self, rule, condition, condition_holds, condition_deviation,
+                              identity_deviation, tol, passed)
 
 
 def _check_partition(scm: Scm, partition: NodePartition) -> None:

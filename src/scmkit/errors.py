@@ -61,23 +61,31 @@ class ConstraintError(ScmError):
 class Record:
     """Base of the package's value records: named fields in `__slots__`.
 
-    A subclass lists its fields in `__slots__`, in constructor order, and
-    writes an `__init__` that checks its arguments and stores them with
-    `object.__setattr__`.  Records compare equal when they are of the same
-    class with equal field tuples, and read as ``Name(field=value, ...)``.
-    A record is frozen, hashing as its field tuple and refusing assignment,
-    unless its class is declared with ``frozen=False``; such a record is
-    unhashable.
+    A subclass lists its fields in `__slots__`, in constructor order.  Its
+    `__init__` keeps the record's own signature, defaults, checks and
+    coercions, and ends by passing one value per field, in that order, to
+    `Record.__init__`: the one place a field is stored.  Records compare
+    equal when they are of the same class with equal field tuples, and read
+    as ``Name(field=value, ...)``.  A record is frozen, hashing as its field
+    tuple and refusing assignment, unless its class is declared with
+    ``frozen=False``; such a record is unhashable.  Unpickling and copying
+    store the saved field tuple without running the subclass's `__init__`.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls, frozen: bool = True, **kwargs):
         super().__init_subclass__(**kwargs)
+        # Each slot's own setter stores past the frozen `__setattr__`.
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
         if not frozen:
             cls.__hash__ = None
             cls.__setattr__ = object.__setattr__
             cls.__delattr__ = object.__delattr__
+
+    def __init__(self, *values):
+        for store, value in zip(self._setters, values):
+            store(self, value)
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -104,5 +112,4 @@ class Record:
         return self._astuple()
 
     def __setstate__(self, state):
-        for name, value in zip(self.__slots__, state):
-            object.__setattr__(self, name, value)
+        Record.__init__(self, *state)

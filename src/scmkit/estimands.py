@@ -54,14 +54,8 @@ class IvResult(Record):
             want = float(numerator) / float(denominator)
             if abs(float(theta) - want) > 1e-9 * max(1.0, abs(want)):
                 raise InvalidArgumentError("ratio inconsistent with its parts")
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "valid", valid)
-        object.__setattr__(self, "thetas", thetas)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "first_stage", first_stage)
-        object.__setattr__(self, "reduced_form", reduced_form)
+        Record.__init__(self, theta, numerator, denominator, valid, thetas, weights, first_stage,
+                              reduced_form)
 
 
 class OddsRatioReport(Record):
@@ -86,9 +80,7 @@ class OddsRatioReport(Record):
                 raise InvalidArgumentError(
                     f"odds-ratio routes disagree in stratum {x!r}"
                 )
-        object.__setattr__(self, "per_x", per_x)
-        object.__setattr__(self, "overall", overall)
-        object.__setattr__(self, "warnings", warnings)
+        Record.__init__(self, per_x, overall, warnings)
 
 
 def _mean(dist: Mapping):

@@ -335,11 +335,7 @@ class _Entry(Record):
 
     def __init__(self, name: str, summary: str, parameters: tuple, citation: str,
                  builder: Callable):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "summary", summary)
-        object.__setattr__(self, "parameters", parameters)
-        object.__setattr__(self, "citation", citation)
-        object.__setattr__(self, "builder", builder)
+        Record.__init__(self, name, summary, parameters, citation, builder)
 
 
 _CATALOG = (
@@ -509,9 +505,7 @@ class ExampleSpec(Record):
                 f"unknown parameters {sorted(unknown)} for {name!r}; "
                 f"documented: {sorted(allowed)}"
             )
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "seed", seed)
+        Record.__init__(self, name, params, seed)
 
 
 def build_example(spec: ExampleSpec) -> Scm | LinearGaussianScm:

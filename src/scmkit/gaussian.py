@@ -82,10 +82,7 @@ class LinearGaussianScm(Record):
                     raise InvalidArgumentError(f"non-finite {label} at {node!r}: {value}")
             if noise_vars[node] < 0:
                 raise InvalidArgumentError(f"negative noise variance at {node!r}")
-        object.__setattr__(self, "dag", dag)
-        object.__setattr__(self, "intercepts", intercepts)
-        object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "noise_vars", noise_vars)
+        Record.__init__(self, dag, intercepts, coefficients, noise_vars)
 
 
 class GaussianLaw(Record):
@@ -117,9 +114,7 @@ class GaussianLaw(Record):
             floor = _EIGEN_FLOOR * float(np.max(cov.diagonal() if _scale is None else _scale))
             if float(np.linalg.eigvalsh((cov + cov.T) / 2).min()) < floor:
                 raise InvalidArgumentError("covariance must be positive semidefinite")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", cov)
+        Record.__init__(self, order, mean, cov)
 
     def index(self, node: str) -> int:
         try:

@@ -162,8 +162,7 @@ class Path(Record):
             raise InvalidArgumentError("one direction per step required")
         if len(set(nodes)) != len(nodes):
             raise InvalidArgumentError("path must be simple")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "directions", directions)
+        Record.__init__(self, nodes, directions)
 
     def __str__(self):
         parts = [str(self.nodes[0])]
@@ -182,18 +181,14 @@ class PathVerdict(Record):
     __slots__ = ("path", "verdict", "witness")
 
     def __init__(self, path: Path, verdict: str, witness=None):
-        object.__setattr__(self, "path", path)
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "witness", witness)
+        Record.__init__(self, path, verdict, witness)
 
 
 class BackdoorReport(Record, frozen=False):
     __slots__ = ("valid", "verdicts", "warnings")
 
     def __init__(self, valid: bool, verdicts: list[PathVerdict], warnings: list | None = None):
-        self.valid = valid
-        self.verdicts = verdicts
-        self.warnings = [] if warnings is None else warnings
+        Record.__init__(self, valid, verdicts, [] if warnings is None else warnings)
 
     def violating_paths(self) -> list[Path]:
         return [v.path for v in self.verdicts if v.verdict == "violates"]
@@ -265,13 +260,13 @@ def _roles(node, came, state, Z: frozenset, above_z: frozenset) -> tuple:
     return pointing, state
 
 
-def _classify(path: Path, Z: frozenset, above_z: frozenset) -> PathVerdict:
-    """The walk's verdict for a stored path, folded node by node."""
+def _classify(path: Path, Z: frozenset, above_z: frozenset) -> str:
+    """The walk's verdict string for a stored path, folded node by node."""
     state = _OPEN
     for i in range(1, len(path.nodes) - 1):
         forward, backward = _roles(path.nodes[i], path.directions[i - 1], state, Z, above_z)
         state = forward if path.directions[i] == FORWARD else backward
-    return PathVerdict(path, *state)
+    return state[0]
 
 
 def check_backdoor(dag: Dag, t, r, Z) -> BackdoorReport:
@@ -367,6 +362,6 @@ def enumerate_valid_adjustment_sets(dag: Dag, t, r, candidates) -> list[frozense
             if any(m <= Z for m in minimal):
                 continue  # proper superset of a known valid set
             above_z = frozenset().union(*(above[z] for z in Z))
-            if all(_classify(p, Z, above_z).verdict != "violates" for p in paths):
+            if all(_classify(p, Z, above_z) != "violates" for p in paths):
                 minimal.append(Z)
     return sorted(minimal, key=lambda s: (len(s), sorted(s, key=str)))

@@ -56,13 +56,8 @@ class EffectReport(Record):
                 raise InvalidArgumentError(
                     f"response law at treatment {t!r} sums to {total!r}"
                 )
-        object.__setattr__(self, "estimand", estimand)
-        object.__setattr__(self, "treatment", treatment)
-        object.__setattr__(self, "treatment_values", treatment_values)
-        object.__setattr__(self, "response", response)
-        object.__setattr__(self, "distributions", distributions)
-        object.__setattr__(self, "ate", ate)
-        object.__setattr__(self, "citation", citation)
+        Record.__init__(self, estimand, treatment, treatment_values, response, distributions, ate,
+                              citation)
 
 
 class PropensityTable(Record):
@@ -78,10 +73,7 @@ class PropensityTable(Record):
                 raise InvalidArgumentError(
                     f"assignment vector at {cfg!r} sums to {total!r}"
                 )
-        object.__setattr__(self, "x_nodes", x_nodes)
-        object.__setattr__(self, "t_node", t_node)
-        object.__setattr__(self, "t_values", t_values)
-        object.__setattr__(self, "rows", rows)
+        Record.__init__(self, x_nodes, t_node, t_values, rows)
 
 
 class FrontdoorReport(Record):
@@ -95,8 +87,7 @@ class FrontdoorReport(Record):
     __slots__ = ("effect", "intermediate")
 
     def __init__(self, effect: Mapping[tuple, float], intermediate: Mapping[tuple, float]):
-        object.__setattr__(self, "effect", effect)
-        object.__setattr__(self, "intermediate", intermediate)
+        Record.__init__(self, effect, intermediate)
 
 
 def _fmt_stratum(given: Mapping) -> str:

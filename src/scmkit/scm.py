@@ -55,8 +55,7 @@ class Domain(Record):
             raise InvalidArgumentError(f"empty domain for {node!r}")
         if len(set(values)) != len(values):
             raise InvalidArgumentError(f"duplicate values in domain of {node!r}")
-        object.__setattr__(self, "node", node)
-        object.__setattr__(self, "values", values)
+        Record.__init__(self, node, values)
 
     def index(self, value) -> int:
         try:
@@ -75,16 +74,14 @@ class Cpt(Record):
     __slots__ = ("node", "parents", "table")
 
     def __init__(self, node, parents: tuple, table: dict):
-        object.__setattr__(self, "node", node)
-        object.__setattr__(self, "parents", parents)
-        object.__setattr__(self, "table", table)
+        Record.__init__(self, node, parents, table)
 
 
 class Intervention(Record, frozen=False):
     __slots__ = ("assignments",)
 
     def __init__(self, assignments: dict):
-        self.assignments = assignments  # node -> forced value
+        Record.__init__(self, assignments)  # node -> forced value
 
 
 class Scm:
@@ -230,8 +227,7 @@ class Dataset(Record, frozen=False):
     __slots__ = ("columns", "rows")
 
     def __init__(self, columns: tuple, rows: list):
-        self.columns = columns
-        self.rows = rows  # list of value tuples, row index = collection order
+        Record.__init__(self, columns, rows)  # rows: value tuples in collection order
 
     def column(self, name) -> list:
         try:
@@ -409,10 +405,10 @@ def joint_distribution(scm: Scm) -> JointTable:
             for m, r in zip(masses if alive is None else alive, at):
                 if m and rows[r] is None:
                     raise _missing_row(cpt, configs[r])
-        # As zip() reads a row: entries past the domain are ignored and
-        # missing ones are 0.
         k = sizes[j]
-        rows = [row if row is not None and len(row) == k else _fit(row or (), k) for row in rows]
+        if any(row is not None and len(row) != k for row in rows):
+            raise InvalidArgumentError(f"{node!r}: table rows must have {k} entries")
+        rows = [(0,) * k if row is None else row for row in rows]
         if lcms is not None:
             rows = [[p.numerator * (lcms[j] // p.denominator) for p in row] for row in rows]
         entries = list(itertools.chain.from_iterable(rows))
@@ -449,10 +445,6 @@ def _lcms(scm: Scm, order) -> list | None:
         exact = exact or not any(p for p in entries if not isinstance(p, Fraction))
         lcms.append(math.lcm(*(p.denominator for p in entries)))
     return lcms if exact else None
-
-
-def _fit(row, k: int) -> tuple:
-    return tuple(row[:k]) + (0,) * (k - len(row))
 
 
 def _radix(sizes, axes) -> list:

@@ -11,16 +11,19 @@ messages are pinned below.
 """
 
 import copy
+import importlib
 import math
 import pickle
+import pkgutil
 
 import numpy as np
 import pytest
 
+import scmkit
 from scmkit.casecontrol import CaseControlSample
 from scmkit.diagnostics import HomogeneityReport, SplitStratum, StratumReport
 from scmkit.docalc import NodePartition, RuleVerdict
-from scmkit.errors import CyclicGraphError, InvalidArgumentError
+from scmkit.errors import CyclicGraphError, InvalidArgumentError, Record
 from scmkit.estimands import IvResult, OddsRatioReport
 from scmkit.examples import _BY_NAME, ExampleSpec, _case_control_pop, _Entry, _unit_open
 from scmkit.gaussian import GaussianLaw, LinearGaussianScm
@@ -107,6 +110,18 @@ IDS = [cls.__qualname__ for cls, *_ in RECORDS]
 def test_every_record_class_is_listed():
     assert len(RECORDS) == 22
     assert len(set(IDS)) == 22
+
+
+def test_every_record_class_of_the_package_is_listed():
+    for module in pkgutil.iter_modules(scmkit.__path__):
+        importlib.import_module(f"scmkit.{module.name}")
+    found, todo = set(), [Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.split(".")[0] == "scmkit":
+                found.add(cls)
+    assert found == {cls for cls, *_ in RECORDS}
 
 
 @pytest.mark.parametrize("cls, names, args, other, frozen, hashable", RECORDS, ids=IDS)

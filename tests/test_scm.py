@@ -354,11 +354,14 @@ class TestSample:
         with pytest.raises(InvalidArgumentError, match=r"'T': table lacks the row for parents \['X'\] = \[1\]"):
             sample(broken, DigitStream(1), 10)
 
-    def test_rows_shorter_than_the_domain_are_rejected(self):
+    @pytest.mark.parametrize("row", [(1.0,), (0.3, 0.3, 0.4)], ids=["short", "long"])
+    def test_rows_of_the_wrong_length_are_rejected(self, row):
         scm = simpson_scm()
-        short = Scm(scm.dag, scm.domains, {**scm.cpts, "X": Cpt("X", (), {(): (1.0,)})})
+        broken = Scm(scm.dag, scm.domains, {**scm.cpts, "X": Cpt("X", (), {(): row})})
         with pytest.raises(InvalidArgumentError, match="'X': table rows must have 2 entries"):
-            sample(short, DigitStream(1), 5)
+            sample(broken, DigitStream(1), 5)
+        with pytest.raises(InvalidArgumentError, match="'X': table rows must have 2 entries"):
+            joint_distribution(broken)
 
     def test_prefix_stability(self):
         scm = simpson_scm()
