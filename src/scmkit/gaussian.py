@@ -6,7 +6,7 @@ multivariate normal, so observational conditioning and interventions both
 have closed forms: forward propagation gives the moments, Schur complements
 give conditionals, and interventions just freeze a node at a constant.
 
-Two packaged reports cover the continuous treatment/response examples: a
+Two packaged models cover the continuous treatment/response examples: a
 dose-response system whose observed regression slope can flip sign against
 the causal slope, and a pre/post measurement model where the two groups show
 identical gain laws despite different direct effects.
@@ -32,15 +32,9 @@ __all__ = [
     "lg_moments",
     "lg_sample",
     "lord_component",
-    "lord_report",
     "norm_ppf",
     "simpson_cont_model",
-    "simpson_cont_report",
 ]
-
-#: Observed slopes within this band of zero are treated as zero when setting
-#: the reversal flag, so the exact boundary case reports no reversal.
-SLOPE_DEAD_ZONE = 1e-12
 
 _CORRELATION_FLOOR = 1e-12  # least eigenvalue of a non-singular block rescaled to unit diagonal
 _EIGEN_FLOOR = -1e-9  # least eigenvalue allowed per unit of the largest source variance
@@ -335,39 +329,6 @@ def simpson_cont_model(
     )
 
 
-def simpson_cont_report(
-    alpha: float,
-    beta: float,
-    gamma: float,
-    mu: float,
-    sigma1: float,
-    sigma2: float,
-    sigma3: float,
-) -> dict:
-    """Observed regression slope of R on T versus the interventional slope.
-
-    The observed slope comes from conditioning the joint normal law; the
-    causal slope from freezing T at two values.  The reversal flag is set
-    when the observed slope is positive (beyond a 1e-12 dead zone) even
-    though the causal slope is -beta < 0.
-    """
-    model = simpson_cont_model(alpha, beta, gamma, mu, sigma1, sigma2, sigma3)
-    law = lg_moments(model)
-    observational = (
-        lg_condition(law, {"T": 1.0}).mean_of("R")
-        - lg_condition(law, {"T": 0.0}).mean_of("R")
-    )
-    causal = (
-        lg_moments(lg_intervene(model, "T", 1.0)).mean_of("R")
-        - lg_moments(lg_intervene(model, "T", 0.0)).mean_of("R")
-    )
-    return {
-        "observational_slope": float(observational),
-        "causal_slope": float(causal),
-        "paradox": bool(observational > SLOPE_DEAD_ZONE),
-    }
-
-
 def lord_component(mu_t: float, sigma: float, rho: float) -> LinearGaussianScm:
     """One group of the pre/post model: score X, retest R, gain G = R - X."""
     dag = Dag(("X", "R", "G"), (("X", "R"), ("X", "G"), ("R", "G")))
@@ -377,37 +338,3 @@ def lord_component(mu_t: float, sigma: float, rho: float) -> LinearGaussianScm:
         coefficients={"X": {}, "R": {"X": rho}, "G": {"X": -1.0, "R": 1.0}},
         noise_vars={"X": sigma**2, "R": (1 - rho**2) * sigma**2, "G": 0.0},
     )
-
-
-def lord_report(
-    mu1: float, mu2: float, sigma: float, p: float, rho: float
-) -> dict:
-    """Group laws, gain law, and direct-effect difference for the pre/post model.
-
-    Group t has initial score N(mu_t, sigma^2); the retest regresses toward
-    the group mean with persistence rho.  Each group's gain R - X then has
-    the same law N(0, 2(1-rho) sigma^2), yet holding the initial score fixed
-    the groups differ by (1-rho)(mu1 - mu2).
-    """
-    _require_positive(sigma=sigma)
-    if not 0 < p < 1:
-        raise InvalidArgumentError(f"group weight must lie in (0, 1), got {p}")
-    if not 0 < rho < 1:
-        raise InvalidArgumentError(f"persistence must lie in (0, 1), got {rho}")
-    laws = {t: lg_moments(lord_component(m, sigma, rho)) for t, m in ((1, mu1), (2, mu2))}
-    group_laws = {t: (law.mean_of("R"), law.var_of("R")) for t, law in laws.items()}
-    gains = {t: (law.mean_of("G"), law.var_of("G")) for t, law in laws.items()}
-    m1, v1 = group_laws[1]
-    m2, v2 = group_laws[2]
-    direct_difference = (
-        lg_condition(laws[1], {"X": 0.0}).mean_of("R")
-        - lg_condition(laws[2], {"X": 0.0}).mean_of("R")
-    )
-    return {
-        "group_laws": group_laws,
-        "gain_law": gains[1],
-        "gain_law_by_group": gains,
-        "direct_difference": float(direct_difference),
-        "mean_response": float(p * m1 + (1 - p) * m2),
-        "var_response": float(p * v1 + (1 - p) * v2 + p * (1 - p) * (m1 - m2) ** 2),
-    }

@@ -42,8 +42,9 @@ POSITIVITY_CUTOFF = 1e-15
 
 MAX_JOINT_CONFIGS = 10_000_000
 
-# Samples of fewer draws than this skip numpy: its import costs more than
-# hashing them one digit at a time.
+# Samples of fewer draws, and float joints of fewer configurations, than
+# this skip numpy: its import costs more than working them in plain Python.
+# Both paths give the same values.
 _STDLIB_DRAWS = 4096
 
 
@@ -107,6 +108,11 @@ class JointTable:
     the masses themselves when `scale` is None, else Fraction(mass, scale),
     the masses being integer numerators over that one denominator.
 
+    Every sum over a table adds its masses one at a time in scan order,
+    never pairwise, so a float law is the same to the last bit whether it
+    was summed in plain Python or with numpy; `joint_distribution` leaves
+    the float64 array of the masses it built with numpy in `_array`.
+
     `JointTable(order, probs)` builds a table from such a mapping, keeping
     its keys and their order.
     """
@@ -134,7 +140,7 @@ class JointTable:
         self.strides = tuple(math.prod(self.sizes[j + 1:]) for j in range(len(order)))
         self._keyset = None if keys is None else set(keys)
         self._size = None
-        self._lookups = None
+        self._lookups = self._array = None
 
     def index(self, node) -> int:
         try:
@@ -375,14 +381,20 @@ def joint_distribution(scm: Scm) -> JointTable:
     nodes so far is multiplied by its row of the node's table, found from
     the parents' value codes in mixed radix, as `_realize` finds it.  A
     table may lack a row only where no configuration with mass reaches it.
+    A float joint of `_STDLIB_DRAWS` configurations or more is multiplied
+    out in numpy, with the same IEEE product in every cell.
     """
     order = topological_order(scm.dag)
     values = tuple(scm.domains[n].values for n in order)
     sizes = tuple(map(len, values))
-    if math.prod(sizes) > MAX_JOINT_CONFIGS:
+    cells = math.prod(sizes)
+    if cells > MAX_JOINT_CONFIGS:
         raise ResourceLimitError(f"state space exceeds {MAX_JOINT_CONFIGS} configurations")
     axis = {n: j for j, n in enumerate(order)}
     lcms = _lcms(scm, order)
+    fast = lcms is None and cells >= _STDLIB_DRAWS
+    if fast:
+        import numpy as np
     # A product of nonzero factors that underflows to 0 (or a non-finite
     # factor times 0) would blur which configurations are keys.  `floor`
     # bounds every product from below; once it reaches 0 or a factor is
@@ -400,23 +412,37 @@ def joint_distribution(scm: Scm) -> JointTable:
             )
         configs = list(itertools.product(*(values[a] for a in parents)))
         rows = [cpt.table.get(cfg) for cfg in configs]
-        at = _codes(_radix(sizes, parents)[:j])
+        at = None
         if None in rows:
+            at = _codes(_radix(sizes, parents)[:j])
             for m, r in zip(masses if alive is None else alive, at):
                 if m and rows[r] is None:
                     raise _missing_row(cpt, configs[r])
         k = sizes[j]
-        if any(row is not None and len(row) != k for row in rows):
-            raise InvalidArgumentError(f"{node!r}: table rows must have {k} entries")
         rows = [(0,) * k if row is None else row for row in rows]
         if lcms is not None:
             rows = [[p.numerator * (lcms[j] // p.denominator) for p in row] for row in rows]
-        entries = list(itertools.chain.from_iterable(rows))
+        entries = _entries(node, configs, rows, k)
         zeros = zeros or 0 in entries
         if lcms is None:
             floor *= min(map(abs, filter(None, entries)), default=1)
             if alive is None and not (floor > 0 and _finite(entries)):
                 alive = [1 if m else 0 for m in masses]
+        # The masses become a numpy array at the first node of float entries.
+        # From there on every nonzero mass is a float in plain Python too,
+        # and an int entry p multiplies as float(p) on both paths.
+        if fast and alive is None and set(map(type, entries)) <= (
+                {float} if isinstance(masses, list) else {float, int}):
+            # The node's table, its parent axes in grid order, broadcast
+            # over the grid of the nodes so far.
+            table = np.asarray(rows, dtype=float).reshape([sizes[a] for a in parents] + [k])
+            table = table.transpose([*sorted(range(len(parents)), key=parents.__getitem__), -1])
+            table = table.reshape([sizes[a] if a in parents else 1 for a in range(j)] + [k])
+            masses = (np.asarray(masses, dtype=float).reshape(sizes[:j] + (1,)) * table).ravel()
+            continue
+        if not isinstance(masses, list):
+            masses = masses.tolist()
+        at = at or _codes(_radix(sizes, parents)[:j])
         if alive is None:
             # A structural zero stays 0 without a multiplication.
             masses = [m * p if m and p else 0 for m, r in zip(masses, at) for p in rows[r]]
@@ -425,7 +451,23 @@ def joint_distribution(scm: Scm) -> JointTable:
             alive = [a * (p != 0) for a, r in zip(alive, at) for p in rows[r]]
     keys = None if alive is None else list(itertools.compress(itertools.count(), alive))
     scale = None if lcms is None else math.prod(lcms)
-    return JointTable._dense(tuple(order), values, masses, keys, zeros, scale)
+    if isinstance(masses, list):
+        return JointTable._dense(tuple(order), values, masses, keys, zeros, scale)
+    joint = JointTable._dense(tuple(order), values, masses.tolist(), None, zeros)
+    joint._array, joint._size = masses, np.count_nonzero(masses)
+    return joint
+
+
+def _entries(node, configs, rows, k: int) -> list:
+    """The rows' entries in order; a table whose rows are not all of k
+    entries, none negative, is refused."""
+    if set(map(len, rows)) != {k}:
+        raise InvalidArgumentError(f"{node!r}: table rows must have {k} entries")
+    entries = list(itertools.chain.from_iterable(rows))
+    if not min(entries) >= 0 and any(p < 0 for p in entries):
+        cfg = configs[next(i for i, p in enumerate(entries) if p < 0) // k]
+        raise InvalidArgumentError(f"{node!r}@{cfg!r}: negative probability")
+    return entries
 
 
 def _lcms(scm: Scm, order) -> list | None:
@@ -473,12 +515,27 @@ def _codes(offsets, base: int = 0) -> list:
 def _scan(joint: JointTable, axes_lists, fixed: dict | None = None) -> tuple:
     """The masses of the joint's keys whose value codes match `fixed`
     ({axis: code}), in key order, and for each list of axes the row-major
-    code of every such key's values on those axes."""
+    code of every such key's values on those axes.  A joint with an
+    `_array` is scanned in numpy and gives arrays of both."""
     fixed = fixed or {}
     offsets = [_radix(joint.sizes, axes) for axes in axes_lists]
     if joint.keys is None:
         # Only the matching positions are visited: the grid of the free axes.
         free = [a for a in range(len(joint.sizes)) if a not in fixed]
+        if joint._array is not None:
+            import numpy as np
+
+            cells = tuple(fixed.get(a, slice(None)) for a in range(len(joint.sizes)))
+            masses = joint._array.reshape(joint.sizes)[cells].ravel()
+            # Each axis adds its offsets along its own dimension of the grid.
+            shape = [joint.sizes[a] for a in free]
+            codes = [np.broadcast_to(sum((np.reshape(offs[a], [-1 if a == b else 1 for b in free])
+                                          for a in free if any(offs[a])), 0), shape).ravel()
+                     for offs in offsets]
+            if joint.zeros:
+                keep = masses != 0
+                codes, masses = [cs[keep] for cs in codes], masses[keep]
+            return masses, codes
         codes = [_codes([offs[a] for a in free]) for offs in offsets]
         masses = joint.masses
         if fixed:
@@ -501,16 +558,28 @@ def _scan(joint: JointTable, axes_lists, fixed: dict | None = None) -> tuple:
 
 
 def _sums(codes, masses, size: int) -> dict:
-    """{code: total mass}: masses added in scan order, codes in the order
-    of their first appearance."""
-    acc = [0] * size
-    for c, p in zip(codes, masses):
-        acc[c] += p
-    return {c: acc[c] for c in dict.fromkeys(codes)}
+    """{code: total mass}: masses added one at a time in scan order, codes
+    in the order of their first appearance.  numpy's `bincount` adds arrays
+    in that same order, so both paths give the same floats."""
+    if isinstance(masses, list):
+        acc = [0] * size
+        for c, p in zip(codes, masses):
+            acc[c] += p
+        return {c: acc[c] for c in dict.fromkeys(codes)}
+    import numpy as np
+
+    acc = np.bincount(codes, weights=masses, minlength=size).tolist()
+    # Each code's first scan position; a code that never appears sorts last.
+    first = np.full(size, len(codes))
+    np.minimum.at(first, codes, np.arange(len(codes)))
+    return {c: acc[c] for c in first.argsort()[:np.count_nonzero(first < len(codes))].tolist()}
 
 
 def restrict(joint: JointTable, targets, given: dict | None = None) -> JointTable:
-    """Exact conditional law of `targets` given a partial configuration."""
+    """Exact conditional law of `targets` given a partial configuration.
+
+    The conditioning mass, like each cell, is summed one mass at a time in
+    scan order (`cumsum` on numpy), never pairwise."""
     given = given or {}
     if isinstance(targets, str):
         targets = (targets,)
@@ -526,7 +595,11 @@ def restrict(joint: JointTable, targets, given: dict | None = None) -> JointTabl
     if all(v in joint.values[a] for a, v in given_axes):
         fixed = {a: joint.values[a].index(v) for a, v in given_axes}
         masses, (codes,) = _scan(joint, [target_axes], fixed)
-    mass, scale = functools.reduce(operator.add, masses, 0), joint.scale
+    if isinstance(masses, list):
+        mass = functools.reduce(operator.add, masses, 0)
+    else:
+        mass = masses.cumsum()[-1].item() if len(masses) else 0
+    scale = joint.scale
     if _float(mass if scale is None else Fraction(mass, scale)) <= POSITIVITY_CUTOFF:
         raise ZeroProbabilityError(f"conditioning event {given!r} has probability 0")
     values = tuple(joint.values[a] for a in target_axes)
@@ -660,13 +733,12 @@ def _realize(scm: Scm, order, source: DigitStream, start: int, count: int) -> di
     for j, node in enumerate(order):
         cpt = scm.cpts[node]
         size = len(scm.domains[node].values)
-        configs = itertools.product(*(scm.domains[p].values for p in cpt.parents))
+        configs = list(itertools.product(*(scm.domains[p].values for p in cpt.parents)))
         try:
             rows = [cpt.table[cfg] for cfg in configs]
         except KeyError as exc:
             raise _missing_row(cpt, exc.args[0]) from None
-        if any(len(row) != size for row in rows):
-            raise InvalidArgumentError(f"{node!r}: table rows must have {size} entries")
+        _entries(node, configs, rows, size)
         radix = [(len(scm.domains[p].values), codes[p]) for p in cpt.parents]
         if small:
             cum = [list(itertools.accumulate(map(float, row)))[:-1] for row in rows]

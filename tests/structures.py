@@ -20,6 +20,14 @@ from scmkit.graph import (
     descendants,
     topological_order,
 )
+from scmkit.gaussian import (
+    _require_positive,
+    lg_condition,
+    lg_intervene,
+    lg_moments,
+    lord_component,
+    simpson_cont_model,
+)
 from scmkit.identify import PropensityTable, _propensity, _strata
 from scmkit.scm import Cpt, Dataset, Domain, JointTable, Scm, _marginals, _sorted, restrict, sample
 
@@ -446,3 +454,80 @@ def reference_adjustment_sets(dag: Dag, t, r, candidates) -> list:
             if all(reference_classify(p, dag, Z).verdict != "violates" for p in paths):
                 minimal.append(Z)
     return sorted(minimal, key=lambda s: (len(s), sorted(s, key=str)))
+
+
+# The continuous examples' reports: no command prints them; tests check the
+# paper's numbers through them.
+
+#: Observed slopes within this band of zero are treated as zero when setting
+#: the reversal flag, so the exact boundary case reports no reversal.
+SLOPE_DEAD_ZONE = 1e-12
+
+
+def simpson_cont_report(
+    alpha: float,
+    beta: float,
+    gamma: float,
+    mu: float,
+    sigma1: float,
+    sigma2: float,
+    sigma3: float,
+) -> dict:
+    """Observed regression slope of R on T versus the interventional slope.
+
+    The observed slope comes from conditioning the joint normal law; the
+    causal slope from freezing T at two values.  The reversal flag is set
+    when the observed slope is positive (beyond a 1e-12 dead zone) even
+    though the causal slope is -beta < 0.
+    """
+    model = simpson_cont_model(alpha, beta, gamma, mu, sigma1, sigma2, sigma3)
+    law = lg_moments(model)
+    observational = (
+        lg_condition(law, {"T": 1.0}).mean_of("R")
+        - lg_condition(law, {"T": 0.0}).mean_of("R")
+    )
+    causal = (
+        lg_moments(lg_intervene(model, "T", 1.0)).mean_of("R")
+        - lg_moments(lg_intervene(model, "T", 0.0)).mean_of("R")
+    )
+    return {
+        "observational_slope": float(observational),
+        "causal_slope": float(causal),
+        "paradox": bool(observational > SLOPE_DEAD_ZONE),
+    }
+
+
+
+
+def lord_report(
+    mu1: float, mu2: float, sigma: float, p: float, rho: float
+) -> dict:
+    """Group laws, gain law, and direct-effect difference for the pre/post model.
+
+    Group t has initial score N(mu_t, sigma^2); the retest regresses toward
+    the group mean with persistence rho.  Each group's gain R - X then has
+    the same law N(0, 2(1-rho) sigma^2), yet holding the initial score fixed
+    the groups differ by (1-rho)(mu1 - mu2).
+    """
+    _require_positive(sigma=sigma)
+    if not 0 < p < 1:
+        raise InvalidArgumentError(f"group weight must lie in (0, 1), got {p}")
+    if not 0 < rho < 1:
+        raise InvalidArgumentError(f"persistence must lie in (0, 1), got {rho}")
+    laws = {t: lg_moments(lord_component(m, sigma, rho)) for t, m in ((1, mu1), (2, mu2))}
+    group_laws = {t: (law.mean_of("R"), law.var_of("R")) for t, law in laws.items()}
+    gains = {t: (law.mean_of("G"), law.var_of("G")) for t, law in laws.items()}
+    m1, v1 = group_laws[1]
+    m2, v2 = group_laws[2]
+    direct_difference = (
+        lg_condition(laws[1], {"X": 0.0}).mean_of("R")
+        - lg_condition(laws[2], {"X": 0.0}).mean_of("R")
+    )
+    return {
+        "group_laws": group_laws,
+        "gain_law": gains[1],
+        "gain_law_by_group": gains,
+        "direct_difference": float(direct_difference),
+        "mean_response": float(p * m1 + (1 - p) * m2),
+        "var_response": float(p * v1 + (1 - p) * v2 + p * (1 - p) * (m1 - m2) ** 2),
+    }

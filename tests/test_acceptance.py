@@ -31,9 +31,7 @@ from scmkit.gaussian import (
     lg_condition,
     lg_moments,
     lg_sample,
-    lord_report,
     simpson_cont_model,
-    simpson_cont_report,
 )
 from scmkit.graph import Dag, check_backdoor, check_backdoor_extended
 from scmkit.identify import adjust, eelworms_effect, frontdoor, gformula2
@@ -65,6 +63,8 @@ from structures import (
     frontdoor_model,
     gformula_model,
     hiring_model,
+    lord_report,
+    simpson_cont_report,
     two_stage_model,
 )
 from test_docalc import first_values, random_dag, random_partition

@@ -14,7 +14,7 @@ from scmkit.examples import (
     list_examples,
 )
 from scmkit.estimands import odds_ratio
-from scmkit.gaussian import LinearGaussianScm, lg_intervene, lg_moments, lord_report
+from scmkit.gaussian import LinearGaussianScm, lg_intervene, lg_moments
 from scmkit.identify import adjust, frontdoor
 from scmkit.scm import (
     Intervention,
@@ -27,7 +27,7 @@ from scmkit.scm import (
     validate_scm,
 )
 
-from structures import expectation
+from structures import expectation, lord_report
 
 CATALOG_NAMES = (
     "simpson_binary",

@@ -16,14 +16,12 @@ from scmkit.gaussian import (
     lg_moments,
     lg_sample,
     lord_component,
-    lord_report,
     norm_ppf,
     simpson_cont_model,
-    simpson_cont_report,
 )
 from scmkit.graph import Dag, topological_order
 
-from structures import reference_lg_moments
+from structures import lord_report, reference_lg_moments, simpson_cont_report
 
 REFERENCE = dict(alpha=1.0, beta=0.2, gamma=1.0, mu=0.0, sigma1=1.0, sigma2=1.0, sigma3=1.0)
 

@@ -5,9 +5,10 @@ package's modules (``scm``, ``graph``, ``exogenous`` and ``errors``); each
 command then imports only the formula modules it runs, as the table in
 the ``scmkit.cli`` docstring lists.  numpy and scipy are imported inside
 the functions that compute with them, so the exact-law, graph and
-identification commands never load them, nor do ``sample`` and
-``casecontrol`` at command-line sizes (fewer draws than
-``scm._STDLIB_DRAWS``) or a seeded ``example``.  Only ``diagnose`` and
+identification commands never load them on joints of fewer configurations
+than ``scm._STDLIB_DRAWS``, nor do ``sample`` and ``casecontrol`` at
+command-line sizes (fewer draws than that) or a seeded ``example``; a
+float joint at that size does load numpy.  Only ``diagnose`` and
 Gaussian sampling load heavy libraries, and ``diagnose`` takes its
 chi-square tail from ``scipy.special`` instead of ``scipy.stats``, whose
 import alone costs most of a second.
@@ -18,11 +19,14 @@ The package's records are plain classes, so no command loads
 """
 
 import json
+import math
 import os
 import random
 import subprocess
 import sys
+from unittest import mock
 
+import numpy as np
 import pytest
 from scipy.special import chdtrc
 from scipy.stats import chi2
@@ -31,7 +35,7 @@ from scmkit.cli import main
 from scmkit.diagnostics import _chi_square
 from scmkit.examples import ExampleSpec, build_example
 from scmkit.graph import Dag
-from scmkit.scm import save_model
+from scmkit.scm import _STDLIB_DRAWS, joint_distribution, restrict, save_model
 
 from structures import TWO_STAGE_EDGES, TWO_STAGE_NODES, drift_dataset, fill
 
@@ -124,6 +128,39 @@ def test_cli_import_and_small_commands_load_no_numpy_or_scipy(catalog):
     assert got["errors"] == [None] * len(commands)
     assert got["heavy"] == []
     assert got["slow"] == []
+
+
+def chain(sizes: list):
+    """A float model on a chain of nodes N0 -> N1 -> ... of these sizes."""
+    names = [f"N{i}" for i in range(len(sizes))]
+    return fill(Dag(names, list(zip(names, names[1:]))), 3, dict(zip(names, sizes)))
+
+
+# Float joints one configuration short of the cutoff, and at it.
+BELOW, AT = [3, 3, 5, 7, 13], [4] * 6
+
+
+def test_the_joint_cutoff_is_where_numpy_starts(tmp_path):
+    assert (math.prod(BELOW), math.prod(AT)) == (_STDLIB_DRAWS - 1, _STDLIB_DRAWS)
+    for name, sizes in (("below", BELOW), ("at", AT)):
+        save_model(chain(sizes), tmp_path / f"{name}.json")
+    lines = [["joint", "-m", str(tmp_path / f"{name}.json"), "--targets", "N4"]
+             for name in ("below", "at")]
+    below, at = probe(lines[:1]), probe(lines[1:])
+    assert below["errors"] == at["errors"] == [None]
+    assert below["heavy"] == []
+    assert "numpy" in at["heavy"]
+
+
+@pytest.mark.parametrize("sizes, fast", [(BELOW, False), (AT, True)], ids=["below", "at"])
+def test_a_float_joint_at_the_cutoff_takes_the_numpy_kernels(sizes, fast):
+    model = chain(sizes)
+    with mock.patch.object(np, "asarray", wraps=np.asarray) as product, \
+            mock.patch.object(np, "bincount", wraps=np.bincount) as sums:
+        joint = joint_distribution(model)
+        law = restrict(joint, ("N4",), {"N0": 1})
+    assert (product.called, sums.called, joint._array is not None) == (fast, fast, fast)
+    assert {type(p) for p in law.probs.values()} == {float}
 
 
 def test_diagnose_never_loads_scipy_stats(catalog):

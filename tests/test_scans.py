@@ -1,9 +1,9 @@
 """Each formula call reads its observational joint in exactly one scan.
 
 A formula asks for all of its factors and supports at once, so one pass
-over the joint's masses serves the whole call, whether they are floats or
-the integer numerators of a Fraction joint; `verify_rule` makes one pass
-per joint it builds.
+over the joint's masses serves the whole call, whether they are floats (in
+plain Python or on numpy) or the integer numerators of a Fraction joint;
+`verify_rule` makes one pass per joint it builds.
 """
 
 import importlib
@@ -107,6 +107,16 @@ def scans(monkeypatch):
 def test_one_scan_per_formula_call(name, scans):
     model, call = CALLS[name]
     joint = joint_distribution(model)
+    call(joint)
+    assert len(scans) == 1
+
+
+@pytest.mark.parametrize("name", list(CALLS))
+def test_one_scan_per_formula_call_on_the_numpy_path(name, scans, monkeypatch):
+    monkeypatch.setattr(scm_module, "_STDLIB_DRAWS", 0)
+    model, call = CALLS[name]
+    joint = joint_distribution(model)
+    assert joint._array is not None
     call(joint)
     assert len(scans) == 1
 

@@ -1,3 +1,5 @@
+import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -362,6 +364,38 @@ class TestSample:
             sample(broken, DigitStream(1), 5)
         with pytest.raises(InvalidArgumentError, match="'X': table rows must have 2 entries"):
             joint_distribution(broken)
+
+    @pytest.mark.parametrize("node, row", [
+        ("A", (1.5, -0.5)), ("A", (Fraction(3, 2), Fraction(-1, 2))), ("B", (1.0, -0.0, 0.0)),
+        ("A", (math.nan, -0.5)),
+    ], ids=["float", "fraction", "negative-zero", "after-nan"])
+    def test_a_negative_entry_is_rejected(self, node, row):
+        # The one-node model (1.5, -0.5) had the joint {(0,): 1.5, (1,): -0.5}
+        # and drew samples; both are refused in validate_scm's words, also
+        # behind a NaN, which validate_scm names first.  A -0.0 entry is not
+        # negative.
+        scm = Scm(
+            Dag(["A", "B"], [("A", "B")]),
+            {"A": Domain("A", (0, 1)), "B": Domain("B", (0, 1, 2))},
+            {"A": Cpt("A", (), {(): (0.5, 0.5)}),
+             "B": Cpt("B", ("A",), {(0,): (0.2, 0.3, 0.5), (1,): (0.2, 0.3, 0.5)})},
+        )
+        cfg = () if node == "A" else (1,)
+        scm.cpts[node].table[cfg] = row
+        if min(row) == 0:
+            assert validate_scm(scm) == []
+            joint = joint_distribution(scm)
+            assert joint.probs[(1, 0)] == 0.5 and (1, 1) not in joint.probs
+            assert len(sample(scm, DigitStream(1), 5)) == 5
+            return
+        message = f"{node!r}@{cfg!r}: negative probability"
+        finite = all(map(math.isfinite, row))
+        assert validate_scm(scm) == [message if finite else f"{node!r}@{cfg!r}: non-finite probability"]
+        for n in (5, 5000):
+            with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+                sample(scm, DigitStream(1), n)
+        with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+            joint_distribution(scm)
 
     def test_prefix_stability(self):
         scm = simpson_scm()
