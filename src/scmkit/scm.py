@@ -24,6 +24,7 @@ import itertools
 import json
 import math
 import operator
+import sys
 from collections.abc import ItemsView, Mapping, ValuesView
 from fractions import Fraction
 
@@ -42,10 +43,15 @@ POSITIVITY_CUTOFF = 1e-15
 
 MAX_JOINT_CONFIGS = 10_000_000
 
-# Samples of fewer draws, and float joints of fewer configurations, than
-# this skip numpy: its import costs more than working them in plain Python.
-# Both paths give the same values.
+# Samples of fewer draws than this skip numpy: its import costs more than
+# hashing them one digit at a time.  Once numpy is loaded, float joints of
+# this many configurations or more are worked with it too.
 _STDLIB_DRAWS = 4096
+
+# A float joint loads numpy only from this many configurations on: below
+# it, a one-shot command pays more for the import (about 0.2 s) than the
+# kernels save.  Both paths give the same values.
+_NUMPY_JOINT = 1 << 19
 
 
 class Domain(Record):
@@ -381,8 +387,9 @@ def joint_distribution(scm: Scm) -> JointTable:
     nodes so far is multiplied by its row of the node's table, found from
     the parents' value codes in mixed radix, as `_realize` finds it.  A
     table may lack a row only where no configuration with mass reaches it.
-    A float joint of `_STDLIB_DRAWS` configurations or more is multiplied
-    out in numpy, with the same IEEE product in every cell.
+    A float joint of `_STDLIB_DRAWS` configurations or more, once numpy is
+    loaded, or of `_NUMPY_JOINT` or more, is multiplied out in numpy, with
+    the same IEEE product in every cell.
     """
     order = topological_order(scm.dag)
     values = tuple(scm.domains[n].values for n in order)
@@ -392,7 +399,7 @@ def joint_distribution(scm: Scm) -> JointTable:
         raise ResourceLimitError(f"state space exceeds {MAX_JOINT_CONFIGS} configurations")
     axis = {n: j for j, n in enumerate(order)}
     lcms = _lcms(scm, order)
-    fast = lcms is None and cells >= _STDLIB_DRAWS
+    fast = lcms is None and cells >= (_STDLIB_DRAWS if "numpy" in sys.modules else _NUMPY_JOINT)
     if fast:
         import numpy as np
     # A product of nonzero factors that underflows to 0 (or a non-finite
@@ -438,7 +445,8 @@ def joint_distribution(scm: Scm) -> JointTable:
             table = np.asarray(rows, dtype=float).reshape([sizes[a] for a in parents] + [k])
             table = table.transpose([*sorted(range(len(parents)), key=parents.__getitem__), -1])
             table = table.reshape([sizes[a] if a in parents else 1 for a in range(j)] + [k])
-            masses = (np.asarray(masses, dtype=float).reshape(sizes[:j] + (1,)) * table).ravel()
+            with np.errstate(over="ignore"):  # inf, silently, as in plain Python
+                masses = (np.asarray(masses, dtype=float).reshape(sizes[:j] + (1,)) * table).ravel()
             continue
         if not isinstance(masses, list):
             masses = masses.tolist()
@@ -598,7 +606,10 @@ def restrict(joint: JointTable, targets, given: dict | None = None) -> JointTabl
     if isinstance(masses, list):
         mass = functools.reduce(operator.add, masses, 0)
     else:
-        mass = masses.cumsum()[-1].item() if len(masses) else 0
+        import numpy as np
+
+        with np.errstate(over="ignore"):
+            mass = masses.cumsum()[-1].item() if len(masses) else 0
     scale = joint.scale
     if _float(mass if scale is None else Fraction(mass, scale)) <= POSITIVITY_CUTOFF:
         raise ZeroProbabilityError(f"conditioning event {given!r} has probability 0")

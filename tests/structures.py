@@ -497,8 +497,6 @@ def simpson_cont_report(
     }
 
 
-
-
 def lord_report(
     mu1: float, mu2: float, sigma: float, p: float, rho: float
 ) -> dict:

@@ -1,15 +1,18 @@
 """Float joints give the same laws on numpy as in plain Python.
 
-A float joint of `scm._STDLIB_DRAWS` configurations or more is multiplied
-out and summed in numpy.  Patching the cutoff to 0 sends every float joint
-there and patching it to 1 << 62 sends none, so every law, formula result
-and error can be compared between the two paths: the same values to the
-last bit, in the same key order, with the same Python number types.
+A float joint of `scm._STDLIB_DRAWS` configurations or more (once numpy is
+loaded; else `scm._NUMPY_JOINT`) is multiplied out and summed in numpy.
+Patching both cutoffs to 0 sends every float joint there and patching them
+to 1 << 62 sends none, so every law, formula result and error can be
+compared between the two paths: the same values to the last bit, in the
+same key order, with the same Python number types.
 """
 
 import functools
+import math
 import operator
 import random
+import warnings
 from collections.abc import Mapping
 from fractions import Fraction
 from unittest import mock
@@ -44,7 +47,8 @@ CUTOFFS = {"numpy": 0, "python": 1 << 62}
 def joint_on(path: str, scm: Scm) -> JointTable:
     """`joint_distribution` forced onto one path; the scans of the table
     follow the path it was built on."""
-    with mock.patch.object(scm_module, "_STDLIB_DRAWS", CUTOFFS[path]):
+    with mock.patch.object(scm_module, "_STDLIB_DRAWS", CUTOFFS[path]), \
+            mock.patch.object(scm_module, "_NUMPY_JOINT", CUTOFFS[path]):
         return joint_distribution(scm)
 
 
@@ -195,6 +199,22 @@ class TestLaws:
         sequential = functools.reduce(operator.add, cells)
         assert _marginals(joint, ("B",))[0][(0,)] == sequential
         assert float(np.sum(np.array(cells))) != sequential
+
+
+    @pytest.mark.parametrize("a, b", [(1e200, 1e200), (1e308, 1.0)], ids=["product", "sum"])
+    def test_an_overflow_gives_inf_silently_on_both_paths(self, a, b):
+        # Rows that do not sum to 1, built in code: a product or a sum past
+        # the float range is inf on both paths, with no numpy warning.
+        n = 64
+        scm = Scm(Dag(["A", "B"], [("A", "B")]), {x: Domain(x, tuple(range(n))) for x in "AB"},
+                  {"A": Cpt("A", (), {(): (a,) * n}),
+                   "B": Cpt("B", ("A",), {(i,): (b,) * n for i in range(n)})})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            joint = same_on_both_paths(scm, lambda j: restrict(j, ("B",)),
+                                       lambda j: _marginals(j, ("A",)))
+            assert _marginals(joint, ("A",))[0][(0,)] == math.inf
+        assert joint._array is not None
 
 
 # Every formula of test_scans.CALLS on tables refilled from a seed, in

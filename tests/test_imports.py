@@ -6,9 +6,9 @@ command then imports only the formula modules it runs, as the table in
 the ``scmkit.cli`` docstring lists.  numpy and scipy are imported inside
 the functions that compute with them, so the exact-law, graph and
 identification commands never load them on joints of fewer configurations
-than ``scm._STDLIB_DRAWS``, nor do ``sample`` and ``casecontrol`` at
-command-line sizes (fewer draws than that) or a seeded ``example``; a
-float joint at that size does load numpy.  Only ``diagnose`` and
+than ``scm._NUMPY_JOINT`` (a float joint of that size does), nor do
+``sample`` and ``casecontrol`` at command-line sizes (fewer draws than
+``scm._STDLIB_DRAWS``) or a seeded ``example``.  Only ``diagnose`` and
 Gaussian sampling load heavy libraries, and ``diagnose`` takes its
 chi-square tail from ``scipy.special`` instead of ``scipy.stats``, whose
 import alone costs most of a second.
@@ -35,7 +35,7 @@ from scmkit.cli import main
 from scmkit.diagnostics import _chi_square
 from scmkit.examples import ExampleSpec, build_example
 from scmkit.graph import Dag
-from scmkit.scm import _STDLIB_DRAWS, joint_distribution, restrict, save_model
+from scmkit.scm import _NUMPY_JOINT, _STDLIB_DRAWS, joint_distribution, restrict, save_model
 
 from structures import TWO_STAGE_EDGES, TWO_STAGE_NODES, drift_dataset, fill
 
@@ -136,13 +136,12 @@ def chain(sizes: list):
     return fill(Dag(names, list(zip(names, names[1:]))), 3, dict(zip(names, sizes)))
 
 
-# Float joints one configuration short of the cutoff, and at it.
-BELOW, AT = [3, 3, 5, 7, 13], [4] * 6
-
-
-def test_the_joint_cutoff_is_where_numpy_starts(tmp_path):
-    assert (math.prod(BELOW), math.prod(AT)) == (_STDLIB_DRAWS - 1, _STDLIB_DRAWS)
-    for name, sizes in (("below", BELOW), ("at", AT)):
+def test_a_command_loads_numpy_only_for_a_joint_past_the_import_cutoff(tmp_path):
+    # In a fresh process numpy is not loaded, so a float joint loads it only
+    # from scm._NUMPY_JOINT configurations on.
+    below, at = [2] * 18, [2] * 19
+    assert math.prod(below) < math.prod(at) == _NUMPY_JOINT
+    for name, sizes in (("below", below), ("at", at)):
         save_model(chain(sizes), tmp_path / f"{name}.json")
     lines = [["joint", "-m", str(tmp_path / f"{name}.json"), "--targets", "N4"]
              for name in ("below", "at")]
@@ -152,8 +151,14 @@ def test_the_joint_cutoff_is_where_numpy_starts(tmp_path):
     assert "numpy" in at["heavy"]
 
 
+# Float joints one configuration short of the cutoff for a loaded numpy,
+# and at it.
+BELOW, AT = [3, 3, 5, 7, 13], [4] * 6
+
+
 @pytest.mark.parametrize("sizes, fast", [(BELOW, False), (AT, True)], ids=["below", "at"])
 def test_a_float_joint_at_the_cutoff_takes_the_numpy_kernels(sizes, fast):
+    assert math.prod(sizes) == _STDLIB_DRAWS - 1 + fast
     model = chain(sizes)
     with mock.patch.object(np, "asarray", wraps=np.asarray) as product, \
             mock.patch.object(np, "bincount", wraps=np.bincount) as sums:

@@ -114,6 +114,7 @@ def test_one_scan_per_formula_call(name, scans):
 @pytest.mark.parametrize("name", list(CALLS))
 def test_one_scan_per_formula_call_on_the_numpy_path(name, scans, monkeypatch):
     monkeypatch.setattr(scm_module, "_STDLIB_DRAWS", 0)
+    monkeypatch.setattr(scm_module, "_NUMPY_JOINT", 0)
     model, call = CALLS[name]
     joint = joint_distribution(model)
     assert joint._array is not None
