@@ -194,16 +194,15 @@ class BackdoorReport(Record, frozen=False):
         return [v.path for v in self.verdicts if v.verdict == "violates"]
 
 
-# A path's (verdict, witness) before any node decides it.
-_OPEN = ("violates", None)
-
-
 def _walk(dag: Dag, t, r, Z: frozenset, above_z: frozenset) -> list[PathVerdict]:
     """Every back-door path from t to r with its verdict against Z.
 
-    One depth-first walk over shared stacks: children and parents are tried
-    in identifier order, and each node's roles are fixed once per visit, so
-    paths that share a prefix share its classification.
+    Depth-first, over a stack of step iterators that carry their node's two
+    outgoing states, so paths sharing a prefix share its classification;
+    children and parents are tried in identifier order.  A path ends on an
+    edge into r from a parent of r other than t, so a prefix grows only while
+    `left` of those parents are off it; the one that takes `left` to zero
+    can only step into r.
     """
     dag._require(t)
     dag._require(r)
@@ -215,28 +214,32 @@ def _walk(dag: Dag, t, r, Z: frozenset, above_z: frozenset) -> list[PathVerdict]
                   key=lambda s: (str(s[0]), s[1]))
         for n in dag.nodes
     }
-    visited, nodes, dirs = {t}, [t], []
-
-    def visit(node, came, state):
-        visited.add(node)
-        nodes.append(node)
-        dirs.append(came)
-        forward, backward = _roles(node, came, state, Z, above_z)
-        for nxt, direction in steps[node]:
+    ends, into_r = set(dag._parents[r]) - {t}, ((r, FORWARD),)
+    left, visited, nodes, dirs = len(ends), {t}, [t], []
+    # Paths leave t backward, open until a node decides them; r -> t opens none.
+    stack = [(iter([(p, BACKWARD) for p in dag._parents[t]]), ("violates", None), ("violates", None))]
+    while stack:
+        it, forward, backward = stack[-1]
+        for nxt, direction in it:
             if nxt == r:
                 if direction == FORWARD:
                     if len(verdicts) >= DEFAULT_PATH_CAP:
                         raise ResourceLimitError(f"more than {DEFAULT_PATH_CAP} back-door paths")
                     verdicts.append(PathVerdict(Path((*nodes, r), (*dirs, FORWARD)), *forward))
-            elif nxt not in visited:
-                visit(nxt, direction, forward if direction == FORWARD else backward)
-        visited.remove(node)
-        nodes.pop()
-        dirs.pop()
-
-    for first in dag.parents(t):
-        if first != r:  # the edge r -> t leaves r, so it opens no back-door path
-            visit(first, BACKWARD, _OPEN)
+            elif left and nxt not in visited:
+                visited.add(nxt)
+                nodes.append(nxt)
+                dirs.append(direction)
+                left -= nxt in ends
+                roles = _roles(nxt, direction, forward if direction == FORWARD else backward, Z, above_z)
+                stack.append((iter(steps[nxt] if left else into_r), *roles))
+                break
+        else:
+            stack.pop()
+            node = nodes.pop()
+            visited.remove(node)
+            left += node in ends
+            del dirs[-1:]  # t, at the bottom, came along no step
     return verdicts
 
 
@@ -258,15 +261,6 @@ def _roles(node, came, state, Z: frozenset, above_z: frozenset) -> tuple:
     if state[0] == "violates" and node not in above_z:
         return pointing, ("satisfies-(ii)", node)
     return pointing, state
-
-
-def _classify(path: Path, Z: frozenset, above_z: frozenset) -> str:
-    """The walk's verdict string for a stored path, folded node by node."""
-    state = _OPEN
-    for i in range(1, len(path.nodes) - 1):
-        forward, backward = _roles(path.nodes[i], path.directions[i - 1], state, Z, above_z)
-        state = forward if path.directions[i] == FORWARD else backward
-    return state[0]
 
 
 def check_backdoor(dag: Dag, t, r, Z) -> BackdoorReport:
@@ -352,7 +346,13 @@ def enumerate_valid_adjustment_sets(dag: Dag, t, r, candidates) -> list[frozense
         raise InvalidArgumentError(
             "candidates must exclude the treatment, the response, and treatment descendants"
         )
-    paths = [v.path for v in check_backdoor(dag, t, r, candidates).verdicts]
+    # Z leaves a path open exactly when none of its chain or fork nodes is
+    # in Z and each of its colliders is in Z or has a descendant there.
+    splits = set()
+    for path in (v.path for v in check_backdoor(dag, t, r, candidates).verdicts):
+        turns = zip(path.nodes[1:], path.directions, path.directions[1:])
+        colliders = frozenset(n for n, came, went in turns if (came, went) == (FORWARD, BACKWARD))
+        splits.add((candidates.intersection(path.nodes[1:-1]) - colliders, colliders))
     above = {c: ancestors(dag, c) | {c} for c in candidates}
     ordered = sorted(candidates, key=str)
     minimal: list[frozenset] = []
@@ -362,6 +362,6 @@ def enumerate_valid_adjustment_sets(dag: Dag, t, r, candidates) -> list[frozense
             if any(m <= Z for m in minimal):
                 continue  # proper superset of a known valid set
             above_z = frozenset().union(*(above[z] for z in Z))
-            if all(_classify(p, Z, above_z) != "violates" for p in paths):
+            if not any(pointing.isdisjoint(Z) and colliders <= above_z for pointing, colliders in splits):
                 minimal.append(Z)
     return sorted(minimal, key=lambda s: (len(s), sorted(s, key=str)))

@@ -108,6 +108,21 @@ class TestReportShape:
         }
 
 
+@pytest.fixture()
+def long_chain_path(tmp_path):
+    """T <- A0 <- ... <- A1499 -> R plus T -> R: one back-door path of 1,502 nodes."""
+    chain, halves = [f"A{i}" for i in range(1500)], [0.5, 0.5]
+    links = [("T", "A0"), *zip(chain, chain[1:])]
+    nodes = [{"id": a, "domain": [0, 1], "parents": [b], "table": {"0": halves, "1": halves}}
+             for a, b in links]
+    nodes.append({"id": chain[-1], "domain": [0, 1], "parents": [], "table": {"": halves}})
+    nodes.append({"id": "R", "domain": [0, 1], "parents": ["T", chain[-1]],
+                  "table": {f"{a}|{b}": halves for a in "01" for b in "01"}})
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"meta": {}, "nodes": nodes}))
+    return str(path)
+
+
 class TestEndToEndQueries:
     def test_adjusted_effect_recovers_the_stratified_means(
         self, capsys, simpson_path
@@ -162,6 +177,19 @@ class TestEndToEndQueries:
         assert rep["result"]["minimal_sets"] == [
             ["X1", "X3"], ["X2", "X3"], ["X3", "X4"], ["X3", "X5"]
         ]
+
+    def test_backdoor_reports_a_path_of_1502_nodes(self, capsys, long_chain_path):
+        code, rep = report(capsys, "backdoor", "-m", long_chain_path, "-t", "T", "-r", "R")
+        assert code == 1
+        chain = " <- ".join(["T", *(f"A{i}" for i in range(1500))])
+        assert rep["result"]["violating_paths"] == [f"{chain} -> R"]
+
+    def test_adjust_sets_blocks_a_path_of_1502_nodes(self, capsys, long_chain_path):
+        code, rep = report(
+            capsys, "adjust-sets", "-m", long_chain_path, "-t", "T", "-r", "R", "--candidates", "A5"
+        )
+        assert code == 0
+        assert rep["result"]["minimal_sets"] == [["A5"]]
 
     def test_intervene_model_roundtrips(self, capsys, simpson_path, tmp_path):
         cut_path = tmp_path / "cut.json"

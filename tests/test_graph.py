@@ -309,6 +309,33 @@ class TestCheckBackdoor:
         assert not report.valid
         assert len(report.violating_paths()) >= 1
 
+    def test_a_path_of_3002_nodes_raises_no_recursion_error(self):
+        chain = [f"A{i}" for i in range(3000)]
+        edges = [("A0", "T"), *zip(chain[1:], chain), (chain[-1], "R"), ("T", "R")]
+        report = check_backdoor(Dag(["T", "R", *chain], edges), "T", "R", ())
+        assert not report.valid
+        (path,) = report.violating_paths()
+        assert path.nodes == ("T", *chain, "R")
+
+    def test_a_prefix_that_holds_every_other_parent_of_the_response_is_not_extended(self):
+        # The walk stops at P, the response's one parent besides T.  An
+        # unpruned walk would list the 1.3e9 simple paths through the clique
+        # below P, so the check runs in a child process under a timeout.
+        script = (
+            "from scmkit.graph import Dag, check_backdoor\n"
+            "clique = [f'C{i}' for i in range(12)]\n"
+            "edges = [('A', 'T'), ('A', 'P'), ('P', 'R'), ('T', 'R')]\n"
+            "edges += [('P', c) for c in clique]\n"
+            "edges += [(a, b) for i, a in enumerate(clique) for b in clique[i + 1:]]\n"
+            "report = check_backdoor(Dag(['A', 'T', 'P', 'R', *clique], edges), 'T', 'R', ())\n"
+            "print([(str(v.path), v.verdict) for v in report.verdicts])\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules[Dag.__module__].__file__)))
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True, timeout=60)
+        assert proc.stdout == "[('T <- A -> P -> R', 'violates')]\n"
+
 
 class TestPseudoTreatment:
     def test_merge_inherits_edges(self, fig1a):
@@ -377,6 +404,14 @@ class TestEnumerateAdjustmentSets:
             collider_graph, "T", "R", {"X1", "X2", "X3", "X5"}
         )
         assert sets == [frozenset()]
+
+    def test_a_descendant_in_the_set_opens_its_collider(self):
+        # {D} blocks every path through D, but D lies below the collider C
+        # and so opens T <- A -> C <- B -> R, which A or B must then block.
+        dag = Dag("ABCDTR", [("A", "T"), ("A", "C"), ("B", "C"), ("B", "R"),
+                             ("C", "D"), ("D", "T"), ("D", "R")])
+        sets = enumerate_valid_adjustment_sets(dag, "T", "R", {"A", "B", "C", "D"})
+        assert sets == [frozenset({"A", "D"}), frozenset({"B", "D"})]
 
     def test_candidate_cap(self):
         names = [f"C{i}" for i in range(21)] + ["T", "R"]

@@ -99,11 +99,15 @@ def test_enumeration_equals_a_brute_force_minimal_subset_scan(dag, data):
     assert enumerate_valid_adjustment_sets(dag, t, r, candidates) == expected
 
 
-@settings(max_examples=300, deadline=None)
-@given(dag=sparse_dags(), data=st.data())
+@settings(max_examples=600, deadline=None)
+@given(dag=st.one_of(sparse_dags(), dags(max_nodes=7)), data=st.data())
 def test_the_walk_lists_and_classifies_as_the_path_by_path_reference(dag, data):
+    # The dense draws put many prefixes through every other parent of r,
+    # where the walk stops extending them.
     nodes = sorted(dag.nodes)
-    t = data.draw(st.sampled_from([n for n in nodes if dag.parents(n)]))
+    heads = [n for n in nodes if dag.parents(n)]
+    assume(heads)
+    t = data.draw(st.sampled_from(heads))
     r = data.draw(st.sampled_from([n for n in nodes if n != t]))
     pool = sorted(dag.nodes - {t, r} - descendants(dag, t))
     z = data.draw(st.sets(st.sampled_from(pool), max_size=3)) if pool else set()
