@@ -770,7 +770,8 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ScmError, OSError) as exc:
+    # A RecursionError comes from input nested too deep to write back out.
+    except (ScmError, OSError, RecursionError) as exc:
         report.update(result=None, citations=[], error=str(exc))
         sys.stdout.write(_canonical(report) + "\n")
         return 1

@@ -5,6 +5,9 @@ parent, and an independent normal disturbance.  The joint law is then
 multivariate normal, so observational conditioning and interventions both
 have closed forms: forward propagation gives the moments, Schur complements
 give conditionals, and interventions just freeze a node at a constant.
+Seeded samples turn digit-stream uniforms into normal disturbances through
+``scipy.special.ndtri``, imported on the first draw, so importing this module
+loads numpy but no scipy.
 
 Two packaged models cover the continuous treatment/response examples: a
 dose-response system whose observed regression slope can flip sign against
@@ -195,82 +198,19 @@ def lg_intervene(
     return LinearGaussianScm(dag, intercepts, coefficients, noise)
 
 
-# Rational approximation of the standard-normal inverse CDF (central region
-# and the two tails), polished by one Halley step through erfc.
-_PPF_A = (
-    -3.969683028665376e01,
-    2.209460984245205e02,
-    -2.759285104469687e02,
-    1.383577518672690e02,
-    -3.066479806614716e01,
-    2.506628277459239e00,
-)
-_PPF_B = (
-    -5.447609879822406e01,
-    1.615858368580409e02,
-    -1.556989798598866e02,
-    6.680131188771972e01,
-    -1.328068155288572e01,
-)
-_PPF_C = (
-    -7.784894002430293e-03,
-    -3.223964580411365e-01,
-    -2.400758277161838e00,
-    -2.549732539343734e00,
-    4.374664141464968e00,
-    2.938163982698783e00,
-)
-_PPF_D = (
-    7.784695709041462e-03,
-    3.224671290700398e-01,
-    2.445134137142996e00,
-    3.754408661907416e00,
-)
-_PPF_SPLIT = 0.02425
-_SQRT_TWO = math.sqrt(2.0)
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-
-
-def _poly(coeffs, x):
-    out = np.full_like(x, coeffs[0])
-    for c in coeffs[1:]:
-        out = out * x + c
-    return out
-
-
 def norm_ppf(p):
     """Standard-normal quantile for ``0 < p < 1`` (scalar or array).
 
-    Rational approximation with one Halley refinement; absolute error is
-    far below the 1e-9 budget everywhere on the open unit interval.
+    The values are ``scipy.special.ndtri``'s; a scalar gives a float.
     """
     arr = np.asarray(p, dtype=float)
-    if arr.size and (float(arr.min()) <= 0.0 or float(arr.max()) >= 1.0):
+    # Written so that nan fails it too.
+    if arr.size and not (0.0 < arr.min() and arr.max() < 1.0):
         raise InvalidArgumentError("quantile argument must lie strictly in (0, 1)")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    x = np.empty_like(arr)
+    from scipy.special import ndtri
 
-    low = arr < _PPF_SPLIT
-    high = arr > 1.0 - _PPF_SPLIT
-    mid = ~(low | high)
-    if mid.any():
-        q = arr[mid] - 0.5
-        r = q * q
-        x[mid] = q * _poly(_PPF_A, r) / (_poly(_PPF_B, r) * r + 1.0)
-    if low.any():
-        q = np.sqrt(-2.0 * np.log(arr[low]))
-        x[low] = _poly(_PPF_C, q) / (_poly(_PPF_D, q) * q + 1.0)
-    if high.any():
-        q = np.sqrt(-2.0 * np.log(1.0 - arr[high]))
-        x[high] = -_poly(_PPF_C, q) / (_poly(_PPF_D, q) * q + 1.0)
-
-    from scipy.special import erfc
-
-    err = 0.5 * erfc(-x / _SQRT_TWO) - arr
-    step = err * _SQRT_TWO_PI * np.exp(x * x / 2.0)
-    x = x - step / (1.0 + x * step / 2.0)
-    return float(x[0]) if scalar else x
+    x = ndtri(arr)
+    return float(x) if arr.ndim == 0 else x
 
 
 def lg_sample(model: LinearGaussianScm, source: DigitStream, n: int) -> Dataset:

@@ -266,8 +266,7 @@ class Dataset(Record, frozen=False):
         Values are parsed as int when possible, then as a finite float, and
         kept as strings otherwise.
         """
-        with open(path, encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+        lines = [ln for ln in _read_text(path).split("\n") if ln.strip()]
         if not lines:
             raise InvalidArgumentError(f"{path}: empty file")
         columns = tuple(lines[0].split(","))
@@ -928,7 +927,7 @@ def scm_from_dict(doc: dict) -> Scm:
 def scm_from_json(text: str) -> Scm:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too deep, or an int too long
         raise InvalidArgumentError(f"model is not valid JSON: {exc}") from None
     return scm_from_dict(doc)
 
@@ -939,5 +938,12 @@ def save_model(scm: Scm, path) -> None:
 
 
 def load_model(path) -> Scm:
+    return scm_from_json(_read_text(path))
+
+
+def _read_text(path) -> str:
     with open(path, encoding="utf-8") as fh:
-        return scm_from_json(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidArgumentError(f"{path}: {exc}") from None

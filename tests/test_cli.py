@@ -383,6 +383,50 @@ class TestErrors:
         assert "non-finite" in rep["error"]
         assert rep["result"] is None
 
+    @pytest.mark.parametrize("content, message", [
+        (b"[" * 100_000 + b"]" * 100_000, "model is not valid JSON: maximum recursion depth"),
+        (b'{"nodes": [' + b"1" * 5000 + b"]}", "model is not valid JSON: Exceeds the limit"),
+        (b'\xff\xfe{"nodes": []}', "'utf-8' codec can't decode byte 0xff in position 0"),
+    ], ids=["nested-100000-deep", "int-of-5000-digits", "not-utf-8"])
+    def test_an_unreadable_model_file_is_a_domain_failure(self, capsys, tmp_path, content, message):
+        path = tmp_path / "model.json"
+        path.write_bytes(content)
+        code, rep = report(capsys, "validate", "-m", str(path))
+        assert code == 1
+        assert message in rep["error"]
+        assert rep["result"] is None
+
+    @pytest.mark.parametrize("argv", [["diagnose", "--x-cols", "X", "--t-col", "T", "--r-col", "R"],
+                                      ["iv"]], ids=["diagnose", "iv"])
+    def test_a_data_file_that_is_not_utf_8_is_a_domain_failure(self, capsys, tmp_path, argv):
+        path = tmp_path / "rows.csv"
+        path.write_bytes(b"X,T,R,I\n0,1,\xff,1\n")
+        code, rep = report(capsys, *argv, "--data", str(path))
+        assert code == 1
+        assert rep["error"] == (
+            f"{path}: 'utf-8' codec can't decode byte 0xff in position 12: invalid start byte"
+        )
+        assert rep["result"] is None
+
+    @pytest.mark.parametrize("depth, code", [(100, 0), (330, 1)])
+    def test_intervene_writes_back_a_nested_meta_or_reports_a_failure(
+        self, capsys, simpson_path, tmp_path, depth, code
+    ):
+        with open(simpson_path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["meta"] = meta = {}
+        for _ in range(depth - 1):
+            meta["a"] = meta = {}
+        path = tmp_path / "deep_meta.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        got, rep = report(capsys, "intervene", "-m", str(path), "--set", "T=1")
+        assert got == code
+        if code:
+            assert "recursion" in rep["error"]
+            assert rep["result"] is None
+        else:
+            assert json.dumps(rep["result"]["model"]["meta"]) == json.dumps(doc["meta"])
+
 
 def _pinned_help() -> dict:
     """{argv: text} from cli_help.txt, the --help output at 80 columns."""

@@ -7,7 +7,7 @@ import pytest
 from scipy.special import ndtr, ndtri
 
 from scmkit.errors import InvalidArgumentError, SingularConditioningError
-from scmkit.exogenous import DigitStream
+from scmkit.exogenous import DigitStream, uniform_list
 from scmkit.gaussian import (
     GaussianLaw,
     LinearGaussianScm,
@@ -96,15 +96,17 @@ def matrix_moments(model: LinearGaussianScm):
     return order, mean, inv @ noise @ inv.T
 
 
+PPF_GRID = np.concatenate(
+    [
+        np.linspace(1e-6, 1 - 1e-6, 2001),
+        np.array([1e-12, 1e-9, 0.02425, 0.5, 0.97575, 1 - 1e-9]),
+    ]
+)
+
+
 class TestNormPpf:
     def test_matches_reference_quantile(self):
-        grid = np.concatenate(
-            [
-                np.linspace(1e-6, 1 - 1e-6, 2001),
-                np.array([1e-12, 1e-9, 0.02425, 0.5, 0.97575, 1 - 1e-9]),
-            ]
-        )
-        assert np.max(np.abs(norm_ppf(grid) - ndtri(grid))) <= 1e-9
+        assert np.max(np.abs(norm_ppf(PPF_GRID) - ndtri(PPF_GRID))) <= 1e-9
 
     def test_round_trip_through_cdf(self):
         grid = np.linspace(0.001, 0.999, 999)
@@ -120,9 +122,13 @@ class TestNormPpf:
         assert isinstance(out, float)
         assert out == pytest.approx(1.959963984540054, abs=1e-9)
 
-    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.3, 1.5])
+    def test_equals_ndtri(self):
+        assert np.array_equal(norm_ppf(PPF_GRID), ndtri(PPF_GRID))
+        assert norm_ppf(0.975) == float(ndtri(0.975))
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.3, 1.5, math.nan, [0.5, math.nan]])
     def test_domain(self, bad):
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(InvalidArgumentError, match=re.escape("strictly in (0, 1)")):
             norm_ppf(bad)
 
 
@@ -473,6 +479,33 @@ class TestLordReport:
 
 
 class TestLgSample:
+    def test_rows_follow_the_ndtri_formula(self):
+        # intercept + sqrt(noise) * ndtri(u) + sum of c * parent, parents in
+        # coefficient order; node j of the topological order reads row j+1.
+        dag = Dag(("A", "B", "C"), (("A", "C"), ("B", "C"), ("A", "B")))
+        model = LinearGaussianScm(
+            dag,
+            intercepts={"A": 0.3, "B": -1.0, "C": 2.5},
+            coefficients={"A": {}, "B": {"A": 0.7}, "C": {"B": -1.3, "A": 0.45}},
+            noise_vars={"A": 2.0, "B": 0.5, "C": 1.7},
+        )
+        n, top = 300, np.nextafter(1.0, 0.0)
+        order = topological_order(dag)
+        draws = [uniform_list(DigitStream(8), j + 1, 0, n) for j in range(len(order))]
+        want = []
+        for i in range(n):
+            values = {}
+            for j, node in enumerate(order):
+                u = min(max(draws[j][i], 5e-17), top)
+                x = model.intercepts[node] + math.sqrt(model.noise_vars[node]) * float(ndtri(u))
+                for parent, c in model.coefficients[node].items():
+                    x += c * values[parent]
+                values[node] = x
+            want.append(tuple(values[node] for node in order))
+        data = lg_sample(model, DigitStream(8), n)
+        assert data.columns == tuple(order)
+        assert data.rows == want
+
     def test_empty(self):
         data = lg_sample(simpson_cont_model(**REFERENCE), DigitStream(1), 0)
         assert data.rows == []

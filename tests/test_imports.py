@@ -9,9 +9,9 @@ identification commands never load them on joints of fewer configurations
 than ``scm._NUMPY_JOINT`` (a float joint of that size does), nor do
 ``sample`` and ``casecontrol`` at command-line sizes (fewer draws than
 ``scm._STDLIB_DRAWS``) or a seeded ``example``.  Only ``diagnose`` and
-Gaussian sampling load heavy libraries, and ``diagnose`` takes its
-chi-square tail from ``scipy.special`` instead of ``scipy.stats``, whose
-import alone costs most of a second.
+Gaussian sampling load heavy libraries: ``diagnose`` takes its chi-square
+tail and ``gaussian.lg_sample`` its normal quantiles from ``scipy.special``,
+never from ``scipy.stats``, whose import alone costs most of a second.
 
 The package's records are plain classes, so no command loads
 ``dataclasses`` (and with it ``inspect``) except ``diagnose``, through
@@ -69,10 +69,10 @@ def assert_no_slow_stdlib(got: dict, group: list) -> None:
         assert "inspect" not in got["slow"]
 
 
-def probe(commands: list) -> dict:
+def probe(commands: list, script: str = PROBE) -> dict:
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(commands)],
+        [sys.executable, "-c", script, json.dumps(commands)],
         env=env, capture_output=True, check=True,
     )
     return json.loads(proc.stdout)
@@ -174,6 +174,28 @@ def test_diagnose_never_loads_scipy_stats(catalog):
     assert got["errors"] == [None]
     assert "scipy.special" in got["heavy"]
     assert not [m for m in got["heavy"] if m.startswith("scipy.stats")]
+
+
+# The scipy modules loaded by importing scmkit.gaussian, then by one
+# lg_sample call, in a fresh interpreter.
+GAUSSIAN_PROBE = """
+import json, sys
+from scmkit.exogenous import DigitStream
+from scmkit.gaussian import lg_sample, simpson_cont_model
+scipy = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+imported = scipy()
+model = simpson_cont_model(alpha=1.0, beta=0.2, gamma=1.0, mu=0.0, sigma1=1.0, sigma2=1.0,
+                           sigma3=1.0)
+lg_sample(model, DigitStream(5), 10)
+print(json.dumps({"imported": imported, "sampled": scipy()}))
+"""
+
+
+def test_gaussian_sampling_loads_scipy_special_only_when_it_draws():
+    got = probe([], GAUSSIAN_PROBE)
+    assert got["imported"] == []
+    assert "scipy.special" in got["sampled"]
+    assert not [m for m in got["sampled"] if m.startswith("scipy.stats")]
 
 
 CLI_MODULES = ["scmkit", "scmkit.cli", "scmkit.errors", "scmkit.exogenous", "scmkit.graph",
