@@ -198,42 +198,62 @@ def _walk(dag: Dag, t, r, Z: frozenset, above_z: frozenset) -> list[PathVerdict]
     """Every back-door path from t to r with its verdict against Z.
 
     Depth-first, over a stack of step iterators that carry their node's two
-    outgoing states, so paths sharing a prefix share its classification;
-    children and parents are tried in identifier order.  A path ends on an
-    edge into r from a parent of r other than t, so a prefix grows only while
-    `left` of those parents are off it; the one that takes `left` to zero
-    can only step into r.
+    outgoing states, (verdict, witness), so paths sharing a prefix share its
+    classification; children and parents are tried in identifier order.  A
+    path ends on an edge into r from a parent of r other than t, so a prefix
+    grows only while `left` of those parents are off it; the one that takes
+    `left` to zero can only step into r.  r is visited from the start and no
+    step leads back into it, so a step that reaches r ends a path.  The
+    first Z-node that points an arrow along the path (a chain or fork node)
+    fixes (i); until one appears, the first collider outside `above_z` (Z
+    with its ancestors) is the (ii) witness.
     """
     dag._require(t)
     dag._require(r)
     if t == r:
         raise InvalidArgumentError("treatment and response must differ")
-    verdicts: list[PathVerdict] = []
+    ends = set(dag._parents[r]) - {t}
+    if not ends:
+        return []
     steps = {
-        n: sorted([(c, FORWARD) for c in dag._children[n]] + [(p, BACKWARD) for p in dag._parents[n]],
+        n: sorted([(c, FORWARD) for c in dag._children[n]] + [(p, BACKWARD) for p in dag._parents[n] if p != r],
                   key=lambda s: (str(s[0]), s[1]))
         for n in dag.nodes
     }
-    ends, into_r = set(dag._parents[r]) - {t}, ((r, FORWARD),)
-    left, visited, nodes, dirs = len(ends), {t}, [t], []
+    # `visited` keeps each path simple and `dirs` grows with `nodes`, so the
+    # records are stored directly, without `Path.__init__`'s checks.
+    (set_nodes, set_dirs), (set_path, set_verdict, set_witness) = Path._setters, PathVerdict._setters
+    cap, into_r, verdicts = DEFAULT_PATH_CAP, ((r, FORWARD),), []
+    left, visited, nodes, dirs = len(ends), {t, r}, [t], []
     # Paths leave t backward, open until a node decides them; r -> t opens none.
-    stack = [(iter([(p, BACKWARD) for p in dag._parents[t]]), ("violates", None), ("violates", None))]
+    stack = [(iter([(p, BACKWARD) for p in dag._parents[t] if p != r]), ("violates", None), ("violates", None))]
     while stack:
         it, forward, backward = stack[-1]
         for nxt, direction in it:
-            if nxt == r:
-                if direction == FORWARD:
-                    if len(verdicts) >= DEFAULT_PATH_CAP:
-                        raise ResourceLimitError(f"more than {DEFAULT_PATH_CAP} back-door paths")
-                    verdicts.append(PathVerdict(Path((*nodes, r), (*dirs, FORWARD)), *forward))
-            elif left and nxt not in visited:
+            if nxt not in visited:
                 visited.add(nxt)
                 nodes.append(nxt)
                 dirs.append(direction)
                 left -= nxt in ends
-                roles = _roles(nxt, direction, forward if direction == FORWARD else backward, Z, above_z)
-                stack.append((iter(steps[nxt] if left else into_r), *roles))
+                state = forward if direction == FORWARD else backward
+                pointing = ("satisfies-(i)", nxt) if nxt in Z and state[0] != "satisfies-(i)" else state
+                # Entered along an arrow, the node is a collider when left backward.
+                if direction == BACKWARD:
+                    state = pointing
+                elif state[0] == "violates" and nxt not in above_z:
+                    state = ("satisfies-(ii)", nxt)
+                stack.append((iter(steps[nxt] if left else into_r), pointing, state))
                 break
+            if nxt == r:
+                if len(verdicts) >= cap:
+                    raise ResourceLimitError(f"more than {cap} back-door paths")
+                path, verdict = object.__new__(Path), object.__new__(PathVerdict)
+                set_nodes(path, (*nodes, r))
+                set_dirs(path, (*dirs, FORWARD))
+                set_path(verdict, path)
+                set_verdict(verdict, forward[0])
+                set_witness(verdict, forward[1])
+                verdicts.append(verdict)
         else:
             stack.pop()
             node = nodes.pop()
@@ -241,26 +261,6 @@ def _walk(dag: Dag, t, r, Z: frozenset, above_z: frozenset) -> list[PathVerdict]
             left += node in ends
             del dirs[-1:]  # t, at the bottom, came along no step
     return verdicts
-
-
-def _roles(node, came, state, Z: frozenset, above_z: frozenset) -> tuple:
-    """(verdict, witness) of a path prefix extended through interior `node`,
-    entered along `came`: once for leaving it forward, once backward.
-
-    The first Z-node that points an arrow along the path (a chain or fork
-    node) fixes (i).  Until one appears, the first collider outside
-    `above_z` (Z with its ancestors: neither the collider nor any of its
-    descendants lies in Z) is the (ii) witness.
-    """
-    if state[0] == "satisfies-(i)":
-        return state, state
-    pointing = ("satisfies-(i)", node) if node in Z else state
-    if came == BACKWARD:
-        return pointing, pointing
-    # Entered along an arrow, the node is a collider when left backward.
-    if state[0] == "violates" and node not in above_z:
-        return pointing, ("satisfies-(ii)", node)
-    return pointing, state
 
 
 def check_backdoor(dag: Dag, t, r, Z) -> BackdoorReport:
@@ -346,15 +346,15 @@ def enumerate_valid_adjustment_sets(dag: Dag, t, r, candidates) -> list[frozense
         raise InvalidArgumentError(
             "candidates must exclude the treatment, the response, and treatment descendants"
         )
+    ordered = sorted(candidates, key=str)
+    above = {c: ancestors(dag, c) | {c} for c in ordered}
     # Z leaves a path open exactly when none of its chain or fork nodes is
     # in Z and each of its colliders is in Z or has a descendant there.
     splits = set()
-    for path in (v.path for v in check_backdoor(dag, t, r, candidates).verdicts):
+    for path in (v.path for v in _walk(dag, t, r, frozenset(), frozenset())):
         turns = zip(path.nodes[1:], path.directions, path.directions[1:])
         colliders = frozenset(n for n, came, went in turns if (came, went) == (FORWARD, BACKWARD))
         splits.add((candidates.intersection(path.nodes[1:-1]) - colliders, colliders))
-    above = {c: ancestors(dag, c) | {c} for c in candidates}
-    ordered = sorted(candidates, key=str)
     minimal: list[frozenset] = []
     for size in range(len(ordered) + 1):
         for combo in itertools.combinations(ordered, size):

@@ -43,6 +43,11 @@ POSITIVITY_CUTOFF = 1e-15
 
 MAX_JOINT_CONFIGS = 10_000_000
 
+# `scm_to_json` writes `meta` back through the recursive `_canonical`, two
+# frames a level; a loaded `meta` may nest this many levels, which fit well
+# inside the default recursion limit of 1,000 frames.
+MAX_META_DEPTH = 100
+
 # Samples of fewer draws than this skip numpy: its import costs more than
 # hashing them one digit at a time.  Once numpy is loaded, float joints of
 # this many configurations or more are worked with it too.
@@ -872,9 +877,21 @@ def _field(obj, name: str, kind: type, where: str, default=None):
     return value
 
 
+def _check_meta_depth(meta: dict) -> None:
+    """Refuse a `meta` nested deeper than `scm_to_json` can write back."""
+    level, containers = 0, [meta]
+    while containers:
+        level += 1
+        if level > MAX_META_DEPTH:
+            raise InvalidArgumentError(f"model document: 'meta' nests deeper than {MAX_META_DEPTH} levels")
+        containers = [v for c in containers for v in (c.values() if isinstance(c, dict) else c)
+                      if isinstance(v, (dict, list))]
+
+
 def scm_from_dict(doc: dict) -> Scm:
     entries = _field(doc, "nodes", list, "model document")
     meta = _field(doc, "meta", dict, "model document", {})
+    _check_meta_depth(meta)
     domains, cpts, edges, ids = {}, {}, set(), []
     for i, entry in enumerate(entries):
         node = _field(entry, "id", str, f"node entry {i}")

@@ -19,6 +19,7 @@ from scmkit.cli import _build_parser, main
 from scmkit.graph import check_backdoor
 from scmkit.identify import eelworms_effect, frontdoor, gformula2
 from scmkit.scm import (
+    MAX_META_DEPTH,
     Cpt,
     Dataset,
     Domain,
@@ -408,10 +409,12 @@ class TestErrors:
         )
         assert rep["result"] is None
 
-    @pytest.mark.parametrize("depth, code", [(100, 0), (330, 1)])
+    @pytest.mark.parametrize("depth, code", [(100, 0), (101, 1), (330, 1)])
     def test_intervene_writes_back_a_nested_meta_or_reports_a_failure(
         self, capsys, simpson_path, tmp_path, depth, code
     ):
+        # A meta nested past MAX_META_DEPTH is refused at load, so every
+        # command fails on it alike; one that loads is written back.
         with open(simpson_path, encoding="utf-8") as fh:
             doc = json.load(fh)
         doc["meta"] = meta = {}
@@ -419,12 +422,13 @@ class TestErrors:
             meta["a"] = meta = {}
         path = tmp_path / "deep_meta.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        got, rep = report(capsys, "intervene", "-m", str(path), "--set", "T=1")
-        assert got == code
-        if code:
-            assert "recursion" in rep["error"]
-            assert rep["result"] is None
-        else:
+        for argv in (["validate"], ["intervene", "--set", "T=1"]):
+            got, rep = report(capsys, argv[0], "-m", str(path), *argv[1:])
+            assert got == code
+            if code:
+                assert rep["error"] == f"model document: 'meta' nests deeper than {MAX_META_DEPTH} levels"
+                assert rep["result"] is None
+        if not code:
             assert json.dumps(rep["result"]["model"]["meta"]) == json.dumps(doc["meta"])
 
 

@@ -7,6 +7,7 @@ import pytest
 from scmkit.docalc import (
     NodePartition,
     RuleVerdict,
+    _worst_gap,
     build_m_doubleprime,
     build_m_prime,
     verify_rule,
@@ -353,6 +354,16 @@ class TestVerifyRule:
                 tol=1e-12,
                 passed=True,
             )
+
+    @pytest.mark.parametrize("a, b, gap", [
+        ({(0,): 0.5, (1,): 0.5}, {(0,): 0.375, (1,): 0.375, (2,): 0.25}, 0.25),
+        ({("a",): 1.0}, {("b",): 1.0}, 1.0),
+    ], ids=["one-extra-key", "disjoint"])
+    def test_worst_gap_counts_keys_only_one_law_has(self, a, b, gap):
+        # A key missing from one law has probability 0 there; the largest
+        # gap lies on such a key, so both argument orders must count it.
+        assert _worst_gap(a, b) == gap
+        assert _worst_gap(b, a) == gap
 
 
 class TestConditionImpliesIdentity:

@@ -111,6 +111,12 @@ class TestDag:
         assert fig1.parents("R") == ("X3", "X5", "X6")
         assert fig1.children("X1") == ("X3", "X4")
 
+    def test_equality_sees_one_edge_and_one_isolated_node(self, fig1):
+        assert Dag(reversed(FIG1_NODES), reversed(FIG1_EDGES)) == fig1
+        assert Dag(FIG1_NODES, FIG1_EDGES[:-1]) != fig1
+        assert Dag(FIG1_NODES, FIG1_EDGES[:-1] + [("R", "X6")]) != fig1
+        assert Dag(FIG1_NODES + ["Q"], FIG1_EDGES) != fig1
+
 
 class TestTopologicalOrder:
     def test_chain(self):
@@ -218,6 +224,21 @@ class TestBackdoorPaths:
     def test_same_endpoint_rejected(self, fig1):
         with pytest.raises(InvalidArgumentError):
             backdoor_paths(fig1, "T", "T")
+
+    def test_no_path_when_the_only_parent_of_the_response_is_the_treatment(self):
+        dag = Dag(["A", "B", "T", "R"], [("A", "T"), ("A", "B"), ("T", "R")])
+        assert backdoor_paths(dag, "T", "R") == []
+        report = check_backdoor(dag, "T", "R", ())
+        assert report.valid and report.verdicts == []
+        assert enumerate_valid_adjustment_sets(dag, "T", "R", {"A", "B"}) == [frozenset()]
+
+    def test_the_response_is_never_entered(self):
+        # R -> T opens no path, and C, a child of R, does not lead back into R.
+        dag = Dag(["A", "C", "T", "R"],
+                  [("R", "T"), ("A", "T"), ("A", "R"), ("R", "C"), ("A", "C")])
+        assert [str(p) for p in backdoor_paths(dag, "T", "R")] == ["T <- A -> R"]
+        assert backdoor_paths(Dag(["T", "R"], [("R", "T")]), "T", "R") == []
+        assert backdoor_paths(Dag(["B", "T", "R"], [("R", "T"), ("B", "R")]), "T", "R") == []
 
     def test_endpoint_orientation(self):
         rng = random.Random(42)
@@ -383,6 +404,14 @@ class TestPseudoTreatment:
     def test_descendant_in_z_nondesc_rejected(self, fig1a):
         with pytest.raises(InvalidArgumentError):
             check_backdoor_extended(fig1a, "T", "R", {"X7"}, {"X8"})
+
+    @pytest.mark.parametrize("z_desc, z_nondesc", [
+        ({"T"}, {"X3"}), ({"R"}, {"X3"}), ({"X7"}, {"T"}), ({"X7"}, {"R"}),
+    ])
+    def test_endpoint_in_either_set_rejected(self, fig1a, z_desc, z_nondesc):
+        with pytest.raises(InvalidArgumentError,
+                           match="^conditioning sets must exclude treatment and response$"):
+            check_backdoor_extended(fig1a, "T", "R", z_desc, z_nondesc)
 
 
 class TestEnumerateAdjustmentSets:

@@ -12,6 +12,7 @@ from hypothesis import assume, event, given, settings, strategies as st
 
 from scmkit.graph import (
     Dag,
+    Path,
     ancestors,
     check_backdoor,
     descendants,
@@ -120,6 +121,8 @@ def test_the_walk_lists_and_classifies_as_the_path_by_path_reference(dag, data):
     report = check_backdoor(dag, t, r, z)
     for verdict in report.verdicts:
         event(verdict.verdict)
+        # The walk stores its records directly; the checked constructor must agree.
+        assert Path(verdict.path.nodes, verdict.path.directions) == verdict.path
     assert report == reference_check_backdoor(dag, t, r, z)
     assert backdoor_paths(dag, t, r) == reference_backdoor_paths(dag, t, r)
     candidates = data.draw(st.sets(st.sampled_from(pool), max_size=6)) if pool else set()

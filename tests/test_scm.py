@@ -21,6 +21,7 @@ from scmkit.scm import (
     Domain,
     Intervention,
     JointTable,
+    MAX_META_DEPTH,
     POSITIVITY_CUTOFF,
     Scm,
     cond_independent,
@@ -797,6 +798,27 @@ class TestModelFormat:
         back = scm_from_json(text)
         assert back.domains["A"].values == tuple(map(float, values))
         assert scm_to_json(back) == text
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_meta_depth_counts_lists_and_dicts(self, extra):
+        # Levels alternate dict and list, with a scalar at every level.
+        meta = inner = {"x": 0}
+        for i in range(MAX_META_DEPTH - 1 + extra):
+            nxt = [0] if i % 2 else {"x": 0}
+            if isinstance(inner, dict):
+                inner["a"] = nxt
+            else:
+                inner.append(nxt)
+            inner = nxt
+        node = {"id": "A", "domain": [0, 1], "parents": [], "table": {"": [0.5, 0.5]}}
+        doc = {"meta": meta, "nodes": [node]}
+        if extra:
+            message = f"^model document: 'meta' nests deeper than {MAX_META_DEPTH} levels$"
+            with pytest.raises(InvalidArgumentError, match=message):
+                scm_from_dict(doc)
+        else:
+            text = scm_to_json(scm_from_dict(doc))
+            assert scm_to_json(scm_from_json(text)) == text
 
     def test_row_keys_join_parent_values(self):
         text = scm_to_json(simpson_scm())
