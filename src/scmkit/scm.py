@@ -44,16 +44,16 @@ POSITIVITY_CUTOFF = 1e-15
 MAX_JOINT_CONFIGS = 10_000_000
 
 # `scm_to_json` writes `meta` back through the recursive `_canonical`, two
-# frames a level; a loaded `meta` may nest this many levels, which fit well
-# inside the default recursion limit of 1,000 frames.
+# frames a level; a `meta` loaded or written may nest this many levels,
+# which fit well inside the default recursion limit of 1,000 frames.
 MAX_META_DEPTH = 100
 
 # Samples of fewer draws than this skip numpy: its import costs more than
-# hashing them one digit at a time.  Once numpy is loaded, float joints of
-# this many configurations or more are worked with it too.
+# hashing them one digit at a time.  Once numpy is loaded, joints of this
+# many configurations or more are worked with it too.
 _STDLIB_DRAWS = 4096
 
-# A float joint loads numpy only from this many configurations on: below
+# A joint loads numpy only from this many configurations on: below
 # it, a one-shot command pays more for the import (about 0.2 s) than the
 # kernels save.  Both paths give the same values.
 _NUMPY_JOINT = 1 << 19
@@ -122,7 +122,7 @@ class JointTable:
     Every sum over a table adds its masses one at a time in scan order,
     never pairwise, so a float law is the same to the last bit whether it
     was summed in plain Python or with numpy; `joint_distribution` leaves
-    the float64 array of the masses it built with numpy in `_array`.
+    the float64 or int64 array of the masses it built with numpy in `_array`.
 
     `JointTable(order, probs)` builds a table from such a mapping, keeping
     its keys and their order.
@@ -391,9 +391,10 @@ def joint_distribution(scm: Scm) -> JointTable:
     nodes so far is multiplied by its row of the node's table, found from
     the parents' value codes in mixed radix, as `_realize` finds it.  A
     table may lack a row only where no configuration with mass reaches it.
-    A float joint of `_STDLIB_DRAWS` configurations or more, once numpy is
-    loaded, or of `_NUMPY_JOINT` or more, is multiplied out in numpy, with
-    the same IEEE product in every cell.
+    A joint of `_STDLIB_DRAWS` configurations or more, once numpy is loaded,
+    or of `_NUMPY_JOINT` or more, is multiplied out in numpy, with the same
+    IEEE product in every float cell and integer numerators in int64 while
+    no mass or sum of masses can reach 2**53.
     """
     order = topological_order(scm.dag)
     values = tuple(scm.domains[n].values for n in order)
@@ -403,16 +404,17 @@ def joint_distribution(scm: Scm) -> JointTable:
         raise ResourceLimitError(f"state space exceeds {MAX_JOINT_CONFIGS} configurations")
     axis = {n: j for j, n in enumerate(order)}
     lcms = _lcms(scm, order)
-    fast = lcms is None and cells >= (_STDLIB_DRAWS if "numpy" in sys.modules else _NUMPY_JOINT)
-    if fast:
-        import numpy as np
+    fast = cells >= (_STDLIB_DRAWS if "numpy" in sys.modules else _NUMPY_JOINT)
     # A product of nonzero factors that underflows to 0 (or a non-finite
     # factor times 0) would blur which configurations are keys.  `floor`
     # bounds every product from below; once it reaches 0 or a factor is
     # non-finite, `alive` (0/1 per configuration) tracks the keys instead.
     # Integer rows never underflow; an entry past the float range counts
-    # as non-finite, like an infinite float.
-    masses, alive, floor, zeros = [1], None, 1, False
+    # as non-finite, like an infinite float.  For integer numerators,
+    # `bound` is the product of each node's largest row sum (at least 1),
+    # which bounds every entry, mass and sum of masses: below 2**53, int64
+    # products and float64 sums of them are exact.
+    masses, alive, floor, zeros, bound = [1], None, 1, False, 1
     for j, node in enumerate(order):
         cpt = scm.cpts[node]
         parents = [axis[p] for p in cpt.parents]
@@ -439,18 +441,24 @@ def joint_distribution(scm: Scm) -> JointTable:
             floor *= min(map(abs, filter(None, entries)), default=1)
             if alive is None and not (floor > 0 and _finite(entries)):
                 alive = [1 if m else 0 for m in masses]
-        # The masses become a numpy array at the first node of float entries.
-        # From there on every nonzero mass is a float in plain Python too,
-        # and an int entry p multiplies as float(p) on both paths.
-        if fast and alive is None and set(map(type, entries)) <= (
-                {float} if isinstance(masses, list) else {float, int}):
+        elif fast:
+            bound *= max(1, *map(sum, rows))
+        # Float masses become a numpy array at the first node of float
+        # entries: from there on every nonzero mass is a float in plain
+        # Python too, and an int entry p multiplies as float(p) on both
+        # paths.  Integer numerators take numpy while `bound` < 2**53.
+        if fast and alive is None and (bound < 2**53 if lcms else set(map(type, entries)) <= (
+                {float} if isinstance(masses, list) else {float, int})):
+            import numpy as np
+
+            dtype = float if lcms is None else np.int64
             # The node's table, its parent axes in grid order, broadcast
             # over the grid of the nodes so far.
-            table = np.asarray(rows, dtype=float).reshape([sizes[a] for a in parents] + [k])
+            table = np.asarray(rows, dtype=dtype).reshape([sizes[a] for a in parents] + [k])
             table = table.transpose([*sorted(range(len(parents)), key=parents.__getitem__), -1])
             table = table.reshape([sizes[a] if a in parents else 1 for a in range(j)] + [k])
             with np.errstate(over="ignore"):  # inf, silently, as in plain Python
-                masses = (np.asarray(masses, dtype=float).reshape(sizes[:j] + (1,)) * table).ravel()
+                masses = (np.asarray(masses, dtype=dtype).reshape(sizes[:j] + (1,)) * table).ravel()
             continue
         if not isinstance(masses, list):
             masses = masses.tolist()
@@ -465,7 +473,7 @@ def joint_distribution(scm: Scm) -> JointTable:
     scale = None if lcms is None else math.prod(lcms)
     if isinstance(masses, list):
         return JointTable._dense(tuple(order), values, masses, keys, zeros, scale)
-    joint = JointTable._dense(tuple(order), values, masses.tolist(), None, zeros)
+    joint = JointTable._dense(tuple(order), values, masses.tolist(), None, zeros, scale)
     joint._array, joint._size = masses, np.count_nonzero(masses)
     return joint
 
@@ -572,7 +580,8 @@ def _scan(joint: JointTable, axes_lists, fixed: dict | None = None) -> tuple:
 def _sums(codes, masses, size: int) -> dict:
     """{code: total mass}: masses added one at a time in scan order, codes
     in the order of their first appearance.  numpy's `bincount` adds arrays
-    in that same order, so both paths give the same floats."""
+    in that same order, so both paths give the same floats, and the same
+    ints for int64 masses, whose sums stay below 2**53."""
     if isinstance(masses, list):
         acc = [0] * size
         for c, p in zip(codes, masses):
@@ -580,7 +589,8 @@ def _sums(codes, masses, size: int) -> dict:
         return {c: acc[c] for c in dict.fromkeys(codes)}
     import numpy as np
 
-    acc = np.bincount(codes, weights=masses, minlength=size).tolist()
+    acc = np.bincount(codes, weights=masses, minlength=size)
+    acc = (acc.astype(np.int64) if masses.dtype == np.int64 else acc).tolist()
     # Each code's first scan position; a code that never appears sorts last.
     first = np.full(size, len(codes))
     np.minimum.at(first, codes, np.arange(len(codes)))
@@ -839,6 +849,7 @@ def _canonical(obj) -> str:
 
 def scm_to_json(scm: Scm) -> str:
     """Canonical text form; identical models serialize byte-identically."""
+    _check_meta_depth(scm.meta)
     nodes = []
     for node in sorted(scm.dag.nodes, key=str):
         dom = scm.domains[node]
@@ -885,7 +896,7 @@ def _check_meta_depth(meta: dict) -> None:
         if level > MAX_META_DEPTH:
             raise InvalidArgumentError(f"model document: 'meta' nests deeper than {MAX_META_DEPTH} levels")
         containers = [v for c in containers for v in (c.values() if isinstance(c, dict) else c)
-                      if isinstance(v, (dict, list))]
+                      if isinstance(v, (dict, list, tuple))]
 
 
 def scm_from_dict(doc: dict) -> Scm:

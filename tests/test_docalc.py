@@ -1,6 +1,7 @@
 """Tests for the mutilated-model surgeries and the rule 1 / rule 2 checks."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -324,6 +325,31 @@ class TestVerifyRule:
         verdict = verify_rule(scm, part, 1, {})
         assert not verdict.condition_holds
         assert verdict.identity_deviation > 0.1
+        assert not verdict.passed
+
+    def test_an_identity_that_holds_does_not_pass_a_failed_condition(self):
+        # U confounds Z and Y, so C2 fails: Y and the copy of Z share U in
+        # M'', and Z = 1 and Z = 2 are more likely at opposite ends of U.
+        # At Z = 0 the shift from P(u) to P(u | Z = 0) leaves the mean of
+        # P(Y = 1 | u, Z = 0) at 1/2, so the identity holds all the same.
+        dag = Dag(["U", "Z", "Y"], [("U", "Z"), ("U", "Y"), ("Z", "Y")])
+        domains = {"U": Domain("U", (0, 1, 2)), "Z": Domain("Z", (0, 1, 2)),
+                   "Y": Domain("Y", (0, 1))}
+        f = Fraction
+        cpts = {
+            "U": Cpt("U", (), {(): (f(1, 3),) * 3}),
+            "Z": Cpt("Z", ("U",), {(0,): (f(3, 10), f(1, 2), f(1, 5)),
+                                   (1,): (f(3, 5), f(1, 5), f(1, 5)),
+                                   (2,): (f(3, 10), f(1, 10), f(3, 5))}),
+            "Y": Cpt("Y", ("U", "Z"), {
+                (0, 0): (f(4, 5), f(1, 5)), (1, 0): (f(1, 2), f(1, 2)), (2, 0): (f(1, 5), f(4, 5)),
+                **{(u, z): (f(1, 2), f(1, 2)) for u in range(3) for z in (1, 2)},
+            }),
+        }
+        part = NodePartition(w=set(), x=set(), y={"Y"}, z={"Z"})
+        verdict = verify_rule(Scm(dag, domains, cpts), part, 2, {}, {"Z": 0})
+        assert not verdict.condition_holds
+        assert verdict.identity_deviation == 0.0
         assert not verdict.passed
 
     def test_unreachable_z_stratum(self):

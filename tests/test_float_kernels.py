@@ -1,8 +1,10 @@
-"""Float joints give the same laws on numpy as in plain Python.
+"""Joints give the same laws on numpy as in plain Python.
 
-A float joint of `scm._STDLIB_DRAWS` configurations or more (once numpy is
-loaded; else `scm._NUMPY_JOINT`) is multiplied out and summed in numpy.
-Patching both cutoffs to 0 sends every float joint there and patching them
+A joint of `scm._STDLIB_DRAWS` configurations or more (once numpy is
+loaded; else `scm._NUMPY_JOINT`) is multiplied out and summed in numpy:
+float masses in float64, and the integer numerators of a `Fraction` joint
+in int64 for as long as no mass or sum of masses can reach 2**53.
+Patching both cutoffs to 0 sends every such joint there and patching them
 to 1 << 62 sends none, so every law, formula result and error can be
 compared between the two paths: the same values to the last bit, in the
 same key order, with the same Python number types.
@@ -85,6 +87,17 @@ def same_on_both_paths(scm: Scm, *calls) -> JointTable:
     return joints["numpy"]
 
 
+def numerator_bound(scm: Scm) -> int:
+    """The product over the nodes of the largest row sum (at least 1) of a
+    `Fraction` model's tables, each scaled to integers by the lcm of its
+    denominators: below 2**53 the joint's numerators stay on int64."""
+    bound = 1
+    for cpt in scm.cpts.values():
+        lcm = math.lcm(*(p.denominator for row in cpt.table.values() for p in row))
+        bound *= max(1, *(int(sum(row) * lcm) for row in cpt.table.values()))
+    return bound
+
+
 def one_hot(scm: Scm) -> Scm:
     """The model with each row replaced by the int point mass on its
     largest entry: an all-int model."""
@@ -155,11 +168,15 @@ class TestLaws:
             lambda j: cond_independent(j, {a}, {b}, set(c)),
             lambda j: adjust(j, t, t_val, r, z),
         )
-        # Float joints reach numpy; exact ones and an underflowing product
-        # keep the plain-Python path, which tracks the keys.
+        # Float joints reach numpy, and exact ones too while their bound
+        # allows; all-int joints and an underflowing product keep the
+        # plain-Python path, which tracks the keys.
         if kind in ("float", "forced"):
             assert joint._array is not None
-        if kind in ("all-int", "fraction") or joint.keys is not None:
+        if kind == "fraction":
+            on_int64 = joint._array is not None and joint._array.dtype == np.int64
+            assert on_int64 == (numerator_bound(scm) < 2**53)
+        if kind == "all-int" or joint.keys is not None:
             assert joint._array is None
 
     def test_an_underflowed_product_stays_on_the_python_path(self):
@@ -244,7 +261,7 @@ class TestFormulas:
         model, call = CALLS[name]
         scm = variant(model, kind, seed)
         joint = same_on_both_paths(scm, call)
-        assert (joint._array is not None) == (kind != "fraction")
+        assert (joint._array is not None) == (kind != "fraction" or numerator_bound(scm) < 2**53)
 
     @pytest.mark.parametrize("name", list(CALLS))
     def test_every_catalog_call_is_the_same_on_both_paths(self, name):
@@ -253,7 +270,80 @@ class TestFormulas:
 
 
 def test_fraction_entries_keep_their_exact_joint():
+    # The Fractions of floats have denominators of 2**50 and more: their
+    # numerators pass the int64 bound at the first node.
     scm = exact(fill(Dag(["A", "B"], [("A", "B")]), 3, {"A": 64, "B": 64}))
+    assert numerator_bound(scm) >= 2**53
     joint = same_on_both_paths(scm, lambda j: restrict(j, ("B",)))
     assert joint._array is None and isinstance(joint.scale, int)
     assert {type(p) for p in joint.probs.values()} == {Fraction}
+
+
+def fraction_chain(rows: list) -> Scm:
+    """A chain N0 -> N1 -> ... whose node i has every row `rows[i]`."""
+    names = [f"N{i}" for i in range(len(rows))]
+    cpts = {"N0": Cpt("N0", (), {(): rows[0]})}
+    for parent, node, up, row in zip(names, names[1:], rows, rows[1:]):
+        cpts[node] = Cpt(node, (parent,), {(v,): row for v in range(len(up))})
+    domains = {n: Domain(n, tuple(range(len(row)))) for n, row in zip(names, rows)}
+    return Scm(Dag(names, list(zip(names, names[1:]))), domains, cpts)
+
+
+def int64_arrays(scm: Scm) -> list:
+    """Every int64 array `np.asarray` made while the joint was built on the
+    numpy path."""
+    made = []
+
+    def record(*args, **kwargs):
+        array = asarray(*args, **kwargs)
+        if array.dtype == np.int64:
+            made.append(array)
+        return array
+
+    asarray = np.asarray
+    with mock.patch.object(np, "asarray", record):
+        joint_on("numpy", scm)
+    return made
+
+
+SMALL = tuple(Fraction(i + 1, 10) for i in range(4))
+
+
+def test_a_joint_leaves_int64_at_the_node_whose_bound_passes_2_53():
+    # N0-N2 have scale 10 and N3 a scale past 2**50, so the bound passes
+    # 2**53 at N3; N4 and N5 follow on the plain-Python path.
+    big = 2**50 + 1
+    wide = (Fraction(1, big), Fraction(2, big), Fraction(3, big), 1 - Fraction(6, big))
+    scm = fraction_chain([SMALL] * 3 + [wide] + [SMALL] * 2)
+    assert math.prod(len(d.values) for d in scm.domains.values()) == scm_module._STDLIB_DRAWS
+    joint = same_on_both_paths(
+        scm,
+        lambda j: restrict(j, ("N5",), {"N0": 1}),
+        lambda j: _marginals(j, ("N2", "N4"), numerators=True),
+        lambda j: conditional_laws(j, ("N5",), ("N3",)),
+    )
+    assert joint._array is None and joint.scale == 10**5 * big
+    made = int64_arrays(scm)
+    # The table and the masses of each of N0-N2, the last masses over 4**2
+    # configurations.
+    assert len(made) == 6 and max(a.size for a in made) == 16
+    assert max(int(a.max()) for a in made) < 2**53
+
+
+@pytest.mark.parametrize("rows", [
+    [(Fraction(2**20),) * 16] * 3,
+    [(Fraction(2**20),) * 16, (Fraction(0),) * 16, (Fraction(2**70),) * 16],
+], ids=["past-1", "zero-then-huge"])
+def test_rows_summing_past_1_take_no_int64_step_that_could_overflow(rows):
+    # Built in code, these rows have scale 1 and sum far past 1: a bound
+    # from the scale would let N2's masses (or N2's 2**70 entries, after
+    # N1's all-zero rows) overflow int64.
+    scm = fraction_chain(rows)
+    joint = same_on_both_paths(
+        scm,
+        lambda j: restrict(j, ("N2",), {"N0": 1}),
+        lambda j: _marginals(j, ("N1",), ("N2", "N0"), numerators=True),
+    )
+    assert joint._array is None and joint.scale == 1
+    made = int64_arrays(scm)
+    assert made and max(int(a.max()) for a in made) < 2**53

@@ -6,7 +6,8 @@ command then imports only the formula modules it runs, as the table in
 the ``scmkit.cli`` docstring lists.  numpy and scipy are imported inside
 the functions that compute with them, so the exact-law, graph and
 identification commands never load them on joints of fewer configurations
-than ``scm._NUMPY_JOINT`` (a float joint of that size does), nor do
+than ``scm._NUMPY_JOINT`` (a float or small-denominator ``Fraction`` joint of
+that size does), nor do
 ``sample`` and ``casecontrol`` at command-line sizes (fewer draws than
 ``scm._STDLIB_DRAWS``) or a seeded ``example``.  Only ``diagnose`` and
 Gaussian sampling load heavy libraries: ``diagnose`` takes its chi-square
@@ -24,6 +25,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -166,6 +168,57 @@ def test_a_float_joint_at_the_cutoff_takes_the_numpy_kernels(sizes, fast):
         law = restrict(joint, ("N4",), {"N0": 1})
     assert (product.called, sums.called, joint._array is not None) == (fast, fast, fast)
     assert {type(p) for p in law.probs.values()} == {float}
+
+
+def exact_chain(sizes: list):
+    """The chain with every row of k entries (1, 2, ..., k) / (1 + 2 + ... + k):
+    `Fraction`s of small denominators, whose numerators fit int64."""
+    model = chain(sizes)
+    for cpt in model.cpts.values():
+        for cfg, row in cpt.table.items():
+            cpt.table[cfg] = tuple(Fraction(2 * (i + 1), len(row) * (len(row) + 1))
+                                   for i in range(len(row)))
+    return model
+
+
+@pytest.mark.parametrize("sizes, fast", [(BELOW, False), (AT, True)], ids=["below", "at"])
+def test_a_fraction_joint_at_the_cutoff_takes_the_int64_kernels(sizes, fast):
+    model = exact_chain(sizes)
+    with mock.patch.object(np, "asarray", wraps=np.asarray) as product, \
+            mock.patch.object(np, "bincount", wraps=np.bincount) as sums:
+        joint = joint_distribution(model)
+        law = restrict(joint, ("N4",), {"N0": 1})
+    assert (product.called, sums.called, joint._array is not None) == (fast, fast, fast)
+    assert not fast or joint._array.dtype == np.int64
+    assert {type(p) for p in law.probs.values()} == {Fraction}
+    assert {type(m) for m in joint.masses} == {int}
+
+
+# A Fraction chain of 19 binary nodes, 2**19 configurations, every row
+# (p, 1 - p) for the p given as [numerator, denominator]: whether its joint
+# loaded numpy in a fresh interpreter.
+EXACT_PROBE = """
+import json, sys
+from fractions import Fraction
+from scmkit.graph import Dag
+from scmkit.scm import Cpt, Domain, Scm, joint_distribution
+p = Fraction(*json.loads(sys.argv[1]))
+names = [f"N{i}" for i in range(19)]
+cpts = {"N0": Cpt("N0", (), {(): (p, 1 - p)})}
+cpts.update({n: Cpt(n, (a,), {(0,): (p, 1 - p), (1,): (p, 1 - p)}) for a, n in zip(names, names[1:])})
+joint_distribution(Scm(Dag(names, list(zip(names, names[1:]))), {n: Domain(n, (0, 1)) for n in names},
+                       cpts))
+print(json.dumps({"numpy": "numpy" in sys.modules}))
+"""
+
+
+@pytest.mark.parametrize("p, loads", [([3, 10], True), ([2**60 + 1, 2**62], False)],
+                         ids=["small", "past-2-53"])
+def test_a_fraction_joint_past_the_import_cutoff_loads_numpy_only_for_an_int64_step(p, loads):
+    # numpy is imported at the first node that takes it: numerators over
+    # 2**62 pass the int64 bound at the first node, and never load it.
+    assert math.prod([2] * 19) == _NUMPY_JOINT
+    assert probe(p, EXACT_PROBE) == {"numpy": loads}
 
 
 def test_diagnose_never_loads_scipy_stats(catalog):

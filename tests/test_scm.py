@@ -820,6 +820,20 @@ class TestModelFormat:
             text = scm_to_json(scm_from_dict(doc))
             assert scm_to_json(scm_from_json(text)) == text
 
+    @pytest.mark.parametrize("wrap", [lambda m: {"a": m}, lambda m: [m], lambda m: (m,)],
+                             ids=["dict", "list", "tuple"])
+    def test_writing_a_meta_nested_600_levels_is_refused_by_name(self, wrap):
+        # A model built in code is not loaded, so its meta is checked when
+        # written: past the recursion limit the writer would otherwise fail.
+        meta = {"x": 0}
+        for _ in range(600):
+            meta = wrap(meta)
+        scm = simpson_scm()
+        scm.meta = {"deep": meta}
+        message = f"^model document: 'meta' nests deeper than {MAX_META_DEPTH} levels$"
+        with pytest.raises(InvalidArgumentError, match=message):
+            scm_to_json(scm)
+
     def test_row_keys_join_parent_values(self):
         text = scm_to_json(simpson_scm())
         assert '"0|0"' in text and '"1|1"' in text and '""' in text
