@@ -99,6 +99,8 @@ def _parse_pairs(text: str, flag: str, split: Callable = _split_list) -> dict:
         key, _, value = part.partition("=")
         if not key or not value:
             raise _UsageError(f"{flag} expects k=v pairs, got {part!r}")
+        if key in out:
+            raise _UsageError(f"{flag} repeats {key!r}")
         out[key] = value
     return out
 

@@ -122,7 +122,8 @@ def two_stage_direct(
         dag, bound, [_TWO_STAGE_EDGE_SHAPE, _TWO_STAGE_SHAPE], "two-stage", latent=("U",)
     )
     y1_n, y2_n, y3_n, y4_n = bound.values()
-    (y1_law, y3_law), _ = _factors(joint, [((y1_n,), (y2_n, y3_n, y4_n)), ((y3_n,), (y4_n,))])
+    (y1_law, y3_law), _ = _factors(joint, [((y1_n,), (y2_n, y3_n, y4_n), {y2_n: y2_val, y4_n: t}),
+                                           ((y3_n,), (y4_n,), {y4_n: t})])
     law: dict = {}
     for y3, w in y3_law(t).items():
         if w <= POSITIVITY_CUTOFF:

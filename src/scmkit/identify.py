@@ -8,7 +8,10 @@ identity, and the two-stage g-formula.
 Each formula call scans its joint once: it asks for all of its factors
 and supports in one call, and a single grouped pass over the joint yields
 every factor for every stratum, as :func:`scmkit.scm.conditional_laws`
-gives one.  Adjustment reads the unnormalized masses of its one pass,
+gives one.  A factor that reads only the strata where some given nodes
+take one value pins them, and is summed and divided over that slice of
+the joint alone, in the same pass; the g-formula pins its treatments
+this way.  Adjustment reads the unnormalized masses of its one pass,
 because its textbook arithmetic divides by them only at the end.  Role
 bindings and figure shapes go through one binder and one shape check.
 Each formula raises a stratum-named positivity error when a required
@@ -115,7 +118,7 @@ def _factors(joint: JointTable, pairs, support=()) -> tuple:
         return law
 
     laws, values = _conditional_laws(joint, pairs, support)
-    return [lookup(law, *pair) for law, pair in zip(laws, pairs)], values
+    return [lookup(law, *pair[:2]) for law, pair in zip(laws, pairs)], values
 
 
 def _require_nodes(known, nodes, where: str = "joint table") -> None:
@@ -429,17 +432,21 @@ _GFORMULA_SHAPE = (
 )
 
 
-def _gformula(joint: JointTable, bound: Mapping, t_val, t2_val, p_x: Mapping | None) -> dict:
+def _gformula(joint: JointTable, bound: Mapping, t_val, t2_val, x_pin: Mapping) -> dict:
     """sum over x of p_x(x) * sum over (r, x2) of P(r | x, t) P(x2 | x, t, r)
-    P(r2 | x, t, r, x2, t2); p_x is the observed law of X when None."""
+    P(r2 | x, t, r, x2, t2); p_x is the observed law of X when `x_pin` is
+    empty, else the point mass at its value of X.  Each factor pins T to t
+    (and T2 to t2, and X to a pinned value), so it sums and divides only
+    the slice of the joint it reads, in the same one scan."""
     x_n, t_n, r_n, x2_n, t2_n, r2_n = bound.values()
     xt = (x_n, t_n)
-    pairs = [((r_n,), xt), ((x2_n,), xt + (r_n,)), ((r2_n,), xt + (r_n, x2_n, t2_n))]
-    if p_x is None:
+    pins = {**x_pin, t_n: t_val}
+    pairs = [((r_n,), xt, pins), ((x2_n,), xt + (r_n,), pins),
+             ((r2_n,), xt + (r_n, x2_n, t2_n), {**pins, t2_n: t2_val})]
+    if not x_pin:
         pairs.append(((x_n,), ()))
     (r_law, x2_law, r2_law, *observed), _ = _factors(joint, pairs)
-    if p_x is None:
-        p_x = observed[0]()
+    p_x = observed[0]() if observed else {x_pin[x_n]: 1}
     out: dict = {}
     for x, px in p_x.items():
         if px <= POSITIVITY_CUTOFF:
@@ -468,7 +475,7 @@ def gformula2(
     """Two-stage g-formula: law of the second response under (t, t')."""
     bound = _bind(roles, _GFORMULA_ROLES, joint.order)
     _require_shape(dag, bound, [_GFORMULA_SHAPE], "two-stage treatment")
-    return _gformula(joint, bound, t_val, t2_val, None)
+    return _gformula(joint, bound, t_val, t2_val, {})
 
 
 def gformula2_given_x(
@@ -480,4 +487,4 @@ def gformula2_given_x(
 ) -> dict:
     """Covariate-conditional variant of the two-stage g-formula."""
     bound = _bind(roles, _GFORMULA_ROLES, joint.order)
-    return _gformula(joint, bound, t_val, t2_val, {x_val: 1})
+    return _gformula(joint, bound, t_val, t2_val, {bound["X"]: x_val})

@@ -532,16 +532,40 @@ def _codes(offsets, base: int = 0) -> list:
     return codes
 
 
-def _scan(joint: JointTable, axes_lists, fixed: dict | None = None) -> tuple:
+def _scan(joint: JointTable, axes_lists, fixed=None) -> tuple:
+    """For each list of axes, the masses of the joint's keys whose value
+    codes match that list's `fixed` ({axis: code}), in key order, and the
+    row-major code of every such key's values on those axes, as `_slice`
+    gives them.  Lists with equal `fixed` share one slice of the joint."""
+    if not fixed:
+        masses, codes = _slice(joint, {}, [_radix(joint.sizes, axes) for axes in axes_lists])
+        return [masses] * len(axes_lists), codes
+    groups: dict = {}  # frozen fixed -> (fixed, positions of its lists)
+    for i, fix in enumerate(fixed):
+        groups.setdefault(tuple(sorted(fix.items())), (fix, []))[1].append(i)
+    masses, codes = [None] * len(axes_lists), [None] * len(axes_lists)
+    for fix, where in groups.values():
+        ms, cs = _slice(joint, fix, [_radix(joint.sizes, axes_lists[i]) for i in where])
+        for i, c in zip(where, cs):
+            masses[i], codes[i] = ms, c
+    return masses, codes
+
+
+def _slice(joint: JointTable, fixed: dict, offsets) -> tuple:
     """The masses of the joint's keys whose value codes match `fixed`
-    ({axis: code}), in key order, and for each list of axes the row-major
-    code of every such key's values on those axes.  A joint with an
+    ({axis: code}; a code of None matches nothing), in key order, and for
+    each axes list's `_radix` offsets the row-major code of every such
+    key's values on those axes, fixed axes included.  A joint with an
     `_array` is scanned in numpy and gives arrays of both."""
-    fixed = fixed or {}
-    offsets = [_radix(joint.sizes, axes) for axes in axes_lists]
+    if fixed and None in fixed.values():
+        return [], [[] for _ in offsets]
     if joint.keys is None:
-        # Only the matching positions are visited: the grid of the free axes.
+        # Only the matching positions are visited: the grid of the free axes,
+        # each fixed axis adding its value's offset to every code.
         free = [a for a in range(len(joint.sizes)) if a not in fixed]
+        bases = [0] * len(offsets)
+        if fixed:
+            bases = [sum(offs[a][c] for a, c in fixed.items()) for offs in offsets]
         if joint._array is not None:
             import numpy as np
 
@@ -550,13 +574,13 @@ def _scan(joint: JointTable, axes_lists, fixed: dict | None = None) -> tuple:
             # Each axis adds its offsets along its own dimension of the grid.
             shape = [joint.sizes[a] for a in free]
             codes = [np.broadcast_to(sum((np.reshape(offs[a], [-1 if a == b else 1 for b in free])
-                                          for a in free if any(offs[a])), 0), shape).ravel()
-                     for offs in offsets]
+                                          for a in free if any(offs[a])), base), shape).ravel()
+                     for offs, base in zip(offsets, bases)]
             if joint.zeros:
                 keep = masses != 0
                 codes, masses = [cs[keep] for cs in codes], masses[keep]
             return masses, codes
-        codes = [_codes([offs[a] for a in free]) for offs in offsets]
+        codes = [_codes([offs[a] for a in free], base) for offs, base in zip(offsets, bases)]
         masses = joint.masses
         if fixed:
             strides = _radix(joint.sizes, range(len(joint.sizes)))
@@ -609,14 +633,9 @@ def restrict(joint: JointTable, targets, given: dict | None = None) -> JointTabl
         targets = tuple(sorted(targets, key=str))
     else:
         targets = tuple(targets)
-    if set(targets) & set(given):
-        raise InvalidArgumentError("targets and conditioning nodes must be disjoint")
+    _require_distinct(targets, tuple(given))
     target_axes = [joint.index(n) for n in targets]
-    given_axes = [(joint.index(n), v) for n, v in given.items()]
-    masses, codes = [], []
-    if all(v in joint.values[a] for a, v in given_axes):
-        fixed = {a: joint.values[a].index(v) for a, v in given_axes}
-        masses, (codes,) = _scan(joint, [target_axes], fixed)
+    masses, (codes,) = _slice(joint, _fixed(joint, given), [_radix(joint.sizes, target_axes)])
     if isinstance(masses, list):
         mass = functools.reduce(operator.add, masses, 0)
     else:
@@ -636,20 +655,45 @@ def restrict(joint: JointTable, targets, given: dict | None = None) -> JointTabl
     return JointTable._dense(targets, values, probs, list(sums))
 
 
-def _marginals(joint: JointTable, *node_tuples, numerators: bool = False) -> list:
+def _require_distinct(targets: tuple, given: tuple) -> None:
+    """Refuses a node named twice in the targets, in the given nodes or in both."""
+    if len(set(targets + given)) == len(targets) + len(given):
+        return
+    for nodes, what in ((targets, "targets"), (given, "conditioning nodes")):
+        for i, node in enumerate(nodes):
+            if node in nodes[:i]:
+                raise InvalidArgumentError(f"{node!r} repeated in {what}")
+    raise InvalidArgumentError("targets and conditioning nodes must be disjoint")
+
+
+def _fixed(joint: JointTable, pins: dict) -> dict:
+    """{axis: value code} of a partial configuration {node: value}; a value
+    outside its node's domain gets None, which matches no key."""
+    fixed = {}
+    for node, value in pins.items():
+        a = joint.index(node)
+        fixed[a] = joint.values[a].index(value) if value in joint.values[a] else None
+    return fixed
+
+
+def _marginals(joint: JointTable, *node_tuples, numerators: bool = False, pins=None) -> list:
     """Unnormalized masses {configuration: mass} of each node tuple, all
     from one scan of the joint; with `numerators`, the masses of a
-    `Fraction` joint stay integer numerators over its `scale`.
+    `Fraction` joint stay integer numerators over its `scale`.  `pins`, one
+    partial configuration {node: value} per tuple, keeps only the slice of
+    the joint where those nodes take those values.
 
     Masses accumulate in joint order and keys appear in the order of their
-    first configuration, exactly as `restrict` sums them.
+    first configuration, exactly as `restrict` sums them; a slice's masses
+    are the same masses in the same order, so a pinned table is the
+    unpinned one's matching keys.
     """
     axes = [[joint.index(n) for n in nodes] for nodes in node_tuples]
-    masses, codes = _scan(joint, axes)
+    masses, codes = _scan(joint, axes, any(pins or ()) and [_fixed(joint, p) for p in pins])
     tables = []
-    for ax, cs in zip(axes, codes):
+    for ax, ms, cs in zip(axes, masses, codes):
         configs = list(itertools.product(*(joint.values[a] for a in ax)))
-        sums = _sums(cs, masses, len(configs))
+        sums = _sums(cs, ms, len(configs))
         totals = sums.values() if numerators else _unscaled(joint, sums.values())
         tables.append(dict(zip(map(configs.__getitem__, sums), totals)))
     return tables
@@ -667,20 +711,34 @@ def conditional_laws(joint: JointTable, targets: tuple, given_nodes: tuple) -> d
 
 
 def _conditional_laws(joint: JointTable, pairs, support=()) -> tuple:
-    """`conditional_laws` for each (targets, given) pair, and the sorted
-    values the joint's keys give each node in `support`, all from one
-    `_marginals` call over the distinct given and given + targets tuples."""
-    for targets, given in pairs:
-        if set(targets) & set(given):
-            raise InvalidArgumentError("targets and conditioning nodes must be disjoint")
-    tuples = list(dict.fromkeys(nodes for t, g in pairs for nodes in (g, g + t)))
-    tables = dict(zip(tuples, _marginals(joint, *tuples, numerators=True)))
-    laws = [_divide(tables[given], tables[given + targets], len(given), joint.scale)
-            for targets, given in pairs]
+    """`conditional_laws` for each (targets, given) or (targets, given,
+    pins) pair, and the sorted values the joint's keys give each node in
+    `support`, all from one `_marginals` call over the distinct given and
+    given + targets tuples.  A pair's `pins` {node: value} hold some of its
+    given nodes at one value each: its laws are then the unpinned laws of
+    those strata alone, summed and divided over that slice of the joint.
+    A support is read from unpinned tuples only."""
+    tuples: dict = {}  # (nodes, frozen pins) -> pins, in the order asked
+    factors = []
+    for targets, given, *pins in pairs:
+        _require_distinct(targets, given)
+        pins = pins[0] if pins else {}
+        if pins and not pins.keys() <= set(given):
+            raise InvalidArgumentError("only conditioning nodes can be pinned")
+        pinned = frozenset(pins.items()) if pins else ()
+        g, cells = (given, pinned), (given + targets, pinned)
+        factors.append((g, cells, len(given)))
+        tuples.setdefault(g, pins)
+        tuples.setdefault(cells, pins)
+    tables = dict(zip(tuples, _marginals(
+        joint, *(nodes for nodes, _ in tuples), numerators=True, pins=list(tuples.values()))))
+    laws = [_divide(tables[g], tables[cells], k, joint.scale) for g, cells, k in factors]
     values = []
     for n in support:
-        nodes = next(nodes for nodes in tuples if n in nodes)
-        values.append(_sorted({key[nodes.index(n)] for key in tables[nodes]}))
+        nodes = next((nodes for nodes, pinned in tuples if not pinned and n in nodes), None)
+        if nodes is None:
+            raise InvalidArgumentError(f"support node {n!r} is in no unpinned factor")
+        values.append(_sorted({key[nodes.index(n)] for key in tables[nodes, ()]}))
     return laws, values
 
 

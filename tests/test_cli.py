@@ -289,6 +289,27 @@ class TestErrors:
         assert out == ""
         assert "'9'" in err and "domain" in err
 
+    @pytest.mark.parametrize("argv, flag, key", [
+        (["joint", "--targets", "R", "--given", "T=0,T=1"], "--given", "T"),
+        (["intervene", "--set", "T=0,T=1"], "--set", "T"),
+        (["docalc", "--rule", "1", "--y", "R", "--x", "T=0,T=1"], "--x", "T"),
+        (["docalc", "--rule", "2", "--y", "R", "--x", "T=0", "--z", "X=0,X=1"], "--z", "X"),
+        (["gformula", "--t", "0", "--t2", "1", "--roles", "T=T,T=X"], "--roles", "T"),
+        (["mediation", "--sigma", "0=0.5,0=0.5"], "--sigma", "0"),
+        (["example", "simpson_binary", "--params", "p=0.1,p=0.2"], "--params", "p"),
+    ])
+    def test_a_repeated_key_is_a_usage_error(self, capsys, tmp_path, argv, flag, key):
+        # The last of two equal keys used to win without a word.
+        if argv[0] != "example":
+            path = tmp_path / "model.json"
+            name = "hiring" if argv[0] == "mediation" else "simpson_binary"
+            save_model(build_example(ExampleSpec(name)), path)
+            argv = [argv[0], "-m", str(path), *argv[1:]]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag} repeats {key!r}\n"
+
     @pytest.mark.parametrize("command", ["validate", "joint"])
     def test_row_of_the_wrong_length_is_a_domain_failure(self, capsys, tmp_path, command):
         # Every row sums to 1, but A's row is too long and B's too short.

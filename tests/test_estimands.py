@@ -192,6 +192,14 @@ class TestAntibioticPolicy:
             result["means"][1] < result["means"][0]
         )
 
+    def test_no_comparison_without_both_severities(self):
+        # Y4 takes the one value 0, so there is no mean at 1 to compare.
+        dag = Dag(TWO_STAGE_NODES, TWO_STAGE_EDGES + [("Y4", "Y2")])
+        joint = joint_distribution(fill(dag, 2, sizes={"Y4": 1}))
+        result = antibiotic_policy(joint, TWO_STAGE_ROLES)
+        assert list(result["means"]) == [0]
+        assert result["mean_at_1_lower"] is None
+
     def test_vacuous_policy_reproduces_observational_law(self):
         scm = two_stage_with_second_edge(4)
         scm = policy_oracle(scm)  # second treatment already follows the rule
@@ -364,6 +372,39 @@ class TestNaturalIndirect:
             0.0, abs=1e-12
         )
 
+    @staticmethod
+    def one_sided_model(s_without_b1: int) -> Scm:
+        """B = 1 occurs only under S = 1 - s_without_b1; Q is always 0 and
+        P(H=1 | b, q, s) = (1 + b)/4 + s/8."""
+        half, zero, one = Fraction(1, 2), Fraction(0), Fraction(1)
+        b_rows = {(s,): (one, zero) if s == s_without_b1 else (half, half) for s in (0, 1)}
+        h_rows = {}
+        for b in (0, 1):
+            for q in (0, 1):
+                for s in (0, 1):
+                    p = Fraction(1 + b, 4) + Fraction(s, 8)
+                    h_rows[b, q, s] = (1 - p, p)
+        cpts = {
+            "S": Cpt("S", (), {(): (half, half)}),
+            "B": Cpt("B", ("S",), b_rows),
+            "Q": Cpt("Q", ("B", "S"), {(b, s): (one, zero) for b in (0, 1) for s in (0, 1)}),
+            "H": Cpt("H", ("B", "Q", "S"), h_rows),
+        }
+        domains = {n: Domain(n, (0, 1)) for n in HIRING_NODES}
+        return Scm(Dag(HIRING_NODES, HIRING_EDGES), domains, cpts)
+
+    def test_a_stratum_seen_under_s1_only_counts(self):
+        # P(b, q | S=0) = {(0, 0): 1} and P(b, q | S=1) = {(0, 0): 1/2,
+        # (1, 0): 1/2}: 3/8 (1 - 1/2) + 5/8 (0 - 1/2) = -1/8.
+        joint = joint_distribution(self.one_sided_model(0))
+        assert natural_indirect(joint, HIRING_ROLES) == Fraction(-1, 8)
+
+    def test_a_stratum_seen_under_s0_only_needs_its_s1_law(self):
+        # (B=1, Q=0) has mass under S=0 only, so E(H | 1, 0, S=1) is undefined.
+        joint = joint_distribution(self.one_sided_model(1))
+        with pytest.raises(PositivityError, match="B=1, Q=0, S=1"):
+            natural_indirect(joint, HIRING_ROLES)
+
     def test_requires_binary_covariate(self):
         dag = Dag(HIRING_NODES, HIRING_EDGES)
         joint = joint_distribution(fill(dag, 3, sizes={"S": 3}))
@@ -437,6 +478,10 @@ class TestIvTheta:
         result = iv_theta(data, IV_ROLES)
         assert result.theta == pytest.approx(0.0, abs=1e-12)
         assert result.denominator == pytest.approx(0.5, abs=1e-12)
+        # R means 0 and 1/2, T means 1/2 and 1 in the two arms.
+        data = Dataset(("I", "T", "R"), [(0, 0, 0), (0, 1, 0), (1, 1, 1), (1, 1, 0)])
+        result = iv_theta(data, IV_ROLES)
+        assert (result.numerator, result.denominator, result.theta) == (0.5, 0.5, 1.0)
 
     def test_weak_instrument(self):
         data = Dataset(("I", "T", "R"), [(0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 0, 0)])
@@ -450,6 +495,9 @@ class TestIvTheta:
 
     def test_dataset_needs_both_arms(self):
         data = Dataset(("I", "T", "R"), [(1, 0, 0), (1, 1, 1)])
+        with pytest.raises(InvalidArgumentError, match="arms"):
+            iv_theta(data, IV_ROLES)
+        data = Dataset(("I", "T", "R"), [(0, 0, 0), (0, 1, 1)])
         with pytest.raises(InvalidArgumentError, match="arms"):
             iv_theta(data, IV_ROLES)
 

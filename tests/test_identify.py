@@ -153,6 +153,24 @@ class TestAte:
         assert ate(joint, "T", 1, 0, "R", ("X",)) == pytest.approx(0.0, abs=1e-12)
 
 
+    def test_values_in_one_response_law_only_count(self):
+        # R reaches 2 only under T=1 and 0 only under T=0, so the two
+        # adjusted laws have different supports; means 3/2 and 1/2.
+        half = Fraction(1, 2)
+        dag = Dag(["X", "T", "R"], [("X", "T"), ("X", "R"), ("T", "R")])
+        scm = Scm(
+            dag,
+            {"X": Domain("X", (0, 1)), "T": Domain("T", (0, 1)), "R": Domain("R", (0, 1, 2))},
+            {
+                "X": Cpt("X", (), {(): (half, half)}),
+                "T": Cpt("T", ("X",), {(0,): (half, half), (1,): (Fraction(1, 4), Fraction(3, 4))}),
+                "R": Cpt("R", ("T", "X"), {(t, x): (0, half, half) if t else (half, half, 0)
+                                           for t in (0, 1) for x in (0, 1)}),
+            },
+        )
+        assert ate(joint_distribution(scm), "T", 1, 0, "R", ("X",)) == 1.0
+
+
 class TestPropensity:
     def test_simpson_table(self):
         joint = joint_distribution(simpson_scm())

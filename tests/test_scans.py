@@ -3,12 +3,16 @@
 A formula asks for all of its factors and supports at once, so one pass
 over the joint's masses serves the whole call, whether they are floats (in
 plain Python or on numpy) or the integer numerators of a Fraction joint;
-`verify_rule` makes one pass per joint it builds.
+`verify_rule` makes one pass per joint it builds.  A factor that pins some
+of its given nodes to one value each reads only that slice of the joint,
+within the same one scan, and equals the unpinned factor's matching strata.
 """
 
 import importlib
 import json
 import pkgutil
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,6 +20,7 @@ import pytest
 import scmkit
 from scmkit import scm as scm_module
 from scmkit.docalc import NodePartition, verify_rule
+from scmkit.errors import InvalidArgumentError, PositivityError
 from scmkit.estimands import (
     antibiotic_policy,
     iv_multi,
@@ -37,7 +42,17 @@ from scmkit.identify import (
     propensity_adjust,
 )
 from scmkit.cli import main
-from scmkit.scm import Cpt, Scm, cond_independent, joint_distribution, save_model
+from scmkit.scm import (
+    Cpt,
+    JointTable,
+    Scm,
+    _conditional_laws,
+    _marginals,
+    cond_independent,
+    joint_distribution,
+    restrict,
+    save_model,
+)
 
 from structures import (
     EELWORMS_ROLES,
@@ -52,6 +67,7 @@ from structures import (
     hiring_model,
     iv_model,
     propensity_table,
+    sparse_model,
     support_values,
     two_stage_model,
 )
@@ -168,3 +184,145 @@ def test_only_scm_reads_the_flat_masses():
         module = importlib.import_module(f"scmkit.{info.name}")
         if module is not scm_module:
             assert getattr(module, "_scan", None) is not scm_module._scan, info.name
+
+
+TERNARY_PLAN = {n: 3 for n in GFORMULA_ROLES}
+
+
+def stored(form: str, model: Scm, monkeypatch) -> JointTable:
+    """The model's joint in one storage form: plain list, numpy `_array`, a
+    `keys` table built from a shuffled mapping, or a `restrict` result."""
+    if form == "numpy":
+        monkeypatch.setattr(scm_module, "_STDLIB_DRAWS", 0)
+        monkeypatch.setattr(scm_module, "_NUMPY_JOINT", 0)
+    joint = joint_distribution(model)
+    assert (joint._array is not None) == (form == "numpy")
+    if form == "keys":
+        items = list(joint.probs.items())
+        random.Random(5).shuffle(items)
+        joint = JointTable(joint.order, dict(items))
+    elif form == "restrict":
+        last = joint.order[-1]
+        joint = restrict(joint, joint.order[:-1], {last: joint.values[-1][-1]})
+    if form in ("keys", "restrict"):
+        assert joint.keys is not None
+    return joint
+
+
+def sixths(model: Scm) -> Scm:
+    """The ternary model with each row's entries ranked as 1/6, 2/6 and 3/6,
+    so that its Fraction joint's numerators stay on int64."""
+    cpts = {}
+    for n, cpt in model.cpts.items():
+        table = {}
+        for cfg, row in cpt.table.items():
+            ranks = sorted(range(3), key=row.__getitem__)
+            table[cfg] = tuple(Fraction(1 + ranks.index(i), 6) for i in range(3))
+        cpts[n] = Cpt(n, cpt.parents, table)
+    return Scm(model.dag, model.domains, cpts)
+
+
+def pinned_cases(joint: JointTable) -> list:
+    """(targets, given, pins) over the table's nodes: one or two given nodes
+    pinned, to every value of their domain and to one outside it."""
+    o = joint.order
+    cases = []
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        for v in (*joint.values[a], "off"):
+            cases.append(((o[-1],), o[:3], {o[a]: v}))
+            for w in joint.values[b][:2]:
+                cases.append(((o[3], o[-1]), o[:3], {o[a]: v, o[b]: w}))
+    return cases
+
+
+def matching(laws: dict, given: tuple, pins: dict) -> dict:
+    return {g: law for g, law in laws.items()
+            if all(g[given.index(n)] == v for n, v in pins.items())}
+
+
+@pytest.mark.parametrize("exact_masses", [False, True], ids=["float", "fraction"])
+@pytest.mark.parametrize("name", ["plan", "sparse"])
+@pytest.mark.parametrize("form", ["list", "numpy", "keys", "restrict"])
+def test_a_pinned_factor_is_the_unpinned_factors_matching_strata(
+    form, name, exact_masses, monkeypatch
+):
+    if name == "plan":
+        model = gformula_model(1, TERNARY_PLAN)
+        model = sixths(model) if exact_masses else model
+    else:
+        model = sparse_model(3, n=7, exact=exact_masses)
+    joint = stored(form, model, monkeypatch)
+    assert (joint.scale is not None) == (exact_masses and form in ("list", "numpy"))
+    cases = pinned_cases(joint)
+    laws, _ = _conditional_laws(joint, cases)
+    for (targets, given, pins), law in zip(cases, laws):
+        (unpinned,), _ = _conditional_laws(joint, [(targets, given)])
+        # repr holds every key order and every number's type.
+        assert repr(law) == repr(matching(unpinned, given, pins))
+        assert law or "off" in pins.values() or name == "sparse"
+        for nodes in (given, given + targets):
+            (table,) = _marginals(joint, nodes, numerators=True, pins=[pins])
+            (whole,) = _marginals(joint, nodes, numerators=True)
+            assert repr(table) == repr({k: m for k, m in whole.items()
+                                        if all(k[nodes.index(n)] == v for n, v in pins.items())})
+
+
+def test_pinned_factors_still_take_one_scan(scans):
+    joint = joint_distribution(gformula_model(1, TERNARY_PLAN))
+    _conditional_laws(joint, pinned_cases(joint) + [(("R2",), ("X",))], ("R2",))
+    assert len(scans) == 1
+
+
+def test_a_support_is_read_from_unpinned_factors_only():
+    joint = joint_distribution(gformula_model(1, TERNARY_PLAN))
+    pinned = (("R",), ("X", "T"), {"T": 1})
+    _, values = _conditional_laws(joint, [pinned, (("T",), ())], ("T",))
+    assert values == [[0, 1, 2]]
+    with pytest.raises(InvalidArgumentError, match="'T' is in no unpinned factor"):
+        _conditional_laws(joint, [pinned], ("T",))
+
+
+def test_only_given_nodes_can_be_pinned():
+    joint = joint_distribution(gformula_model(1))
+    with pytest.raises(InvalidArgumentError, match="only conditioning nodes"):
+        _conditional_laws(joint, [(("R",), ("X",), {"T": 0})])
+
+
+def without_x(value) -> Scm:
+    """The ternary plan model with no mass at X = value."""
+    model = gformula_model(1, TERNARY_PLAN)
+    row = [0 if v == value else 1 for v in range(3)]
+    cpts = dict(model.cpts, X=Cpt("X", (), {(): tuple(Fraction(p, sum(row)) for p in row)}))
+    return Scm(model.dag, model.domains, cpts)
+
+
+@pytest.mark.parametrize("x_val", [2, 9], ids=["zero-mass", "off-domain"])
+@pytest.mark.parametrize("form", ["list", "numpy"])
+def test_gformula2_given_x_names_the_stratum_without_mass(x_val, form, monkeypatch):
+    joint = stored(form, without_x(2), monkeypatch)
+    stratum = f"conditioning stratum {{T=0, X={x_val}}} has no mass"
+    with pytest.raises(PositivityError, match=re.escape(stratum)):
+        gformula2_given_x(joint, GFORMULA_ROLES, 0, 1, x_val)
+
+
+@pytest.mark.parametrize("call, pinned", [
+    (lambda j: gformula2(j, GFORMULA_ROLES, 0, 1), ("T", "T2")),
+    (lambda j: gformula2_given_x(j, GFORMULA_ROLES, 0, 1, 2), ("X", "T", "T2")),
+], ids=["gformula2", "gformula2_given_x"])
+def test_the_r2_factor_divides_only_its_treatment_slice(call, pinned, monkeypatch):
+    # The r2 factor is the one with five given nodes; unpinned, it divides
+    # every cell of the joint's (X, T, R, X2, T2, R2) marginal.
+    seen = []
+    real = scm_module._divide
+
+    def counted(masses, cells, k, scale=None):
+        seen.append((k, len(cells)))
+        return real(masses, cells, k, scale)
+
+    monkeypatch.setattr(scm_module, "_divide", counted)
+    joint = joint_distribution(gformula_model(1, TERNARY_PLAN))
+    call(joint)
+    (cells,) = [n for k, n in seen if k == 5]
+    whole = len(_marginals(joint, tuple(GFORMULA_ROLES))[0])
+    assert whole == 729
+    assert cells * 3 ** len(pinned) == whole

@@ -242,6 +242,13 @@ class TestRestrict:
         with pytest.raises(InvalidArgumentError):
             restrict(joint, "R", {"R": 1})
 
+    @pytest.mark.parametrize("targets", [("T", "T"), ["R", "T", "R"]])
+    def test_a_repeated_target_is_refused(self, targets):
+        # It used to give a table whose order named the node twice.
+        joint = joint_distribution(simpson_scm())
+        with pytest.raises(InvalidArgumentError, match=f"{targets[0]!r} repeated in targets"):
+            restrict(joint, targets, {"X": 0} if len(targets) > 2 else None)
+
     def test_expectation(self):
         joint = joint_distribution(simpson_scm())
         assert expectation(joint, "R", {"T": 1}) == pytest.approx(0.58, abs=1e-12)
@@ -280,6 +287,31 @@ class TestConditionalLaws:
         joint = joint_distribution(simpson_scm())
         with pytest.raises(InvalidArgumentError):
             conditional_laws(joint, ("R",), ("R", "T"))
+
+    def test_an_exact_stratum_below_the_cutoff_is_left_out(self):
+        # P(A=1) = 1e-16 is positive but below POSITIVITY_CUTOFF; its
+        # numerator over the joint's scale is 1.
+        tiny = Fraction(1, 10**16)
+        dag = Dag(["A", "B"], [("A", "B")])
+        scm = Scm(
+            dag,
+            {n: Domain(n, (0, 1)) for n in "AB"},
+            {
+                "A": Cpt("A", (), {(): (1 - tiny, tiny)}),
+                "B": Cpt("B", ("A",), {(0,): (Fraction(1, 2),) * 2, (1,): (Fraction(1, 2),) * 2}),
+            },
+        )
+        laws = conditional_laws(joint_distribution(scm), ("B",), ("A",))
+        assert laws == {(0,): {(0,): Fraction(1, 2), (1,): Fraction(1, 2)}}
+
+    @pytest.mark.parametrize("targets, given_nodes, what", [
+        (("T", "T"), (), "'T' repeated in targets"),
+        (("R",), ("T", "X", "T"), "'T' repeated in conditioning nodes"),
+    ])
+    def test_a_repeated_node_is_refused(self, targets, given_nodes, what):
+        joint = joint_distribution(simpson_scm())
+        with pytest.raises(InvalidArgumentError, match=what):
+            conditional_laws(joint, targets, given_nodes)
 
 
 class TestIntervene:
@@ -743,6 +775,13 @@ class TestCondIndependent:
         joint = joint_distribution(simpson_scm())
         with pytest.raises(InvalidArgumentError):
             cond_independent(joint, {"R"}, {"R"}, set())
+
+    @pytest.mark.parametrize("a, b, c", [({"R"}, {"R", "T"}, {"X"}), ({"R"}, {"T"}, {"R"}),
+                                         ({"R"}, {"T"}, {"T", "X"})])
+    def test_each_overlap_is_refused_by_name(self, a, b, c):
+        joint = joint_distribution(simpson_scm())
+        with pytest.raises(InvalidArgumentError, match="pairwise disjoint"):
+            cond_independent(joint, a, b, c)
 
 
 class TestTotalVariation:
