@@ -6,9 +6,11 @@ instrumental-variable family (binary ratio, multi-level aggregate, and
 two-stage least squares), and stratified odds ratios computed by two
 algebraically equivalent routes.
 
-As in :mod:`scmkit.identify`, each formula call reads all of its factors
-and supports from one scan of its joint table; role bindings and figure
-shapes go through the same binder and shape check.
+As in :mod:`scmkit.identify`, each formula call asks for all of its
+factors and supports at once, and reads its joint table in one pass, or
+one pass per distinct set of pinned given nodes over that slice
+(`two_stage_direct` pins Y2 and Y4); role bindings and figure shapes go
+through the same binder and shape check.
 """
 
 from __future__ import annotations

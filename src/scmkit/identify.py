@@ -5,13 +5,13 @@ the observational law: covariate adjustment and its propensity-grouped
 variant, the mediator (front-door) identity, the crop-yield two-route
 identity, and the two-stage g-formula.
 
-Each formula call scans its joint once: it asks for all of its factors
-and supports in one call, and a single grouped pass over the joint yields
-every factor for every stratum, as :func:`scmkit.scm.conditional_laws`
-gives one.  A factor that reads only the strata where some given nodes
-take one value pins them, and is summed and divided over that slice of
-the joint alone, in the same pass; the g-formula pins its treatments
-this way.  Adjustment reads the unnormalized masses of its one pass,
+Each formula call asks for all of its factors and supports in one call,
+and a single grouped pass over the joint yields every factor for every
+stratum, as :func:`scmkit.scm.conditional_laws` gives one.  A factor that
+reads only the strata where some given nodes take one value pins them,
+and is summed and divided over that slice of the joint alone; each
+distinct set of pins takes one pass over its own slice.  The g-formula
+pins its treatments this way.  Adjustment reads the unnormalized masses of its one pass,
 because its textbook arithmetic divides by them only at the end.  Role
 bindings and figure shapes go through one binder and one shape check.
 Each formula raises a stratum-named positivity error when a required
@@ -437,7 +437,9 @@ def _gformula(joint: JointTable, bound: Mapping, t_val, t2_val, x_pin: Mapping) 
     P(r2 | x, t, r, x2, t2); p_x is the observed law of X when `x_pin` is
     empty, else the point mass at its value of X.  Each factor pins T to t
     (and T2 to t2, and X to a pinned value), so it sums and divides only
-    the slice of the joint it reads, in the same one scan."""
+    the slice of the joint it reads: one pass over the T = t slice, one
+    over its T2 = t2 part and, when X is not pinned, one over the whole
+    joint for the observed law of X."""
     x_n, t_n, r_n, x2_n, t2_n, r2_n = bound.values()
     xt = (x_n, t_n)
     pins = {**x_pin, t_n: t_val}

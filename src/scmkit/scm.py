@@ -532,20 +532,22 @@ def _codes(offsets, base: int = 0) -> list:
     return codes
 
 
-def _scan(joint: JointTable, axes_lists, fixed=None) -> tuple:
-    """For each list of axes, the masses of the joint's keys whose value
-    codes match that list's `fixed` ({axis: code}), in key order, and the
-    row-major code of every such key's values on those axes, as `_slice`
-    gives them.  Lists with equal `fixed` share one slice of the joint."""
-    if not fixed:
-        masses, codes = _slice(joint, {}, [_radix(joint.sizes, axes) for axes in axes_lists])
+def _scan(joint: JointTable, axes_lists, fixed) -> tuple:
+    """For each list of axes and its `fixed` ({axis: code}; empty for the
+    whole joint), the masses of the joint's keys whose value codes match
+    it, in key order, and the row-major code of every such key's values on
+    those axes, as `_slice` gives them.  Lists with equal `fixed` share one
+    `_slice` pass, so the joint is read once per distinct `fixed`, and a
+    pinned group reads only its slice."""
+    if fixed.count(fixed[0]) == len(fixed):  # one group (every unpinned call): no grouping
+        masses, codes = _slice(joint, fixed[0], [_radix(joint.sizes, axes) for axes in axes_lists])
         return [masses] * len(axes_lists), codes
-    groups: dict = {}  # frozen fixed -> (fixed, positions of its lists)
+    groups: dict = {}  # frozen fixed -> positions of its lists
     for i, fix in enumerate(fixed):
-        groups.setdefault(tuple(sorted(fix.items())), (fix, []))[1].append(i)
+        groups.setdefault(frozenset(fix.items()), []).append(i)
     masses, codes = [None] * len(axes_lists), [None] * len(axes_lists)
-    for fix, where in groups.values():
-        ms, cs = _slice(joint, fix, [_radix(joint.sizes, axes_lists[i]) for i in where])
+    for where in groups.values():
+        ms, cs = _slice(joint, fixed[where[0]], [_radix(joint.sizes, axes_lists[i]) for i in where])
         for i, c in zip(where, cs):
             masses[i], codes[i] = ms, c
     return masses, codes
@@ -678,10 +680,11 @@ def _fixed(joint: JointTable, pins: dict) -> dict:
 
 def _marginals(joint: JointTable, *node_tuples, numerators: bool = False, pins=None) -> list:
     """Unnormalized masses {configuration: mass} of each node tuple, all
-    from one scan of the joint; with `numerators`, the masses of a
-    `Fraction` joint stay integer numerators over its `scale`.  `pins`, one
-    partial configuration {node: value} per tuple, keeps only the slice of
-    the joint where those nodes take those values.
+    from one `_scan` call; with `numerators`, the masses of a `Fraction`
+    joint stay integer numerators over its `scale`.  `pins`, one partial
+    configuration {node: value} per tuple, keeps only the slice of the
+    joint where those nodes take those values: tuples with equal pins share
+    one pass over their slice, and unpinned ones one pass over the joint.
 
     Masses accumulate in joint order and keys appear in the order of their
     first configuration, exactly as `restrict` sums them; a slice's masses
@@ -689,7 +692,8 @@ def _marginals(joint: JointTable, *node_tuples, numerators: bool = False, pins=N
     unpinned one's matching keys.
     """
     axes = [[joint.index(n) for n in nodes] for nodes in node_tuples]
-    masses, codes = _scan(joint, axes, any(pins or ()) and [_fixed(joint, p) for p in pins])
+    fixed = [_fixed(joint, p) if p else {} for p in pins or [{}] * len(axes)]
+    masses, codes = _scan(joint, axes, fixed)
     tables = []
     for ax, ms, cs in zip(axes, masses, codes):
         configs = list(itertools.product(*(joint.values[a] for a in ax)))
@@ -716,8 +720,9 @@ def _conditional_laws(joint: JointTable, pairs, support=()) -> tuple:
     `support`, all from one `_marginals` call over the distinct given and
     given + targets tuples.  A pair's `pins` {node: value} hold some of its
     given nodes at one value each: its laws are then the unpinned laws of
-    those strata alone, summed and divided over that slice of the joint.
-    A support is read from unpinned tuples only."""
+    those strata alone, summed and divided over that slice of the joint,
+    which is read in one pass per distinct set of pins.  A support is read
+    from unpinned tuples only."""
     tuples: dict = {}  # (nodes, frozen pins) -> pins, in the order asked
     factors = []
     for targets, given, *pins in pairs:

@@ -1,6 +1,6 @@
 """Mutation runs: find the checks in a module that no focused test catches.
 
-    python tests/mutate.py src/scmkit/identify.py [--workdir DIR] [--timeout S]
+    python tests/mutate.py src/scmkit/identify.py
 
 Run it from the repository root.  Each mutant changes one site of the
 module's syntax tree: a comparison becomes its negation (== and !=, < and
@@ -10,11 +10,11 @@ Annotations are left alone: under `from __future__ import annotations` no
 mutant of one can fail a test.
 
 The module's focused test files (`FOCUSED`) run with `-x` against a copy of
-`src/` and `tests/` in the work directory (a fresh temporary one by
-default) that holds the mutant; the repository itself is never written.  A
-mutant that fails a test or runs past the timeout is killed, one that
-passes survives.  `tests/mutation_survivors.json` holds, per module, the
-tally of its last run and each survivor with the reason it is equivalent
+`src/` and `tests/` in a temporary directory that holds the mutant and is
+removed at the end; the repository itself is never written.  A mutant that
+fails a test is killed, one that runs past `TIMEOUT` seconds is hung, one
+that passes survives.  `tests/mutation_survivors.json` holds, per module,
+the tally of its last run and each survivor with the reason it is equivalent
 to the original code; the run prints every survivor and exits 1 when one
 is not listed there.  Not collected by pytest: its name does not start
 with `test_`.
@@ -35,6 +35,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SURVIVORS = ROOT / "tests" / "mutation_survivors.json"
+TIMEOUT = 300  # seconds; a killed mutant of identify.py takes about 3.5 s
 
 # module -> the test files whose subject it is, run for each of its mutants.
 FOCUSED = {
@@ -127,12 +128,12 @@ def mutants(source: str):
         yield f"L{node.lineno}: {before} -> {after}", ast.unparse(tree)
 
 
-def _run(workdir: Path, files: list, timeout: float) -> str:
+def _run(workdir: Path, files: list) -> str:
     env = dict(os.environ, PYTHONPATH=str(workdir / "src"), PYTHONDONTWRITEBYTECODE="1")
     argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
             *(f"tests/{f}" for f in files)]
     try:
-        done = subprocess.run(argv, cwd=workdir, env=env, capture_output=True, timeout=timeout)
+        done = subprocess.run(argv, cwd=workdir, env=env, capture_output=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return "hung"
     return "survived" if done.returncode == 0 else "killed"
@@ -141,14 +142,14 @@ def _run(workdir: Path, files: list, timeout: float) -> str:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("module", help="path of the module under src/scmkit")
-    p.add_argument("--workdir", help="directory for the mutated copy (default: a temporary one)")
-    p.add_argument("--timeout", type=float, default=300, help="seconds until a mutant is hung")
-    args = p.parse_args(argv)
-    module = Path(args.module).resolve()
+    module = Path(p.parse_args(argv).module).resolve()
+    with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
+        return _mutate(module, Path(tmp))
+
+
+def _mutate(module: Path, workdir: Path) -> int:
     files = FOCUSED[module.name]
-    workdir = Path(args.workdir or tempfile.mkdtemp(prefix="mutate-")).resolve()
     for part in ("src", "tests"):
-        shutil.rmtree(workdir / part, ignore_errors=True)
         shutil.copytree(ROOT / part, workdir / part,
                         ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
     shutil.copy(ROOT / "pyproject.toml", workdir)
@@ -157,13 +158,13 @@ def main(argv=None) -> int:
     known = json.loads(SURVIVORS.read_text(encoding="utf-8")).get(module.name, {})
     known = known.get("survivors", {})
     tally, unexplained = {"killed": 0, "hung": 0, "survived": 0}, 0
-    if _run(workdir, files, args.timeout) != "survived":
+    if _run(workdir, files) != "survived":
         print("the focused tests fail on the unmutated module", file=sys.stderr)
         return 2
     for label, mutated in mutants(source):
         target.write_text(mutated, encoding="utf-8")
         start = time.perf_counter()
-        verdict = _run(workdir, files, args.timeout)
+        verdict = _run(workdir, files)
         tally[verdict] += 1
         if verdict == "survived":
             reason = known.get(label)

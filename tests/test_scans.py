@@ -1,11 +1,12 @@
 """Each formula call reads its observational joint in exactly one scan.
 
-A formula asks for all of its factors and supports at once, so one pass
-over the joint's masses serves the whole call, whether they are floats (in
-plain Python or on numpy) or the integer numerators of a Fraction joint;
-`verify_rule` makes one pass per joint it builds.  A factor that pins some
-of its given nodes to one value each reads only that slice of the joint,
-within the same one scan, and equals the unpinned factor's matching strata.
+A formula asks for all of its factors and supports at once, so one `_scan`
+call serves the whole call, whether the masses are floats (in plain Python
+or on numpy) or the integer numerators of a Fraction joint; `verify_rule`
+makes one per joint it builds.  An unpinned call reads the joint in one
+`_slice` pass.  A factor that pins some of its given nodes to one value
+each reads only that slice of the joint, one `_slice` pass per distinct
+set of pins, and equals the unpinned factor's matching strata.
 """
 
 import importlib
@@ -119,6 +120,29 @@ def scans(monkeypatch):
     return seen
 
 
+@pytest.fixture()
+def slices(monkeypatch):
+    """A list that gains the `fixed` {axis: code} of each `scm._slice` pass."""
+    seen = []
+    real = scm_module._slice
+
+    def counted(joint, fixed, offsets):
+        seen.append(fixed)
+        return real(joint, fixed, offsets)
+
+    monkeypatch.setattr(scm_module, "_slice", counted)
+    return seen
+
+
+# name -> the number of pinned axes of each `_slice` pass its call makes,
+# sorted; every other call reads the whole joint in one pass.
+PINNED_PASSES = {
+    "gformula2": [0, 1, 2],
+    "gformula2_given_x": [2, 3],
+    "two_stage_direct": [1, 2],
+}
+
+
 @pytest.mark.parametrize("name", list(CALLS))
 def test_one_scan_per_formula_call(name, scans):
     model, call = CALLS[name]
@@ -156,6 +180,18 @@ def test_one_scan_per_formula_call_on_a_fraction_joint(name, scans):
     assert len(scans) == 1
 
 
+@pytest.mark.parametrize("storage", ["list", "numpy", "fraction"])
+@pytest.mark.parametrize("name", list(CALLS))
+def test_one_pass_per_pin_group(name, storage, slices, monkeypatch):
+    if storage == "numpy":
+        monkeypatch.setattr(scm_module, "_STDLIB_DRAWS", 0)
+        monkeypatch.setattr(scm_module, "_NUMPY_JOINT", 0)
+    model, call = CALLS[name]
+    joint = joint_distribution(exact(model) if storage == "fraction" else model)
+    call(joint)
+    assert sorted(map(len, slices)) == PINNED_PASSES.get(name, [0])
+
+
 def test_cli_multi_level_instrument_scans_once(scans, tmp_path, capsys):
     # Three instrument levels; the report matches the call with the base
     # level passed explicitly as the smallest supported one.
@@ -183,7 +219,8 @@ def test_only_scm_reads_the_flat_masses():
     for info in pkgutil.iter_modules(scmkit.__path__):
         module = importlib.import_module(f"scmkit.{info.name}")
         if module is not scm_module:
-            assert getattr(module, "_scan", None) is not scm_module._scan, info.name
+            for name in ("_scan", "_slice"):
+                assert getattr(module, name, None) is not getattr(scm_module, name), info.name
 
 
 TERNARY_PLAN = {n: 3 for n in GFORMULA_ROLES}
@@ -267,10 +304,13 @@ def test_a_pinned_factor_is_the_unpinned_factors_matching_strata(
                                         if all(k[nodes.index(n)] == v for n, v in pins.items())})
 
 
-def test_pinned_factors_still_take_one_scan(scans):
+def test_pinned_factors_still_take_one_scan(scans, slices):
     joint = joint_distribution(gformula_model(1, TERNARY_PLAN))
-    _conditional_laws(joint, pinned_cases(joint) + [(("R2",), ("X",))], ("R2",))
+    cases = pinned_cases(joint)
+    _conditional_laws(joint, cases + [(("R2",), ("X",))], ("R2",))
     assert len(scans) == 1
+    # One pass over each distinct slice, and one over the whole joint.
+    assert len(slices) == len({frozenset(pins.items()) for *_, pins in cases}) + 1
 
 
 def test_a_support_is_read_from_unpinned_factors_only():
