@@ -532,35 +532,15 @@ def _codes(offsets, base: int = 0) -> list:
     return codes
 
 
-def _scan(joint: JointTable, axes_lists, fixed) -> tuple:
-    """For each list of axes and its `fixed` ({axis: code}; empty for the
-    whole joint), the masses of the joint's keys whose value codes match
-    it, in key order, and the row-major code of every such key's values on
-    those axes, as `_slice` gives them.  Lists with equal `fixed` share one
-    `_slice` pass, so the joint is read once per distinct `fixed`, and a
-    pinned group reads only its slice."""
-    if fixed.count(fixed[0]) == len(fixed):  # one group (every unpinned call): no grouping
-        masses, codes = _slice(joint, fixed[0], [_radix(joint.sizes, axes) for axes in axes_lists])
-        return [masses] * len(axes_lists), codes
-    groups: dict = {}  # frozen fixed -> positions of its lists
-    for i, fix in enumerate(fixed):
-        groups.setdefault(frozenset(fix.items()), []).append(i)
-    masses, codes = [None] * len(axes_lists), [None] * len(axes_lists)
-    for where in groups.values():
-        ms, cs = _slice(joint, fixed[where[0]], [_radix(joint.sizes, axes_lists[i]) for i in where])
-        for i, c in zip(where, cs):
-            masses[i], codes[i] = ms, c
-    return masses, codes
-
-
-def _slice(joint: JointTable, fixed: dict, offsets) -> tuple:
+def _slice(joint: JointTable, fixed: dict, axes_lists) -> tuple:
     """The masses of the joint's keys whose value codes match `fixed`
     ({axis: code}; a code of None matches nothing), in key order, and for
-    each axes list's `_radix` offsets the row-major code of every such
-    key's values on those axes, fixed axes included.  A joint with an
-    `_array` is scanned in numpy and gives arrays of both."""
-    if fixed and None in fixed.values():
-        return [], [[] for _ in offsets]
+    each list of axes the row-major code of every such key's values on
+    those axes, fixed axes included.  A joint with an `_array` is scanned
+    in numpy and gives arrays of both."""
+    if None in fixed.values():
+        return [], [[] for _ in axes_lists]
+    offsets = [_radix(joint.sizes, axes) for axes in axes_lists]
     if joint.keys is None:
         # Only the matching positions are visited: the grid of the free axes,
         # each fixed axis adding its value's offset to every code.
@@ -585,9 +565,9 @@ def _slice(joint: JointTable, fixed: dict, offsets) -> tuple:
         codes = [_codes([offs[a] for a in free], base) for offs, base in zip(offsets, bases)]
         masses = joint.masses
         if fixed:
-            strides = _radix(joint.sizes, range(len(joint.sizes)))
-            base = sum(strides[a][c] for a, c in fixed.items())
-            masses = list(map(masses.__getitem__, _codes([strides[a] for a in free], base)))
+            strides = [range(0, joint.sizes[a] * joint.strides[a], joint.strides[a]) for a in free]
+            base = sum(joint.strides[a] * c for a, c in fixed.items())
+            masses = list(map(masses.__getitem__, _codes(strides, base)))
         if joint.zeros:
             codes = [list(itertools.compress(cs, masses)) for cs in codes]
             masses = list(itertools.compress(masses, masses))
@@ -637,7 +617,7 @@ def restrict(joint: JointTable, targets, given: dict | None = None) -> JointTabl
         targets = tuple(targets)
     _require_distinct(targets, tuple(given))
     target_axes = [joint.index(n) for n in targets]
-    masses, (codes,) = _slice(joint, _fixed(joint, given), [_radix(joint.sizes, target_axes)])
+    masses, (codes,) = _slice(joint, _fixed(joint, given), [target_axes])
     if isinstance(masses, list):
         mass = functools.reduce(operator.add, masses, 0)
     else:
@@ -679,12 +659,12 @@ def _fixed(joint: JointTable, pins: dict) -> dict:
 
 
 def _marginals(joint: JointTable, *node_tuples, numerators: bool = False, pins=None) -> list:
-    """Unnormalized masses {configuration: mass} of each node tuple, all
-    from one `_scan` call; with `numerators`, the masses of a `Fraction`
-    joint stay integer numerators over its `scale`.  `pins`, one partial
-    configuration {node: value} per tuple, keeps only the slice of the
-    joint where those nodes take those values: tuples with equal pins share
-    one pass over their slice, and unpinned ones one pass over the joint.
+    """Unnormalized masses {configuration: mass} of each node tuple; with
+    `numerators`, the masses of a `Fraction` joint stay integer numerators
+    over its `scale`.  `pins`, one partial configuration {node: value} per
+    tuple, keeps only the slice of the joint where those nodes take those
+    values.  Tuples with equal pins share one `_slice` pass over their
+    slice, so without pins every tuple comes from one pass over the joint.
 
     Masses accumulate in joint order and keys appear in the order of their
     first configuration, exactly as `restrict` sums them; a slice's masses
@@ -692,14 +672,19 @@ def _marginals(joint: JointTable, *node_tuples, numerators: bool = False, pins=N
     unpinned one's matching keys.
     """
     axes = [[joint.index(n) for n in nodes] for nodes in node_tuples]
-    fixed = [_fixed(joint, p) if p else {} for p in pins or [{}] * len(axes)]
-    masses, codes = _scan(joint, axes, fixed)
-    tables = []
-    for ax, ms, cs in zip(axes, masses, codes):
-        configs = list(itertools.product(*(joint.values[a] for a in ax)))
-        sums = _sums(cs, ms, len(configs))
-        totals = sums.values() if numerators else _unscaled(joint, sums.values())
-        tables.append(dict(zip(map(configs.__getitem__, sums), totals)))
+    pins = pins or [{}] * len(axes)
+    groups: dict = {}  # frozen pins (() for none) -> positions of the tuples that have them
+    for i, p in enumerate(pins):
+        groups.setdefault(frozenset(p.items()) if p else (), []).append(i)
+    tables = [None] * len(axes)
+    for where in groups.values():
+        p = pins[where[0]]
+        masses, codes = _slice(joint, _fixed(joint, p) if p else {}, [axes[i] for i in where])
+        for i, cs in zip(where, codes):
+            configs = list(itertools.product(*(joint.values[a] for a in axes[i])))
+            sums = _sums(cs, masses, len(configs))
+            totals = sums.values() if numerators else _unscaled(joint, sums.values())
+            tables[i] = dict(zip(map(configs.__getitem__, sums), totals))
     return tables
 
 
@@ -720,9 +705,9 @@ def _conditional_laws(joint: JointTable, pairs, support=()) -> tuple:
     `support`, all from one `_marginals` call over the distinct given and
     given + targets tuples.  A pair's `pins` {node: value} hold some of its
     given nodes at one value each: its laws are then the unpinned laws of
-    those strata alone, summed and divided over that slice of the joint,
-    which is read in one pass per distinct set of pins.  A support is read
-    from unpinned tuples only."""
+    those strata alone, summed and divided over that slice of the joint;
+    `_marginals` reads each distinct set of pins' slice in one pass.  A
+    support is read from unpinned tuples only."""
     tuples: dict = {}  # (nodes, frozen pins) -> pins, in the order asked
     factors = []
     for targets, given, *pins in pairs:

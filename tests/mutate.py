@@ -51,7 +51,8 @@ FOCUSED = {
     "graph.py": ["test_graph.py", "test_graph_oracle.py"],
     "identify.py": ["test_identify.py", "test_scans.py", "test_bindings.py",
                     "test_float_kernels.py"],
-    "scm.py": ["test_scm.py", "test_scans.py", "test_float_kernels.py", "test_imports.py"],
+    "scm.py": ["test_scm.py", "test_scans.py", "test_float_kernels.py", "test_imports.py",
+               "test_exogenous.py"],
 }
 
 _NEGATED = {

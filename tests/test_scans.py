@@ -1,12 +1,12 @@
 """Each formula call reads its observational joint in exactly one scan.
 
-A formula asks for all of its factors and supports at once, so one `_scan`
-call serves the whole call, whether the masses are floats (in plain Python
-or on numpy) or the integer numerators of a Fraction joint; `verify_rule`
-makes one per joint it builds.  An unpinned call reads the joint in one
-`_slice` pass.  A factor that pins some of its given nodes to one value
-each reads only that slice of the joint, one `_slice` pass per distinct
-set of pins, and equals the unpinned factor's matching strata.
+A formula asks for all of its factors and supports at once, so one
+`_marginals` call serves the whole call, whether the masses are floats (in
+plain Python or on numpy) or the integer numerators of a Fraction joint;
+`verify_rule` makes one per joint it builds.  An unpinned call reads the
+joint in one `_slice` pass.  A factor that pins some of its given nodes to
+one value each reads only that slice of the joint, one `_slice` pass per
+distinct set of pins, and equals the unpinned factor's matching strata.
 """
 
 import importlib
@@ -14,6 +14,7 @@ import json
 import pkgutil
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -108,15 +109,19 @@ CALLS = {
 
 @pytest.fixture()
 def scans(monkeypatch):
-    """A list that gains one entry per call of `scm._scan`."""
+    """A list that gains one entry per call of `scm._marginals`, through
+    every loaded module that binds that name (`identify` and `structures`
+    import it)."""
     seen = []
-    real = scm_module._scan
+    real = scm_module._marginals
 
     def counted(*args, **kwargs):
         seen.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(scm_module, "_scan", counted)
+    for module in list(sys.modules.values()):
+        if getattr(module, "__dict__", {}).get("_marginals") is real:
+            monkeypatch.setattr(module, "_marginals", counted)
     return seen
 
 
@@ -126,9 +131,9 @@ def slices(monkeypatch):
     seen = []
     real = scm_module._slice
 
-    def counted(joint, fixed, offsets):
+    def counted(joint, fixed, axes_lists):
         seen.append(fixed)
-        return real(joint, fixed, offsets)
+        return real(joint, fixed, axes_lists)
 
     monkeypatch.setattr(scm_module, "_slice", counted)
     return seen
@@ -215,11 +220,17 @@ def test_verify_rule_scans_each_joint_it_builds_once(rule, joints, scans):
     assert len(scans) == joints
 
 
+@pytest.mark.parametrize("a, b", [(set(), {"R"}), ({"T"}, set()), (set(), set())])
+def test_an_empty_node_set_is_independent_without_a_scan(a, b, scans):
+    joint = joint_distribution(simpson_scm())
+    assert cond_independent(joint, a, b, {"X"}) == (True, 0.0)
+    assert scans == []
+
+
 def test_only_scm_reads_the_flat_masses():
     for info in pkgutil.iter_modules(scmkit.__path__):
         module = importlib.import_module(f"scmkit.{info.name}")
         if module is not scm_module:
-            assert getattr(module, "_scan", None) is not scm_module._scan, info.name
             assert getattr(module, "_slice", None) is not scm_module._slice, info.name
 
 

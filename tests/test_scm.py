@@ -168,6 +168,29 @@ class TestValidate:
         assert validate_scm(scm) == ["'T'@(0,): row sums to inf, not 1"]
 
 
+    def test_a_node_with_a_table_but_no_domain_is_named(self):
+        scm = Scm(
+            Dag(["A", "B"], [("A", "B")]),
+            {"A": Domain("A", (0, 1))},
+            {
+                "A": Cpt("A", (), {(): (0.5, 0.5)}),
+                "B": Cpt("B", ("A",), {(0,): (0.5, 0.5), (1,): (0.5, 0.5)}),
+            },
+        )
+        assert validate_scm(scm) == ["node 'B' has no domain"]
+
+    def test_a_parent_without_a_domain_is_named(self):
+        scm = Scm(
+            Dag(["A", "B"], [("A", "B")]),
+            {"B": Domain("B", (0, 1))},
+            {
+                "A": Cpt("A", (), {(): (0.5, 0.5)}),
+                "B": Cpt("B", ("A",), {(0,): (0.5, 0.5), (1,): (0.5, 0.5)}),
+            },
+        )
+        assert validate_scm(scm) == ["node 'A' has no domain", "'B': table has 2 rows, expected 0"]
+
+
 class TestJointDistribution:
     def test_single_coin(self):
         dag = Dag(["C"], [])
@@ -216,6 +239,31 @@ class TestJointDistribution:
         )
         with pytest.raises(ResourceLimitError):
             joint_distribution(scm)
+
+
+class TestJointTable:
+    def test_equality_needs_the_same_order_and_law(self):
+        law = {(0, 1): 0.25, (1, 0): 0.75}
+        table = JointTable(("A", "B"), law)
+        assert table == JointTable(("A", "B"), dict(reversed(law.items())))
+        assert not table != JointTable(("A", "B"), law)
+        assert table != JointTable(("B", "A"), law)
+        assert table != JointTable(("A", "B"), {(0, 1): 0.5, (1, 0): 0.5})
+
+    @pytest.mark.parametrize("other", [None, 3, "AB", {(0, 1): 0.25, (1, 0): 0.75}])
+    def test_a_table_never_equals_another_type(self, other):
+        table = JointTable(("A", "B"), {(0, 1): 0.25, (1, 0): 0.75})
+        assert table != other
+        assert not table == other
+
+    @pytest.mark.parametrize("cfg", [(0,), (1,), (0, 1, 0), (1, 0, 0), [0, 1], [1, 0]],
+                             ids=["short", "short-1", "long", "long-1", "list", "list-1"])
+    def test_a_key_of_the_wrong_shape_is_missing(self, cfg):
+        # Every prefix of each bad key is a configuration with mass.
+        table = JointTable(("A", "B"), {(0, 1): 0.25, (1, 0): 0.75, (0, 0): 0.0})
+        with pytest.raises(KeyError):
+            table.probs[cfg]
+        assert cfg not in table.probs
 
 
 class TestRestrict:
@@ -429,6 +477,20 @@ class TestSample:
                 sample(scm, DigitStream(1), n)
         with pytest.raises(InvalidArgumentError, match=re.escape(message)):
             joint_distribution(scm)
+
+    @pytest.mark.parametrize("row", [(math.nan, 0.5), (0.5, math.nan)], ids=["first", "last"])
+    def test_a_nan_entry_is_not_taken_for_a_negative_one(self, row):
+        # A row whose min() is NaN is not >= 0, so a negative entry must
+        # still be found before one is named.  NaN itself is validate_scm's
+        # to name; the joint and the sampler may refuse it, but not as negative.
+        scm = Scm(Dag(["A"], []), {"A": Domain("A", (0, 1))}, {"A": Cpt("A", (), {(): row})})
+        assert validate_scm(scm) == ["'A'@(): non-finite probability"]
+        for build in (joint_distribution, lambda m: sample(m, DigitStream(1), 5),
+                      lambda m: sample(m, DigitStream(1), 5000)):
+            try:
+                build(scm)
+            except InvalidArgumentError as exc:
+                assert "negative" not in str(exc)
 
     def test_prefix_stability(self):
         scm = simpson_scm()
@@ -926,6 +988,56 @@ class TestModelFormat:
         with pytest.raises(InvalidArgumentError) as info:
             scm_from_json(text)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("value", ["a|b", "|", ""])
+    def test_a_domain_value_that_cannot_be_a_row_key_part_is_refused(self, value):
+        scm = Scm(
+            Dag(["A"], []),
+            {"A": Domain("A", ("lo", value))},
+            {"A": Cpt("A", (), {(): (0.5, 0.5)})},
+        )
+        message = f"domain value {value!r} of 'A' cannot appear in a row key"
+        with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+            scm_to_json(scm)
+
+    def test_string_domain_values_round_trip(self):
+        scm = Scm(
+            Dag(["A", "B"], [("A", "B")]),
+            {"A": Domain("A", ("lo", "hi")), "B": Domain("B", ("no", "a b"))},
+            {
+                "A": Cpt("A", (), {(): (0.5, 0.5)}),
+                "B": Cpt("B", ("A",), {("lo",): (0.25, 0.75), ("hi",): (1.0, 0.0)}),
+            },
+        )
+        text = scm_to_json(scm)
+        assert '"hi"' in text and '"lo"' in text
+        back = scm_from_json(text)
+        assert back.cpts["B"].table == scm.cpts["B"].table
+        assert scm_to_json(back) == text
+
+    @pytest.mark.parametrize("entry", [["id"], "id", 3, None])
+    def test_a_node_entry_that_is_not_an_object_is_refused(self, entry):
+        good = {"id": "A", "domain": [0, 1], "parents": [], "table": {"": [0.5, 0.5]}}
+        with pytest.raises(InvalidArgumentError, match="^node entry 1 lacks a 'id' field$"):
+            scm_from_dict({"nodes": [good, entry]})
+
+    @pytest.mark.parametrize("parent", ["Q", "", 3, None, ["A"]])
+    def test_a_parent_that_names_no_node_is_refused(self, parent):
+        doc = {"nodes": [
+            {"id": "A", "domain": [0, 1], "parents": [], "table": {"": [0.5, 0.5]}},
+            {"id": "B", "domain": [0, 1], "parents": [parent],
+             "table": {"0": [0.5, 0.5], "1": [0.5, 0.5]}},
+        ]}
+        message = f"'B' lists unknown parent {parent!r}"
+        with pytest.raises(InvalidArgumentError, match=f"^{re.escape(message)}$"):
+            scm_from_dict(doc)
+
+    @pytest.mark.parametrize("row", [1, "0.5", None, {"0": 0.5}, [0.5, "0.5"], [True, False],
+                                     [0.5, None], [[0.5], 0.5]])
+    def test_a_row_that_is_not_a_list_of_numbers_is_refused(self, row):
+        doc = {"nodes": [{"id": "A", "domain": [0, 1], "parents": [], "table": {"": row}}]}
+        with pytest.raises(InvalidArgumentError, match="^'A': row '' must be a list of numbers$"):
+            scm_from_dict(doc)
 
     def test_row_off_one_by_rounding_accepted(self):
         # Ten tenths add up to 0.9999999999999999 in floating point.
