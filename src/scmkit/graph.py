@@ -43,7 +43,8 @@ class Dag:
 
     Acyclicity is verified by :func:`topological_order` (and by
     ``scm.validate_scm``), not at construction, so that cycle errors
-    surface with a witness where they matter.
+    surface with a witness where they matter.  The order, once found, is
+    kept for later calls.
     """
 
     def __init__(self, nodes, edges):
@@ -63,6 +64,7 @@ class Dag:
             self._children[u].append(v)
         self._parents = {n: tuple(sorted(ps, key=str)) for n, ps in self._parents.items()}
         self._children = {n: tuple(sorted(cs, key=str)) for n, cs in self._children.items()}
+        self._order = None
 
     def parents(self, node):
         self._require(node)
@@ -88,7 +90,11 @@ class Dag:
 
 def topological_order(dag: Dag) -> list:
     """Parents-before-children order, ties broken by identifier sort
-    (by `str`, then by type name)."""
+    (by `str`, then by type name), as a new list on every call.
+
+    The order is sorted once per Dag; a cyclic Dag raises on every call."""
+    if dag._order is not None:
+        return list(dag._order)
     indegree = {n: len(dag.parents(n)) for n in dag.nodes}
     # Equal identifiers (1 and "1") are ordered by type name, not by the
     # set's hash order, so every process gives the same order; the tick
@@ -106,6 +112,7 @@ def topological_order(dag: Dag) -> list:
                 heapq.heappush(frontier, (_tie_key(child), next(tick), child))
     if len(order) < len(dag.nodes):
         raise CyclicGraphError(f"cycle detected: {_cycle_witness(dag, set(indegree) - set(order))}")
+    dag._order = tuple(order)
     return order
 
 
@@ -194,19 +201,24 @@ class BackdoorReport(Record, frozen=False):
         return [v.path for v in self.verdicts if v.verdict == "violates"]
 
 
-def _walk(dag: Dag, t, r, Z: frozenset, above_z: frozenset) -> list[PathVerdict]:
-    """Every back-door path from t to r with its verdict against Z.
+def _walk(dag: Dag, t, r, Z: frozenset, above_z: frozenset) -> tuple[list[PathVerdict], bool]:
+    """Every back-door path from t to r with its verdict against Z, and
+    whether none of them violates.
 
-    Depth-first, over a stack of step iterators that carry their node's two
-    outgoing states, (verdict, witness), so paths sharing a prefix share its
-    classification; children and parents are tried in identifier order.  A
-    path ends on an edge into r from a parent of r other than t, so a prefix
-    grows only while `left` of those parents are off it; the one that takes
-    `left` to zero can only step into r.  r is visited from the start and no
-    step leads back into it, so a step that reaches r ends a path.  The
-    first Z-node that points an arrow along the path (a chain or fork node)
-    fixes (i); until one appears, the first collider outside `above_z` (Z
-    with its ancestors) is the (ii) witness.
+    Depth-first; the current node's step iterator and its two outgoing
+    states, (verdict, witness), are locals, and the frames below it are on
+    a stack, so paths sharing a prefix share its classification; children
+    and parents are tried in identifier order.  Each step carries the facts
+    that entering its node decides, built once per call: its (i) state when
+    the node is in Z, its (ii) state when it is entered along an arrow
+    outside `above_z` (Z with its ancestors), and whether it is a parent of
+    r other than t.  A path ends on an edge into r from such a parent, so a
+    prefix grows only while `left` of them are off it; the step that puts
+    the last one on lists its path at once.  r is visited from the start
+    and no step leads back into it, so a step that reaches r ends a path.
+    The first Z-node that points an arrow along the path (a chain or fork
+    node) fixes (i); until one appears, the first collider outside
+    `above_z` is the (ii) witness.
     """
     dag._require(t)
     dag._require(r)
@@ -214,53 +226,70 @@ def _walk(dag: Dag, t, r, Z: frozenset, above_z: frozenset) -> list[PathVerdict]
         raise InvalidArgumentError("treatment and response must differ")
     ends = set(dag._parents[r]) - {t}
     if not ends:
-        return []
+        return [], True
+    sat_i, sat_ii, open_ = "satisfies-(i)", "satisfies-(ii)", ("violates", None)
+    # Entering n forward or backward: (n, direction, forward, (i) state or
+    # None, (ii) state or None, n is an end).  Entered backward, n is no collider.
+    into = {
+        n: ((n, FORWARD, True, (sat_i, n) if n in Z else None,
+             None if n in above_z else (sat_ii, n), n in ends),
+            (n, BACKWARD, False, (sat_i, n) if n in Z else None, None, n in ends))
+        for n in dag.nodes
+    }
     steps = {
-        n: sorted([(c, FORWARD) for c in dag._children[n]] + [(p, BACKWARD) for p in dag._parents[n] if p != r],
+        n: sorted([into[c][0] for c in dag._children[n]] + [into[p][1] for p in dag._parents[n] if p != r],
                   key=lambda s: (str(s[0]), s[1]))
         for n in dag.nodes
     }
     # `visited` keeps each path simple and `dirs` grows with `nodes`, so the
     # records are stored directly, without `Path.__init__`'s checks.
     (set_nodes, set_dirs), (set_path, set_verdict, set_witness) = Path._setters, PathVerdict._setters
-    cap, into_r, verdicts = DEFAULT_PATH_CAP, ((r, FORWARD),), []
-    left, visited, nodes, dirs = len(ends), {t, r}, [t], []
+    cap, verdicts, valid = DEFAULT_PATH_CAP, [], True
+    left, visited, nodes, dirs, stack = len(ends), {t, r}, [t], [], []
     # Paths leave t backward, open until a node decides them; r -> t opens none.
-    stack = [(iter([(p, BACKWARD) for p in dag._parents[t] if p != r]), ("violates", None), ("violates", None))]
-    while stack:
-        it, forward, backward = stack[-1]
-        for nxt, direction in it:
-            if nxt not in visited:
-                visited.add(nxt)
-                nodes.append(nxt)
-                dirs.append(direction)
-                left -= nxt in ends
-                state = forward if direction == FORWARD else backward
-                pointing = ("satisfies-(i)", nxt) if nxt in Z and state[0] != "satisfies-(i)" else state
-                # Entered along an arrow, the node is a collider when left backward.
-                if direction == BACKWARD:
-                    state = pointing
-                elif state[0] == "violates" and nxt not in above_z:
-                    state = ("satisfies-(ii)", nxt)
-                stack.append((iter(steps[nxt] if left else into_r), pointing, state))
-                break
-            if nxt == r:
-                if len(verdicts) >= cap:
-                    raise ResourceLimitError(f"more than {cap} back-door paths")
-                path, verdict = object.__new__(Path), object.__new__(PathVerdict)
-                set_nodes(path, (*nodes, r))
-                set_dirs(path, (*dirs, FORWARD))
-                set_path(verdict, path)
-                set_verdict(verdict, forward[0])
-                set_witness(verdict, forward[1])
-                verdicts.append(verdict)
+    it, forward, backward = iter([into[p][1] for p in dag._parents[t] if p != r]), open_, open_
+    while True:
+        for nxt, direction, ahead, pointer, collider, end in it:
+            if nxt in visited:
+                if nxt != r:
+                    continue
+                state, path_nodes, path_dirs = forward, (*nodes, r), (*dirs, FORWARD)
+            else:
+                entered = state = forward if ahead else backward
+                if pointer and state[0] != sat_i:
+                    state = pointer
+                if left > end:  # some end stays off the path
+                    stack.append((it, forward, backward, left))
+                    visited.add(nxt)
+                    nodes.append(nxt)
+                    dirs.append(direction)
+                    left -= end
+                    it, forward = iter(steps[nxt]), state
+                    # Entered along an arrow, the node is a collider when left backward.
+                    if not ahead:
+                        backward = state
+                    elif collider and entered is open_:
+                        backward = collider
+                    else:
+                        backward = entered
+                    break
+                path_nodes, path_dirs = (*nodes, nxt, r), (*dirs, direction, FORWARD)
+            if len(verdicts) >= cap:
+                raise ResourceLimitError(f"more than {cap} back-door paths")
+            path, verdict = object.__new__(Path), object.__new__(PathVerdict)
+            set_nodes(path, path_nodes)
+            set_dirs(path, path_dirs)
+            set_path(verdict, path)
+            set_verdict(verdict, state[0])
+            set_witness(verdict, state[1])
+            verdicts.append(verdict)
+            valid = valid and state is not open_
         else:
-            stack.pop()
-            node = nodes.pop()
-            visited.remove(node)
-            left += node in ends
-            del dirs[-1:]  # t, at the bottom, came along no step
-    return verdicts
+            if not stack:
+                return verdicts, valid
+            it, forward, backward, left = stack.pop()
+            visited.remove(nodes.pop())
+            dirs.pop()
 
 
 def check_backdoor(dag: Dag, t, r, Z) -> BackdoorReport:
@@ -275,8 +304,8 @@ def check_backdoor(dag: Dag, t, r, Z) -> BackdoorReport:
         raise DescendantConditioningError(
             f"{sorted(offenders, key=str)} descend from {t!r}; use check_backdoor_extended"
         )
-    verdicts = _walk(dag, t, r, Z, Z.union(*(ancestors(dag, z) for z in Z)))
-    return BackdoorReport(all(v.verdict != "violates" for v in verdicts), verdicts)
+    verdicts, valid = _walk(dag, t, r, Z, Z.union(*(ancestors(dag, z) for z in Z)))
+    return BackdoorReport(valid, verdicts)
 
 
 def pseudo_treatment_graph(dag: Dag, t, deleted) -> tuple[Dag, object]:
@@ -351,7 +380,7 @@ def enumerate_valid_adjustment_sets(dag: Dag, t, r, candidates) -> list[frozense
     # Z leaves a path open exactly when none of its chain or fork nodes is
     # in Z and each of its colliders is in Z or has a descendant there.
     splits = set()
-    for path in (v.path for v in _walk(dag, t, r, frozenset(), frozenset())):
+    for path in (v.path for v in _walk(dag, t, r, frozenset(), frozenset())[0]):
         turns = zip(path.nodes[1:], path.directions, path.directions[1:])
         colliders = frozenset(n for n, came, went in turns if (came, went) == (FORWARD, BACKWARD))
         splits.add((candidates.intersection(path.nodes[1:-1]) - colliders, colliders))

@@ -393,8 +393,8 @@ def joint_distribution(scm: Scm) -> JointTable:
     table may lack a row only where no configuration with mass reaches it.
     A joint of `_STDLIB_DRAWS` configurations or more, once numpy is loaded,
     or of `_NUMPY_JOINT` or more, is multiplied out in numpy, with the same
-    IEEE product in every float cell and integer numerators in int64 while
-    no mass or sum of masses can reach 2**53.
+    IEEE product in every float cell while no entry exceeds 1 and integer
+    numerators in int64 while no mass or sum of masses can reach 2**53.
     """
     order = topological_order(scm.dag)
     values = tuple(scm.domains[n].values for n in order)
@@ -410,10 +410,12 @@ def joint_distribution(scm: Scm) -> JointTable:
     # bounds every product from below; once it reaches 0 or a factor is
     # non-finite, `alive` (0/1 per configuration) tracks the keys instead.
     # Integer rows never underflow; an entry past the float range counts
-    # as non-finite, like an infinite float.  For integer numerators,
-    # `bound` is the product of each node's largest row sum (at least 1),
-    # which bounds every entry, mass and sum of masses: below 2**53, int64
-    # products and float64 sums of them are exact.
+    # as non-finite, like an infinite float.  Float masses leave numpy for
+    # good at the first node with an entry past 1, so no numpy product
+    # overflows.  For integer numerators, `bound` is the product of each
+    # node's largest row sum (at least 1), which bounds every entry, mass
+    # and sum of masses: below 2**53, int64 products and float64 sums of
+    # them are exact.
     masses, alive, floor, zeros, bound = [1], None, 1, False, 1
     for j, node in enumerate(order):
         cpt = scm.cpts[node]
@@ -441,6 +443,7 @@ def joint_distribution(scm: Scm) -> JointTable:
             floor *= min(map(abs, filter(None, entries)), default=1)
             if alive is None and not (floor > 0 and _finite(entries)):
                 alive = [1 if m else 0 for m in masses]
+            fast = fast and max(entries) <= 1
         elif fast:
             bound *= max(1, *map(sum, rows))
         # Float masses become a numpy array at the first node of float
@@ -457,8 +460,7 @@ def joint_distribution(scm: Scm) -> JointTable:
             table = np.asarray(rows, dtype=dtype).reshape([sizes[a] for a in parents] + [k])
             table = table.transpose([*sorted(range(len(parents)), key=parents.__getitem__), -1])
             table = table.reshape([sizes[a] if a in parents else 1 for a in range(j)] + [k])
-            with np.errstate(over="ignore"):  # inf, silently, as in plain Python
-                masses = (np.asarray(masses, dtype=dtype).reshape(sizes[:j] + (1,)) * table).ravel()
+            masses = (np.asarray(masses, dtype=dtype).reshape(sizes[:j] + (1,)) * table).ravel()
             continue
         if not isinstance(masses, list):
             masses = masses.tolist()
@@ -621,10 +623,7 @@ def restrict(joint: JointTable, targets, given: dict | None = None) -> JointTabl
     if isinstance(masses, list):
         mass = functools.reduce(operator.add, masses, 0)
     else:
-        import numpy as np
-
-        with np.errstate(over="ignore"):
-            mass = masses.cumsum()[-1].item() if len(masses) else 0
+        mass = masses.cumsum()[-1].item() if len(masses) else 0
     scale = joint.scale
     if _float(mass if scale is None else Fraction(mass, scale)) <= POSITIVITY_CUTOFF:
         raise ZeroProbabilityError(f"conditioning event {given!r} has probability 0")

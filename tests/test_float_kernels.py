@@ -98,6 +98,12 @@ def numerator_bound(scm: Scm) -> int:
     return bound
 
 
+def widest_entry(scm: Scm):
+    """The largest entry of the model's tables: past 1, a float joint goes
+    on in plain Python, where an overflowed product times 0 stays 0."""
+    return max(p for cpt in scm.cpts.values() for row in cpt.table.values() for p in row)
+
+
 def one_hot(scm: Scm) -> Scm:
     """The model with each row replaced by the int point mass on its
     largest entry: an all-int model."""
@@ -221,7 +227,8 @@ class TestLaws:
     @pytest.mark.parametrize("a, b", [(1e200, 1e200), (1e308, 1.0)], ids=["product", "sum"])
     def test_an_overflow_gives_inf_silently_on_both_paths(self, a, b):
         # Rows that do not sum to 1, built in code: a product or a sum past
-        # the float range is inf on both paths, with no numpy warning.
+        # the float range is inf on both paths, with no warning.  Entries
+        # past 1 keep the joint in plain Python, where no product is nan.
         n = 64
         scm = Scm(Dag(["A", "B"], [("A", "B")]), {x: Domain(x, tuple(range(n))) for x in "AB"},
                   {"A": Cpt("A", (), {(): (a,) * n}),
@@ -231,7 +238,20 @@ class TestLaws:
             joint = same_on_both_paths(scm, lambda j: restrict(j, ("B",)),
                                        lambda j: _marginals(j, ("A",)))
             assert _marginals(joint, ("A",))[0][(0,)] == math.inf
-        assert joint._array is not None
+        assert joint._array is None
+
+    def test_an_infinite_mass_times_a_zero_entry_makes_no_key(self):
+        # B's products overflow to inf; C's zero entries must drop those
+        # configurations on both paths, not keep them with a nan mass.
+        dag = Dag(["A", "B", "C"], [("A", "B"), ("B", "C")])
+        scm = Scm(dag, {n: Domain(n, (0, 1)) for n in "ABC"},
+                  {"A": Cpt("A", (), {(): (1e300, 1e300)}),
+                   "B": Cpt("B", ("A",), {(0,): (1e300, 0), (1,): (1e300, 0)}),
+                   "C": Cpt("C", ("B",), {(0,): (0, 1), (1,): (0.5, 0.5)})})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for joint in (joint_distribution(scm), joint_on("numpy", scm)):
+                assert dict(joint.probs) == {(0, 0, 1): math.inf, (1, 0, 1): math.inf}
 
 
 # Every formula of test_scans.CALLS on tables refilled from a seed, in
@@ -261,7 +281,9 @@ class TestFormulas:
         model, call = CALLS[name]
         scm = variant(model, kind, seed)
         joint = same_on_both_paths(scm, call)
-        assert (joint._array is not None) == (kind != "fraction" or numerator_bound(scm) < 2**53)
+        # Rows renormalized in floats ("zeros") can hold an entry an ulp past 1.
+        on_numpy = numerator_bound(scm) < 2**53 if kind == "fraction" else widest_entry(scm) <= 1
+        assert (joint._array is not None) == on_numpy
 
     @pytest.mark.parametrize("name", list(CALLS))
     def test_every_catalog_call_is_the_same_on_both_paths(self, name):

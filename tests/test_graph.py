@@ -173,11 +173,23 @@ class TestTopologicalOrder:
 
     def test_two_cycle_raises_with_witness(self):
         dag = Dag(["A", "B"], [("A", "B"), ("B", "A")])
-        with pytest.raises(CyclicGraphError, match="A"):
-            topological_order(dag)
+        for _ in range(2):  # nothing is kept from a failed sort
+            with pytest.raises(CyclicGraphError, match="^cycle detected: A <- B <- A$"):
+                topological_order(dag)
 
     def test_deterministic(self, fig1a):
         assert topological_order(fig1a) == topological_order(fig1a)
+
+    def test_the_order_is_sorted_once_and_each_call_gets_its_own_list(self, fig1a, monkeypatch):
+        heaps, heapify = [], graph.heapq.heapify
+        monkeypatch.setattr(graph.heapq, "heapify", lambda h: heaps.append(heapify(h)))
+        first = topological_order(fig1a)
+        first.reverse()
+        first.append("Q")
+        for _ in range(3):
+            assert topological_order(fig1a) == reference_topological_order(fig1a)
+        assert len(heaps) == 1
+        assert topological_order(fig1a) is not topological_order(fig1a)
 
 
 class TestDescendants:
@@ -447,6 +459,15 @@ class TestEnumerateAdjustmentSets:
         dag = Dag(names, [("T", "R")])
         with pytest.raises(ResourceLimitError):
             enumerate_valid_adjustment_sets(dag, "T", "R", {f"C{i}" for i in range(21)})
+
+    def test_the_cap_admits_exactly_twenty_candidates(self):
+        # No path to block: the empty set answers, after a scan of all 2**20
+        # subsets, each a proper superset of it.
+        names = [f"C{i}" for i in range(21)]
+        dag = Dag(names + ["T", "R"], [("T", "R")])
+        assert enumerate_valid_adjustment_sets(dag, "T", "R", names[:20]) == [frozenset()]
+        with pytest.raises(ResourceLimitError, match="^21 candidates exceed the cap of 20$"):
+            enumerate_valid_adjustment_sets(dag, "T", "R", names)
 
     def test_descendant_candidate_rejected(self, fig1):
         with pytest.raises(InvalidArgumentError):
