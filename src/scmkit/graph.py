@@ -228,8 +228,9 @@ def _walk(dag: Dag, t, r, Z: frozenset, above_z: frozenset) -> tuple[list[PathVe
     if not ends:
         return [], True
     sat_i, sat_ii, open_ = "satisfies-(i)", "satisfies-(ii)", ("violates", None)
-    # Entering n forward or backward: (n, direction, forward, (i) state or
-    # None, (ii) state or None, n is an end).  Entered backward, n is no collider.
+    # The steps into n along and against an arrow: (n, direction, along,
+    # (i) state or None, (ii) state or None, n is an end).  Entered against
+    # an arrow, n is no collider.
     into = {
         n: ((n, FORWARD, True, (sat_i, n) if n in Z else None,
              None if n in above_z else (sat_ii, n), n in ends),

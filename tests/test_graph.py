@@ -351,23 +351,28 @@ class TestCheckBackdoor:
         assert path.nodes == ("T", *chain, "R")
 
     def test_a_prefix_that_holds_every_other_parent_of_the_response_is_not_extended(self):
-        # The walk stops at P, the response's one parent besides T.  An
-        # unpruned walk would list the 1.3e9 simple paths through the clique
-        # below P, so the check runs in a child process under a timeout.
+        # The walk stops at P, the response's one parent besides T, and then
+        # at Q, the second of two such parents, P -> Q.  An unpruned walk
+        # would list the 1.3e9 simple paths through the clique below the
+        # last of them, so the check runs in a child process under a timeout.
         script = (
             "from scmkit.graph import Dag, check_backdoor\n"
             "clique = [f'C{i}' for i in range(12)]\n"
-            "edges = [('A', 'T'), ('A', 'P'), ('P', 'R'), ('T', 'R')]\n"
-            "edges += [('P', c) for c in clique]\n"
-            "edges += [(a, b) for i, a in enumerate(clique) for b in clique[i + 1:]]\n"
-            "report = check_backdoor(Dag(['A', 'T', 'P', 'R', *clique], edges), 'T', 'R', ())\n"
-            "print([(str(v.path), v.verdict) for v in report.verdicts])\n"
+            "for ends in (['P'], ['P', 'Q']):\n"
+            "    edges = [('A', 'T'), ('A', 'P'), ('T', 'R'), *zip(ends, ends[1:])]\n"
+            "    edges += [(e, 'R') for e in ends] + [(ends[-1], c) for c in clique]\n"
+            "    edges += [(a, b) for i, a in enumerate(clique) for b in clique[i + 1:]]\n"
+            "    report = check_backdoor(Dag(['A', 'T', 'R', *ends, *clique], edges), 'T', 'R', ())\n"
+            "    print([(str(v.path), v.verdict) for v in report.verdicts])\n"
         )
         src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules[Dag.__module__].__file__)))
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, check=True, timeout=60)
-        assert proc.stdout == "[('T <- A -> P -> R', 'violates')]\n"
+        assert proc.stdout == (
+            "[('T <- A -> P -> R', 'violates')]\n"
+            "[('T <- A -> P -> Q -> R', 'violates'), ('T <- A -> P -> R', 'violates')]\n"
+        )
 
 
 class TestPseudoTreatment:
@@ -377,6 +382,12 @@ class TestPseudoTreatment:
         assert merged.parents(star) == ("X1", "X3", "X4")
         assert merged.has_edge(star, "X6") and merged.has_edge(star, "X9")
         assert "X7" not in merged.nodes and "X8" not in merged.nodes
+
+    def test_the_merged_node_takes_a_name_no_node_has(self):
+        dag = Dag(["T", "T*", "D", "R"], [("T*", "T"), ("T", "D"), ("D", "R")])
+        merged, star = pseudo_treatment_graph(dag, "T", {"D"})
+        assert star == "T**"
+        assert merged == Dag(["T*", "T**", "R"], [("T*", "T**"), ("T**", "R")])
 
     def test_extended_validity_frontier(self, fig1a):
         # With the two pure treatment descendants conditioned on, a set of
