@@ -41,10 +41,10 @@ DEFAULT_PATH_CAP = 100_000
 class Dag:
     """Immutable directed graph with node-sorted adjacency.
 
-    Acyclicity is verified by :func:`topological_order` (and by
-    ``scm.validate_scm``), not at construction, so that cycle errors
-    surface with a witness where they matter.  The order, once found, is
-    kept for later calls.
+    Acyclicity is not checked at construction: :func:`topological_order`
+    names a witness cycle where an order is needed, and
+    ``scm.validate_scm`` reports it as a model's problem.  The order, once
+    found, is kept for later calls.
     """
 
     def __init__(self, nodes, edges):

@@ -27,6 +27,7 @@ import operator
 import sys
 from collections.abc import ItemsView, Mapping, ValuesView
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import (
     CyclicGraphError,
@@ -80,13 +81,50 @@ class Cpt(Record):
     """One node's mechanism: parent configuration -> distribution row.
 
     `table` maps a tuple of parent values (in `parents` order) to a
-    probability sequence.
+    probability sequence.  Every row is a distribution, checked here once:
+    its entries are finite (an int or Fraction past the float range is not)
+    and nonnegative, and their sum is 1 within 1e-12.  The table is read,
+    never changed, once the Cpt is built.
     """
 
     __slots__ = ("node", "parents", "table")
 
     def __init__(self, node, parents: tuple, table: dict):
+        for cfg, row in table.items():
+            _check_row(node, cfg, row)
         Record.__init__(self, node, parents, table)
+
+
+def _check_row(node, cfg, row) -> None:
+    """Refuses a row that is not a distribution."""
+    if not _finite(row):
+        raise InvalidArgumentError(f"{node!r}: row {_key(cfg)!r} has a non-finite probability")
+    if min(row, default=0) < 0:
+        raise InvalidArgumentError(f"{node!r}: row {_key(cfg)!r} has a negative probability")
+    total = _float(sum(row))
+    if abs(total - 1.0) > 1e-12:
+        raise InvalidArgumentError(f"{node!r}: row {_key(cfg)!r} sums to {total!r}, not 1")
+
+
+def _check_key(node, parents, values, cfg) -> None:
+    """Refuses a row key that is not a configuration of the parents, whose
+    domains' values are `values`."""
+    if not isinstance(cfg, tuple) or len(cfg) != len(values):
+        raise InvalidArgumentError(f"{node!r}: row key {_key(cfg)!r} has wrong arity")
+    for v, vals, p in zip(cfg, values, parents):
+        if v not in vals:
+            raise InvalidArgumentError(f"{node!r}: key value {v!r} not in domain of {p!r}")
+
+
+def _check_length(node, cfg, row, k: int) -> None:
+    """Refuses a row of other than k entries."""
+    if len(row) != k:
+        raise InvalidArgumentError(f"{node!r}: row {_key(cfg)!r} has length {len(row)}, not {k}")
+
+
+def _key(cfg) -> str:
+    """A row key as the model file spells it: the parent values joined by '|'."""
+    return "|".join(map(str, cfg)) if isinstance(cfg, tuple) else str(cfg)
 
 
 class Intervention(Record, frozen=False):
@@ -97,13 +135,46 @@ class Intervention(Record, frozen=False):
 
 
 class Scm:
-    """DAG + domains + tables.  Treated as immutable once built."""
+    """DAG + domains + tables, checked once when built and read-only after.
+
+    Every node has a domain and a table keyed to it, and every domain and
+    table belongs to a node.  A table's parents are the node's graph
+    parents, each named once; each row key is a configuration of their
+    values, and each row holds one entry per value of the node, its `Cpt`
+    having checked that the row is a distribution.  A table may lack rows,
+    and the graph may have a cycle: `validate_scm` names both.  `domains`
+    and `cpts` are read-only views.
+    """
 
     def __init__(self, dag: Dag, domains: dict, cpts: dict, meta: dict | None = None):
         self.dag = dag
-        self.domains = domains
-        self.cpts = cpts
+        self.domains = MappingProxyType(dict(domains))
+        self.cpts = MappingProxyType(dict(cpts))
         self.meta = dict(meta or {})
+        for problem, names in (
+            ("node {!r} has no domain", dag.nodes - self.domains.keys()),
+            ("node {!r} has no table", dag.nodes - self.cpts.keys()),
+            ("domain for unknown node {!r}", self.domains.keys() - dag.nodes),
+            ("table for unknown node {!r}", self.cpts.keys() - dag.nodes),
+        ):
+            if names:
+                raise InvalidArgumentError(problem.format(min(names, key=str)))
+        for node, cpt in self.cpts.items():
+            if cpt.node != node:
+                raise InvalidArgumentError(f"table keyed to {cpt.node!r} stored under {node!r}")
+            parents = dag.parents(node)
+            if set(cpt.parents) != set(parents):
+                raise InvalidArgumentError(
+                    f"{node!r}: table parents {list(cpt.parents)} != graph parents {list(parents)}")
+            if len(cpt.parents) != len(parents):
+                raise InvalidArgumentError(f"{node!r}: duplicate parent in table")
+            values = [self.domains[p].values for p in cpt.parents]
+            configs = set(itertools.product(*values))
+            k = len(self.domains[node].values)
+            for cfg, row in cpt.table.items():
+                if cfg not in configs:
+                    _check_key(node, cpt.parents, values, cfg)
+                _check_length(node, cfg, row, k)
 
 
 class JointTable:
@@ -298,71 +369,19 @@ def _auto_value(text, path):
 
 
 def validate_scm(scm: Scm) -> list[str]:
-    """All invariant violations, as human-readable strings; [] when sound."""
+    """The faults construction leaves, as human-readable strings; [] when
+    sound: a directed cycle, named by a witness, and each table that lacks
+    rows, which the joint allows where no mass reaches."""
     problems: list[str] = []
-    nodes = scm.dag.nodes
-    for n in sorted(nodes - set(scm.domains), key=str):
-        problems.append(f"node {n!r} has no domain")
-    for n in sorted(nodes - set(scm.cpts), key=str):
-        problems.append(f"node {n!r} has no table")
-    for n in sorted(set(scm.domains) - nodes, key=str):
-        problems.append(f"domain for unknown node {n!r}")
-    for n in sorted(set(scm.cpts) - nodes, key=str):
-        problems.append(f"table for unknown node {n!r}")
     try:
         topological_order(scm.dag)
     except CyclicGraphError as exc:
         problems.append(str(exc))
-
-    for node in sorted(nodes, key=str):
-        dom = scm.domains.get(node)
-        cpt = scm.cpts.get(node)
-        if dom is None or cpt is None:
-            continue
-        if cpt.node != node:
-            problems.append(f"table keyed to {cpt.node!r} stored under {node!r}")
-        if set(cpt.parents) != set(scm.dag.parents(node)):
-            problems.append(
-                f"{node!r}: table parents {list(cpt.parents)} != graph parents "
-                f"{list(scm.dag.parents(node))}"
-            )
-            continue
-        if len(set(cpt.parents)) != len(cpt.parents):
-            problems.append(f"{node!r}: duplicate parent in table")
-            continue
-        expected = 1
-        for p in cpt.parents:
-            pdom = scm.domains.get(p)
-            expected *= len(pdom.values) if pdom else 0
+    for node in sorted(scm.dag.nodes, key=str):
+        cpt = scm.cpts[node]
+        expected = math.prod(len(scm.domains[p].values) for p in cpt.parents)
         if len(cpt.table) != expected:
-            problems.append(
-                f"{node!r}: table has {len(cpt.table)} rows, expected {expected}"
-            )
-        for cfg, row in sorted(cpt.table.items(), key=str):
-            if len(cfg) != len(cpt.parents):
-                problems.append(f"{node!r}: row key {cfg!r} has wrong arity")
-                continue
-            bad_value = False
-            for p, v in zip(cpt.parents, cfg):
-                pdom = scm.domains.get(p)
-                if pdom is not None and v not in pdom.values:
-                    problems.append(f"{node!r}: row key value {v!r} not in domain of {p!r}")
-                    bad_value = True
-            if bad_value:
-                continue
-            if len(row) != len(dom.values):
-                problems.append(
-                    f"{node!r}@{cfg!r}: row length {len(row)} != domain size {len(dom.values)}"
-                )
-                continue
-            if not _finite(row):
-                problems.append(f"{node!r}@{cfg!r}: non-finite probability")
-                continue
-            if any(p < 0 for p in row):
-                problems.append(f"{node!r}@{cfg!r}: negative probability")
-            total = _float(sum(row))
-            if abs(total - 1.0) > 1e-12:
-                problems.append(f"{node!r}@{cfg!r}: row sums to {total!r}, not 1")
+            problems.append(f"{node!r}: table has {len(cpt.table)} rows, expected {expected}")
     return problems
 
 
@@ -405,26 +424,18 @@ def joint_distribution(scm: Scm) -> JointTable:
     axis = {n: j for j, n in enumerate(order)}
     lcms = _lcms(scm, order)
     fast = cells >= (_STDLIB_DRAWS if "numpy" in sys.modules else _NUMPY_JOINT)
-    # A product of nonzero factors that underflows to 0 (or a non-finite
-    # factor times 0) would blur which configurations are keys.  `floor`
-    # bounds every product from below; once it reaches 0 or a factor is
-    # non-finite, `alive` (0/1 per configuration) tracks the keys instead.
-    # Integer rows never underflow; an entry past the float range counts
-    # as non-finite, like an infinite float.  Float masses leave numpy for
-    # good at the first node with an entry past 1, so no numpy product
-    # overflows.  For integer numerators, `bound` is the product of each
-    # node's largest row sum (at least 1), which bounds every entry, mass
-    # and sum of masses: below 2**53, int64 products and float64 sums of
-    # them are exact.
+    # A product of nonzero factors that underflows to 0 would blur which
+    # configurations are keys.  `floor` bounds every product from below;
+    # once it reaches 0, `alive` (0/1 per configuration) tracks the keys
+    # instead.  Integer rows never underflow, and no entry exceeds 1 by
+    # more than the row check's 1e-12, so no product overflows.  For
+    # integer numerators, `bound` is the product of each node's largest row
+    # sum (at least 1), which bounds every entry, mass and sum of masses:
+    # below 2**53, int64 products and float64 sums of them are exact.
     masses, alive, floor, zeros, bound = [1], None, 1, False, 1
     for j, node in enumerate(order):
         cpt = scm.cpts[node]
         parents = [axis[p] for p in cpt.parents]
-        if any(a >= j for a in parents):
-            raise InvalidArgumentError(
-                f"{node!r}: table parents {list(cpt.parents)} != graph parents "
-                f"{list(scm.dag.parents(node))}"
-            )
         configs = list(itertools.product(*(values[a] for a in parents)))
         rows = [cpt.table.get(cfg) for cfg in configs]
         at = None
@@ -437,13 +448,12 @@ def joint_distribution(scm: Scm) -> JointTable:
         rows = [(0,) * k if row is None else row for row in rows]
         if lcms is not None:
             rows = [[p.numerator * (lcms[j] // p.denominator) for p in row] for row in rows]
-        entries = _entries(node, configs, rows, k)
+        entries = list(itertools.chain.from_iterable(rows))
         zeros = zeros or 0 in entries
         if lcms is None:
-            floor *= min(map(abs, filter(None, entries)), default=1)
-            if alive is None and not (floor > 0 and _finite(entries)):
+            floor *= min(filter(None, entries), default=1)
+            if alive is None and not floor > 0:
                 alive = [1 if m else 0 for m in masses]
-            fast = fast and max(entries) <= 1
         elif fast:
             bound *= max(1, *map(sum, rows))
         # Float masses become a numpy array at the first node of float
@@ -480,18 +490,6 @@ def joint_distribution(scm: Scm) -> JointTable:
     return joint
 
 
-def _entries(node, configs, rows, k: int) -> list:
-    """The rows' entries in order; a table whose rows are not all of k
-    entries, none negative, is refused."""
-    if set(map(len, rows)) != {k}:
-        raise InvalidArgumentError(f"{node!r}: table rows must have {k} entries")
-    entries = list(itertools.chain.from_iterable(rows))
-    if not min(entries) >= 0 and any(p < 0 for p in entries):
-        cfg = configs[next(i for i, p in enumerate(entries) if p < 0) // k]
-        raise InvalidArgumentError(f"{node!r}@{cfg!r}: negative probability")
-    return entries
-
-
 def _lcms(scm: Scm, order) -> list | None:
     """Per node of `order`, the lcm of its entries' denominators, by which
     `joint_distribution` scales its rows to integers, when every entry is an
@@ -501,11 +499,10 @@ def _lcms(scm: Scm, order) -> list | None:
     for node in order:
         entries = []
         for row in scm.cpts[node].table.values():
-            if row is not None:
-                for p in row:
-                    if not isinstance(p, (int, Fraction)):
-                        return None
-                    entries.append(p)
+            for p in row:
+                if not isinstance(p, (int, Fraction)):
+                    return None
+                entries.append(p)
         exact = exact or not any(p for p in entries if not isinstance(p, Fraction))
         lcms.append(math.lcm(*(p.denominator for p in entries)))
     return lcms if exact else None
@@ -625,7 +622,7 @@ def restrict(joint: JointTable, targets, given: dict | None = None) -> JointTabl
     else:
         mass = masses.cumsum()[-1].item() if len(masses) else 0
     scale = joint.scale
-    if _float(mass if scale is None else Fraction(mass, scale)) <= POSITIVITY_CUTOFF:
+    if float(mass if scale is None else Fraction(mass, scale)) <= POSITIVITY_CUTOFF:
         raise ZeroProbabilityError(f"conditioning event {given!r} has probability 0")
     values = tuple(joint.values[a] for a in target_axes)
     probs = [0] * math.prod(map(len, values))
@@ -739,7 +736,7 @@ def _divide(masses: dict, cells: dict, k: int, scale=None) -> dict:
     Fraction(cell, given)."""
     laws: dict = {
         g: {} for g, mass in masses.items()
-        if _float(mass if scale is None else Fraction(mass, scale)) > POSITIVITY_CUTOFF
+        if float(mass if scale is None else Fraction(mass, scale)) > POSITIVITY_CUTOFF
     }
     divide = operator.truediv if scale is None else Fraction
     for key, mass in cells.items():
@@ -804,13 +801,11 @@ def _realize(scm: Scm, order, source: DigitStream, start: int, count: int) -> di
     codes: dict = {}
     for j, node in enumerate(order):
         cpt = scm.cpts[node]
-        size = len(scm.domains[node].values)
         configs = list(itertools.product(*(scm.domains[p].values for p in cpt.parents)))
         try:
             rows = [cpt.table[cfg] for cfg in configs]
         except KeyError as exc:
             raise _missing_row(cpt, exc.args[0]) from None
-        _entries(node, configs, rows, size)
         radix = [(len(scm.domains[p].values), codes[p]) for p in cpt.parents]
         if small:
             cum = [list(itertools.accumulate(map(float, row)))[:-1] for row in rows]
@@ -966,33 +961,23 @@ def scm_from_dict(doc: dict) -> Scm:
             if not isinstance(p, str) or p not in domains:
                 raise InvalidArgumentError(f"{node!r} lists unknown parent {p!r}")
             edges.add((p, node))
-        lookups = [{str(v): v for v in domains[p].values} for p in parents]
+        values = [domains[p].values for p in parents]
+        lookups = [{str(v): v for v in vals} for vals in values]
         table = {}
+        # Each row is checked as it is read, by the checks `Cpt` and `Scm`
+        # make, so that a document with several faults names its first.
         for key, row in entry["table"].items():
+            # A part that names no value of its parent stays text (as do
+            # parts past the parents), which `_check_key` refuses.
             parts = [] if key == "" else key.split("|")
-            if len(parts) != len(parents):
-                raise InvalidArgumentError(f"{node!r}: row key {key!r} has wrong arity")
-            cfg = []
-            for part, lookup, parent in zip(parts, lookups, parents):
-                if part not in lookup:
-                    raise InvalidArgumentError(
-                        f"{node!r}: key value {part!r} not in domain of {parent!r}"
-                    )
-                cfg.append(lookup[part])
+            cfg = tuple(map(dict.get, lookups + [{}] * len(parts), parts, parts))
+            _check_key(node, parents, values, cfg)
             if not isinstance(row, list) or not all(type(p) in (int, float) for p in row):
                 raise InvalidArgumentError(f"{node!r}: row {key!r} must be a list of numbers")
-            k = len(domains[node].values)
-            if len(row) != k:
-                raise InvalidArgumentError(f"{node!r}: row {key!r} has length {len(row)}, not {k}")
+            _check_length(node, cfg, row, len(domains[node].values))
             # An integer past the float range counts as infinite.
-            probs = tuple(float(p) if abs(p) < 1e308 else math.inf for p in row)
-            if not all(math.isfinite(p) for p in probs):
-                raise InvalidArgumentError(f"{node!r}: row {key!r} has a non-finite probability")
-            if any(p < 0 for p in probs):
-                raise InvalidArgumentError(f"{node!r}: row {key!r} has a negative probability")
-            if abs(sum(probs) - 1.0) > 1e-12:
-                raise InvalidArgumentError(f"{node!r}: row {key!r} sums to {sum(probs)!r}, not 1")
-            table[tuple(cfg)] = probs
+            table[cfg] = tuple(float(p) if abs(p) < 1e308 else math.inf for p in row)
+            _check_row(node, cfg, table[cfg])
         cpts[node] = Cpt(node, parents, table)
     if len(set(ids)) != len(ids):
         raise InvalidArgumentError("duplicate node ids in model document")

@@ -129,6 +129,11 @@ def fill(dag: Dag, seed: int, sizes: dict | None = None, floor: float = 0.05) ->
     return Scm(dag, domains, cpts)
 
 
+def with_tables(scm: Scm, *cpts: Cpt) -> Scm:
+    """A new model: `scm` with each given table in place of its node's."""
+    return Scm(scm.dag, scm.domains, {**scm.cpts, **{cpt.node: cpt for cpt in cpts}}, scm.meta)
+
+
 def sparse_model(seed: int, n: int = 6, exact: bool = False) -> Scm:
     """Random DAG over n nodes of one to three values whose tables have zero
     cells (integer weights 0-3), with float or Fraction probabilities."""

@@ -324,6 +324,20 @@ class TestErrors:
         assert rep["error"] == "'A': row '' has length 3, not 2"
         assert rep["result"] is None
 
+    @pytest.mark.parametrize("command", ["validate", "joint"])
+    def test_a_repeated_parent_is_a_load_failure(self, capsys, tmp_path, command):
+        # The model cannot be built, so the file fails to load.
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"nodes": [
+            {"id": "A", "domain": [0, 1], "parents": [], "table": {"": [0.5, 0.5]}},
+            {"id": "B", "domain": [0, 1], "parents": ["A", "A"],
+             "table": {"0|0": [0.5, 0.5], "1|1": [0.5, 0.5]}},
+        ]}))
+        code, rep = report(capsys, command, "-m", str(path))
+        assert code == 1
+        assert rep["error"] == "'B': duplicate parent in table"
+        assert rep["result"] is None
+
     def test_non_finite_cell_fails_diagnose(self, capsys, tmp_path):
         # Two nan responses in one block used to count as distinct values.
         rows_path = tmp_path / "rows.csv"

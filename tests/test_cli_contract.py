@@ -4,9 +4,12 @@ Any subcommand with any set of its flags, on a catalog model file or a
 damaged copy of one, ends in exit 0, 1 or 2 without an exception.  On 0
 or 1 the payload (stdout, or the --out file when one is written) is
 strict JSON, or a row table under --format csv; on 2 stdout is empty.
+`validate` and `joint` also read whole random documents, of any shape and
+any depth, without an exception.
 """
 
 import json
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -220,6 +223,100 @@ def test_any_flags_on_any_model_file_keep_the_exit_contract(files, capsys, data)
         assert payload.endswith("\n"), argv
     else:
         _strict_json(payload)
+
+
+# Whole model documents: a value of any JSON type (NaN, infinities,
+# integers past the float range and one too long to read included) may
+# stand at every level, and parts may nest past the loader's depth limits.
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.sampled_from(["A", "B", "", "|", "0", "1", "0|1", "x"]),
+    st.integers(-3, 3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.5, 0.25, 0.75, 1e308, -0.0, 10**400, -(10**400), 2**63, "LONG_INT"]),
+)
+ANY = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(
+        ["id", "domain", "parents", "table", "nodes", "meta", "0", "", "0|1"]), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+class Deep:
+    """`inner` wrapped in `depth` lists or one-key objects, spelled out
+    without recursion."""
+
+    def __init__(self, inner, depth: int, kind: str):
+        self.inner, self.depth, self.kind = inner, depth, kind
+
+
+def _spell(value) -> str:
+    """JSON text that Python's loader reads back (NaN and Infinity spelled
+    as it spells them), Deep parts included; "LONG_INT" is an integer of
+    more digits than the loader converts."""
+    if isinstance(value, Deep):
+        opening, closing = ("[", "]") if value.kind == "list" else ('{"k": ', "}")
+        return opening * value.depth + _spell(value.inner) + closing * value.depth
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_spell, value)) + "]"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_spell(v)}" for k, v in value.items()) + "}"
+    return "9" * 5000 if value == "LONG_INT" else json.dumps(value)
+
+
+CHAIN = {"meta": {"name": "chain"}, "nodes": [
+    {"id": "A", "domain": [0, 1], "parents": [], "table": {"": [0.5, 0.5]}},
+    {"id": "B", "domain": ["lo", "mid", "hi"], "parents": ["A"],
+     "table": {"0": [0.2, 0.3, 0.5], "1": [1, 0, 0]}},
+]}
+SIMPSON = json.loads(scm_to_json(build_example(ExampleSpec("simpson_binary"))))
+
+
+def _places(value, holder, key):
+    """Every (holder, key) under which a part of `value` sits, itself last."""
+    if isinstance(value, (list, dict)):
+        for k in (range(len(value)) if isinstance(value, list) else list(value)):
+            yield from _places(value[k], value, k)
+    yield holder, key
+
+
+@st.composite
+def documents(draw):
+    """A sound small document (a two-node chain, or the Simpson catalog
+    model) with up to three of its parts, the whole included, replaced by
+    any value, wrapped deep, or removed."""
+    doc = draw(st.sampled_from([CHAIN, SIMPSON]))
+    root = [json.loads(json.dumps(doc))]
+    for _ in range(draw(st.integers(0, 3))):
+        holder, key = draw(st.sampled_from(list(_places(root[0], root, 0))))
+        how = draw(st.sampled_from(["any", "any", "number", "deep", "remove"]))
+        if how == "remove" and holder is not root:
+            del holder[key]
+        elif how == "deep":
+            holder[key] = Deep(holder[key], draw(st.sampled_from([1, 99, 150, 1500])),
+                               draw(st.sampled_from(["list", "dict"])))
+            break  # a Deep part is spelled, not walked
+        elif how == "number":
+            holder[key] = draw(st.sampled_from([0.2, 0.7, -0.5, 1.5, 1e308, math.nan, math.inf, 10**400,
+                                                "LONG_INT", 0, 1, True, "0", "x", "", "|"]))
+        else:
+            holder[key] = draw(ANY)
+    return root[0]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(doc=documents(), command=st.sampled_from(["validate", "joint"]))
+def test_any_document_gets_a_report_not_a_traceback(tmp_path, capsys, doc, command):
+    path = tmp_path / "model.json"
+    path.write_text(_spell(doc), encoding="utf-8")
+
+    code = main([command, "-m", str(path)])
+
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert captured.err == ""
+    _strict_json(captured.out)
 
 
 @pytest.mark.parametrize("name, param, kind", WRONG_KIND_CASES)

@@ -313,6 +313,16 @@ class TestVerifyRule:
         assert verdict.passed
         assert verdict.identity_deviation == 0.0
 
+    @pytest.mark.parametrize("empty", ["y", "z"])
+    def test_an_empty_y_or_z_holds_whatever_the_tolerance(self, empty):
+        # Independence from an empty set holds without a deviation to weigh,
+        # so even a tolerance no deviation can meet keeps the condition.
+        dag = Dag(["W", "X", "Z", "Y"], [("W", "Z"), ("W", "Y"), ("X", "Y"), ("Z", "Y")])
+        sets = {"w": {"W"}, "x": {"X"}, "y": {"Y"}, "z": {"Z"}, empty: set()}
+        verdict = verify_rule(fill(dag, 4), NodePartition(**sets), 1, {"X": 0}, tol=-1.0)
+        assert verdict.condition_holds and verdict.condition_deviation == 0.0
+        assert not verdict.passed
+
     def test_planted_c1_violation_is_witnessed(self):
         dag = Dag(["Z", "Y"], [("Z", "Y")])
         domains = {n: Domain(n, (0, 1)) for n in ("Z", "Y")}

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from scmkit.errors import InvalidArgumentError, ResourceLimitError
 from scmkit import scm as scm_module
-from scmkit.exogenous import DigitStream, draw_weights, uniform_list, uniforms_at
+from scmkit.exogenous import DigitStream, _check_draws, draw_weights, uniform_list, uniforms_at
 from scmkit.graph import Dag, topological_order
 from scmkit.scm import _STDLIB_DRAWS, Cpt, Domain, Scm, _realize, sample
 
@@ -208,6 +208,16 @@ class TestDiagonalBound:
     def test_far_draws_raise_instead_of_wrapping(self):
         with pytest.raises(ResourceLimitError):
             uniforms_at(DigitStream(7), 1, 200_000_000, 1)
+
+    def test_the_count_alone_can_pass_the_last_diagonal(self):
+        # From draw 0, n draws of row 5 end one diagonal past the last.  The
+        # check runs before anything is allocated, so the count costs nothing.
+        n = 189_812_531
+        assert 4 + n * 16 - 1 == self.LAST
+        _check_draws(4, 0, n, 16)
+        with pytest.raises(ResourceLimitError) as info:
+            _check_draws(5, 0, n, 16)
+        assert str(info.value) == f"draws up to {n} of row 5 pass digit diagonal {self.LAST}"
 
 
 class TestDrawWeights:

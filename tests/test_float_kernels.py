@@ -14,7 +14,6 @@ import functools
 import math
 import operator
 import random
-import warnings
 from collections.abc import Mapping
 from fractions import Fraction
 from unittest import mock
@@ -24,7 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scmkit import scm as scm_module
-from scmkit.errors import Record, ScmError
+from scmkit.errors import InvalidArgumentError, Record, ScmError
 from scmkit.graph import Dag
 from scmkit.identify import adjust
 from scmkit.scm import (
@@ -39,7 +38,7 @@ from scmkit.scm import (
     restrict,
 )
 
-from structures import fill, sparse_model
+from structures import fill, sparse_model, with_tables
 from test_scans import CALLS, exact
 from test_scm import _forced
 
@@ -98,10 +97,10 @@ def numerator_bound(scm: Scm) -> int:
     return bound
 
 
-def widest_entry(scm: Scm):
-    """The largest entry of the model's tables: past 1, a float joint goes
-    on in plain Python, where an overflowed product times 0 stays 0."""
-    return max(p for cpt in scm.cpts.values() for row in cpt.table.values() for p in row)
+def float_entries(scm: Scm) -> bool:
+    """Whether some entry of the model's tables is a float: its joint is then
+    a float joint, which goes to numpy whatever its entries' size."""
+    return any(isinstance(p, float) for cpt in scm.cpts.values() for row in cpt.table.values() for p in row)
 
 
 def one_hot(scm: Scm) -> Scm:
@@ -121,9 +120,7 @@ def mixed(scm: Scm) -> Scm:
     """The model with its first node's rows made Fractions, the others
     float: a joint that starts as Fractions and turns float."""
     first = sorted(scm.dag.nodes)[0]
-    cpts = dict(scm.cpts)
-    cpts[first] = exact(Scm(scm.dag, scm.domains, {first: scm.cpts[first]})).cpts[first]
-    return Scm(scm.dag, scm.domains, cpts)
+    return with_tables(scm, exact(scm).cpts[first])
 
 
 def underflowing(scm: Scm) -> Scm:
@@ -224,34 +221,38 @@ class TestLaws:
         assert float(np.sum(np.array(cells))) != sequential
 
 
-    @pytest.mark.parametrize("a, b", [(1e200, 1e200), (1e308, 1.0)], ids=["product", "sum"])
-    def test_an_overflow_gives_inf_silently_on_both_paths(self, a, b):
-        # Rows that do not sum to 1, built in code: a product or a sum past
-        # the float range is inf on both paths, with no warning.  Entries
-        # past 1 keep the joint in plain Python, where no product is nan.
-        n = 64
-        scm = Scm(Dag(["A", "B"], [("A", "B")]), {x: Domain(x, tuple(range(n))) for x in "AB"},
-                  {"A": Cpt("A", (), {(): (a,) * n}),
-                   "B": Cpt("B", ("A",), {(i,): (b,) * n for i in range(n)})})
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            joint = same_on_both_paths(scm, lambda j: restrict(j, ("B",)),
-                                       lambda j: _marginals(j, ("A",)))
-            assert _marginals(joint, ("A",))[0][(0,)] == math.inf
-        assert joint._array is None
+    @pytest.mark.parametrize("a, total", [(1e200, "6.399999999999997e+201"), (1e308, "inf")],
+                             ids=["product", "sum"])
+    def test_rows_whose_products_could_overflow_are_refused(self, a, total):
+        # A row of 64 entries of 1e200 or 1e308 would take a joint's
+        # products or sums past the float range; refusing it keeps them finite.
+        with pytest.raises(InvalidArgumentError) as info:
+            Cpt("A", (), {(): (a,) * 64})
+        assert str(info.value) == f"'A': row '' sums to {total}, not 1"
 
-    def test_an_infinite_mass_times_a_zero_entry_makes_no_key(self):
-        # B's products overflow to inf; C's zero entries must drop those
-        # configurations on both paths, not keep them with a nan mass.
-        dag = Dag(["A", "B", "C"], [("A", "B"), ("B", "C")])
-        scm = Scm(dag, {n: Domain(n, (0, 1)) for n in "ABC"},
-                  {"A": Cpt("A", (), {(): (1e300, 1e300)}),
-                   "B": Cpt("B", ("A",), {(0,): (1e300, 0), (1,): (1e300, 0)}),
-                   "C": Cpt("C", ("B",), {(0,): (0, 1), (1,): (0.5, 0.5)})})
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            for joint in (joint_distribution(scm), joint_on("numpy", scm)):
-                assert dict(joint.probs) == {(0, 0, 1): math.inf, (1, 0, 1): math.inf}
+    def test_an_infinite_mass_cannot_meet_a_zero_entry(self):
+        # With these rows B's products would overflow to inf, and inf times
+        # C's zero entries is nan; the rows are refused instead.
+        with pytest.raises(InvalidArgumentError) as info:
+            Cpt("A", (), {(): (1e300, 1e300)})
+        assert str(info.value) == "'A': row '' sums to 2e+300, not 1"
+        with pytest.raises(InvalidArgumentError) as info:
+            Cpt("B", ("A",), {(0,): (1e300, 0), (1,): (1e300, 0)})
+        assert str(info.value) == "'B': row '0' sums to 1e+300, not 1"
+
+    def test_an_entry_an_ulp_past_1_takes_numpy_with_the_same_bits(self):
+        # Rows renormalized in floats can hold 1.0000000000000002; its sum
+        # is within the row check's 1e-12 of 1.
+        past = 1.0000000000000002
+        dag = Dag(["A", "B"], [("A", "B")])
+        scm = Scm(dag, {"A": Domain("A", tuple(range(64))), "B": Domain("B", tuple(range(64)))},
+                  {"A": Cpt("A", (), {(): (past,) + (0.0,) * 63}),
+                   "B": Cpt("B", ("A",), {(i,): (0.0,) * i + (past,) + (0.0,) * (63 - i)
+                                          for i in range(64)})})
+        joint = same_on_both_paths(scm, lambda j: restrict(j, ("B",)),
+                                   lambda j: _marginals(j, ("A", "B")))
+        assert joint._array is not None
+        assert dict(joint.probs) == {(0, 0): past * past}
 
 
 # Every formula of test_scans.CALLS on tables refilled from a seed, in
@@ -264,10 +265,14 @@ def variant(model: Scm, name: str, seed: int) -> Scm:
     scm = fill(model.dag, seed, sizes, floor=0.0 if name == "zeros" else 0.05)
     if name == "zeros":
         # Zero the smaller entry of each row whose weights were drawn below 0.3.
-        for cpt in scm.cpts.values():
-            for cfg, row in cpt.table.items():
-                if min(row) < 0.3:
-                    cpt.table[cfg] = tuple(0.0 if p == min(row) else p / (1 - min(row)) for p in row)
+        scm = with_tables(scm, *(
+            Cpt(n, cpt.parents, {
+                cfg: tuple(0.0 if p == min(row) else p / (1 - min(row)) for p in row)
+                if min(row) < 0.3 else row
+                for cfg, row in cpt.table.items()
+            })
+            for n, cpt in scm.cpts.items()
+        ))
     if name == "forced":
         return _forced(scm, seed % len(scm.dag.nodes), seed % 2)
     return exact(scm) if name == "fraction" else scm
@@ -281,8 +286,9 @@ class TestFormulas:
         model, call = CALLS[name]
         scm = variant(model, kind, seed)
         joint = same_on_both_paths(scm, call)
-        # Rows renormalized in floats ("zeros") can hold an entry an ulp past 1.
-        on_numpy = numerator_bound(scm) < 2**53 if kind == "fraction" else widest_entry(scm) <= 1
+        # Rows renormalized in floats ("zeros") can hold an entry an ulp past
+        # 1, and go to numpy all the same.
+        on_numpy = float_entries(scm) or numerator_bound(scm) < 2**53
         assert (joint._array is not None) == on_numpy
 
     @pytest.mark.parametrize("name", list(CALLS))
@@ -356,16 +362,14 @@ def test_a_joint_leaves_int64_at_the_node_whose_bound_passes_2_53():
     [(Fraction(2**20),) * 16] * 3,
     [(Fraction(2**20),) * 16, (Fraction(0),) * 16, (Fraction(2**70),) * 16],
 ], ids=["past-1", "zero-then-huge"])
-def test_rows_summing_past_1_take_no_int64_step_that_could_overflow(rows):
-    # Built in code, these rows have scale 1 and sum far past 1: a bound
-    # from the scale would let N2's masses (or N2's 2**70 entries, after
-    # N1's all-zero rows) overflow int64.
-    scm = fraction_chain(rows)
-    joint = same_on_both_paths(
-        scm,
-        lambda j: restrict(j, ("N2",), {"N0": 1}),
-        lambda j: _marginals(j, ("N1",), ("N2", "N0"), numerators=True),
-    )
-    assert joint._array is None and joint.scale == 1
-    made = int64_arrays(scm)
-    assert made and max(int(a.max()) for a in made) < 2**53
+def test_rows_summing_past_1_are_refused(rows):
+    # These rows have scale 1 and sum far past 1 (or to 0), so N2's masses,
+    # or N2's 2**70 entries after N1's all-zero rows, would near the int64
+    # range; refusing them keeps the int64 bound a product of row sums near 1.
+    with pytest.raises(InvalidArgumentError) as info:
+        fraction_chain(rows)
+    assert str(info.value) == "'N0': row '' sums to 16777216.0, not 1"
+    for i, row in enumerate(rows[1:], 1):
+        with pytest.raises(InvalidArgumentError) as info:
+            Cpt(f"N{i}", (f"N{i - 1}",), {(0,): row})
+        assert str(info.value) == f"'N{i}': row '0' sums to {float(sum(row))!r}, not 1"

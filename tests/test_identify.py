@@ -37,6 +37,7 @@ from structures import (
     gformula_model,
     propensity_table,
     total_variation,
+    with_tables,
 )
 from test_scm import simpson_scm
 
@@ -97,7 +98,7 @@ class TestAdjust:
 
     def test_positivity_violation_names_stratum(self):
         scm = simpson_scm()
-        scm.cpts["T"] = Cpt("T", ("X",), {(0,): (1.0, 0.0), (1,): (0.2, 0.8)})
+        scm = with_tables(scm, Cpt("T", ("X",), {(0,): (1.0, 0.0), (1,): (0.2, 0.8)}))
         joint = joint_distribution(scm)
         with pytest.raises(PositivityError, match="X=0"):
             adjust(joint, "T", 1, "R", ("X",))
@@ -144,11 +145,11 @@ class TestAte:
         # Response generated without looking at the treatment.
         dag = Dag(["X", "T", "R"], [("X", "T"), ("X", "R"), ("T", "R")])
         scm = fill(dag, seed=9)
-        scm.cpts["R"] = Cpt(
+        scm = with_tables(scm, Cpt(
             "R",
             ("T", "X"),
             {(t, x): (0.3 + 0.1 * x, 0.7 - 0.1 * x) for t in (0, 1) for x in (0, 1)},
-        )
+        ))
         joint = joint_distribution(scm)
         assert ate(joint, "T", 1, 0, "R", ("X",)) == pytest.approx(0.0, abs=1e-12)
 
@@ -223,7 +224,7 @@ class TestPropensity:
 
     def test_positivity_violation_names_the_whole_assignment_vector(self):
         scm = simpson_scm()
-        scm.cpts["T"] = Cpt("T", ("X",), {(0,): (1.0, 0.0), (1,): (0.2, 0.8)})
+        scm = with_tables(scm, Cpt("T", ("X",), {(0,): (1.0, 0.0), (1,): (0.2, 0.8)}))
         joint = joint_distribution(scm)
         with pytest.raises(PositivityError) as info:
             propensity_adjust(joint, "T", 1, "R", ("X",))
@@ -338,7 +339,7 @@ class TestFrontdoor:
             for x in (0, 1)
             for z in (0, 1)
         }
-        scm.cpts["W"] = Cpt("W", ("X", "Z"), table)
+        scm = with_tables(scm, Cpt("W", ("X", "Z"), table))
         observed = restrict(joint_distribution(scm), ("Y", "Z", "W"))
         report = frontdoor(observed, "Y", "Z", "W")
         for w in (0, 1):
@@ -348,7 +349,7 @@ class TestFrontdoor:
 
     def test_deterministic_mediator_fails_positivity(self):
         scm = frontdoor_model(5)
-        scm.cpts["Z"] = Cpt("Z", ("Y",), {(0,): (1.0, 0.0), (1,): (0.0, 1.0)})
+        scm = with_tables(scm, Cpt("Z", ("Y",), {(0,): (1.0, 0.0), (1,): (0.0, 1.0)}))
         observed = restrict(joint_distribution(scm), ("Y", "Z", "W"))
         with pytest.raises(PositivityError):
             frontdoor(observed, "Y", "Z", "W")
@@ -400,11 +401,11 @@ class TestEelworms:
 
     def test_inert_yield_is_flat(self):
         scm = eelworms_model(3)
-        scm.cpts["Y"] = Cpt(
+        scm = with_tables(scm, Cpt(
             "Y",
             ("X", "V", "W"),
             {cfg: (0.35, 0.65) for cfg in scm.cpts["Y"].table},
-        )
+        ))
         observed = restrict(joint_distribution(scm), ("U", "X", "V", "W", "Y"))
         effect = eelworms_effect(observed, EELWORMS_ROLES)
         assert effect[0, 1] == pytest.approx(0.65, abs=1e-12)
@@ -439,7 +440,7 @@ class TestGformula:
 
     def test_inert_second_response(self):
         scm = gformula_model(7)
-        scm.cpts["R2"] = Cpt(
+        scm = with_tables(scm, Cpt(
             "R2",
             ("X2", "T2", "T"),
             {
@@ -448,8 +449,8 @@ class TestGformula:
                 for t2 in (0, 1)
                 for t in (0, 1)
             },
-        )
-        scm.cpts["X2"] = Cpt(
+        ))
+        scm = with_tables(scm, Cpt(
             "X2",
             ("X", "T", "R"),
             {
@@ -458,7 +459,7 @@ class TestGformula:
                 for t in (0, 1)
                 for r in (0, 1)
             },
-        )
+        ))
         joint = joint_distribution(scm)
         baseline = gformula2(joint, GFORMULA_ROLES, 0, 0)
         for t in (0, 1):
@@ -470,16 +471,16 @@ class TestGformula:
         # With the second covariate and second treatment both frozen, the
         # two-stage formula reduces to one-stage adjustment of R2 on T.
         scm = gformula_model(15)
-        scm.cpts["X2"] = Cpt(
+        scm = with_tables(scm, Cpt(
             "X2",
             ("X", "T", "R"),
             {cfg: (1.0, 0.0) for cfg in scm.cpts["X2"].table},
-        )
-        scm.cpts["T2"] = Cpt(
+        ))
+        scm = with_tables(scm, Cpt(
             "T2",
             ("X2", "T", "R"),
             {cfg: (0.0, 1.0) for cfg in scm.cpts["T2"].table},
-        )
+        ))
         joint = joint_distribution(scm)
         for t in (0, 1):
             got = gformula2(joint, GFORMULA_ROLES, t, 1)
@@ -495,7 +496,7 @@ class TestGformula:
 
     def test_positivity_violation_named(self):
         scm = gformula_model(3)
-        scm.cpts["T"] = Cpt("T", ("X",), {(0,): (1.0, 0.0), (1,): (0.2, 0.8)})
+        scm = with_tables(scm, Cpt("T", ("X",), {(0,): (1.0, 0.0), (1,): (0.2, 0.8)}))
         joint = joint_distribution(scm)
         with pytest.raises(PositivityError, match="T=1"):
             gformula2(joint, GFORMULA_ROLES, 1, 0)

@@ -37,9 +37,9 @@ from scmkit.cli import main
 from scmkit.diagnostics import _chi_square
 from scmkit.examples import ExampleSpec, build_example
 from scmkit.graph import Dag
-from scmkit.scm import _NUMPY_JOINT, _STDLIB_DRAWS, joint_distribution, restrict, save_model
+from scmkit.scm import _NUMPY_JOINT, _STDLIB_DRAWS, Cpt, joint_distribution, restrict, save_model
 
-from structures import TWO_STAGE_EDGES, TWO_STAGE_NODES, drift_dataset, fill
+from structures import TWO_STAGE_EDGES, TWO_STAGE_NODES, drift_dataset, fill, with_tables
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(main.__code__.co_filename)))
 
@@ -174,11 +174,13 @@ def exact_chain(sizes: list):
     """The chain with every row of k entries (1, 2, ..., k) / (1 + 2 + ... + k):
     `Fraction`s of small denominators, whose numerators fit int64."""
     model = chain(sizes)
-    for cpt in model.cpts.values():
-        for cfg, row in cpt.table.items():
-            cpt.table[cfg] = tuple(Fraction(2 * (i + 1), len(row) * (len(row) + 1))
-                                   for i in range(len(row)))
-    return model
+    return with_tables(model, *(
+        Cpt(n, cpt.parents, {
+            cfg: tuple(Fraction(2 * (i + 1), len(row) * (len(row) + 1)) for i in range(len(row)))
+            for cfg, row in cpt.table.items()
+        })
+        for n, cpt in model.cpts.items()
+    ))
 
 
 @pytest.mark.parametrize("sizes, fast", [(BELOW, False), (AT, True)], ids=["below", "at"])

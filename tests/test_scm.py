@@ -1,3 +1,4 @@
+import json
 import math
 import re
 from fractions import Fraction
@@ -48,6 +49,7 @@ from structures import (
     reference_sums,
     sparse_model,
     total_variation,
+    with_tables,
 )
 from test_graph import FIG1_EDGES, FIG1_NODES
 
@@ -113,22 +115,21 @@ class TestValidate:
         )
         assert validate_scm(scm) == []
 
-    def test_bad_row_sum_is_named(self):
-        scm = simpson_scm()
-        scm.cpts["T"] = Cpt("T", ("X",), {(0,): (0.2, 0.7), (1,): (0.8, 0.2)})
-        problems = validate_scm(scm)
-        assert any("'T'" in p and "sums" in p for p in problems)
+    def test_bad_row_sum_is_refused(self):
+        with pytest.raises(InvalidArgumentError) as info:
+            Cpt("T", ("X",), {(0,): (0.2, 0.7), (1,): (0.8, 0.2)})
+        assert str(info.value) == "'T': row '0' sums to 0.8999999999999999, not 1"
 
     def test_non_parent_reference(self):
         scm = simpson_scm()
-        scm.cpts["T"] = Cpt("T", ("R",), {(0,): (0.2, 0.8), (1,): (0.8, 0.2)})
-        problems = validate_scm(scm)
-        assert any("parents" in p for p in problems)
+        with pytest.raises(InvalidArgumentError) as info:
+            with_tables(scm, Cpt("T", ("R",), {(0,): (0.2, 0.8), (1,): (0.8, 0.2)}))
+        assert str(info.value) == "'T': table parents ['R'] != graph parents ['X']"
 
     def test_missing_row(self):
-        scm = simpson_scm()
-        scm.cpts["T"] = Cpt("T", ("X",), {(0,): (0.2, 0.8)})
+        scm = with_tables(simpson_scm(), Cpt("T", ("X",), {(0,): (0.2, 0.8)}))
         assert any("rows" in p for p in validate_scm(scm))
+        assert validate_scm(scm) == ["'T': table has 1 rows, expected 2"]
 
     def test_cycle_reported_not_raised(self):
         dag = Dag(["A", "B"], [("A", "B"), ("B", "A")])
@@ -143,52 +144,100 @@ class TestValidate:
         assert any("cycle" in p for p in validate_scm(scm))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-    def test_non_finite_probability_is_named(self, bad):
-        scm = simpson_scm()
-        scm.cpts["T"] = Cpt("T", ("X",), {(0,): (bad, 0.8), (1,): (0.8, 0.2)})
-        problems = validate_scm(scm)
-        assert problems == ["'T'@(0,): non-finite probability"]
+    def test_non_finite_probability_is_refused(self, bad):
+        with pytest.raises(InvalidArgumentError) as info:
+            Cpt("T", ("X",), {(0,): (bad, 0.8), (1,): (0.8, 0.2)})
+        assert str(info.value) == "'T': row '0' has a non-finite probability"
 
     @pytest.mark.parametrize("huge", [10**400, -(10**400), Fraction(10**400, 3)])
-    def test_entries_past_the_float_range_are_named_not_raised(self, huge):
-        dag = Dag(["A", "B"], [("A", "B")])
-        scm = Scm(
-            dag,
-            {n: Domain(n, (0, 1)) for n in "AB"},
-            {
-                "A": Cpt("A", (), {(): (0.5, 0.5)}),
-                "B": Cpt("B", ("A",), {(0,): (huge, 0), (1,): (0, 1)}),
-            },
-        )
-        assert validate_scm(scm) == ["'B'@(0,): non-finite probability"]
+    def test_entries_past_the_float_range_are_refused_not_raised(self, huge):
+        with pytest.raises(InvalidArgumentError) as info:
+            Cpt("B", ("A",), {(0,): (huge, 0), (1,): (0, 1)})
+        assert str(info.value) == "'B': row '0' has a non-finite probability"
 
-    def test_a_row_summing_past_the_float_range_is_named_not_raised(self):
-        scm = simpson_scm()
-        scm.cpts["T"] = Cpt("T", ("X",), {(0,): (10**308, 10**308), (1,): (0.8, 0.2)})
-        assert validate_scm(scm) == ["'T'@(0,): row sums to inf, not 1"]
+    def test_a_row_summing_past_the_float_range_is_refused_not_raised(self):
+        with pytest.raises(InvalidArgumentError) as info:
+            Cpt("T", ("X",), {(0,): (10**308, 10**308), (1,): (0.8, 0.2)})
+        assert str(info.value) == "'T': row '0' sums to inf, not 1"
+
+    def test_a_node_with_a_table_but_no_domain_is_refused(self):
+        with pytest.raises(InvalidArgumentError) as info:
+            Scm(
+                Dag(["A", "B"], [("A", "B")]),
+                {"A": Domain("A", (0, 1))},
+                {
+                    "A": Cpt("A", (), {(): (0.5, 0.5)}),
+                    "B": Cpt("B", ("A",), {(0,): (0.5, 0.5), (1,): (0.5, 0.5)}),
+                },
+            )
+        assert str(info.value) == "node 'B' has no domain"
+
+    def test_a_parent_without_a_domain_is_refused(self):
+        # The parent's missing domain is named first; B's rows are then
+        # never checked against it.
+        with pytest.raises(InvalidArgumentError) as info:
+            Scm(
+                Dag(["A", "B"], [("A", "B")]),
+                {"B": Domain("B", (0, 1))},
+                {
+                    "A": Cpt("A", (), {(): (0.5, 0.5)}),
+                    "B": Cpt("B", ("A",), {(0,): (0.5, 0.5), (1,): (0.5, 0.5)}),
+                },
+            )
+        assert str(info.value) == "node 'A' has no domain"
 
 
-    def test_a_node_with_a_table_but_no_domain_is_named(self):
-        scm = Scm(
-            Dag(["A", "B"], [("A", "B")]),
-            {"A": Domain("A", (0, 1))},
-            {
-                "A": Cpt("A", (), {(): (0.5, 0.5)}),
-                "B": Cpt("B", ("A",), {(0,): (0.5, 0.5), (1,): (0.5, 0.5)}),
-            },
-        )
-        assert validate_scm(scm) == ["node 'B' has no domain"]
+class TestConstruction:
+    """A model is checked once, when built: each fault is named by the
+    record that holds it, and a built model cannot be patched."""
 
-    def test_a_parent_without_a_domain_is_named(self):
-        scm = Scm(
-            Dag(["A", "B"], [("A", "B")]),
-            {"B": Domain("B", (0, 1))},
-            {
-                "A": Cpt("A", (), {(): (0.5, 0.5)}),
-                "B": Cpt("B", ("A",), {(0,): (0.5, 0.5), (1,): (0.5, 0.5)}),
-            },
-        )
-        assert validate_scm(scm) == ["node 'A' has no domain", "'B': table has 2 rows, expected 0"]
+    @staticmethod
+    def chain(**changes):
+        parts = {
+            "dag": Dag(["A", "B"], [("A", "B")]),
+            "domains": {n: Domain(n, (0, 1)) for n in "AB"},
+            "cpts": {"A": Cpt("A", (), {(): (0.5, 0.5)}),
+                     "B": Cpt("B", ("A",), {(0,): (0.5, 0.5), (1,): (0.25, 0.75)})},
+        }
+        for name, change in changes.items():
+            parts[name] = {**parts[name], **change}
+        return Scm(parts["dag"], parts["domains"], parts["cpts"])
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"cpts": {"C": Cpt("C", (), {(): (1.0,)})}}, "table for unknown node 'C'"),
+        ({"domains": {"C": Domain("C", (0,))}}, "domain for unknown node 'C'"),
+        ({"cpts": {"B": Cpt("A", ("A",), {(0,): (1.0, 0.0)})}}, "table keyed to 'A' stored under 'B'"),
+        ({"cpts": {"B": Cpt("B", ("A", "A"), {(0, 0): (1.0, 0.0)})}}, "'B': duplicate parent in table"),
+        ({"cpts": {"B": Cpt("B", ("A",), {(0, 1): (1.0, 0.0)})}}, "'B': row key '0|1' has wrong arity"),
+        ({"cpts": {"B": Cpt("B", ("A",), {0: (1.0, 0.0)})}}, "'B': row key '0' has wrong arity"),
+        ({"cpts": {"B": Cpt("B", ("A",), {(0,): (1.0, 0.0), (9,): (1.0, 0.0)})}},
+         "'B': key value 9 not in domain of 'A'"),
+        ({"cpts": {"B": Cpt("B", ("A",), {(0,): (1.0, 0.0, 0.0)})}}, "'B': row '0' has length 3, not 2"),
+    ], ids=["unknown-table", "unknown-domain", "keyed", "repeated-parent", "arity", "not-a-tuple",
+            "key-value", "length"])
+    def test_a_table_that_does_not_fit_is_refused(self, changes, message):
+        with pytest.raises(InvalidArgumentError) as info:
+            self.chain(**changes)
+        assert str(info.value) == message
+
+    def test_a_node_without_a_table_is_refused(self):
+        with pytest.raises(InvalidArgumentError) as info:
+            Scm(Dag(["A"], []), {"A": Domain("A", (0, 1))}, {})
+        assert str(info.value) == "node 'A' has no table"
+
+    def test_a_built_model_cannot_be_patched(self):
+        scm = self.chain()
+        with pytest.raises(TypeError):
+            scm.cpts["B"] = Cpt("B", ("A",), {(0,): (1.0, 0.0), (1,): (1.0, 0.0)})
+        with pytest.raises(TypeError):
+            scm.domains["A"] = Domain("A", (0, 1, 2))
+        assert scm.cpts == self.chain().cpts and scm.domains == self.chain().domains
+
+    def test_the_given_mappings_are_copied(self):
+        cpts = dict(self.chain().cpts)
+        scm = Scm(self.chain().dag, self.chain().domains, cpts)
+        cpts["B"] = Cpt("B", ("A",), {(0,): (1.0, 0.0), (1,): (1.0, 0.0)})
+        assert scm.cpts["B"].table[(1,)] == (0.25, 0.75)
 
 
 class TestJointDistribution:
@@ -218,16 +267,15 @@ class TestJointDistribution:
     def test_a_table_parent_after_its_node_is_rejected(self):
         # The table of A lists B, which follows A in the graph's order.
         dag = Dag(["A", "B"], [("A", "B")])
-        scm = Scm(
-            dag,
-            {n: Domain(n, (0, 1)) for n in "AB"},
-            {
-                "A": Cpt("A", ("B",), {(0,): (0.5, 0.5), (1,): (0.5, 0.5)}),
-                "B": Cpt("B", ("A",), {(0,): (0.5, 0.5), (1,): (0.5, 0.5)}),
-            },
-        )
         with pytest.raises(InvalidArgumentError, match=r"'A': table parents \['B'\] != graph parents \[\]"):
-            joint_distribution(scm)
+            Scm(
+                dag,
+                {n: Domain(n, (0, 1)) for n in "AB"},
+                {
+                    "A": Cpt("A", ("B",), {(0,): (0.5, 0.5), (1,): (0.5, 0.5)}),
+                    "B": Cpt("B", ("A",), {(0,): (0.5, 0.5), (1,): (0.5, 0.5)}),
+                },
+            )
 
     def test_state_space_guard(self):
         names = [f"B{i}" for i in range(24)]
@@ -439,22 +487,17 @@ class TestSample:
 
     @pytest.mark.parametrize("row", [(1.0,), (0.3, 0.3, 0.4)], ids=["short", "long"])
     def test_rows_of_the_wrong_length_are_rejected(self, row):
-        scm = simpson_scm()
-        broken = Scm(scm.dag, scm.domains, {**scm.cpts, "X": Cpt("X", (), {(): row})})
-        with pytest.raises(InvalidArgumentError, match="'X': table rows must have 2 entries"):
-            sample(broken, DigitStream(1), 5)
-        with pytest.raises(InvalidArgumentError, match="'X': table rows must have 2 entries"):
-            joint_distribution(broken)
+        with pytest.raises(InvalidArgumentError) as info:
+            with_tables(simpson_scm(), Cpt("X", (), {(): row}))
+        assert str(info.value) == f"'X': row '' has length {len(row)}, not 2"
 
     @pytest.mark.parametrize("node, row", [
         ("A", (1.5, -0.5)), ("A", (Fraction(3, 2), Fraction(-1, 2))), ("B", (1.0, -0.0, 0.0)),
         ("A", (math.nan, -0.5)),
     ], ids=["float", "fraction", "negative-zero", "after-nan"])
     def test_a_negative_entry_is_rejected(self, node, row):
-        # The one-node model (1.5, -0.5) had the joint {(0,): 1.5, (1,): -0.5}
-        # and drew samples; both are refused in validate_scm's words, also
-        # behind a NaN, which validate_scm names first.  A -0.0 entry is not
-        # negative.
+        # The table refuses the row, naming a NaN first.  A -0.0 entry is
+        # not negative.
         scm = Scm(
             Dag(["A", "B"], [("A", "B")]),
             {"A": Domain("A", (0, 1)), "B": Domain("B", (0, 1, 2))},
@@ -462,35 +505,39 @@ class TestSample:
              "B": Cpt("B", ("A",), {(0,): (0.2, 0.3, 0.5), (1,): (0.2, 0.3, 0.5)})},
         )
         cfg = () if node == "A" else (1,)
-        scm.cpts[node].table[cfg] = row
+        cpt = scm.cpts[node]
+        table = {**cpt.table, cfg: row}
         if min(row) == 0:
+            scm = with_tables(scm, Cpt(node, cpt.parents, table))
             assert validate_scm(scm) == []
             joint = joint_distribution(scm)
             assert joint.probs[(1, 0)] == 0.5 and (1, 1) not in joint.probs
             assert len(sample(scm, DigitStream(1), 5)) == 5
             return
-        message = f"{node!r}@{cfg!r}: negative probability"
         finite = all(map(math.isfinite, row))
-        assert validate_scm(scm) == [message if finite else f"{node!r}@{cfg!r}: non-finite probability"]
-        for n in (5, 5000):
-            with pytest.raises(InvalidArgumentError, match=re.escape(message)):
-                sample(scm, DigitStream(1), n)
-        with pytest.raises(InvalidArgumentError, match=re.escape(message)):
-            joint_distribution(scm)
+        with pytest.raises(InvalidArgumentError) as info:
+            Cpt(node, cpt.parents, table)
+        key = "|".join(map(str, cfg))
+        assert str(info.value) == f"{node!r}: row {key!r} has a {'negative' if finite else 'non-finite'} probability"
 
     @pytest.mark.parametrize("row", [(math.nan, 0.5), (0.5, math.nan)], ids=["first", "last"])
     def test_a_nan_entry_is_not_taken_for_a_negative_one(self, row):
-        # A row whose min() is NaN is not >= 0, so a negative entry must
-        # still be found before one is named.  NaN itself is validate_scm's
-        # to name; the joint and the sampler may refuse it, but not as negative.
-        scm = Scm(Dag(["A"], []), {"A": Domain("A", (0, 1))}, {"A": Cpt("A", (), {(): row})})
-        assert validate_scm(scm) == ["'A'@(): non-finite probability"]
-        for build in (joint_distribution, lambda m: sample(m, DigitStream(1), 5),
-                      lambda m: sample(m, DigitStream(1), 5000)):
-            try:
-                build(scm)
-            except InvalidArgumentError as exc:
-                assert "negative" not in str(exc)
+        # A row whose min() is NaN is not >= 0, so a NaN must be named
+        # before a negative entry is looked for.
+        with pytest.raises(InvalidArgumentError) as info:
+            Cpt("A", (), {(): row})
+        assert str(info.value) == "'A': row '' has a non-finite probability"
+
+    @pytest.mark.parametrize("row", [(0.2, 0.2), (math.nan, 0.5), (math.inf, 0.0)],
+                             ids=["short-sum", "nan", "inf"])
+    def test_a_row_that_is_no_distribution_is_refused_at_construction(self, row):
+        # Unchecked, (0.2, 0.2) gives a joint of mass 0.4, (nan, 0.5) a nan
+        # mass and a sampler that draws value 0 every time, and (inf, 0.0)
+        # the joint {(0,): inf}.
+        with pytest.raises(InvalidArgumentError) as info:
+            Scm(Dag(["A"], []), {"A": Domain("A", (0, 1))}, {"A": Cpt("A", (), {(): row})})
+        problem = "sums to 0.4, not 1" if row == (0.2, 0.2) else "has a non-finite probability"
+        assert str(info.value) == f"'A': row '' {problem}"
 
     def test_prefix_stability(self):
         scm = simpson_scm()
@@ -741,8 +788,7 @@ class TestIntegerNumerators:
         assert items(restrict(joint, ("B",)).probs) == [((1,), 1.0, float)]
 
     def test_a_mixed_float_and_fraction_model_stays_on_the_object_path(self):
-        scm = simpson_scm(exact=True)
-        scm.cpts["T"] = Cpt("T", ("X",), {(0,): (0.25, 0.75), (1,): (0.75, 0.25)})
+        scm = with_tables(simpson_scm(exact=True), Cpt("T", ("X",), {(0,): (0.25, 0.75), (1,): (0.75, 0.25)}))
         joint = joint_distribution(scm)
         assert joint.scale is None
         assert items(joint.probs) == items(reference_joint(scm))
@@ -750,49 +796,59 @@ class TestIntegerNumerators:
         want = reference_law(joint.order, reference_joint(scm), ("R",), {"X": 1})
         assert items(restrict(joint, ("R",), {"X": 1}).probs) == items(want)
 
-    def test_int_entries_past_the_float_range_do_not_overflow(self):
-        dag = Dag(["A", "B"], [("A", "B")])
+    def test_int_entries_past_the_float_range_are_refused(self):
+        # No table holds such an entry, so no joint meets one; the rows'
+        # unit-sum twins answer.
         huge = 10**400
-        scm = Scm(
-            dag,
-            {n: Domain(n, (0, 1)) for n in "AB"},
-            {
-                "A": Cpt("A", (), {(): (Fraction(1, 3), Fraction(2, 3))}),
-                "B": Cpt("B", ("A",), {(0,): (huge, 0), (1,): (1, huge)}),
-            },
-        )
-        joint = joint_distribution(scm)
-        assert items(joint.probs) == items(reference_joint(scm))
-        assert joint.probs[(1, 1)] == Fraction(2 * huge, 3)
-
-    def test_an_all_int_row_past_the_float_range_answers(self):
-        # The float path's underflow guard used to raise OverflowError on
-        # the int entry.
-        huge = 10**400
+        with pytest.raises(InvalidArgumentError) as info:
+            Cpt("B", ("A",), {(0,): (huge, 0), (1,): (1, huge)})
+        assert str(info.value) == "'B': row '0' has a non-finite probability"
         scm = Scm(
             Dag(["A", "B"], [("A", "B")]),
             {n: Domain(n, (0, 1)) for n in "AB"},
             {
-                "A": Cpt("A", (), {(): (huge, 0)}),
+                "A": Cpt("A", (), {(): (Fraction(1, 3), Fraction(2, 3))}),
+                "B": Cpt("B", ("A",), {(0,): (1, 0), (1,): (0, 1)}),
+            },
+        )
+        joint = joint_distribution(scm)
+        assert items(joint.probs) == items(reference_joint(scm))
+        assert joint.probs[(1, 1)] == Fraction(2, 3)
+
+    def test_an_all_int_row_past_the_float_range_is_refused(self):
+        # The row is refused, so the float path's underflow guard never
+        # meets the int entry; its twin (1, 0) answers.
+        with pytest.raises(InvalidArgumentError) as info:
+            Cpt("A", (), {(): (10**400, 0)})
+        assert str(info.value) == "'A': row '' has a non-finite probability"
+        scm = Scm(
+            Dag(["A", "B"], [("A", "B")]),
+            {n: Domain(n, (0, 1)) for n in "AB"},
+            {
+                "A": Cpt("A", (), {(): (1, 0)}),
                 "B": Cpt("B", ("A",), {(0,): (1, 0), (1,): (0, 1)}),
             },
         )
         joint = joint_distribution(scm)
         assert joint.scale is None
-        assert items(joint.probs) == items(reference_joint(scm)) == [((0, 0), huge, int)]
+        assert items(joint.probs) == items(reference_joint(scm)) == [((0, 0), 1, int)]
         assert items(restrict(joint, ("B",), {"A": 0}).probs) == [((0,), 1.0, float)]
         assert cond_independent(joint, {"A"}, {"B"}, set()) == (True, 0.0)
 
-    def test_a_fraction_child_past_the_float_range_answers(self):
-        # The positivity casts of restrict, _divide and the independence
-        # check used to raise OverflowError on these masses.
+    def test_a_fraction_child_past_the_float_range_is_refused(self):
+        # The rows are refused, so the positivity casts of restrict, _divide
+        # and the independence check never meet such a mass; the twins
+        # (1, 0) and (0, 1) give the same laws.
         huge = 10**400
+        with pytest.raises(InvalidArgumentError) as info:
+            Cpt("B", ("A",), {(0,): (huge, 0), (1,): (0, huge)})
+        assert str(info.value) == "'B': row '0' has a non-finite probability"
         scm = Scm(
             Dag(["A", "B"], [("A", "B")]),
             {n: Domain(n, (0, 1)) for n in "AB"},
             {
                 "A": Cpt("A", (), {(): (Fraction(1, 3), Fraction(2, 3))}),
-                "B": Cpt("B", ("A",), {(0,): (huge, 0), (1,): (0, huge)}),
+                "B": Cpt("B", ("A",), {(0,): (1, 0), (1,): (0, 1)}),
             },
         )
         joint = joint_distribution(scm)
@@ -806,6 +862,25 @@ class TestIntegerNumerators:
         ok, dev = cond_independent(joint, {"A"}, {"B"}, set())
         assert not ok
         assert dev == pytest.approx(2 / 9)
+
+    def test_a_stratum_below_the_positivity_cutoff_is_impossible(self):
+        # The stratum A = 0 has mass 10**-20: its numerator over the joint's
+        # scale is at least 1, so only the probability itself may be tested.
+        tiny = Fraction(1, 10**20)
+        half, quarter = Fraction(1, 2), Fraction(1, 4)
+        scm = Scm(
+            Dag(["A", "B"], [("A", "B")]),
+            {n: Domain(n, (0, 1)) for n in "AB"},
+            {
+                "A": Cpt("A", (), {(): (tiny, 1 - tiny)}),
+                "B": Cpt("B", ("A",), {(0,): (half, half), (1,): (quarter, 1 - quarter)}),
+            },
+        )
+        joint = joint_distribution(scm)
+        assert joint.scale is not None and joint.probs[(0, 0)] == tiny / 2
+        with pytest.raises(ZeroProbabilityError):
+            restrict(joint, ("B",), {"A": 0})
+        assert conditional_laws(joint, ("B",), ("A",)) == {(1,): {(0,): quarter, (1,): 1 - quarter}}
 
 
 class TestCondIndependent:
@@ -942,8 +1017,26 @@ class TestModelFormat:
     def test_unknown_parent_value_rejected(self):
         scm = simpson_scm()
         text = scm_to_json(scm).replace('"0|0"', '"9|0"')
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(InvalidArgumentError) as info:
             scm_from_json(text)
+        assert str(info.value) == "'R': key value '9' not in domain of 'T'"
+
+    @pytest.mark.parametrize("key", ["0|0|0", "0", ""])
+    def test_a_row_key_of_the_wrong_arity_is_refused(self, key):
+        text = scm_to_json(simpson_scm()).replace('"0|0"', json.dumps(key))
+        with pytest.raises(InvalidArgumentError) as info:
+            scm_from_json(text)
+        assert str(info.value) == f"'R': row key {key!r} has wrong arity"
+
+    def test_a_repeated_parent_is_refused_at_load(self):
+        doc = {"nodes": [
+            {"id": "A", "domain": [0, 1], "parents": [], "table": {"": [0.5, 0.5]}},
+            {"id": "B", "domain": [0, 1], "parents": ["A", "A"],
+             "table": {"0|0": [0.5, 0.5], "1|1": [0.5, 0.5]}},
+        ]}
+        with pytest.raises(InvalidArgumentError) as info:
+            scm_from_dict(doc)
+        assert str(info.value) == "'B': duplicate parent in table"
 
     def test_garbage_rejected(self):
         with pytest.raises(InvalidArgumentError):
