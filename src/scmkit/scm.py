@@ -84,7 +84,8 @@ class Cpt(Record):
     probability sequence.  Every row is a distribution, checked here once:
     its entries are finite (an int or Fraction past the float range is not)
     and nonnegative, and their sum is 1 within 1e-12.  The table is read,
-    never changed, once the Cpt is built.
+    never changed, once the Cpt is built: the check does not run again, so
+    a row written into `table` afterwards gives undefined results.
     """
 
     __slots__ = ("node", "parents", "table")
@@ -108,7 +109,7 @@ def _check_row(node, cfg, row) -> None:
 
 def _check_key(node, parents, values, cfg) -> None:
     """Refuses a row key that is not a configuration of the parents, whose
-    domains' values are `values`."""
+    domains' values are `values` (collections, one per parent)."""
     if not isinstance(cfg, tuple) or len(cfg) != len(values):
         raise InvalidArgumentError(f"{node!r}: row key {_key(cfg)!r} has wrong arity")
     for v, vals, p in zip(cfg, values, parents):
@@ -169,12 +170,21 @@ class Scm:
             if len(cpt.parents) != len(parents):
                 raise InvalidArgumentError(f"{node!r}: duplicate parent in table")
             values = [self.domains[p].values for p in cpt.parents]
-            configs = set(itertools.product(*values))
             k = len(self.domains[node].values)
-            for cfg, row in cpt.table.items():
-                if cfg not in configs:
+            table = cpt.table
+            # Keys that are the first len(table) configurations (a full table's
+            # are all of them) pass as one set; other tables, and rows of the
+            # wrong length, are checked row by row, naming the first fault.
+            if (set(map(len, table.values())) != {k}
+                    or table.keys() != set(itertools.islice(itertools.product(*values), len(table)))):
+                values = list(map(set, values))
+                for cfg, row in table.items():
                     _check_key(node, cpt.parents, values, cfg)
-                _check_length(node, cfg, row, k)
+                    _check_length(node, cfg, row, k)
+
+    def __reduce__(self):
+        # The read-only views do not pickle; the rebuilt model is checked anew.
+        return Scm, (self.dag, dict(self.domains), dict(self.cpts), self.meta)
 
 
 class JointTable:

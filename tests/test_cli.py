@@ -338,6 +338,19 @@ class TestErrors:
         assert rep["error"] == "'B': duplicate parent in table"
         assert rep["result"] is None
 
+    def test_a_node_of_forty_parents_and_one_row_fails_validation(self, capsys, tmp_path):
+        # The model loads without visiting the 2**40 parent configurations.
+        parents = [f"P{i:02d}" for i in range(40)]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"nodes": [
+            *({"id": p, "domain": [0, 1], "parents": [], "table": {"": [0.5, 0.5]}} for p in parents),
+            {"id": "Y", "domain": [0, 1], "parents": parents, "table": {"|".join("0" * 40): [0.5, 0.5]}},
+        ]}))
+        code, rep = report(capsys, "validate", "-m", str(path))
+        assert code == 1
+        assert rep["error"] == "model failed validation with 1 problem(s)"
+        assert rep["result"] == {"ok": False, "problems": ["'Y': table has 1 rows, expected 1099511627776"]}
+
     def test_non_finite_cell_fails_diagnose(self, capsys, tmp_path):
         # Two nan responses in one block used to count as distinct values.
         rows_path = tmp_path / "rows.csv"

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 import re
 from fractions import Fraction
 
@@ -238,6 +240,35 @@ class TestConstruction:
         scm = Scm(self.chain().dag, self.chain().domains, cpts)
         cpts["B"] = Cpt("B", ("A",), {(0,): (1.0, 0.0), (1,): (1.0, 0.0)})
         assert scm.cpts["B"].table[(1,)] == (0.25, 0.75)
+
+    def test_a_full_table_with_a_short_row_is_refused_at_that_row(self):
+        cpt = Cpt("B", ("A",), {(0,): (1.0, 0.0), (1,): (1.0,)})
+        with pytest.raises(InvalidArgumentError) as info:
+            self.chain(cpts={"B": cpt})
+        assert str(info.value) == "'B': row '1' has length 1, not 2"
+
+    def test_a_node_of_forty_parents_and_one_row_is_built_at_once(self):
+        # Only the rows are checked, never the 2**40 parent configurations.
+        parents = tuple(f"P{i:02d}" for i in range(40))
+        nodes = [*parents, "Y"]
+        domains = {n: Domain(n, (0, 1)) for n in nodes}
+        cpts = {p: Cpt(p, (), {(): (0.5, 0.5)}) for p in parents}
+        cpts["Y"] = Cpt("Y", parents, {(0,) * 40: (0.5, 0.5)})
+        scm = Scm(Dag(nodes, [(p, "Y") for p in parents]), domains, cpts)
+        assert validate_scm(scm) == ["'Y': table has 1 rows, expected 1099511627776"]
+
+    @pytest.mark.parametrize("clone", [
+        lambda scm: pickle.loads(pickle.dumps(scm)), copy.copy, copy.deepcopy,
+    ], ids=["pickle", "copy", "deepcopy"])
+    def test_a_model_pickles_and_copies(self, clone):
+        scm = self.chain()
+        scm.meta["note"] = "kept"
+        twin = clone(scm)
+        assert twin is not scm and type(twin.cpts) is type(scm.cpts)
+        assert (twin.dag, twin.domains, twin.cpts, twin.meta) == (scm.dag, scm.domains, scm.cpts, scm.meta)
+        assert joint_distribution(twin).probs == joint_distribution(scm).probs
+        with pytest.raises(TypeError):
+            twin.cpts["A"] = scm.cpts["A"]
 
 
 class TestJointDistribution:
