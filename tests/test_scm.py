@@ -215,8 +215,9 @@ class TestConstruction:
         ({"cpts": {"B": Cpt("B", ("A",), {(0,): (1.0, 0.0), (9,): (1.0, 0.0)})}},
          "'B': key value 9 not in domain of 'A'"),
         ({"cpts": {"B": Cpt("B", ("A",), {(0,): (1.0, 0.0, 0.0)})}}, "'B': row '0' has length 3, not 2"),
+        ({"cpts": {"B": Cpt("B", ("A",), {(0,): (1.0, 0.0), (1,): (1.0,)})}}, "'B': row '1' has length 1, not 2"),
     ], ids=["unknown-table", "unknown-domain", "keyed", "repeated-parent", "arity", "not-a-tuple",
-            "key-value", "length"])
+            "key-value", "length", "length-in-a-full-table"])
     def test_a_table_that_does_not_fit_is_refused(self, changes, message):
         with pytest.raises(InvalidArgumentError) as info:
             self.chain(**changes)
@@ -240,12 +241,6 @@ class TestConstruction:
         scm = Scm(self.chain().dag, self.chain().domains, cpts)
         cpts["B"] = Cpt("B", ("A",), {(0,): (1.0, 0.0), (1,): (1.0, 0.0)})
         assert scm.cpts["B"].table[(1,)] == (0.25, 0.75)
-
-    def test_a_full_table_with_a_short_row_is_refused_at_that_row(self):
-        cpt = Cpt("B", ("A",), {(0,): (1.0, 0.0), (1,): (1.0,)})
-        with pytest.raises(InvalidArgumentError) as info:
-            self.chain(cpts={"B": cpt})
-        assert str(info.value) == "'B': row '1' has length 1, not 2"
 
     def test_a_node_of_forty_parents_and_one_row_is_built_at_once(self):
         # Only the rows are checked, never the 2**40 parent configurations.
