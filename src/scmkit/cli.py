@@ -116,6 +116,15 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """argparse type for `--tol`: a finite number, not below 0, for no rule
+    passes under a negative tolerance."""
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a tolerance of at least 0, got {text!r}")
+    return value
+
+
 def _domain_value(scm: Scm, node: str, token: str):
     if node not in scm.domains:
         raise _UsageError(f"unknown node {node!r}")
@@ -663,7 +672,7 @@ _COMMANDS = {
             _opt("--x", default="", help="treatment assignments k=v,..."),
             _opt("--y", required=True, help="response nodes, comma list"),
             _opt("--z", help="second assignment set k=v,..."),
-            _opt("--tol", type=_finite_float, default=1e-12),
+            _opt("--tol", type=_tolerance, default=1e-12),
         ),
     ),
     "diagnose": _Command(

@@ -59,6 +59,11 @@ _STDLIB_DRAWS = 4096
 # kernels save.  Both paths give the same values.
 _NUMPY_JOINT = 1 << 19
 
+# `_slice` keeps the slice plans (`_plan`) of this many grids, pins and
+# axes lists, the most recently used: the bench's library mix reads about
+# 210.  Worst-case bytes are in `_plan`.
+_SLICE_PLANS = 512
+
 
 class Domain(Record):
     __slots__ = ("node", "values")
@@ -541,67 +546,110 @@ def _codes(offsets, base: int = 0) -> list:
     return codes
 
 
+def _grid(sizes, fixed: dict, axes) -> list:
+    """The row-major code on `axes` of every position, in row-major order,
+    of the slice of the grid where each axis of `fixed` {axis: code} takes
+    its code.  On every axis in order, the codes are the flat positions."""
+    offsets = _radix(sizes, axes)
+    base = sum(offsets[a][c] for a, c in fixed.items())
+    return _codes([offs for a, offs in enumerate(offsets) if a not in fixed], base)
+
+
+@functools.lru_cache(maxsize=_SLICE_PLANS)
+def _plan(sizes: tuple, fixed: tuple, axes: tuple) -> tuple:
+    """A slice plan: `_grid(sizes, dict(fixed), axes)` and its distinct
+    codes in the order of their first appearance, both as tuples.
+
+    A plan is kept by grid sizes, pins ((axis, code) pairs) and axes, never
+    by domain values: 0, 0.0 and False hash alike, so a plan keyed by
+    values would give one domain's keys another's types.  `_slice` asks
+    only for grids of fewer than `_STDLIB_DRAWS` cells, and the
+    `_SLICE_PLANS` most recently used plans are kept.  A plan holds at most
+    4,095 codes and 4,095 first appearances: two tuples of 8-byte slots
+    and up to 4,095 int objects of 28 bytes, about 180 KB, so all plans
+    take at most about 92 MB; the bench's library mix keeps about 0.4 MB.
+    Plans are shared between calls, and every caller only reads them."""
+    codes = tuple(_grid(sizes, dict(fixed), axes))
+    return codes, tuple(dict.fromkeys(codes))
+
+
+def _layout(joint: JointTable, fixed: dict, axes) -> tuple:
+    """`_plan` of the joint's grid when it has fewer than `_STDLIB_DRAWS`
+    cells; else the slice's codes, computed anew, and None for their order."""
+    if len(joint.masses) < _STDLIB_DRAWS:
+        return _plan(joint.sizes, tuple(fixed.items()), tuple(axes))
+    return _grid(joint.sizes, fixed, axes), None
+
+
 def _slice(joint: JointTable, fixed: dict, axes_lists) -> tuple:
     """The masses of the joint's keys whose value codes match `fixed`
-    ({axis: code}; a code of None matches nothing), in key order, and for
-    each list of axes the row-major code of every such key's values on
-    those axes, fixed axes included.  A joint with an `_array` is scanned
-    in numpy and gives arrays of both."""
+    ({axis: code}; a code of None matches nothing), in key order; for each
+    list of axes the row-major code of every such key's values on those
+    axes, fixed axes included; and for each list its distinct codes in the
+    order of their first appearance, or None where `_sums` must find them.
+    A joint with an `_array` is scanned in numpy and gives arrays of masses
+    and codes.
+
+    Without an `_array`, a grid of fewer than `_STDLIB_DRAWS` cells reads
+    its codes, a pinned slice its flat positions and a joint without zeros
+    its orders from `_plan`, kept by `joint.sizes`, pins and axes, never by
+    values, which 0, 0.0 and False share; the `_SLICE_PLANS` most recent
+    are kept.  The codes and orders returned may be those shared tuples:
+    callers only read them."""
     if None in fixed.values():
-        return [], [[] for _ in axes_lists]
-    offsets = [_radix(joint.sizes, axes) for axes in axes_lists]
-    if joint.keys is None:
-        # Only the matching positions are visited: the grid of the free axes,
-        # each fixed axis adding its value's offset to every code.
-        free = [a for a in range(len(joint.sizes)) if a not in fixed]
-        bases = [0] * len(offsets)
-        if fixed:
-            bases = [sum(offs[a][c] for a, c in fixed.items()) for offs in offsets]
-        if joint._array is not None:
-            import numpy as np
+        return [], [[] for _ in axes_lists], [() for _ in axes_lists]
+    sizes, unknown = joint.sizes, [None] * len(axes_lists)
+    if joint._array is not None:
+        import numpy as np
 
-            cells = tuple(fixed.get(a, slice(None)) for a in range(len(joint.sizes)))
-            masses = joint._array.reshape(joint.sizes)[cells].ravel()
-            # Each axis adds its offsets along its own dimension of the grid.
-            shape = [joint.sizes[a] for a in free]
-            codes = [np.broadcast_to(sum((np.reshape(offs[a], [-1 if a == b else 1 for b in free])
-                                          for a in free if any(offs[a])), base), shape).ravel()
-                     for offs, base in zip(offsets, bases)]
-            if joint.zeros:
-                keep = masses != 0
-                codes, masses = [cs[keep] for cs in codes], masses[keep]
-            return masses, codes
-        codes = [_codes([offs[a] for a in free], base) for offs, base in zip(offsets, bases)]
-        masses = joint.masses
-        if fixed:
-            strides = [range(0, joint.sizes[a] * joint.strides[a], joint.strides[a]) for a in free]
-            base = sum(joint.strides[a] * c for a, c in fixed.items())
-            masses = list(map(masses.__getitem__, _codes(strides, base)))
+        offsets = [_radix(sizes, axes) for axes in axes_lists]
+        free = [a for a in range(len(sizes)) if a not in fixed]
+        bases = [sum(offs[a][c] for a, c in fixed.items()) for offs in offsets]
+        cells = tuple(fixed.get(a, slice(None)) for a in range(len(sizes)))
+        masses = joint._array.reshape(sizes)[cells].ravel()
+        # Each axis adds its offsets along its own dimension of the grid.
+        shape = [sizes[a] for a in free]
+        codes = [np.broadcast_to(sum((np.reshape(offs[a], [-1 if a == b else 1 for b in free])
+                                      for a in free if any(offs[a])), base), shape).ravel()
+                 for offs, base in zip(offsets, bases)]
         if joint.zeros:
-            codes = [list(itertools.compress(cs, masses)) for cs in codes]
-            masses = list(itertools.compress(masses, masses))
-        return masses, codes
-    keys = joint.keys
+            keep = masses != 0
+            codes, masses = [cs[keep] for cs in codes], masses[keep]
+        return masses, codes, unknown
+    if joint.keys is not None:
+        keys = joint.keys
+        if fixed:
+            # A key is in the slice when its code on the pinned axes is theirs.
+            on, want = _layout(joint, {}, fixed)[0], 0
+            for a, c in fixed.items():
+                want = want * sizes[a] + c
+            keys = [pos for pos in keys if on[pos] == want]
+        codes = [list(map(_layout(joint, {}, axes)[0].__getitem__, keys)) for axes in axes_lists]
+        return list(map(joint.masses.__getitem__, keys)), codes, unknown
+    # Only the matching positions are visited: the grid of the free axes,
+    # each fixed axis adding its value's offset to every code.
+    codes, orders = zip(*[_layout(joint, fixed, axes) for axes in axes_lists])
+    masses = joint.masses
     if fixed:
-        miss = _codes([
-            [int(c != fixed[a]) for c in range(k)] if a in fixed else (0,) * k
-            for a, k in enumerate(joint.sizes)
-        ])
-        keys = [pos for pos in keys if not miss[pos]]
-    codes = [list(map(_codes(offs).__getitem__, keys)) for offs in offsets]
-    return list(map(joint.masses.__getitem__, keys)), codes
+        masses = list(map(masses.__getitem__, _layout(joint, fixed, range(len(sizes)))[0]))
+    if joint.zeros:
+        codes = [list(itertools.compress(cs, masses)) for cs in codes]
+        return list(itertools.compress(masses, masses)), codes, unknown
+    return masses, codes, orders
 
 
-def _sums(codes, masses, size: int) -> dict:
+def _sums(codes, masses, size: int, order=None) -> dict:
     """{code: total mass}: masses added one at a time in scan order, codes
-    in the order of their first appearance.  numpy's `bincount` adds arrays
-    in that same order, so both paths give the same floats, and the same
-    ints for int64 masses, whose sums stay below 2**53."""
+    in the order of their first appearance, which `order` gives when
+    `_slice` read it from a plan (`_plan`, kept by grid sizes, pins and
+    axes for the `_SLICE_PLANS` most recent; read, never changed).  numpy's `bincount` adds arrays in that same order, so
+    both paths give the same floats, and the same ints for int64 masses,
+    whose sums stay below 2**53."""
     if isinstance(masses, list):
         acc = [0] * size
         for c, p in zip(codes, masses):
             acc[c] += p
-        return {c: acc[c] for c in dict.fromkeys(codes)}
+        return {c: acc[c] for c in (dict.fromkeys(codes) if order is None else order)}
     import numpy as np
 
     acc = np.bincount(codes, weights=masses, minlength=size)
@@ -626,7 +674,7 @@ def restrict(joint: JointTable, targets, given: dict | None = None) -> JointTabl
         targets = tuple(targets)
     _require_distinct(targets, tuple(given))
     target_axes = [joint.index(n) for n in targets]
-    masses, (codes,) = _slice(joint, _fixed(joint, given), [target_axes])
+    masses, (codes,), (order,) = _slice(joint, _fixed(joint, given), [target_axes])
     if isinstance(masses, list):
         mass = functools.reduce(operator.add, masses, 0)
     else:
@@ -636,7 +684,7 @@ def restrict(joint: JointTable, targets, given: dict | None = None) -> JointTabl
         raise ZeroProbabilityError(f"conditioning event {given!r} has probability 0")
     values = tuple(joint.values[a] for a in target_axes)
     probs = [0] * math.prod(map(len, values))
-    sums = _sums(codes, masses, len(probs))
+    sums = _sums(codes, masses, len(probs), order)
     divide = operator.truediv if scale is None else Fraction
     for c, m in sums.items():
         probs[c] = divide(m, mass)
@@ -676,6 +724,12 @@ def _marginals(joint: JointTable, *node_tuples, numerators: bool = False, pins=N
     first configuration, exactly as `restrict` sums them; a slice's masses
     are the same masses in the same order, so a pinned table is the
     unpinned one's matching keys.
+
+    On small grids `_slice` reads each tuple's codes and key order from a
+    plan (`_plan`, at most `_SLICE_PLANS` kept) keyed by grid sizes, pins
+    and axes, and only reads it; the configurations are built from the
+    joint's own values on every call, since 0, 0.0 and False hash alike.
+    Each returned table is a new dict.
     """
     axes = [[joint.index(n) for n in nodes] for nodes in node_tuples]
     pins = pins or [{}] * len(axes)
@@ -685,10 +739,10 @@ def _marginals(joint: JointTable, *node_tuples, numerators: bool = False, pins=N
     tables = [None] * len(axes)
     for where in groups.values():
         p = pins[where[0]]
-        masses, codes = _slice(joint, _fixed(joint, p) if p else {}, [axes[i] for i in where])
-        for i, cs in zip(where, codes):
+        masses, codes, orders = _slice(joint, _fixed(joint, p) if p else {}, [axes[i] for i in where])
+        for i, cs, order in zip(where, codes, orders):
             configs = list(itertools.product(*(joint.values[a] for a in axes[i])))
-            sums = _sums(cs, masses, len(configs))
+            sums = _sums(cs, masses, len(configs), order)
             totals = sums.values() if numerators else _unscaled(joint, sums.values())
             tables[i] = dict(zip(map(configs.__getitem__, sums), totals))
     return tables

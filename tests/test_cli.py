@@ -701,6 +701,25 @@ def test_non_finite_float_options_are_usage_errors(capsys, fig1_path, flag, bad)
     assert "finite number" in err
 
 
+@pytest.mark.parametrize("flag, bad", [
+    (["--tol=-1e-300"], "-1e-300"), (["--tol=-1"], "-1"), (["--tol", "-1"], "-1"),
+])
+def test_a_negative_tolerance_is_a_usage_error(capsys, fig1_path, flag, bad):
+    argv = ["docalc", "-m", fig1_path, "--rule", "1", "--y", "R", "--z", "X3=0"]
+    code, out, err = run(capsys, *argv, *flag)
+    assert code == 2
+    assert out == ""
+    assert f"expected a tolerance of at least 0, got {bad!r}" in err
+
+
+@pytest.mark.parametrize("tol", ["0", "-0", "1e-12"])
+def test_a_tolerance_of_zero_or_more_is_accepted(capsys, fig1_path, tol):
+    argv = ["docalc", "-m", fig1_path, "--rule", "1", "--y", "R", "--z", "X3=0"]
+    code, out, _ = run(capsys, *argv, f"--tol={tol}")
+    assert code in (0, 1)
+    assert json.loads(out)["result"]["tol"] == float(tol)
+
+
 def test_module_entry_point_prints_the_in_process_report(capsys, simpson_path):
     argv = ["effect", "-m", simpson_path, "-t", "T", "-r", "R", "--adjust", "X",
             "--t-values", "0,1"]

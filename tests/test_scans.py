@@ -46,11 +46,13 @@ from scmkit.identify import (
 from scmkit.cli import main
 from scmkit.scm import (
     Cpt,
+    Domain,
     JointTable,
     Scm,
     _conditional_laws,
     _marginals,
     cond_independent,
+    conditional_laws,
     joint_distribution,
     restrict,
     save_model,
@@ -377,3 +379,121 @@ def test_the_r2_factor_divides_only_its_treatment_slice(call, pinned, monkeypatc
     whole = len(_marginals(joint, tuple(GFORMULA_ROLES))[0])
     assert whole == 729
     assert cells * 3 ** len(pinned) == whole
+
+
+# Slice plans: `_slice` keeps each small grid's codes and key order in
+# `scm._plan`, keyed by grid sizes, pins and axes, never by domain values.
+
+PLAN_MODELS = {
+    "plan": lambda: gformula_model(1, TERNARY_PLAN),
+    "plan-fraction": lambda: sixths(gformula_model(1, TERNARY_PLAN)),
+    "sparse": lambda: sparse_model(3, n=7),
+    "sparse-fraction": lambda: sparse_model(3, n=7, exact=True),
+    "no-mass-at-x": lambda: without_x(2),
+}
+
+
+def read_through_slices(joint: JointTable) -> str:
+    """The repr, which holds every key order and number type, of pinned and
+    unpinned conditional laws, a support, marginals with and without pins,
+    and a `restrict`, all on one joint."""
+    o = joint.order
+    cases = pinned_cases(joint) + [((o[-1],), o[:2]), ((o[0], o[2]), ())]
+    laws = _conditional_laws(joint, cases, (o[0],))
+    tables = _marginals(joint, o[:2], (o[-1], o[0]), o)
+    tables += _marginals(joint, o[1:3], o[3:], numerators=True,
+                         pins=[{o[0]: joint.values[0][0]}, {o[1]: "off"}])
+    return repr((laws, tables, restrict(joint, (o[-1], o[1]), {o[0]: joint.values[0][0]})))
+
+
+@pytest.mark.parametrize("name", list(PLAN_MODELS))
+@pytest.mark.parametrize("form", ["list", "numpy", "keys", "restrict"])
+def test_a_warm_plan_cache_reads_as_a_cold_one(form, name, monkeypatch):
+    joint = stored(form, PLAN_MODELS[name](), monkeypatch)
+    if form == "list":
+        assert joint.zeros == (not name.startswith("plan"))
+    scm_module._plan.cache_clear()
+    cold = read_through_slices(joint)
+    plans = scm_module._plan.cache_info().currsize
+    # A numpy joint is sliced in numpy; every other small grid keeps plans.
+    assert (plans > 0) == (form != "numpy")
+    assert read_through_slices(joint) == cold
+    assert scm_module._plan.cache_info().hits > 0 or form == "numpy"
+    # Below the cutoff of no cells, no plan is kept or read.
+    monkeypatch.setattr(scm_module, "_STDLIB_DRAWS", 0)
+    assert read_through_slices(joint) == cold
+    assert scm_module._plan.cache_info().currsize == plans
+
+
+def test_one_grid_keeps_each_domains_key_types():
+    # 0 == 0.0 == False hash alike, so plans keyed by values would mix them.
+    model = simpson_scm()
+    joints = []  # not a dict: the three value tuples are equal keys
+    for values in ((0, 1), (0.0, 1.0), (False, True)):
+        cpts = {n: Cpt(n, c.parents, {tuple(values[v] for v in cfg): row for cfg, row in c.table.items()})
+                for n, c in model.cpts.items()}
+        joints.append((values, joint_distribution(
+            Scm(model.dag, {n: Domain(n, values) for n in model.dag.nodes}, cpts))))
+
+    def read(joint, values):
+        laws = conditional_laws(joint, ("R",), ("T", "X"))
+        pinned, _ = _conditional_laws(joint, [(("R",), ("T", "X"), {"T": values[1]})])
+        (table,) = _marginals(joint, ("T", "X"))
+        law = restrict(joint, ("R",), {"T": values[1]})
+        keys = [*laws, *(k for law in laws.values() for k in law), *pinned[0], *table, *law.probs]
+        assert {type(v) for key in keys for v in key} == {type(values[0])}
+        return repr((laws, pinned, table, law))
+
+    cold = []
+    for values, joint in joints:
+        scm_module._plan.cache_clear()
+        cold.append(read(joint, values))
+    for (values, joint), want in reversed(list(zip(joints, cold))):
+        assert read(joint, values) == want
+
+
+def test_changing_a_returned_law_or_table_does_not_reach_the_next_call():
+    joint = joint_distribution(gformula_model(1))
+    pins = {"T": 1}
+
+    def read():
+        laws, _ = _conditional_laws(joint, [(("R",), ("X", "T")), (("R",), ("X", "T"), pins)])
+        return laws, _marginals(joint, ("X", "T"), ("R",)), restrict(joint, ("R", "X"), pins)
+
+    first = repr(read())
+    laws, tables, law = read()
+    for stratum in laws:
+        for cells in stratum.values():
+            cells.clear()
+        stratum[(9, 9)] = {}
+    for table in tables:
+        table[next(iter(table))] = -1.0
+        table[(9,)] = 2.0
+    law.masses.reverse()
+    law.keys.append(law.keys[0])
+    assert repr(read()) == first
+    # The plans themselves are tuples, which no caller can change.
+    masses, codes, orders = scm_module._slice(joint, {1: 1}, [[0], [2]])
+    assert all(type(plan) is tuple for plan in (*codes, *orders))
+
+
+def test_a_sweep_past_the_bound_keeps_the_plan_cache_within_it():
+    bound = scm_module._SLICE_PLANS
+    scm_module._plan.cache_clear()
+    assert scm_module._plan.cache_info().maxsize == bound
+    for k in range(1, bound + 51):
+        joint = JointTable(("A",), {(v,): 1 / k for v in range(k)})
+        (table,) = _marginals(joint, ("A",))
+        assert list(table) == [(v,) for v in range(k)]
+        assert scm_module._plan.cache_info().currsize == min(k, bound)
+
+
+@pytest.mark.parametrize("below", [True, False])
+def test_only_a_grid_below_the_draw_cutoff_keeps_plans(below):
+    cells = scm_module._STDLIB_DRAWS - below
+    joint = JointTable(("A", "B"), {(0, b): 1 / cells for b in range(cells)})
+    assert joint.sizes == (1, cells)
+    scm_module._plan.cache_clear()
+    (table,) = _marginals(joint, ("B",))
+    assert len(table) == cells
+    assert scm_module._plan.cache_info().currsize == below
