@@ -99,9 +99,12 @@ def _check_values(scm: Scm, nodes: frozenset, values: Mapping, label: str) -> No
 
 
 def _fix_parents(cpt: Cpt, fixed: Mapping) -> Cpt:
-    """Drop the given parents, keeping the rows at their forced values."""
+    """Drop the given parents, keeping the rows at their forced values; the
+    table itself when it has none of them."""
     keep = [i for i, p in enumerate(cpt.parents) if p not in fixed]
     sel = [(i, fixed[p]) for i, p in enumerate(cpt.parents) if p in fixed]
+    if not sel:
+        return cpt
     table = {}
     for cfg, row in cpt.table.items():
         if all(cfg[i] == v for i, v in sel):

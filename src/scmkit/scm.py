@@ -59,10 +59,16 @@ _STDLIB_DRAWS = 4096
 # kernels save.  Both paths give the same values.
 _NUMPY_JOINT = 1 << 19
 
-# `_slice` keeps the slice plans (`_plan`) of this many grids, pins and
-# axes lists, the most recently used: the bench's library mix reads about
-# 210.  Worst-case bytes are in `_plan`.
+# `_slice` and `joint_distribution` keep the slice plans (`_plan`) of this
+# many grids, pins and axes lists, the most recently used: the bench's
+# library mix reads about 280.  Worst-case bytes are in `_plan`.
 _SLICE_PLANS = 512
+
+# `_slice` keeps the code arrays (`_array_plan`) of this many numpy slices,
+# the most recently used, for joints of fewer than `_ARRAY_PLAN_CELLS`
+# cells.  Worst-case bytes are in `_array_plan`.
+_ARRAY_PLANS = 32
+_ARRAY_PLAN_CELLS = 1 << 18
 
 
 class Domain(Record):
@@ -87,10 +93,11 @@ class Cpt(Record):
 
     `table` maps a tuple of parent values (in `parents` order) to a
     probability sequence.  Every row is a distribution, checked here once:
-    its entries are finite (an int or Fraction past the float range is not)
-    and nonnegative, and their sum is 1 within 1e-12.  The table is read,
-    never changed, once the Cpt is built: the check does not run again, so
-    a row written into `table` afterwards gives undefined results.
+    its entries are numbers (bools included), finite (an int or Fraction
+    past the float range is not) and nonnegative, and their sum is 1 within
+    1e-12.  The table is read, never changed, once the Cpt is built: the
+    check does not run again, so a row written into `table` afterwards
+    gives undefined results.
     """
 
     __slots__ = ("node", "parents", "table")
@@ -103,7 +110,12 @@ class Cpt(Record):
 
 def _check_row(node, cfg, row) -> None:
     """Refuses a row that is not a distribution."""
-    if not _finite(row):
+    try:
+        finite = _finite(row)
+    except TypeError:  # `math.isfinite` of a str, None, a list, ...
+        raise InvalidArgumentError(
+            f"{node!r}: row {_key(cfg)!r} has an entry that is not a number") from None
+    if not finite:
         raise InvalidArgumentError(f"{node!r}: row {_key(cfg)!r} has a non-finite probability")
     if min(row, default=0) < 0:
         raise InvalidArgumentError(f"{node!r}: row {_key(cfg)!r} has a negative probability")
@@ -423,12 +435,15 @@ def joint_distribution(scm: Scm) -> JointTable:
 
     The masses grow row-major one node at a time: every configuration of the
     nodes so far is multiplied by its row of the node's table, found from
-    the parents' value codes in mixed radix, as `_realize` finds it.  A
-    table may lack a row only where no configuration with mass reaches it.
-    A joint of `_STDLIB_DRAWS` configurations or more, once numpy is loaded,
-    or of `_NUMPY_JOINT` or more, is multiplied out in numpy, with the same
-    IEEE product in every float cell while no entry exceeds 1 and integer
-    numerators in int64 while no mass or sum of masses can reach 2**53.
+    the parents' value codes in mixed radix, as `_realize` finds it; while
+    the nodes so far have fewer than `_STDLIB_DRAWS` configurations, those
+    codes are read from `_plan`, kept by the nodes' sizes and the parents'
+    axes, never by values.  A table may lack a row only where no
+    configuration with mass reaches it.  A joint of `_STDLIB_DRAWS`
+    configurations or more, once numpy is loaded, or of `_NUMPY_JOINT` or
+    more, is multiplied out in numpy, with the same IEEE product in every
+    float cell while no entry exceeds 1 and integer numerators in int64
+    while no mass or sum of masses can reach 2**53.
     """
     order = topological_order(scm.dag)
     values = tuple(scm.domains[n].values for n in order)
@@ -455,7 +470,7 @@ def joint_distribution(scm: Scm) -> JointTable:
         rows = [cpt.table.get(cfg) for cfg in configs]
         at = None
         if None in rows:
-            at = _codes(_radix(sizes, parents)[:j])
+            at = _layout(sizes[:j], {}, parents)[0]
             for m, r in zip(masses if alive is None else alive, at):
                 if m and rows[r] is None:
                     raise _missing_row(cpt, configs[r])
@@ -489,7 +504,7 @@ def joint_distribution(scm: Scm) -> JointTable:
             continue
         if not isinstance(masses, list):
             masses = masses.tolist()
-        at = at or _codes(_radix(sizes, parents)[:j])
+        at = at or _layout(sizes[:j], {}, parents)[0]
         if alive is None:
             # A structural zero stays 0 without a multiplication.
             masses = [m * p if m and p else 0 for m, r in zip(masses, at) for p in rows[r]]
@@ -562,7 +577,7 @@ def _plan(sizes: tuple, fixed: tuple, axes: tuple) -> tuple:
 
     A plan is kept by grid sizes, pins ((axis, code) pairs) and axes, never
     by domain values: 0, 0.0 and False hash alike, so a plan keyed by
-    values would give one domain's keys another's types.  `_slice` asks
+    values would give one domain's keys another's types.  `_layout` asks
     only for grids of fewer than `_STDLIB_DRAWS` cells, and the
     `_SLICE_PLANS` most recently used plans are kept.  A plan holds at most
     4,095 codes and 4,095 first appearances: two tuples of 8-byte slots
@@ -573,12 +588,47 @@ def _plan(sizes: tuple, fixed: tuple, axes: tuple) -> tuple:
     return codes, tuple(dict.fromkeys(codes))
 
 
-def _layout(joint: JointTable, fixed: dict, axes) -> tuple:
-    """`_plan` of the joint's grid when it has fewer than `_STDLIB_DRAWS`
-    cells; else the slice's codes, computed anew, and None for their order."""
-    if len(joint.masses) < _STDLIB_DRAWS:
-        return _plan(joint.sizes, tuple(fixed.items()), tuple(axes))
-    return _grid(joint.sizes, fixed, axes), None
+def _layout(sizes: tuple, fixed: dict, axes) -> tuple:
+    """`_plan` of a grid of fewer than `_STDLIB_DRAWS` cells; else the
+    slice's codes, computed anew, and None for their order."""
+    if math.prod(sizes) < _STDLIB_DRAWS:
+        return _plan(sizes, tuple(fixed.items()), tuple(axes))
+    return _grid(sizes, fixed, axes), None
+
+
+@functools.lru_cache(maxsize=_ARRAY_PLANS)
+def _array_plan(sizes: tuple, fixed: tuple, axes: tuple) -> tuple:
+    """`_plan` for numpy: `_grid(sizes, dict(fixed), axes)`, and the
+    row-major codes of the free axes among `axes` in grid order, which are
+    the slice's distinct codes in the order of their first appearance when
+    none of its masses is zero; both read-only arrays of the smallest
+    unsigned type that holds every code on `axes`.
+
+    Kept, like `_plan`, by grid sizes, pins and axes; `_slice` asks only for
+    joints of fewer than `_ARRAY_PLAN_CELLS` cells (and calls `__wrapped__`
+    for larger ones), and the `_ARRAY_PLANS` most recently used plans are
+    kept.  A code is below the cell count, so a plan holds at most two
+    arrays of 262,143 codes of 4 bytes, 2 MiB, and all plans take at most
+    64 MiB; the bench's library mix keeps about 0.4 MB in 15 to 19 plans.
+    Every caller only reads them."""
+    import numpy as np
+
+    offsets = _radix(sizes, axes)
+    base = sum(offsets[a][c] for a, c in fixed)
+    dtype = np.min_scalar_type(math.prod(sizes[a] for a in axes) - 1)
+
+    def codes(over):
+        # Each axis adds its offsets along its own dimension of the grid.
+        shape = [sizes[a] for a in over]
+        steps = (np.reshape(offsets[a], [-1 if a == b else 1 for b in over])
+                 for a in over if any(offsets[a]))
+        grid = np.broadcast_to(sum(steps, base), shape).astype(dtype).ravel()
+        grid.flags.writeable = False
+        return grid
+
+    pinned = dict(fixed)
+    free = [a for a in range(len(sizes)) if a not in pinned]
+    return codes(free), codes([a for a in free if any(offsets[a])])
 
 
 def _slice(joint: JointTable, fixed: dict, axes_lists) -> tuple:
@@ -587,51 +637,45 @@ def _slice(joint: JointTable, fixed: dict, axes_lists) -> tuple:
     list of axes the row-major code of every such key's values on those
     axes, fixed axes included; and for each list its distinct codes in the
     order of their first appearance, or None where `_sums` must find them.
-    A joint with an `_array` is scanned in numpy and gives arrays of masses
-    and codes.
 
-    Without an `_array`, a grid of fewer than `_STDLIB_DRAWS` cells reads
-    its codes, a pinned slice its flat positions and a joint without zeros
-    its orders from `_plan`, kept by `joint.sizes`, pins and axes, never by
-    values, which 0, 0.0 and False share; the `_SLICE_PLANS` most recent
-    are kept.  The codes and orders returned may be those shared tuples:
-    callers only read them."""
+    Codes and orders come from plans kept by `joint.sizes`, pins and axes,
+    never by values, which 0, 0.0 and False share: a joint with an
+    `_array` is sliced in numpy and reads its code arrays from
+    `_array_plan` (the `_ARRAY_PLANS` most recent, for fewer than
+    `_ARRAY_PLAN_CELLS` cells); any other grid of fewer than
+    `_STDLIB_DRAWS` cells reads its codes, a pinned slice its flat
+    positions, from `_plan` (the `_SLICE_PLANS` most recent).  Orders are
+    given only for a joint without zeros.  The codes and orders returned may
+    be those shared tuples and read-only arrays: callers only read them."""
     if None in fixed.values():
         return [], [[] for _ in axes_lists], [() for _ in axes_lists]
     sizes, unknown = joint.sizes, [None] * len(axes_lists)
     if joint._array is not None:
-        import numpy as np
-
-        offsets = [_radix(sizes, axes) for axes in axes_lists]
-        free = [a for a in range(len(sizes)) if a not in fixed]
-        bases = [sum(offs[a][c] for a, c in fixed.items()) for offs in offsets]
         cells = tuple(fixed.get(a, slice(None)) for a in range(len(sizes)))
         masses = joint._array.reshape(sizes)[cells].ravel()
-        # Each axis adds its offsets along its own dimension of the grid.
-        shape = [sizes[a] for a in free]
-        codes = [np.broadcast_to(sum((np.reshape(offs[a], [-1 if a == b else 1 for b in free])
-                                      for a in free if any(offs[a])), base), shape).ravel()
-                 for offs, base in zip(offsets, bases)]
+        plan = _array_plan if joint._array.size < _ARRAY_PLAN_CELLS else _array_plan.__wrapped__
+        pins = tuple(fixed.items())
+        codes, orders = zip(*[plan(sizes, pins, tuple(axes)) for axes in axes_lists])
         if joint.zeros:
             keep = masses != 0
-            codes, masses = [cs[keep] for cs in codes], masses[keep]
-        return masses, codes, unknown
+            return masses[keep], [cs[keep] for cs in codes], unknown
+        return masses, codes, orders
     if joint.keys is not None:
         keys = joint.keys
         if fixed:
             # A key is in the slice when its code on the pinned axes is theirs.
-            on, want = _layout(joint, {}, fixed)[0], 0
+            on, want = _layout(sizes, {}, fixed)[0], 0
             for a, c in fixed.items():
                 want = want * sizes[a] + c
             keys = [pos for pos in keys if on[pos] == want]
-        codes = [list(map(_layout(joint, {}, axes)[0].__getitem__, keys)) for axes in axes_lists]
+        codes = [list(map(_layout(sizes, {}, axes)[0].__getitem__, keys)) for axes in axes_lists]
         return list(map(joint.masses.__getitem__, keys)), codes, unknown
     # Only the matching positions are visited: the grid of the free axes,
     # each fixed axis adding its value's offset to every code.
-    codes, orders = zip(*[_layout(joint, fixed, axes) for axes in axes_lists])
+    codes, orders = zip(*[_layout(sizes, fixed, axes) for axes in axes_lists])
     masses = joint.masses
     if fixed:
-        masses = list(map(masses.__getitem__, _layout(joint, fixed, range(len(sizes)))[0]))
+        masses = list(map(masses.__getitem__, _layout(sizes, fixed, range(len(sizes)))[0]))
     if joint.zeros:
         codes = [list(itertools.compress(cs, masses)) for cs in codes]
         return list(itertools.compress(masses, masses)), codes, unknown
@@ -641,10 +685,11 @@ def _slice(joint: JointTable, fixed: dict, axes_lists) -> tuple:
 def _sums(codes, masses, size: int, order=None) -> dict:
     """{code: total mass}: masses added one at a time in scan order, codes
     in the order of their first appearance, which `order` gives when
-    `_slice` read it from a plan (`_plan`, kept by grid sizes, pins and
-    axes for the `_SLICE_PLANS` most recent; read, never changed).  numpy's `bincount` adds arrays in that same order, so
-    both paths give the same floats, and the same ints for int64 masses,
-    whose sums stay below 2**53."""
+    `_slice` read it from a plan (`_plan` for lists, `_array_plan` for
+    arrays; read, never changed).  numpy's `bincount` adds arrays in that
+    same order, so both paths give the same floats, and the same ints for
+    int64 masses, whose sums stay below 2**53.  Without an `order`, an
+    array's is found by a scan (`np.minimum.at`)."""
     if isinstance(masses, list):
         acc = [0] * size
         for c, p in zip(codes, masses):
@@ -653,11 +698,15 @@ def _sums(codes, masses, size: int, order=None) -> dict:
     import numpy as np
 
     acc = np.bincount(codes, weights=masses, minlength=size)
-    acc = (acc.astype(np.int64) if masses.dtype == np.int64 else acc).tolist()
-    # Each code's first scan position; a code that never appears sorts last.
-    first = np.full(size, len(codes))
-    np.minimum.at(first, codes, np.arange(len(codes)))
-    return {c: acc[c] for c in first.argsort()[:np.count_nonzero(first < len(codes))].tolist()}
+    if order is None:
+        # Each code's first scan position; a code that never appears sorts last.
+        first = np.full(size, len(codes))
+        np.minimum.at(first, codes, np.arange(len(codes)))
+        order = first.argsort()[:np.count_nonzero(first < len(codes))]
+    acc = acc[order]
+    if masses.dtype == np.int64:
+        acc = acc.astype(np.int64)
+    return dict(zip(order.tolist(), acc.tolist()))
 
 
 def restrict(joint: JointTable, targets, given: dict | None = None) -> JointTable:

@@ -211,6 +211,20 @@ class TestBuildMDoublePrime:
         assert m.cpts["Y"].parents == ()
         assert ("Z", "Y") not in m.dag.edges
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_table_that_fixes_no_parent_is_reused_as_it_is(self, seed):
+        scm = fill(random_dag(seed + 50), seed)
+        part = random_partition(scm.dag, seed + 200)
+        x, z = first_values(scm, part.x), first_values(scm, part.z)
+        for m, removed in ((build_m_prime(scm, part, x), part.x),
+                           (build_m_doubleprime(scm, part, x, z), part.x | part.z)):
+            for node, cpt in m.cpts.items():
+                fixed = set(scm.cpts[node].parents) & (part.x if node in part.z else removed)
+                assert (cpt is scm.cpts[node]) == (not fixed), node
+                if fixed:
+                    kept = tuple(p for p in scm.cpts[node].parents if p not in fixed)
+                    assert cpt.parents == kept
+
 
 class TestCheckC1:
     def test_true_when_z_is_disconnected_from_y(self):

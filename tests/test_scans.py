@@ -11,6 +11,7 @@ distinct set of pins, and equals the unpinned factor's matching strata.
 
 import importlib
 import json
+import math
 import pkgutil
 import random
 import re
@@ -497,3 +498,119 @@ def test_only_a_grid_below_the_draw_cutoff_keeps_plans(below):
     (table,) = _marginals(joint, ("B",))
     assert len(table) == cells
     assert scm_module._plan.cache_info().currsize == below
+
+
+# Array plans: a numpy joint's slices read their code arrays, and a joint
+# without zeros its key orders, from `scm._array_plan`, kept like `_plan`.
+
+@pytest.mark.parametrize("name", list(PLAN_MODELS))
+def test_a_warm_array_plan_cache_reads_as_a_cold_one(name, monkeypatch):
+    listed = read_through_slices(stored("list", PLAN_MODELS[name](), monkeypatch))
+    joint = stored("numpy", PLAN_MODELS[name](), monkeypatch)
+    assert (joint._array.dtype == "int64") == name.endswith("-fraction")
+    assert joint.zeros == (not name.startswith("plan"))
+    scm_module._array_plan.cache_clear()
+    cold = read_through_slices(joint)
+    plans = scm_module._array_plan.cache_info().currsize
+    assert plans > 0
+    assert read_through_slices(joint) == cold == listed
+    assert scm_module._array_plan.cache_info().hits > 0
+    # A joint of no fewer cells than the bound computes its codes anew.
+    monkeypatch.setattr(scm_module, "_ARRAY_PLAN_CELLS", joint._array.size)
+    assert read_through_slices(joint) == cold
+    assert scm_module._array_plan.cache_info().currsize == plans
+
+
+def test_writing_to_a_returned_code_array_raises(monkeypatch):
+    joint = stored("numpy", gformula_model(1, TERNARY_PLAN), monkeypatch)
+    assert not joint.zeros
+    masses, codes, orders = scm_module._slice(joint, {1: 1}, [[0], [2, 1]])
+    assert [list(order) for order in orders] == [[0, 1, 2], [1, 4, 7]]
+    for array in (*codes, *orders):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 5
+    assert scm_module._slice(joint, {1: 1}, [[0]])[1][0] is codes[0]
+
+
+def uniform_joint(sizes: tuple) -> JointTable:
+    """The numpy joint of independent uniform nodes of the given sizes."""
+    nodes = [f"N{i}" for i in range(len(sizes))]
+    return joint_distribution(Scm(
+        Dag(nodes, []), {n: Domain(n, tuple(range(k))) for n, k in zip(nodes, sizes)},
+        {n: Cpt(n, (), {(): (1 / k,) * k}) for n, k in zip(nodes, sizes)}))
+
+
+@pytest.mark.parametrize("axes, dtype", [([0], "uint8"), ([1], "uint16"), ([0, 1], "uint32")])
+def test_code_arrays_take_the_smallest_unsigned_type(axes, dtype, monkeypatch):
+    # 256, 257 and 65,792 codes: the largest code fits one, two and four bytes.
+    monkeypatch.setattr(scm_module, "_NUMPY_JOINT", 0)
+    joint = uniform_joint((256, 257))
+    masses, (codes,), (order,) = scm_module._slice(joint, {}, [axes])
+    assert codes.dtype == order.dtype == dtype
+    assert order.tolist() == list(range(math.prod(joint.sizes[a] for a in axes)))
+
+
+def test_a_sweep_past_the_bound_keeps_the_array_plan_cache_within_it(monkeypatch):
+    monkeypatch.setattr(scm_module, "_NUMPY_JOINT", 0)
+    monkeypatch.setattr(scm_module, "_STDLIB_DRAWS", 0)
+    bound = scm_module._ARRAY_PLANS
+    scm_module._array_plan.cache_clear()
+    assert scm_module._array_plan.cache_info().maxsize == bound
+    for k in range(1, bound + 11):
+        joint = uniform_joint((k,))
+        assert joint._array is not None
+        (table,) = _marginals(joint, ("N0",))
+        assert list(table) == [(v,) for v in range(k)]
+        assert scm_module._array_plan.cache_info().currsize == min(k, bound)
+
+
+@pytest.mark.parametrize("below", [True, False])
+def test_only_a_joint_below_the_cell_bound_keeps_array_plans(below, monkeypatch):
+    monkeypatch.setattr(scm_module, "_NUMPY_JOINT", 0)
+    sizes = (27, 7, 19, 73) if below else (64, 64, 64)
+    joint = uniform_joint(sizes)
+    assert joint._array.size == scm_module._ARRAY_PLAN_CELLS - below
+    scm_module._array_plan.cache_clear()
+    tables = _marginals(joint, ("N0",), ("N2", "N1"), pins=[{}, {"N0": 1}])
+    assert list(map(len, tables)) == [sizes[0], sizes[1] * sizes[2]]
+    assert list(tables[1])[:2] == [(0, 0), (1, 0)]  # first appearances, in grid order
+    assert scm_module._array_plan.cache_info().currsize == 2 * below
+
+
+# Joint enumeration reads each node's parent codes from `_plan` too.
+
+DOMAINS = [(0, 1), (0.0, 1.0), (False, True)]
+
+
+def relabelled(model: Scm, values: tuple, drop=None) -> Scm:
+    """The binary model over `values` in place of (0, 1), without the row
+    `drop` (node, configuration) if one is given."""
+    cpts = {}
+    for n, c in model.cpts.items():
+        table = {tuple(values[v] for v in cfg): row for cfg, row in c.table.items()
+                 if (n, cfg) != drop}
+        cpts[n] = Cpt(n, c.parents, table)
+    return Scm(model.dag, {n: Domain(n, values) for n in model.dag.nodes}, cpts)
+
+
+def test_joint_enumeration_keeps_each_domains_key_types():
+    cold = []
+    for values in DOMAINS:
+        scm_module._plan.cache_clear()
+        cold.append(repr(joint_distribution(relabelled(simpson_scm(), values))))
+    assert scm_module._plan.cache_info().currsize > 0
+    for values, want in reversed(list(zip(DOMAINS, cold))):
+        joint = joint_distribution(relabelled(simpson_scm(), values))
+        assert {type(v) for key in joint.probs for v in key} == {type(values[0])}
+        assert repr(joint) == want
+    assert scm_module._plan.cache_info().hits > 0
+
+
+def test_a_missing_row_is_named_in_its_own_values():
+    joint_distribution(simpson_scm())  # warms the plans of the Simpson grid
+    for values in DOMAINS:
+        model = relabelled(simpson_scm(), values, drop=("R", (1, 0)))
+        with pytest.raises(InvalidArgumentError) as info:
+            joint_distribution(model)
+        assert str(info.value) == (f"'R': table lacks the row for parents ['T', 'X'] = "
+                                   f"[{values[1]!r}, {values[0]!r}]")

@@ -223,6 +223,20 @@ class TestConstruction:
             self.chain(**changes)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("row", [("a", 1), (None, 1), ([0.5], 0.5), (0.5, {}), "ab"],
+                             ids=["str", "none", "list", "dict", "str-row"])
+    def test_an_entry_that_is_not_a_number_is_refused(self, row):
+        with pytest.raises(InvalidArgumentError) as info:
+            Cpt("B", ("A",), {(0,): (0.5, 0.5), (1,): row})
+        assert str(info.value) == "'B': row '1' has an entry that is not a number"
+
+    @pytest.mark.parametrize("row", [(True, False), (False, 1), (0, 1), (0.25, Fraction(3, 4)),
+                                     (Fraction(1, 2), 0.5)])
+    def test_numbers_bools_included_are_accepted(self, row):
+        scm = self.chain(cpts={"B": Cpt("B", ("A",), {(0,): row, (1,): row})})
+        assert scm.cpts["B"].table[(1,)] == row
+        assert joint_distribution(scm).probs.get((0, 1), 0) == row[1] / 2
+
     def test_a_node_without_a_table_is_refused(self):
         with pytest.raises(InvalidArgumentError) as info:
             Scm(Dag(["A"], []), {"A": Domain("A", (0, 1))}, {})
