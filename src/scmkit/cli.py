@@ -25,9 +25,9 @@ handler imports the formula module it calls:
 - ``direct-effect``, ``policy``, ``mediation``, ``iv`` and ``oddsratio``
   load ``identify`` and ``estimands``, and ``casecontrol`` also
   ``casecontrol``;
-- ``docalc`` loads ``identify`` and ``docalc``, ``diagnose`` loads
-  ``diagnostics``, and ``example`` loads ``identify``, ``estimands`` and
-  ``examples`` (``gaussian`` too for the continuous entries).
+- ``docalc`` loads ``docalc``, ``diagnose`` loads ``diagnostics``, and
+  ``example`` loads ``identify``, ``estimands`` and ``examples``
+  (``gaussian`` too for the continuous entries).
 
 ``main`` adds options only to the subcommand being run, since they read
 role names and defaults (``_From``) from that command's formula module.
@@ -50,6 +50,7 @@ from .scm import (
     Intervention,
     Scm,
     _canonical,
+    _key,
     intervene,
     joint_distribution,
     load_model,
@@ -153,14 +154,11 @@ def _roles(names: tuple, text: str | None) -> dict:
 
 
 def _joined_keys(mapping: dict) -> dict:
-    return {
-        "|".join(str(v) for v in (key if isinstance(key, tuple) else (key,))): value
-        for key, value in mapping.items()
-    }
+    return {_key(cfg): value for cfg, value in mapping.items()}
 
 
-def _str_keys(mapping: dict) -> dict:
-    return {str(k): v for k, v in mapping.items()}
+def _fields(record) -> dict:
+    return {name: getattr(record, name) for name in record.__slots__}
 
 
 def _model_doc(scm: Scm) -> dict:
@@ -171,19 +169,19 @@ def _gaussian_doc(model: LinearGaussianScm) -> dict:
     nodes = sorted(model.dag.nodes, key=str)
     return {
         "nodes": nodes,
-        "edges": sorted([list(e) for e in model.dag.edges]),
-        "intercepts": _str_keys(model.intercepts),
-        "coefficients": {
-            str(n): _str_keys(model.coefficients[n]) for n in nodes
-        },
-        "noise_vars": _str_keys(model.noise_vars),
+        "edges": sorted(model.dag.edges),
+        "intercepts": model.intercepts,
+        "coefficients": {n: model.coefficients[n] for n in nodes},
+        "noise_vars": model.noise_vars,
     }
 
 
 # ---------------------------------------------------------------- handlers
-# A handler takes (args, report, model, roles), fills `report` and returns
-# an exit code (None means 0) or, for a row table, the CSV text.  It
-# imports the formula module it calls, so a command loads only its own.
+# A handler takes (args, report, model, roles), fills `report` with the
+# library's results as they are, for `_canonical` alone spells keys and
+# numbers, and returns an exit code (None means 0) or, for a row table,
+# the CSV text.  It imports the formula module it calls, so a command
+# loads only its own.
 
 
 def _cmd_validate(args, report, model, roles):
@@ -201,8 +199,7 @@ def _cmd_joint(args, report, model, roles):
     )
     given = _assignments(model, args.given, "--given") if args.given else None
     law = restrict(joint, targets, given)
-    probs = {cfg: float(p) for cfg, p in sorted(law.probs.items(), key=lambda kv: str(kv[0]))}
-    report["result"] = {"order": list(law.order), "probs": _joined_keys(probs)}
+    report["result"] = {"order": law.order, "probs": _joined_keys(law.probs)}
 
 
 def _cmd_intervene(args, report, model, roles):
@@ -215,10 +212,7 @@ def _cmd_intervene(args, report, model, roles):
 
 def _cmd_sample(args, report, model, roles):
     data = sample(model, DigitStream(args.seed), args.n)
-    report["result"] = {
-        "columns": list(data.columns),
-        "rows": [list(row) for row in data.rows],
-    }
+    report["result"] = {"columns": data.columns, "rows": data.rows}
     return data.to_csv()
 
 
@@ -272,8 +266,7 @@ def _cmd_effect(args, report, model, roles):
     # The command's effect is second minus first, the function's first
     # minus second.
     effect = backdoor_effect(joint, args.t, t_values[::-1], args.r, z_nodes)
-    laws = {str(t): _str_keys(effect.distributions[t]) for t in t_values}
-    result = {"adjust": list(z_nodes), "laws": laws}
+    result = {"adjust": z_nodes, "laws": effect.distributions}
     if len(t_values) == 2:
         result["ate"] = effect.ate
         if effect.ate is None:
@@ -306,7 +299,7 @@ def _cmd_gformula(args, report, model, roles):
     t_val = _domain_value(model, roles["T"], args.t_value)
     t2_val = _domain_value(model, roles["T2"], args.t2_value)
     law = gformula2(joint, roles, t_val, t2_val, dag=model.dag)
-    report["result"] = {"law": _str_keys(law)}
+    report["result"] = {"law": law}
 
 
 def _cmd_direct_effect(args, report, model, roles):
@@ -316,18 +309,14 @@ def _cmd_direct_effect(args, report, model, roles):
     y2_val = _domain_value(model, roles["Y2"], args.y2)
     t_val = _domain_value(model, roles["Y4"], args.t_value)
     out = two_stage_direct(joint, roles, y2_val, t_val, dag=model.dag)
-    report["result"] = {"law": _str_keys(out["law"]), "mean": out["mean"]}
+    report["result"] = out
 
 
 def _cmd_policy(args, report, model, roles):
     from .estimands import antibiotic_policy
 
     out = antibiotic_policy(joint_distribution(model), roles, dag=model.dag)
-    report["result"] = {
-        "law": _joined_keys(out["law"]),
-        "means": _str_keys(out["means"]),
-        "mean_at_1_lower": out["mean_at_1_lower"],
-    }
+    report["result"] = {**out, "law": _joined_keys(out["law"])}
 
 
 def _cmd_mediation(args, report, model, roles):
@@ -335,7 +324,7 @@ def _cmd_mediation(args, report, model, roles):
 
     joint = joint_distribution(model)
     indirect = natural_indirect(joint, roles, dag=model.dag)
-    result = {"natural_indirect": float(indirect)}
+    result = {"natural_indirect": indirect}
     if args.sigma:
         sigma = {
             _domain_value(model, roles["S"], token): float(weight)
@@ -366,19 +355,7 @@ def _cmd_iv(args, report, model, roles):
         out = iv_theta(source, roles)
         citation = "theta = {E(R|I=1) - E(R|I=0)} / {E(T|I=1) - E(T|I=0)}"
     report["citations"] = [citation]
-    result = {
-        "theta": float(out.theta),
-        "numerator": float(out.numerator),
-        "denominator": float(out.denominator),
-        "valid": out.valid,
-    }
-    if out.thetas is not None:
-        result["thetas"] = [float(t) for t in out.thetas]
-        result["weights"] = [float(w) for w in out.weights]
-    if out.first_stage is not None:
-        result["first_stage"] = float(out.first_stage)
-        result["reduced_form"] = float(out.reduced_form)
-    report["result"] = result
+    report["result"] = {name: v for name, v in _fields(out).items() if v is not None}
 
 
 def _cmd_oddsratio(args, report, model, roles):
@@ -387,7 +364,7 @@ def _cmd_oddsratio(args, report, model, roles):
     out = odds_ratio(joint_distribution(model), roles)
     report["warnings"] = list(out.warnings)
     report["result"] = {
-        "per_x": {str(x): _str_keys(cell) for x, cell in out.per_x.items()},
+        "per_x": out.per_x,
         "overall": out.overall,
     }
 
@@ -402,7 +379,7 @@ def _cmd_casecontrol(args, report, model, roles):
     report["warnings"] = list(estimate.warnings)
     report["result"] = {
         "pairs": pairs.pair_count,
-        "per_x": {str(x): _str_keys(cell) for x, cell in estimate.per_x.items()},
+        "per_x": estimate.per_x,
         "overall": estimate.overall,
     }
     return export_sample(pairs)
@@ -422,7 +399,7 @@ def _cmd_docalc(args, report, model, roles):
         else "rule 2: P(y | w) under do(x, z) = P(y | Z=z, w) under do(x) "
         "when the augmented independence holds"
     ]
-    report["result"] = {name: getattr(verdict, name) for name in verdict.__slots__}
+    report["result"] = _fields(verdict)
     return 0 if verdict.passed else 1
 
 
@@ -439,33 +416,17 @@ def _cmd_diagnose(args, report, model, roles):
         secondary_col=args.secondary,
         threshold=args.threshold,
     )
-    report["warnings"] = list(out.warnings)
-    report["result"] = {
-        "alarm": out.alarm,
-        "threshold": out.threshold,
-        "pvalues": list(out.pvalues),
-        "uniformity_statistic": out.uniformity_statistic,
-        "uniformity_pvalue": out.uniformity_pvalue,
-        "strata": [
-            {
-                "key": str(r.key),
-                "compares": r.compares,
-                "pair": list(r.pair),
-                "left_counts": _str_keys(r.left_counts),
-                "right_counts": _str_keys(r.right_counts),
-                "statistic": r.statistic,
-                "pvalue": r.pvalue,
-            }
-            for r in out.reports
-        ],
-    }
+    result = _fields(out)
+    report["warnings"] = list(result.pop("warnings"))
+    result["strata"] = [{**_fields(r), "key": str(r.key)} for r in result.pop("reports")]
+    report["result"] = result
 
 
 def _cmd_example(args, report, model, roles):
     from .examples import ExampleSpec, build_example, list_examples
 
     if args.name is None:
-        report["result"] = {"catalog": list(list_examples())}
+        report["result"] = {"catalog": list_examples()}
         return
     params = {}
     if args.params:

@@ -150,16 +150,6 @@ def stratify_split(
     return out
 
 
-def _as_counts(sample) -> dict:
-    if isinstance(sample, Mapping):
-        counts = {v: c for v, c in sample.items() if c}
-    else:
-        counts = dict(Counter(sample))
-    if any(c < 0 for c in counts.values()):
-        raise InvalidArgumentError("counts must be nonnegative")
-    return counts
-
-
 def _chi_square(a: Mapping, b: Mapping) -> tuple:
     """Homogeneity statistic, degrees of freedom, and p-value.
 
@@ -238,8 +228,8 @@ def _pair_reports(
                 right = stratum.blocks[g * k + j + 1]
                 if min(len(left), len(right)) < MIN_BLOCK_ROWS:
                     continue
-                lc = _as_counts(values[i] for i in left)
-                rc = _as_counts(values[i] for i in right)
+                lc = dict(Counter(values[i] for i in left))
+                rc = dict(Counter(values[i] for i in right))
                 stat, _, p = _chi_square(lc, rc)
                 reports.append(
                     StratumReport(

@@ -23,8 +23,8 @@ from typing import Mapping
 
 from .errors import InvalidArgumentError, PositivityError, Record
 from .graph import Dag
-from .identify import _fmt_stratum
-from .scm import Cpt, Scm, _ci_verdict, _conditional_laws, conditional_laws, joint_distribution
+from .scm import (Cpt, Scm, _ci_verdict, _conditional_laws, _fmt_stratum, conditional_laws,
+                  joint_distribution)
 
 __all__ = [
     "NodePartition",

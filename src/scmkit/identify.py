@@ -26,7 +26,8 @@ from typing import Mapping
 
 from .errors import InvalidArgumentError, PositivityError, Record
 from .graph import Dag
-from .scm import POSITIVITY_CUTOFF, JointTable, _conditional_laws, _divide, _marginals, _sorted
+from .scm import (POSITIVITY_CUTOFF, JointTable, _conditional_laws, _divide, _fmt_stratum,
+                  _marginals, _sorted)
 
 __all__ = [
     "EffectReport",
@@ -91,10 +92,6 @@ class FrontdoorReport(Record):
 
     def __init__(self, effect: Mapping[tuple, float], intermediate: Mapping[tuple, float]):
         Record.__init__(self, effect, intermediate)
-
-
-def _fmt_stratum(given: Mapping) -> str:
-    return ", ".join(f"{k}={given[k]!r}" for k in sorted(given))
 
 
 def _factors(joint: JointTable, pairs, support=()) -> tuple:

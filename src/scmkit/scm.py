@@ -145,6 +145,10 @@ def _key(cfg) -> str:
     return "|".join(map(str, cfg)) if isinstance(cfg, tuple) else str(cfg)
 
 
+def _fmt_stratum(given: Mapping) -> str:
+    return ", ".join(f"{k}={given[k]!r}" for k in sorted(given))
+
+
 class Intervention(Record, frozen=False):
     __slots__ = ("assignments",)
 
@@ -1067,6 +1071,16 @@ def scm_from_dict(doc: dict) -> Scm:
             raise InvalidArgumentError(f"node {node!r}: domain values must be scalars")
         ids.append(node)
         domains[node] = Domain(node, tuple(entry["domain"]))
+        # Row keys, flags and reports name a value by its `str`, so two
+        # values of one spelling could not be told apart.
+        spelled = {}
+        for v in entry["domain"]:
+            if str(v) in spelled:
+                raise InvalidArgumentError(
+                    f"node {node!r}: domain values {spelled[str(v)]!r} and {v!r} are both "
+                    f"written {str(v)!r}"
+                )
+            spelled[str(v)] = v
     for entry in entries:
         node = entry["id"]
         parents = tuple(entry["parents"])

@@ -40,7 +40,7 @@ TIMEOUT = 300  # seconds; a killed mutant of identify.py takes about 3.5 s
 # module -> the test files whose subject it is, run for each of its mutants.
 FOCUSED = {
     "casecontrol.py": ["test_casecontrol.py"],
-    "cli.py": ["test_cli.py", "test_cli_contract.py", "test_replay.py"],
+    "cli.py": ["test_cli.py", "test_cli_contract.py", "test_replay.py", "test_report_corpus.py"],
     "diagnostics.py": ["test_diagnostics.py"],
     "docalc.py": ["test_docalc.py", "test_scans.py"],
     "errors.py": ["test_records.py"],

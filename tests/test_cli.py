@@ -310,6 +310,12 @@ class TestErrors:
         assert out == ""
         assert err == f"error: {flag} repeats {key!r}\n"
 
+    @pytest.mark.parametrize("pair", ["T=", "=1"])
+    def test_a_pair_without_a_key_or_a_value_is_a_usage_error(self, capsys, simpson_path, pair):
+        code, out, err = run(capsys, "joint", "-m", simpson_path, "--given", pair)
+        assert (code, out) == (2, "")
+        assert err == f"error: --given expects k=v pairs, got {pair!r}\n"
+
     @pytest.mark.parametrize("command", ["validate", "joint"])
     def test_row_of_the_wrong_length_is_a_domain_failure(self, capsys, tmp_path, command):
         # Every row sums to 1, but A's row is too long and B's too short.
@@ -322,6 +328,19 @@ class TestErrors:
         code, rep = report(capsys, command, "-m", str(path))
         assert code == 1
         assert rep["error"] == "'A': row '' has length 3, not 2"
+        assert rep["result"] is None
+
+    @pytest.mark.parametrize("command", ["validate", "joint"])
+    def test_two_domain_values_of_one_spelling_are_a_load_failure(self, capsys, tmp_path,
+                                                                  command):
+        # Read, the law would print both values' mass under one key.
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"nodes": [
+            {"id": "A", "domain": [1, "1"], "parents": [], "table": {"": [0.25, 0.75]}},
+        ]}))
+        code, rep = report(capsys, command, "-m", str(path))
+        assert code == 1
+        assert rep["error"] == "node 'A': domain values 1 and '1' are both written '1'"
         assert rep["result"] is None
 
     @pytest.mark.parametrize("command", ["validate", "joint"])
@@ -625,6 +644,10 @@ def test_non_finite_results_are_domain_failures(tmp_path, argv):
         ("case_control_pop", "uptake=3", "uptake must map x = 0 and x = 1"),
         ("fig1", "sizes=3", "sizes must map node names to domain sizes, got 3"),
         ("simpson_continuous", 'alpha="x"', "alpha must be a number, got 'x'"),
+        # A comma, or a comma after an escaped quote, inside a JSON string
+        # does not split the pairs.
+        ("fig1", 'floor="x,y"', "floor must be a number, got 'x,y'"),
+        ("fig1", r'floor="a\",b"', """floor must be a number, got 'a",b'"""),
         ("simpson_continuous", 'discrete=true,bins="x"', "bins must be an integer >= 2, got 'x'"),
         ("simpson_continuous", 'discrete=true,span="x"', "span must be a number, got 'x'"),
         ("lord", "rho=[1]", "rho must be a number, got [1]"),

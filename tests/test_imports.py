@@ -270,7 +270,7 @@ LOADS = [
     (["effect", "frontdoor", "eelworms", "gformula"], ["identify"]),
     (["direct-effect", "policy", "mediation", "iv", "oddsratio"], ["identify", "estimands"]),
     (["casecontrol"], ["identify", "estimands", "casecontrol"]),
-    (["docalc"], ["identify", "docalc"]),
+    (["docalc"], ["docalc"]),
     (["diagnose"], ["diagnostics"]),
     (["example"], ["identify", "estimands", "examples"]),
 ]

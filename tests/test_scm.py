@@ -1050,6 +1050,18 @@ class TestModelFormat:
         with pytest.raises(InvalidArgumentError, match=message):
             scm_to_json(scm)
 
+    @pytest.mark.parametrize("domain, first, second", [
+        ([1, "1"], "1", "'1'"), (["True", True], "'True'", "True"),
+        ([0, None, "None"], "None", "'None'"), ([0.5, "0.5"], "0.5", "'0.5'"),
+    ])
+    def test_two_domain_values_of_one_spelling_are_refused(self, domain, first, second):
+        node = {"id": "A", "domain": domain, "parents": [],
+                "table": {"": [1 / len(domain)] * len(domain)}}
+        written = str(domain[-1])
+        message = f"node 'A': domain values {first} and {second} are both written {written!r}"
+        with pytest.raises(InvalidArgumentError, match=f"^{re.escape(message)}$"):
+            scm_from_dict({"nodes": [node]})
+
     def test_row_keys_join_parent_values(self):
         text = scm_to_json(simpson_scm())
         assert '"0|0"' in text and '"1|1"' in text and '""' in text
