@@ -79,6 +79,16 @@ class Domain(Record):
             raise InvalidArgumentError(f"empty domain for {node!r}")
         if len(set(values)) != len(values):
             raise InvalidArgumentError(f"duplicate values in domain of {node!r}")
+        # Row keys, flags and reports name a value by its `str`, so two
+        # values of one spelling could not be told apart.
+        spelled = {}
+        for v in values:
+            if str(v) in spelled:
+                raise InvalidArgumentError(
+                    f"node {node!r}: domain values {spelled[str(v)]!r} and {v!r} are both "
+                    f"written {str(v)!r}"
+                )
+            spelled[str(v)] = v
         Record.__init__(self, node, values)
 
     def index(self, value) -> int:
@@ -224,7 +234,10 @@ class JointTable:
     Every sum over a table adds its masses one at a time in scan order,
     never pairwise, so a float law is the same to the last bit whether it
     was summed in plain Python or with numpy; `joint_distribution` leaves
-    the float64 or int64 array of the masses it built with numpy in `_array`.
+    the float64 or int64 array of the masses it built with numpy in `_array`
+    and no list: `masses` is then made from it the first time it is read
+    (by `probs`, `==` or `repr`), while `_slice`, and so every formula,
+    reads only the array.
 
     `JointTable(order, probs)` builds a table from such a mapping, keeping
     its keys and their order.
@@ -247,13 +260,21 @@ class JointTable:
         return table
 
     def _set(self, order, values, masses, keys, zeros=True, scale=None):
-        self.order, self.values, self.masses, self.keys = order, values, masses, keys
+        if masses is not None:
+            self.masses = masses
+        self.order, self.values, self.keys = order, values, keys
         self.zeros, self.scale = zeros, scale
         self.sizes = tuple(map(len, values))
         self.strides = tuple(math.prod(self.sizes[j + 1:]) for j in range(len(order)))
         self._keyset = None if keys is None else set(keys)
         self._size = None
         self._lookups = self._array = None
+
+    @functools.cached_property
+    def masses(self) -> list:
+        """The flat list of a joint built with only its `_array`, made on
+        first read and kept: Python floats from float64, ints from int64."""
+        return self._array.tolist()
 
     def index(self, node) -> int:
         try:
@@ -447,7 +468,8 @@ def joint_distribution(scm: Scm) -> JointTable:
     configurations or more, once numpy is loaded, or of `_NUMPY_JOINT` or
     more, is multiplied out in numpy, with the same IEEE product in every
     float cell while no entry exceeds 1 and integer numerators in int64
-    while no mass or sum of masses can reach 2**53.
+    while no mass or sum of masses can reach 2**53; such a joint keeps
+    only that array, `_array`, until its `masses` list is first read.
     """
     order = topological_order(scm.dag)
     values = tuple(scm.domains[n].values for n in order)
@@ -519,7 +541,7 @@ def joint_distribution(scm: Scm) -> JointTable:
     scale = None if lcms is None else math.prod(lcms)
     if isinstance(masses, list):
         return JointTable._dense(tuple(order), values, masses, keys, zeros, scale)
-    joint = JointTable._dense(tuple(order), values, masses.tolist(), None, zeros, scale)
+    joint = JointTable._dense(tuple(order), values, None, None, zeros, scale)
     joint._array, joint._size = masses, np.count_nonzero(masses)
     return joint
 
@@ -1071,16 +1093,6 @@ def scm_from_dict(doc: dict) -> Scm:
             raise InvalidArgumentError(f"node {node!r}: domain values must be scalars")
         ids.append(node)
         domains[node] = Domain(node, tuple(entry["domain"]))
-        # Row keys, flags and reports name a value by its `str`, so two
-        # values of one spelling could not be told apart.
-        spelled = {}
-        for v in entry["domain"]:
-            if str(v) in spelled:
-                raise InvalidArgumentError(
-                    f"node {node!r}: domain values {spelled[str(v)]!r} and {v!r} are both "
-                    f"written {str(v)!r}"
-                )
-            spelled[str(v)] = v
     for entry in entries:
         node = entry["id"]
         parents = tuple(entry["parents"])

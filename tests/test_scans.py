@@ -10,6 +10,7 @@ distinct set of pins, and equals the unpinned factor's matching strata.
 """
 
 import importlib
+import itertools
 import json
 import math
 import pkgutil
@@ -21,6 +22,7 @@ from fractions import Fraction
 import pytest
 
 import scmkit
+from scmkit import docalc as docalc_module
 from scmkit import scm as scm_module
 from scmkit.docalc import NodePartition, verify_rule
 from scmkit.errors import InvalidArgumentError, PositivityError
@@ -48,12 +50,14 @@ from scmkit.cli import main
 from scmkit.scm import (
     Cpt,
     Domain,
+    Intervention,
     JointTable,
     Scm,
     _conditional_laws,
     _marginals,
     cond_independent,
     conditional_laws,
+    intervene,
     joint_distribution,
     restrict,
     save_model,
@@ -260,15 +264,17 @@ def stored(form: str, model: Scm, monkeypatch) -> JointTable:
     return joint
 
 
-def sixths(model: Scm) -> Scm:
-    """The ternary model with each row's entries ranked as 1/6, 2/6 and 3/6,
-    so that its Fraction joint's numerators stay on int64."""
+def ranked(model: Scm) -> Scm:
+    """The model with each row's k entries ranked as 1, 2, ..., k over
+    k(k + 1)/2 (1/6, 2/6 and 3/6 on a ternary node), so that its Fraction
+    joint's numerators stay on int64."""
     cpts = {}
     for n, cpt in model.cpts.items():
         table = {}
         for cfg, row in cpt.table.items():
-            ranks = sorted(range(3), key=row.__getitem__)
-            table[cfg] = tuple(Fraction(1 + ranks.index(i), 6) for i in range(3))
+            k = len(row)
+            ranks = sorted(range(k), key=row.__getitem__)
+            table[cfg] = tuple(Fraction(1 + ranks.index(i), k * (k + 1) // 2) for i in range(k))
         cpts[n] = Cpt(n, cpt.parents, table)
     return Scm(model.dag, model.domains, cpts)
 
@@ -299,7 +305,7 @@ def test_a_pinned_factor_is_the_unpinned_factors_matching_strata(
 ):
     if name == "plan":
         model = gformula_model(1, TERNARY_PLAN)
-        model = sixths(model) if exact_masses else model
+        model = ranked(model) if exact_masses else model
     else:
         model = sparse_model(3, n=7, exact=exact_masses)
     joint = stored(form, model, monkeypatch)
@@ -387,7 +393,7 @@ def test_the_r2_factor_divides_only_its_treatment_slice(call, pinned, monkeypatc
 
 PLAN_MODELS = {
     "plan": lambda: gformula_model(1, TERNARY_PLAN),
-    "plan-fraction": lambda: sixths(gformula_model(1, TERNARY_PLAN)),
+    "plan-fraction": lambda: ranked(gformula_model(1, TERNARY_PLAN)),
     "sparse": lambda: sparse_model(3, n=7),
     "sparse-fraction": lambda: sparse_model(3, n=7, exact=True),
     "no-mass-at-x": lambda: without_x(2),
@@ -614,3 +620,146 @@ def test_a_missing_row_is_named_in_its_own_values():
             joint_distribution(model)
         assert str(info.value) == (f"'R': table lacks the row for parents ['T', 'X'] = "
                                    f"[{values[1]!r}, {values[0]!r}]")
+
+
+# A joint built with numpy keeps only its `_array`: its flat `masses` list
+# is made the first time something reads it, and the formulas never do.
+
+def mutilated(model: Scm) -> Scm:
+    """The model with X2 held at its second value."""
+    return intervene(model, Intervention({"X2": model.domains["X2"].values[1]}))
+
+
+LAZY_MODELS = {
+    "float": lambda: gformula_model(1, TERNARY_PLAN),
+    "float-zeros": lambda: sparse_model(3, n=7),
+    "float-mutilated": lambda: mutilated(gformula_model(1, TERNARY_PLAN)),
+    "int64": lambda: ranked(gformula_model(1, TERNARY_PLAN)),
+    "int64-zeros": lambda: sparse_model(3, n=7, exact=True),
+    "int64-mutilated": lambda: mutilated(ranked(gformula_model(1, TERNARY_PLAN))),
+}
+
+
+def on_numpy(monkeypatch, yes: bool = True) -> None:
+    """Sends every joint built from here on to numpy, or none of them."""
+    cutoff = 0 if yes else scm_module.MAX_JOINT_CONFIGS + 1
+    monkeypatch.setattr(scm_module, "_STDLIB_DRAWS", cutoff)
+    monkeypatch.setattr(scm_module, "_NUMPY_JOINT", cutoff)
+
+
+def lazy_joint(model: Scm, monkeypatch) -> JointTable:
+    on_numpy(monkeypatch)
+    joint = joint_distribution(model)
+    assert joint._array is not None and "masses" not in vars(joint)
+    return joint
+
+
+@pytest.mark.parametrize("name", list(LAZY_MODELS))
+def test_reading_a_numpy_joints_laws_builds_no_list(name, monkeypatch):
+    model = LAZY_MODELS[name]()
+    joint = lazy_joint(model, monkeypatch)
+    assert joint.zeros == ("zeros" in name or "mutilated" in name)
+    assert joint._array.dtype == ("int64" if name.startswith("int64") else "float64")
+    o = joint.order
+    read_through_slices(joint)
+    conditional_laws(joint, (o[-1],), o[:2])
+    cond_independent(joint, {o[0]}, {o[-1]}, {o[1]})
+    assert len(joint.probs) == len(joint_distribution(model).probs)
+    assert "masses" not in vars(joint)
+
+
+LAZY_CALLS = ["adjust", "frontdoor", "eelworms_effect", "gformula2", "cond_independent"]
+
+
+@pytest.mark.parametrize("number", ["float", "fraction"])
+@pytest.mark.parametrize("name", LAZY_CALLS)
+def test_formulas_on_a_numpy_joint_build_no_list(name, number, monkeypatch):
+    model, call = CALLS[name]
+    joint = lazy_joint(ranked(model) if number == "fraction" else model, monkeypatch)
+    assert (joint.scale is not None) == (number == "fraction")
+    call(joint)
+    assert "masses" not in vars(joint)
+
+
+@pytest.mark.parametrize("rule", [1, 2])
+def test_verify_rule_builds_no_list_on_its_numpy_joints(rule, monkeypatch):
+    on_numpy(monkeypatch)
+    joints = []
+
+    def kept(model):
+        joints.append(joint_distribution(model))
+        return joints[-1]
+
+    monkeypatch.setattr(docalc_module, "joint_distribution", kept)
+    dag = Dag(["W", "X", "Z", "Y"], [("W", "Y"), ("X", "Y"), ("W", "Z")])
+    part = NodePartition(w={"W"}, x={"X"}, y={"Y"}, z={"Z"})
+    verify_rule(fill(dag, 2), part, rule, {"X": 1}, {"Z": 0} if rule == 2 else None)
+    assert len(joints) == rule
+    assert all(j._array is not None and "masses" not in vars(j) for j in joints)
+
+
+def both_forms(model: Scm, monkeypatch) -> tuple:
+    """The model's joint built on the list path, and built on numpy."""
+    on_numpy(monkeypatch, False)
+    listed = joint_distribution(model)
+    assert listed._array is None
+    return listed, lazy_joint(model, monkeypatch)
+
+
+# reader name -> a read of a joint's `probs`; repr holds every key order and
+# every number's type.
+READERS = {
+    "getitem": lambda j: [j.probs[cfg] for cfg in itertools.product(*j.values) if cfg in j.probs],
+    "iter": lambda j: list(j.probs),
+    "items": lambda j: list(j.probs.items()),
+    "values": lambda j: list(j.probs.values()),
+    "mapping": lambda j: dict(j.probs),
+    "repr": repr,
+}
+
+
+@pytest.mark.parametrize("reader", list(READERS))
+@pytest.mark.parametrize("name", list(LAZY_MODELS))
+def test_a_first_read_gives_what_the_list_path_gives(name, reader, monkeypatch):
+    listed, joint = both_forms(LAZY_MODELS[name](), monkeypatch)
+    read = READERS[reader]
+    want = repr(read(listed))
+    assert repr(read(joint)) == want
+    assert "masses" in vars(joint)
+    # A second read reuses the list: there is no array left to build one from.
+    built, joint._array = joint.masses, None
+    assert repr(read(joint)) == want
+    assert joint.masses is built
+
+
+@pytest.mark.parametrize("name", list(LAZY_MODELS))
+def test_the_list_holds_the_arrays_values_as_python_numbers(name, monkeypatch):
+    listed, joint = both_forms(LAZY_MODELS[name](), monkeypatch)
+    masses = joint.masses
+    assert masses == listed.masses
+    assert {type(m) for m in masses} == {int if name.startswith("int64") else float}
+    assert [type(m) for m in masses if m] == [type(m) for m in listed.masses if m]
+    assert joint.masses is masses
+
+
+@pytest.mark.parametrize("name", list(LAZY_MODELS))
+def test_a_lazy_table_equals_the_list_built_one(name, monkeypatch):
+    listed, joint = both_forms(LAZY_MODELS[name](), monkeypatch)
+    assert joint == listed and listed == joint
+    assert "masses" in vars(joint)
+    other = lazy_joint(LAZY_MODELS["float-zeros" if "zeros" not in name else "float"](), monkeypatch)
+    assert joint != other and "masses" not in vars(other)
+
+
+@pytest.mark.parametrize("name", list(LAZY_MODELS))
+def test_a_missing_key_raises_key_error_on_both_paths(name, monkeypatch):
+    listed, joint = both_forms(LAZY_MODELS[name](), monkeypatch)
+    values = joint.values
+    missing = [("off",) * len(values), tuple(v[0] for v in values[1:]), [v[0] for v in values]]
+    if joint.zeros:
+        missing.append(next(c for c in itertools.product(*values) if c not in listed.probs))
+    for cfg in missing:
+        for table in (listed, joint):
+            with pytest.raises(KeyError):
+                table.probs[cfg]
+    assert ("masses" in vars(joint)) == joint.zeros

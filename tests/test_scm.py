@@ -1062,6 +1062,13 @@ class TestModelFormat:
         with pytest.raises(InvalidArgumentError, match=f"^{re.escape(message)}$"):
             scm_from_dict({"nodes": [node]})
 
+    def test_a_code_built_domain_of_two_values_of_one_spelling_is_refused(self):
+        # Built in code, such a domain would reach `scm_to_json`, and a law
+        # over it `_canonical`, which would write one JSON key twice.
+        message = "node 'A': domain values 1 and '1' are both written '1'"
+        with pytest.raises(InvalidArgumentError, match=f"^{re.escape(message)}$"):
+            Domain("A", (1, "1"))
+
     def test_row_keys_join_parent_values(self):
         text = scm_to_json(simpson_scm())
         assert '"0|0"' in text and '"1|1"' in text and '""' in text
