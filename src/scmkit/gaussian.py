@@ -41,6 +41,7 @@ __all__ = [
 
 _CORRELATION_FLOOR = 1e-12  # least eigenvalue of a non-singular block rescaled to unit diagonal
 _EIGEN_FLOOR = -1e-9  # least eigenvalue allowed per unit of the largest source variance
+_CERTIFIED_SIZE = 500  # largest law whose Cholesky certificate is trusted; see GaussianLaw
 
 
 class LinearGaussianScm(Record):
@@ -86,8 +87,28 @@ class GaussianLaw(Record):
     """A multivariate normal law over named nodes.
 
     `_scale`, which is not a field, gives the variances of the law the
-    covariance was computed from: rounding there sets the semidefiniteness
-    floor.  A law built directly uses its own.
+    covariance was computed from: rounding there sets both tolerances.  A
+    law built directly uses its own.  With s the largest of those variances,
+    the covariance may be asymmetric by at most 1e-9 * |s| per entry, and the
+    least eigenvalue of its symmetric part S may lie below 0 by at most
+    1e-9 * s (the floor f).  So both tolerances are relative to scale, and an
+    exactly symmetric matrix never fails the first.
+
+    The eigenvalue test first tries a certificate: if `np.linalg.cholesky`
+    runs to completion on S + (|f|/2) I, the law is accepted.  The computed
+    factor is exact for S + (|f|/2) I + E with |E| <= (n+1) u |R^T||R|
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    Thm 10.3), so ||E||_2 <= about n^2 u s for n nodes and unit roundoff
+    u = 2^-53, since S's diagonal is at most s (a conditional law's
+    variances are at most those it was computed from), and the least
+    eigenvalue of S is at least -|f|/2 - n^2 u s.  `eigvalsh` computes each
+    eigenvalue to within about n^2 u s as well (Weyl's bound; Demmel,
+    *Applied Numerical Linear Algebra*, 5.2), so it reads at least
+    -|f|/2 - 2 n^2 u s, which is above f while
+    2 n^2 u s < |f|/2, that is n < 1,500.  `_CERTIFIED_SIZE` (500) keeps a
+    factor of 9 for the constants.  When the factorization fails, or the law
+    is larger, `eigvalsh(S).min() < f` decides, so the verdict is always the
+    one `eigvalsh` alone would give.
     """
 
     __slots__ = ("order", "mean", "covariance")
@@ -101,15 +122,16 @@ class GaussianLaw(Record):
         if mean.shape != (k,) or cov.shape != (k, k):
             raise InvalidArgumentError("mean/covariance shapes do not match order")
         for name, values in (("mean", mean), ("covariance", cov)):
-            bad = np.argwhere(~np.isfinite(values))
-            if bad.size:
-                at = ", ".join(repr(order[i]) for i in bad[0])
+            if not np.isfinite(values).all():
+                at = ", ".join(repr(order[i]) for i in np.argwhere(~np.isfinite(values))[0])
                 raise InvalidArgumentError(f"non-finite {name} at {at}")
-        if not np.allclose(cov, cov.T, atol=1e-9, rtol=0.0):
-            raise InvalidArgumentError("covariance must be symmetric")
         if k:
             floor = _EIGEN_FLOOR * float(np.max(cov.diagonal() if _scale is None else _scale))
-            if float(np.linalg.eigvalsh((cov + cov.T) / 2).min()) < floor:
+            if (abs(cov - cov.T) > abs(floor)).any():
+                raise InvalidArgumentError("covariance must be symmetric")
+            sym = (cov + cov.T) / 2
+            certified = k <= _CERTIFIED_SIZE and _cholesky_certifies(sym, abs(floor) / 2)
+            if not certified and float(np.linalg.eigvalsh(sym).min()) < floor:
                 raise InvalidArgumentError("covariance must be positive semidefinite")
         Record.__init__(self, order, mean, cov)
 
@@ -130,18 +152,27 @@ class GaussianLaw(Record):
         return float(self.covariance[self.index(a), self.index(b)])
 
 
+def _cholesky_certifies(sym: np.ndarray, shift: float) -> bool:
+    """Whether `sym + shift * I` has a Cholesky factor in floating point."""
+    shifted = sym.copy()
+    shifted.flat[:: len(sym) + 1] += shift
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def lg_moments(model: LinearGaussianScm) -> GaussianLaw:
     """Exact mean vector and covariance matrix by forward propagation."""
     order = topological_order(model.dag)
     pos = {n: i for i, n in enumerate(order)}
     k = len(order)
-    mean = np.zeros(k)
+    mean = []
     cov = np.zeros((k, k))
     for i, node in enumerate(order):
         coefs = model.coefficients[node]
-        mean[i] = model.intercepts[node] + sum(
-            c * mean[pos[p]] for p, c in coefs.items()
-        )
+        mean.append(float(model.intercepts[node] + sum(c * mean[pos[p]] for p, c in coefs.items())))
         # Row i against every earlier node, one numpy step per parent in the
         # order `sum` took them; float(c) * x is what Fraction * float does.
         row = np.zeros(i)
@@ -150,7 +181,7 @@ def lg_moments(model: LinearGaussianScm) -> GaussianLaw:
         cov[i, :i] = row
         cov[:i, i] = row
         cov[i, i] = model.noise_vars[node] + sum(
-            ca * cb * cov[pos[pa], pos[pb]]
+            ca * cb * cov.item(pos[pa], pos[pb])
             for pa, ca in coefs.items()
             for pb, cb in coefs.items()
         )

@@ -356,6 +356,15 @@ def reference_lg_moments(model) -> tuple:
     return tuple(order), mean, cov
 
 
+def reference_psd_verdict(cov, scale=None) -> bool:
+    """Whether `GaussianLaw`'s semidefiniteness test, as it stood before the
+    Cholesky certificate, accepts `cov`: the least eigenvalue of the symmetric
+    part against -1e-9 times the largest of `scale` (or of the diagonal)."""
+    cov = np.asarray(cov, dtype=float)
+    floor = -1e-9 * float(np.max(cov.diagonal() if scale is None else scale))
+    return not float(np.linalg.eigvalsh((cov + cov.T) / 2).min()) < floor
+
+
 # ---------------------------------------------------------------------------
 # Path-by-path reference for the back-door criterion: the recursive listing
 # that copied its visited set and tuples at every step, and the classifier

@@ -1,6 +1,7 @@
 import math
 import re
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.special import ndtr, ndtri
 from scmkit.errors import InvalidArgumentError, SingularConditioningError
 from scmkit.exogenous import DigitStream, uniform_list
 from scmkit.gaussian import (
+    _CERTIFIED_SIZE,
     GaussianLaw,
     LinearGaussianScm,
     lg_condition,
@@ -21,7 +23,12 @@ from scmkit.gaussian import (
 )
 from scmkit.graph import Dag, topological_order
 
-from structures import lord_report, reference_lg_moments, simpson_cont_report
+from structures import (
+    lord_report,
+    reference_lg_moments,
+    reference_psd_verdict,
+    simpson_cont_report,
+)
 
 REFERENCE = dict(alpha=1.0, beta=0.2, gamma=1.0, mu=0.0, sigma1=1.0, sigma2=1.0, sigma3=1.0)
 
@@ -140,6 +147,12 @@ class TestLgMoments:
         assert law.var_of("T") == pytest.approx(2.0, abs=1e-12)
         assert law.mean_of("R") == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("mu", [-2.0, 1.5])
+    def test_dose_response_treatment_mean_is_mu(self, mu):
+        law = lg_moments(simpson_cont_model(**{**REFERENCE, "gamma": 2.0, "mu": mu}))
+        assert law.mean_of("X") == pytest.approx(2.0 * mu, abs=1e-12)
+        assert law.mean_of("T") == pytest.approx(mu, abs=1e-12)
+
     def test_zero_coefficients_give_diagonal_covariance(self):
         dag = Dag(("A", "B"), (("A", "B"),))
         model = LinearGaussianScm(
@@ -256,6 +269,35 @@ class TestGaussianLaw:
         with pytest.raises(InvalidArgumentError, match="positive semidefinite"):
             GaussianLaw(("A", "B"), np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]) * scale)
 
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+    def test_symmetry_tolerance_is_relative_to_scale(self, scale):
+        base = np.array([[1.0, 0.5], [0.5, 1.0]]) * scale
+        GaussianLaw(("A", "B"), np.zeros(2), base)
+        rounded = base.copy()
+        rounded[0, 1] *= 1 + 1e-12
+        GaussianLaw(("A", "B"), np.zeros(2), rounded)
+        skewed = base.copy()
+        skewed[0, 1] *= 1 + 1e-6
+        with pytest.raises(InvalidArgumentError, match="covariance must be symmetric"):
+            GaussianLaw(("A", "B"), np.zeros(2), skewed)
+
+    def test_symmetry_tolerance_examples(self):
+        GaussianLaw(("A", "B"), np.zeros(2), np.array([[1e12, 5e11 + 1e-3], [5e11, 1e12]]))
+        with pytest.raises(InvalidArgumentError, match="covariance must be symmetric"):
+            GaussianLaw(("A", "B"), np.zeros(2), np.array([[1e-6, 0.0], [5e-10, 1e-6]]))
+
+    def test_symmetry_tolerance_reads_the_source_scale(self):
+        cov = np.array([[1.0, 0.5 + 1e-7], [0.5, 1.0]])
+        with pytest.raises(InvalidArgumentError, match="covariance must be symmetric"):
+            GaussianLaw(("A", "B"), np.zeros(2), cov)
+        GaussianLaw(("A", "B"), np.zeros(2), cov, np.array([1e4, 1e4]))
+
+    def test_exactly_symmetric_zero_covariance_accepted(self):
+        law = GaussianLaw(("A", "B"), np.zeros(2), np.zeros((2, 2)))
+        assert law.var_of("B") == 0.0
+        with pytest.raises(InvalidArgumentError, match="covariance must be symmetric"):
+            GaussianLaw(("A", "B"), np.zeros(2), np.array([[0.0, 1e-300], [0.0, 0.0]]))
+
     @pytest.mark.parametrize("var", [1.0, 1e4, 1e6, 1e8, 1e10, 1e12])
     def test_rank_deficient_model_accepted_at_any_scale(self, var):
         # B copies A and Y triples it without noise; rounding leaves the
@@ -280,6 +322,11 @@ class TestGaussianLaw:
         law = lg_condition(lg_moments(lord_component(0.0, sigma, rho)), {"X": 0.3, "R": 1.0})
         assert abs(law.var_of("G")) < 1e-12 * max(1.0, sigma / 10) ** 2
 
+    @pytest.mark.parametrize("mean, cov", [(np.zeros(3), np.eye(2)), (np.zeros(2), np.eye(3))])
+    def test_shape_mismatch_rejected(self, mean, cov):
+        with pytest.raises(InvalidArgumentError, match="shapes do not match order"):
+            GaussianLaw(("A", "B"), mean, cov)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_mean_rejected(self, bad):
         with pytest.raises(InvalidArgumentError, match="non-finite mean at 'B'"):
@@ -298,6 +345,82 @@ class TestGaussianLaw:
         law = GaussianLaw(("A",), np.zeros(1), np.eye(1))
         with pytest.raises(InvalidArgumentError):
             law.mean_of("Z")
+
+
+# The least eigenvalue, in units of the floor; 0.999 to 1.001 straddle it.
+FLOOR_MULTIPLES = (0.0, 0.5, 0.999, 1.0, 1.001, 1.1, 2.0, 10.0)
+SCALES = (1e-8, 1e-4, 1.0, 1e4, 1e8)
+
+
+def placed_covariances(n: int, seed: int):
+    """(covariance, _scale or None) pairs whose least eigenvalue sits at each
+    of FLOOR_MULTIPLES times the floor, at every scale when n is small and at
+    one scale per multiple when it is large.  About a quarter of the other
+    eigenvalues are 0, as in a model with deterministic nodes, and every
+    other matrix carries an asymmetry far inside the tolerance."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    rest = rng.uniform(1e-3, 1.0, n - 1) * (rng.random(n - 1) > 0.25)
+    rest[0] = 1.0
+    for i, m in enumerate(FLOOR_MULTIPLES):
+        for j, scale in enumerate(SCALES if n <= 100 else SCALES[i % len(SCALES):][:1]):
+            given = (i + j) % 2 == 0
+            values = np.concatenate(([0.0], rest)) * scale
+            if not given:
+                scale = float(np.max(((q * values) @ q.T).diagonal()))
+            values[0] = -1e-9 * m * scale
+            cov = (q * values) @ q.T
+            cov = (cov + cov.T) / 2
+            if i % 2:
+                cov[0, -1] += 1e-12 * scale
+            yield cov, np.full(n, scale) if given else None
+
+
+def law_verdict(cov, scale) -> bool:
+    k = len(cov)
+    try:
+        GaussianLaw(tuple(f"N{i}" for i in range(k)), np.zeros(k), cov, scale)
+    except InvalidArgumentError as exc:
+        assert str(exc) == "covariance must be positive semidefinite"
+        return False
+    return True
+
+
+class TestPsdCertificate:
+    """The Cholesky certificate with its eigvalsh fallback against eigvalsh alone."""
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 40, 100, 250, _CERTIFIED_SIZE, _CERTIFIED_SIZE + 1])
+    def test_verdicts_equal_the_reference(self, n):
+        certified = fallback = 0
+        verdicts = set()
+        for cov, scale in placed_covariances(n, seed=n):
+            want = reference_psd_verdict(cov, scale)
+            with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as spy:
+                assert law_verdict(cov, scale) == want
+            if spy.call_count:
+                fallback += 1
+            else:
+                certified += 1
+                assert want
+            verdicts.add(want)
+        assert verdicts == {True, False}
+        assert fallback
+        assert bool(certified) == (n <= _CERTIFIED_SIZE)
+
+    def test_certificate_skips_eigvalsh_on_model_laws(self):
+        model = wide_lg(3, 60, 3, zero_noise=0.3)
+        with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as spy:
+            law = lg_moments(model)
+        assert spy.call_count == 0
+        assert reference_psd_verdict(law.covariance)
+
+    def test_failed_factorization_falls_back_to_eigvalsh(self):
+        # The least eigenvalue is about -7e-10: below half the floor, so the
+        # shifted factorization fails, and above the floor, so eigvalsh accepts.
+        cov = np.array([[1.0, 1.0], [1.0, 1.0 - 1.4e-9]])
+        with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as spy:
+            GaussianLaw(("A", "B"), np.zeros(2), cov)
+        assert spy.call_count == 1
 
 
 class TestLgCondition:
